@@ -67,9 +67,14 @@ class FailureEstimate:
     std_error: float
 
 
-def _quantized_mantissa_fraction(w: float, cfg: FloatConfig) -> float:
-    v = encode(w, cfg).value
-    return 0.0 if v.is_zero else v.mantissa_fraction
+def _edge_deltas(c: Circuit, cfg: FloatConfig) -> dict[tuple[int, int], float]:
+    """Mitchell shortfall of each sum edge's weight quantized to cfg."""
+    deltas = {}
+    for u in c.sum_units():
+        for i, w in enumerate(u.weights):
+            v = encode(w, cfg).value
+            deltas[(u.id, i)] = mitchell_delta(0.0 if v.is_zero else v.mantissa_fraction)
+    return deltas
 
 
 def delta_det(c: Circuit, cfg: FloatConfig) -> AnalysisReport:
@@ -90,12 +95,7 @@ def delta_det(c: Circuit, cfg: FloatConfig) -> AnalysisReport:
     rep = validate(c)
     note = "" if rep.deterministic else "bound, not equality"
     masses = edge_masses(c)
-    contribs = []
-    for u in c.sum_units():
-        for i, w in enumerate(u.weights):
-            f = _quantized_mantissa_fraction(w, cfg)
-            contribs.append(WeightContribution((u.id, i), mitchell_delta(f),
-                                               masses[(u.id, i)]))
+    contribs = [WeightContribution(e, d, masses[e]) for e, d in _edge_deltas(c, cfg).items()]
     total = sum(wc.contribution for wc in contribs)
     return AnalysisReport(tuple(contribs), delta_det=total, note=note)
 
@@ -113,10 +113,7 @@ def delta_nondet_mc(c: Circuit, cfg: FloatConfig, n_samples: int,
         raise ValueError("need at least 2 samples")
     plan = MultiplierPlan.all_aai(c)
     ev = CircuitEvaluator(c, cfg, plan)
-    deltas = {}
-    for u in c.sum_units():
-        for i, w in enumerate(u.weights):
-            deltas[(u.id, i)] = mitchell_delta(_quantized_mantissa_fraction(w, cfg))
+    deltas = _edge_deltas(c, cfg)
 
     data = sample(c, seed, n_samples)
     terms = np.empty(n_samples)

@@ -8,9 +8,11 @@ multiply children with disjoint scopes; indicators test one variable value.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -79,7 +81,9 @@ class Circuit:
         self._check_variables()
         self._check_units()
         self.order = self._topological_order()
-        self.scopes = self._compute_scopes()
+        self.scopes: dict[int, frozenset[int]] = _fold(
+            self, lambda u: frozenset((u.var,)), lambda kids: frozenset().union(*kids),
+            lambda u, kids: frozenset().union(*kids))
         self._check_reachable()
 
     # -- construction checks ------------------------------------------------
@@ -144,16 +148,6 @@ class Circuit:
             raise CircuitFormatError(f"cycle detected involving units {stuck}")
         return tuple(order)
 
-    def _compute_scopes(self) -> dict[int, frozenset[int]]:
-        scopes: dict[int, frozenset[int]] = {}
-        for uid in self.order:
-            u = self.units[uid]
-            if isinstance(u, IndicatorUnit):
-                scopes[uid] = frozenset((u.var,))
-            else:
-                scopes[uid] = frozenset().union(*(scopes[c] for c in u.children))
-        return scopes
-
     def _check_reachable(self) -> None:
         seen = {self.root}
         stack = [self.root]
@@ -192,6 +186,42 @@ class Circuit:
         return edges
 
 
+def _fold(c: Circuit, indicator: Callable[[IndicatorUnit], Any],
+          product: Callable[[Iterator], Any],
+          sum_: Callable[[SumUnit, Iterator], Any]) -> dict[int, Any]:
+    """One value per unit, children before parents: each product and sum
+    rule receives an iterator over its children's values in `children`
+    order."""
+    value: dict[int, Any] = {}
+    get = value.__getitem__
+    for uid in c.order:
+        u = c.units[uid]
+        if isinstance(u, IndicatorUnit):
+            value[uid] = indicator(u)
+        elif isinstance(u, ProductUnit):
+            value[uid] = product(map(get, u.children))
+        else:
+            value[uid] = sum_(u, map(get, u.children))
+    return value
+
+
+# The two rules below serve floats and float64 arrays alike: the first
+# operation makes a fresh array, the later ones update it in place.
+
+def _product(kids: Iterator) -> Any:
+    acc = 1.0
+    for v in kids:
+        acc *= v
+    return acc
+
+
+def _weighted_sum(u: SumUnit, kids: Iterator) -> Any:
+    acc = 0.0
+    for w, v in zip(u.weights, kids):
+        acc += w * v
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -199,32 +229,66 @@ class Circuit:
 def parse_circuit(text: str) -> Circuit:
     """Build a circuit from its JSON description.
 
-    Weights arrive as decimal strings and are held as 64-bit floats; any
-    quantization to narrower formats happens at inference time.
+    Weights arrive as decimal strings (or JSON numbers) and are held as
+    64-bit floats; any quantization to narrower formats happens at inference
+    time.  Ids, variables, values and cardinalities must be JSON integers,
+    children and weights JSON lists, and weights finite.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(f"invalid JSON: {exc}") from exc
     try:
-        variables = [Variable(int(v["id"]), int(v["cardinality"]))
+        variables = [Variable(_json_int(v["id"], "variable", v["id"], "id"),
+                              _json_int(v["cardinality"], "variable", v["id"], "cardinality"))
                      for v in doc["variables"]]
         units: list[Unit] = []
         for spec in doc["units"]:
-            uid, kind = int(spec["id"]), spec["type"]
+            uid, kind = _json_int(spec["id"], "unit", spec["id"], "id"), spec["type"]
             if kind == "sum":
-                units.append(SumUnit(uid, tuple(int(c) for c in spec["children"]),
-                                     tuple(float(w) for w in spec["weights"])))
+                units.append(SumUnit(uid, _json_ints(spec["children"], uid),
+                                     _json_weights(spec["weights"], uid)))
             elif kind == "product":
-                units.append(ProductUnit(uid, tuple(int(c) for c in spec["children"])))
+                units.append(ProductUnit(uid, _json_ints(spec["children"], uid)))
             elif kind == "indicator":
-                units.append(IndicatorUnit(uid, int(spec["var"]), int(spec["value"])))
+                units.append(IndicatorUnit(uid, _json_int(spec["var"], "unit", uid, "var"),
+                                           _json_int(spec["value"], "unit", uid, "value")))
             else:
                 raise CircuitFormatError(f"unit {uid}: unknown type {kind!r}")
-        root = int(doc["root"])
+        root = _json_int(doc["root"], "circuit", "document", "root")
     except (KeyError, TypeError) as exc:
         raise CircuitFormatError(f"malformed circuit document: {exc}") from exc
     return Circuit(variables, units, root)
+
+
+# The parse checks build their messages only on failure.
+
+def _json_int(x: Any, owner: str, oid: Any, field: str) -> int:
+    if type(x) is not int:  # int() would silently cast a bool, float or str
+        raise CircuitFormatError(f"{owner} {oid!r} {field} must be a JSON integer, got {x!r}")
+    return x
+
+
+def _json_ints(x: Any, uid: int) -> tuple[int, ...]:
+    if type(x) is not list or any(type(v) is not int for v in x):
+        raise CircuitFormatError(f"unit {uid} children must be a JSON list of integers, "
+                                 f"got {x!r}")
+    return tuple(x)
+
+
+def _json_weights(x: Any, uid: int) -> tuple[float, ...]:
+    if type(x) is not list:
+        raise CircuitFormatError(f"unit {uid} weights must be a JSON list, got {x!r}")
+    weights = []
+    for w in x:
+        try:
+            f = float(w) if type(w) in (str, int, float) else math.nan
+        except (ValueError, OverflowError):
+            f = math.nan
+        if not math.isfinite(f):
+            raise CircuitFormatError(f"unit {uid}: weight {w!r} is not a finite number")
+        weights.append(f)
+    return tuple(weights)
 
 
 def circuit_to_json(c: Circuit) -> str:
@@ -246,11 +310,6 @@ def circuit_to_json(c: Circuit) -> str:
 # ---------------------------------------------------------------------------
 # structural validation
 # ---------------------------------------------------------------------------
-
-def topological_order(c: Circuit) -> list[int]:
-    """Children before parents, ties broken by ascending unit id."""
-    return list(c.order)
-
 
 def validate(c: Circuit) -> StructureReport:
     """Check smoothness, decomposability and determinism.
@@ -277,20 +336,11 @@ def validate(c: Circuit) -> StructureReport:
                     break
                 seen |= c.scopes[ch]
 
-    if c.state_space_size() <= EXHAUSTIVE_STATE_LIMIT:
-        check = "exhaustive"
-        deterministic = True
-        for uid, reason in _determinism_exhaustive(c):
-            deterministic = False
-            violations.append((uid, reason))
-    else:
-        check = "syntactic"
-        deterministic = True
-        for uid, reason in _determinism_syntactic(c):
-            deterministic = False
-            violations.append((uid, reason))
-    return StructureReport(smooth, decomposable, deterministic,
-                           tuple(violations), check)
+    exhaustive = c.state_space_size() <= EXHAUSTIVE_STATE_LIMIT
+    bad = _determinism_exhaustive(c) if exhaustive else _determinism_syntactic(c)
+    violations.extend(bad)
+    return StructureReport(smooth, decomposable, not bad, tuple(violations),
+                           "exhaustive" if exhaustive else "syntactic")
 
 
 def _determinism_exhaustive(c: Circuit) -> list[tuple[int, str]]:
@@ -310,39 +360,32 @@ def _determinism_exhaustive(c: Circuit) -> list[tuple[int, str]]:
 def _determinism_syntactic(c: Circuit) -> list[tuple[int, str]]:
     """Sufficient condition: each pair of sum children disagrees on some
     variable's admissible values."""
-    supports: dict[int, dict[int, frozenset[int]]] = {}
-    for uid in c.order:
-        u = c.units[uid]
-        if isinstance(u, IndicatorUnit):
-            supports[uid] = {u.var: frozenset((u.value,))}
-        elif isinstance(u, ProductUnit):
-            merged: dict[int, frozenset[int]] = {}
-            for ch in u.children:
-                for var, vals in supports[ch].items():
-                    merged[var] = merged[var] & vals if var in merged else vals
-            supports[uid] = merged
-        else:
-            merged = {}
-            for ch in u.children:
-                sub = supports[ch]
-                for var in c.scopes[uid]:
-                    full = frozenset(range(c.variables[var].cardinality))
-                    vals = sub.get(var, full)
-                    merged[var] = merged.get(var, frozenset()) | vals
-            supports[uid] = merged
-    bad = []
-    for u in c.sum_units():
-        for i in range(len(u.children)):
-            for j in range(i + 1, len(u.children)):
-                a, b = supports[u.children[i]], supports[u.children[j]]
-                if not any((a.get(v) is not None and b.get(v) is not None
-                            and not (a[v] & b[v])) for v in c.scopes[u.id]):
-                    bad.append((u.id, "determinism unverified for a child pair"))
-                    break
-            else:
-                continue
-            break
-    return bad
+    Support = dict[int, frozenset[int]]
+
+    def product(kids: Iterator[Support]) -> Support:
+        merged: Support = {}
+        for sub in kids:
+            for var, vals in sub.items():
+                merged[var] = merged[var] & vals if var in merged else vals
+        return merged
+
+    def sum_(u: SumUnit, kids: Iterator[Support]) -> Support:
+        merged: Support = {}
+        for sub in kids:
+            for var in c.scopes[u.id]:
+                full = frozenset(range(c.variables[var].cardinality))
+                vals = sub.get(var, full)
+                merged[var] = merged.get(var, frozenset()) | vals
+        return merged
+
+    def disjoint(a: Support, b: Support, scope: frozenset[int]) -> bool:
+        return any((a.get(v) is not None and b.get(v) is not None
+                    and not (a[v] & b[v])) for v in scope)
+
+    supports = _fold(c, lambda u: {u.var: frozenset((u.value,))}, product, sum_)
+    return [(u.id, "determinism unverified for a child pair") for u in c.sum_units()
+            if not all(disjoint(supports[x], supports[y], c.scopes[u.id])
+                       for x, y in itertools.combinations(u.children, 2))]
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +410,8 @@ def _state_chunks(c: Circuit, chunk: int = 1 << 14) -> Iterable[np.ndarray]:
 
 
 def _eval_units_double(c: Circuit, x: np.ndarray) -> dict[int, np.ndarray]:
-    values: dict[int, np.ndarray] = {}
-    for uid in c.order:
-        u = c.units[uid]
-        if isinstance(u, IndicatorUnit):
-            values[uid] = (x[:, u.var] == u.value).astype(np.float64)
-        elif isinstance(u, ProductUnit):
-            acc = values[u.children[0]].copy()
-            for ch in u.children[1:]:
-                acc *= values[ch]
-            values[uid] = acc
-        else:
-            acc = np.zeros(len(x))
-            for w, ch in zip(u.weights, u.children):
-                acc += w * values[ch]
-            values[uid] = acc
-    return values
+    return _fold(c, lambda u: (x[:, u.var] == u.value).astype(np.float64),
+                 _product, _weighted_sum)
 
 
 def eval_double(c: Circuit, x: np.ndarray) -> np.ndarray:
@@ -426,7 +455,7 @@ def generate_random_tree_pc(seed: int, n_vars: int, depth: int,
             return builder.product([univariate(v) for v in vars_block])
         kids = []
         for _ in range(sum_fanout):
-            block = list(rng.permutation(vars_block))
+            block = rng.permutation(vars_block).tolist()
             half = len(block) // 2
             kids.append(builder.product([build(block[:half], levels - 1),
                                          build(block[half:], levels - 1)]))
@@ -493,19 +522,7 @@ def edge_masses(c: Circuit) -> dict[Edge, float]:
     a top-down flow pass accumulates the mass of all partial trees above a
     unit.  The edge mass is flow(sum) * weight * subtree_mass(child).
     """
-    value: dict[int, float] = {}
-    for uid in c.order:
-        u = c.units[uid]
-        if isinstance(u, IndicatorUnit):
-            value[uid] = 1.0
-        elif isinstance(u, ProductUnit):
-            v = 1.0
-            for ch in u.children:
-                v *= value[ch]
-            value[uid] = v
-        else:
-            value[uid] = sum(w * value[ch] for w, ch in zip(u.weights, u.children))
-
+    value = _fold(c, lambda u: 1.0, _product, _weighted_sum)
     flow = {uid: 0.0 for uid in c.units}
     flow[c.root] = 1.0
     for uid in reversed(c.order):
@@ -540,20 +557,11 @@ def weight_tree_mass(c: Circuit, edge: Edge) -> float:
 def min_positive_value(c: Circuit) -> float:
     """Smallest probability the circuit can output on its support: replace
     sums by a min over positive weighted children, indicators by one."""
-    value: dict[int, float] = {}
-    for uid in c.order:
-        u = c.units[uid]
-        if isinstance(u, IndicatorUnit):
-            value[uid] = 1.0
-        elif isinstance(u, ProductUnit):
-            v = 1.0
-            for ch in u.children:
-                v *= value[ch]
-            value[uid] = v
-        else:
-            terms = [w * value[ch] for w, ch in zip(u.weights, u.children)
-                     if w * value[ch] > 0]
-            value[uid] = min(terms) if terms else 0.0
+    def sum_(u: SumUnit, kids: Iterator[float]) -> float:
+        terms = [w * v for w, v in zip(u.weights, kids) if w * v > 0]
+        return min(terms) if terms else 0.0
+
+    value = _fold(c, lambda u: 1.0, _product, sum_)
     if value[c.root] <= 0:
         raise ValueError("circuit has no positive output (all-zero circuit)")
     return value[c.root]
@@ -576,11 +584,7 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
     out = np.full((n, c.n_vars), -1, dtype=np.int64)
     reach: dict[int, np.ndarray] = {uid: np.zeros(n, dtype=bool) for uid in c.units}
     reach[c.root][:] = True
-    cum: dict[int, np.ndarray] = {}
-    for uid in sorted(c.units):
-        u = c.units[uid]
-        if isinstance(u, SumUnit):
-            cum[uid] = np.cumsum(np.asarray(u.weights) / np.sum(u.weights))
+    cum = {u.id: np.cumsum(np.asarray(u.weights) / np.sum(u.weights)) for u in c.sum_units()}
     for uid in reversed(c.order):
         u = c.units[uid]
         mask = reach[uid]
@@ -596,5 +600,8 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
             idx = np.flatnonzero(mask)
             for k in range(len(u.children)):
                 reach[u.children[k]][idx[choice == k]] = True
-    assert np.all(out >= 0)
+    unassigned = np.flatnonzero((out < 0).any(axis=0)).tolist()
+    if unassigned:
+        raise ValueError(f"samples left variables {unassigned} unassigned; "
+                         "the circuit is not smooth")
     return out

@@ -10,11 +10,11 @@ is an all-exact plan at the IEEE double layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, IndicatorUnit, ProductUnit, SumUnit
+from .circuit import Circuit, IndicatorUnit, ProductUnit, SumUnit, Unit
 from .floats import (
     FLOAT64,
     CustomFloat,
@@ -84,11 +84,6 @@ class MultiplierPlan:
                              f"missing {sorted(expected - got)[:4]}, "
                              f"extra {sorted(got - expected)[:4]}")
 
-    def aai_weight_fraction(self, c: Circuit) -> float:
-        """Fraction of all multiplication sites currently mapped to AAI."""
-        sites = enumerate_sites(c)
-        return sum(self.modes[s] == AAI for s in sites) / len(sites)
-
 
 @dataclass(frozen=True)
 class MapResult:
@@ -114,83 +109,115 @@ class EvaluationError(ValueError):
     """Raised when a metric is undefined, e.g. the baseline underflows."""
 
 
-def _greater(a: CustomFloat, b: CustomFloat) -> bool:
-    """Exact value comparison without decoding."""
-    if a.is_zero:
-        return False
-    if b.is_zero:
-        return True
-    return (a.exponent, a.mantissa) > (b.exponent, b.mantissa)
+def _magnitude(v: CustomFloat) -> tuple[int, int, int]:
+    """Key that orders values exactly, without decoding; zero is least."""
+    return (0, 0, 0) if v.is_zero else (1, v.exponent, v.mantissa)
+
+
+#: unit kinds of CircuitEvaluator's per-unit steps
+_INDICATOR, _PRODUCT, _SUM = range(3)
 
 
 class CircuitEvaluator:
     """Reusable evaluation state for one (circuit, config, plan) triple.
 
     Weights are quantized once, per cfg.rounding; under toward-zero this
-    preserves the one-sided underestimation property end to end.
+    preserves the one-sided underestimation property end to end.  Each unit
+    becomes one step tuple, in children-first order: (_INDICATOR, var,
+    value); (_PRODUCT, first fold child, (child, is_aai) per fold step); or
+    (_SUM, (child, quantized weight, is_aai) per edge, None).
     """
 
     def __init__(self, c: Circuit, cfg: FloatConfig, plan: MultiplierPlan):
-        plan.check_covers(c)
         self.circuit = c
         self.cfg = cfg
         self.plan = plan
         self.weight_quant_underflows = 0
         self.weight_quant_overflows = 0
-        self.qweights: dict[tuple[int, int], CustomFloat] = {}
-        for u in c.sum_units():
-            for i, w in enumerate(u.weights):
-                r = encode(w, cfg)
-                self.qweights[(u.id, i)] = r.value
-                self.weight_quant_underflows += r.underflowed
-                self.weight_quant_overflows += r.overflowed
-        self._fold_children = {u.id: tuple(sorted(u.children))
-                               for u in c.units.values()
-                               if isinstance(u, ProductUnit)}
+        self._one = CustomFloat.one(cfg.man_bits)
+        self._zero = CustomFloat.zero(cfg.man_bits)
+        modes = plan.modes
+        self._steps: dict[int, tuple] = {}
+        n_sites = 0
+        try:
+            for uid in c.order:
+                u = c.units[uid]
+                if isinstance(u, IndicatorUnit):
+                    self._steps[uid] = (_INDICATOR, u.var, u.value)
+                elif isinstance(u, ProductUnit):
+                    first, *rest = sorted(u.children)
+                    n_sites += len(rest)
+                    self._steps[uid] = (_PRODUCT, first, tuple([
+                        (ch, modes[("p", uid, k)] == AAI) for k, ch in enumerate(rest)]))
+                else:
+                    edges = []
+                    for i, (ch, w) in enumerate(zip(u.children, u.weights)):
+                        r = encode(w, cfg)
+                        self.weight_quant_underflows += r.underflowed
+                        self.weight_quant_overflows += r.overflowed
+                        edges.append((ch, r.value, modes[("w", uid, i)] == AAI))
+                    n_sites += len(edges)
+                    self._steps[uid] = (_SUM, tuple(edges), None)
+        except KeyError:  # a site the plan does not cover
+            n_sites = -1
+        if n_sites != len(modes):  # each site was looked up once
+            plan.check_covers(c)  # raises, naming the missing and extra sites
 
-    def _mul(self, site: Site, a: CustomFloat, b: CustomFloat) -> MultResult:
-        if self.plan.mode(site) == AAI:
-            return aai_mul(a, b, self.cfg)
-        return exact_mul(a, b, self.cfg)
+    def _pass(self, steps: Iterable[tuple[int, tuple]], row: Sequence[Optional[int]],
+              reduce: Callable[[int, list[CustomFloat]], tuple[CustomFloat, int, int]]
+              ) -> tuple[CustomFloat, int, int]:
+        """Evaluate steps children first and return the root value with the
+        counts of saturating operations.  An indicator is one when its
+        variable's entry in row is None (unobserved) or equals its value;
+        each sum's weighted child terms go to reduce(uid, terms), which
+        returns the sum's value and the saturations it caused."""
+        cfg, one, zero = self.cfg, self._one, self._zero
+        under = over = 0
+        val: dict[int, CustomFloat] = {}
+        for uid, (kind, a, b) in steps:
+            if kind == _SUM:
+                terms = []
+                for ch, w, aai in a:
+                    r = aai_mul(w, val[ch], cfg) if aai else exact_mul(w, val[ch], cfg)
+                    under += r.underflowed
+                    over += r.overflowed
+                    terms.append(r.value)
+                acc, du, do = reduce(uid, terms)
+                under += du
+                over += do
+            elif kind == _PRODUCT:
+                acc = val[a]
+                for ch, aai in b:
+                    r = aai_mul(acc, val[ch], cfg) if aai else exact_mul(acc, val[ch], cfg)
+                    under += r.underflowed
+                    over += r.overflowed
+                    acc = r.value
+            else:
+                obs = row[a]
+                acc = one if obs is None or obs == b else zero
+            val[uid] = acc
+        return val[self.circuit.root], under, over
 
     # -- marginal (complete evidence) pass ----------------------------------
 
     def mar(self, x: Sequence[int]) -> tuple[MultResult, int, int]:
         """Evaluate one complete assignment; returns the root result plus
         counts of saturating operations along the way."""
-        c, cfg = self.circuit, self.cfg
-        under = over = 0
-        one = CustomFloat.one(cfg.man_bits)
-        zero = CustomFloat.zero(cfg.man_bits)
-        val: dict[int, CustomFloat] = {}
-        for uid in c.order:
-            u = c.units[uid]
-            if isinstance(u, IndicatorUnit):
-                val[uid] = one if x[u.var] == u.value else zero
-            elif isinstance(u, ProductUnit):
-                kids = self._fold_children[uid]
-                acc = val[kids[0]]
-                for k, ch in enumerate(kids[1:]):
-                    r = self._mul(("p", uid, k), acc, val[ch])
-                    under += r.underflowed
-                    over += r.overflowed
-                    acc = r.value
-                val[uid] = acc
-            else:
-                acc = zero
-                for i, ch in enumerate(u.children):
-                    r = self._mul(("w", uid, i), self.qweights[(uid, i)], val[ch])
-                    under += r.underflowed
-                    over += r.overflowed
-                    r2 = exact_add(acc, r.value, cfg)
-                    under += r2.underflowed
-                    over += r2.overflowed
-                    acc = r2.value
-                val[uid] = acc
-        return (MultResult(val[c.root],
+        root, under, over = self._pass(self._steps.items(), x, self._add_terms)
+        return (MultResult(root,
                            under > 0 or self.weight_quant_underflows > 0,
                            over > 0 or self.weight_quant_overflows > 0),
                 under, over)
+
+    def _add_terms(self, _uid: int, terms: list[CustomFloat]) -> tuple[CustomFloat, int, int]:
+        acc = self._zero
+        under = over = 0
+        for t in terms:
+            r = exact_add(acc, t, self.cfg)
+            under += r.underflowed
+            over += r.overflowed
+            acc = r.value
+        return acc, under, over
 
     # -- MAP (max-product) pass ----------------------------------------------
 
@@ -198,95 +225,53 @@ class CircuitEvaluator:
         """Max-product upward pass with argmax trace, then top-down
         backtracking.  Unobserved indicators score one; ties pick the lowest
         child index."""
-        c, cfg = self.circuit, self.cfg
-        under = over = 0
-        one = CustomFloat.one(cfg.man_bits)
-        zero = CustomFloat.zero(cfg.man_bits)
-        val: dict[int, CustomFloat] = {}
-        trace: dict[int, int] = {}
-        for uid in c.order:
-            u = c.units[uid]
-            if isinstance(u, IndicatorUnit):
-                if u.var in evidence:
-                    val[uid] = one if evidence[u.var] == u.value else zero
-                else:
-                    val[uid] = one
-            elif isinstance(u, ProductUnit):
-                kids = self._fold_children[uid]
-                acc = val[kids[0]]
-                for k, ch in enumerate(kids[1:]):
-                    r = self._mul(("p", uid, k), acc, val[ch])
-                    under += r.underflowed
-                    over += r.overflowed
-                    acc = r.value
-                val[uid] = acc
-            else:
-                best: Optional[CustomFloat] = None
-                best_i = 0
-                for i, ch in enumerate(u.children):
-                    r = self._mul(("w", uid, i), self.qweights[(uid, i)], val[ch])
-                    under += r.underflowed
-                    over += r.overflowed
-                    if best is None or _greater(r.value, best):
-                        best, best_i = r.value, i
-                val[uid] = best
-                trace[uid] = best_i
-        assignment = self._backtrack(trace)
-        return MapResult(assignment, log2_value(val[c.root]), trace), under, over
-
-    def _backtrack(self, trace: Mapping[int, int]) -> np.ndarray:
         c = self.circuit
+        trace: dict[int, int] = {}
+
+        def argmax(uid: int, terms: list[CustomFloat]) -> tuple[CustomFloat, int, int]:
+            # max keeps the first of equal keys: the lowest child index
+            trace[uid] = best = max(range(len(terms)), key=lambda i: _magnitude(terms[i]))
+            return terms[best], 0, 0
+
+        row = [evidence.get(v) for v in range(c.n_vars)]
+        root, under, over = self._pass(self._steps.items(), row, argmax)
         assignment = np.full(c.n_vars, -1, dtype=np.int64)
-        stack = [c.root]
-        while stack:
-            u = c.units[stack.pop()]
+        for u in _induced_tree(c, trace):
             if isinstance(u, IndicatorUnit):
                 assignment[u.var] = u.value
-            elif isinstance(u, ProductUnit):
-                stack.extend(u.children)
-            else:
-                stack.append(u.children[trace[u.id]])
-        return assignment
+        return MapResult(assignment, log2_value(root), trace), under, over
 
     def restricted_value(self, trace: Mapping[int, int],
                          evidence: Mapping[int, int]) -> CustomFloat:
         """Re-evaluate only the induced tree selected by a MAP trace; must
         reproduce the MAP score bit for bit."""
-        c, cfg = self.circuit, self.cfg
-        one = CustomFloat.one(cfg.man_bits)
-        zero = CustomFloat.zero(cfg.man_bits)
+        c = self.circuit
+        steps = []
+        for u in reversed(list(_induced_tree(c, trace))):
+            step = self._steps[u.id]
+            if step[0] == _SUM:  # keep only the traced edge
+                step = (_SUM, (step[1][trace[u.id]],), None)
+            steps.append((u.id, step))
+        row = [evidence.get(v) for v in range(c.n_vars)]
+        return self._pass(steps, row, lambda _uid, terms: (terms[0], 0, 0))[0]
 
-        def ev(uid: int) -> CustomFloat:
-            u = c.units[uid]
-            if isinstance(u, IndicatorUnit):
-                if u.var in evidence:
-                    return one if evidence[u.var] == u.value else zero
-                return one
-            if isinstance(u, ProductUnit):
-                kids = self._fold_children[uid]
-                acc = ev(kids[0])
-                for k, ch in enumerate(kids[1:]):
-                    acc = self._mul(("p", uid, k), acc, ev(ch)).value
-                return acc
-            i = trace[uid]
-            return self._mul(("w", uid, i), self.qweights[(uid, i)], ev(u.children[i])).value
 
-        return ev(c.root)
+def _induced_tree(c: Circuit, trace: Mapping[int, int]) -> Iterator[Unit]:
+    """Units of the induced tree a MAP trace selects, depth first from the
+    root, every parent before its children."""
+    stack = [c.root]
+    while stack:
+        u = c.units[stack.pop()]
+        yield u
+        if isinstance(u, ProductUnit):
+            stack.extend(u.children)
+        elif isinstance(u, SumUnit):
+            stack.append(u.children[trace[u.id]])
 
 
 def induced_tree_edges(c: Circuit, trace: Mapping[int, int]) -> list[tuple[int, int]]:
     """Sum edges of the induced tree a MAP trace selects."""
-    edges = []
-    stack = [c.root]
-    while stack:
-        u = c.units[stack.pop()]
-        if isinstance(u, ProductUnit):
-            stack.extend(u.children)
-        elif isinstance(u, SumUnit):
-            i = trace[u.id]
-            edges.append((u.id, i))
-            stack.append(u.children[i])
-    return edges
+    return [(u.id, trace[u.id]) for u in _induced_tree(c, trace) if isinstance(u, SumUnit)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +315,12 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     data = np.atleast_2d(np.asarray(data, dtype=np.int64))
     if data.shape[1] != c.n_vars:
         raise ValueError(f"data has {data.shape[1]} columns, circuit has {c.n_vars}")
+    cards = np.array([v.cardinality for v in c.variables])
+    bad = np.argwhere(data >= cards)
+    if len(bad):
+        row_idx, var = bad[0]
+        raise ValueError(f"data row {row_idx}, column {var}: value {data[row_idx, var]} "
+                         f"is out of range for cardinality {cards[var]}")
     base = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
     test = CircuitEvaluator(c, cfg, plan)
     under = test.weight_quant_underflows

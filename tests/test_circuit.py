@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aaipc.circuit import (
     Circuit,
@@ -22,7 +24,6 @@ from aaipc.circuit import (
     min_positive_value,
     parse_circuit,
     sample,
-    topological_order,
     validate,
     weight_tree_mass,
 )
@@ -85,6 +86,41 @@ class TestParse:
         assert again.units == three_var_circuit.units
         assert again.root == three_var_circuit.root
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(2, 8),
+           depth=st.integers(1, 3), fanout=st.integers(2, 3))
+    def test_generated_circuits_roundtrip(self, seed, n_vars, depth, fanout):
+        det = generate_random_det_pc(seed, n_vars)
+        circuits = [det]
+        if 1 << (depth - 1) <= n_vars:
+            circuits.append(generate_random_tree_pc(seed, n_vars, depth, fanout))
+        for c in circuits:
+            assert parse_circuit(circuit_to_json(c)).units == c.units
+
+    @pytest.mark.parametrize("section, idx, field, bad", [
+        ("units", 13, "weights", ["nan", "0.5"]),
+        ("units", 13, "weights", [float("inf"), 0.5]),
+        ("units", 13, "weights", ["abc", "0.5"]),
+        ("units", 13, "weights", [True, "0.5"]),
+        ("units", 13, "weights", "0.5"),
+        ("units", 13, "children", "01"),
+        ("units", 9, "children", [0.9, 1]),
+        ("units", 9, "children", [0, True]),
+        ("units", 9, "children", ["2", 3]),
+        ("units", 9, "id", 9.0),
+        ("units", 0, "var", "0"),
+        ("units", 0, "value", False),
+        ("variables", 0, "id", 0.0),
+        ("variables", 0, "cardinality", 2.5),
+        ("variables", 0, "cardinality", True),
+    ])
+    def test_malformed_document_rejected_at_parse_time(self, section, idx, field, bad):
+        doc = three_var_doc()
+        doc[section][idx][field] = bad
+        # the error names the offending unit or variable
+        with pytest.raises(CircuitFormatError, match=rf"{section[:-1]} {idx}\b"):
+            parse_circuit(json.dumps(doc))
+
 
 class TestValidate:
     def test_three_var_fixture_is_fully_structured(self, three_var_circuit):
@@ -132,7 +168,7 @@ class TestValidate:
 
 class TestTopologicalOrder:
     def test_children_precede_parents(self, three_var_circuit):
-        order = topological_order(three_var_circuit)
+        order = three_var_circuit.order
         pos = {uid: i for i, uid in enumerate(order)}
         for u in three_var_circuit.units.values():
             for ch in getattr(u, "children", ()):
@@ -142,7 +178,7 @@ class TestTopologicalOrder:
         units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1),
                  SumUnit(2, (0, 1), (0.5, 0.5))]
         c = Circuit([Variable(0, 2)], units, 2)
-        assert topological_order(c) == [0, 1, 2]
+        assert c.order == (0, 1, 2)
 
 
 class TestGenerators:
@@ -284,6 +320,14 @@ class TestSample:
         c = Circuit([Variable(0, 2), Variable(1, 2)], units, 2)
         with pytest.raises(ValueError, match="unassigned"):
             sample(c, seed=0, n=4)
+
+    def test_non_smooth_circuit_reports_unassigned_variables(self):
+        # (X0=0 * X1=0) + (X1=1): the second branch never assigns X0
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 1, 0), IndicatorUnit(2, 1, 1),
+                 ProductUnit(3, (0, 1)), SumUnit(4, (3, 2), (0.5, 0.5))]
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, 4)
+        with pytest.raises(ValueError, match=r"variables \[0\] unassigned"):
+            sample(c, seed=0, n=64)
 
 
 class TestEnumerateStates:

@@ -13,6 +13,7 @@ from aaipc.circuit import (
     Variable,
     enumerate_states,
     eval_double,
+    generate_random_det_pc,
     generate_random_tree_pc,
     sample,
 )
@@ -74,6 +75,16 @@ class TestSitesAndPlans:
         plan = MultiplierPlan({("w", 18, 0): EXACT})
         with pytest.raises(ValueError, match="sites"):
             plan.check_covers(three_var_circuit)
+
+    def test_evaluator_rejects_plan_with_missing_or_extra_sites(self, three_var_circuit):
+        c = three_var_circuit
+        modes = dict(MultiplierPlan.all_aai(c).modes)
+        missing = {s: m for s, m in modes.items() if s != ("p", 15, 0)}
+        extra = {**modes, ("w", 99, 0): AAI}
+        swapped = {**missing, ("w", 99, 0): AAI}  # same count, one site renamed
+        for bad in (missing, extra, swapped):
+            with pytest.raises(ValueError, match="sites"):
+                CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan(bad))
 
     def test_from_aai_weight_sites(self, three_var_circuit):
         plan = MultiplierPlan.from_aai_weight_sites(three_var_circuit, [(18, 0), (13, 1)])
@@ -192,6 +203,21 @@ class TestEvalMap:
             # replaying only the traced tree reproduces the score exactly
             assert log2_value(again) == res.log2_value
 
+    @pytest.mark.parametrize("make_plan", [MultiplierPlan.all_aai, MultiplierPlan.all_exact])
+    def test_deep_chain_stays_iterative(self, make_plan):
+        # 3,000 single-child sums over one binary sum, far past the recursion limit
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1),
+                 SumUnit(2, (0, 1), (0.3, 0.7))]
+        units += [SumUnit(uid, (uid - 1,), (1.0,)) for uid in range(3, 3003)]
+        c = Circuit([Variable(0, 2)], units, 3002)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), make_plan(c))
+        mar, _, _ = ev.mar([1])
+        res, _, _ = ev.map_query({})
+        again = ev.restricted_value(res.trace, {})
+        assert res.assignment.tolist() == [1]
+        assert again == mar.value
+        assert log2_value(again) == res.log2_value
+
     def test_power_of_two_weights_aai_same_argmax(self):
         c = power_of_two_circuit()
         cfg = FloatConfig(8, 10)
@@ -274,6 +300,13 @@ class TestCompareQueries:
         with pytest.raises(EvaluationError, match="instance 0"):
             compare_queries(three_var_circuit, data, FloatConfig(8, 8),
                             MultiplierPlan.all_aai(three_var_circuit))
+
+    def test_out_of_range_value_rejected_before_evaluation(self):
+        c = generate_random_det_pc(0, 3)
+        with pytest.raises(ValueError, match=r"row 0, column 2") as info:
+            compare_queries(c, np.array([[0, 1, 5]]), FloatConfig(8, 8),
+                            MultiplierPlan.all_aai(c))
+        assert not isinstance(info.value, EvaluationError)
 
     def test_correction_shifts_log_error(self):
         c = generate_random_tree_pc(seed=29, n_vars=4, depth=2, sum_fanout=2)
