@@ -19,6 +19,10 @@ import numpy as np
 #: joint state spaces at or below this size are checked exhaustively
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
 
+#: the exhaustive determinism check holds one bool per unit and state for at
+#: most this many (unit, state) cells at a time
+CHECK_CELLS = 1 << 26
+
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -344,17 +348,20 @@ def validate(c: Circuit) -> StructureReport:
 
 
 def _determinism_exhaustive(c: Circuit) -> list[tuple[int, str]]:
-    bad = []
+    """Evaluate supports as bool columns; a sum whose children are positive
+    together on some state is flagged."""
+    bad: set[int] = set()
+
+    def sum_(u: SumUnit, kids: Iterator[np.ndarray]) -> np.ndarray:
+        kids = list(kids)
+        if (np.sum(kids, axis=0) > 1).any():
+            bad.add(u.id)
+        return np.logical_or.reduce([k for w, k in zip(u.weights, kids) if w > 0])
+
     for chunk in _state_chunks(c):
-        values = _eval_units_double(c, chunk)
-        for u in c.sum_units():
-            positive = np.zeros(len(chunk), dtype=np.int32)
-            for ch in u.children:
-                positive += values[ch] > 0
-            if np.any(positive > 1):
-                bad.append((u.id, "multiple children positive on a complete state"))
-    # deduplicate across chunks, keep id order
-    return sorted(set(bad))
+        _fold(c, lambda u: chunk[:, u.var] == u.value,
+              lambda kids: np.logical_and.reduce(list(kids)), sum_)
+    return [(uid, "multiple children positive on a complete state") for uid in sorted(bad)]
 
 
 def _determinism_syntactic(c: Circuit) -> list[tuple[int, str]]:
@@ -403,21 +410,37 @@ def enumerate_states(c: Circuit) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
 
-def _state_chunks(c: Circuit, chunk: int = 1 << 14) -> Iterable[np.ndarray]:
-    states = enumerate_states(c)
-    for start in range(0, len(states), chunk):
-        yield states[start:start + chunk]
+def _state_chunks(c: Circuit) -> Iterable[np.ndarray]:
+    """All states in enumerate_states order, built one row block at a time;
+    a block's per-unit columns hold at most CHECK_CELLS cells."""
+    cards = [v.cardinality for v in c.variables]
+    size, rows = c.state_space_size(), max(1, CHECK_CELLS // len(c.units))
+    for start in range(0, size, rows):
+        flat = np.arange(start, min(start + rows, size))
+        yield np.stack(np.unravel_index(flat, cards), axis=1)
 
 
-def _eval_units_double(c: Circuit, x: np.ndarray) -> dict[int, np.ndarray]:
-    return _fold(c, lambda u: (x[:, u.var] == u.value).astype(np.float64),
-                 _product, _weighted_sum)
+def _check_rows(c: Circuit, x: Any, unobserved: bool = False) -> np.ndarray:
+    """x as an int64 array of rows, one value per variable, each below its
+    cardinality; negative values mean unobserved when that is allowed."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] != c.n_vars:
+        raise ValueError(f"rows have {x.shape[-1]} values, "
+                         f"the circuit has {c.n_vars} variables")
+    cards = np.array([v.cardinality for v in c.variables])
+    bad = np.argwhere(x >= cards if unobserved else (x >= cards) | (x < 0))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"row {i}, column {j}: value {x[i, j]} is out of range "
+                         f"for cardinality {cards[j]}")
+    return x
 
 
 def eval_double(c: Circuit, x: np.ndarray) -> np.ndarray:
     """Reference 64-bit probabilities for a batch of complete assignments."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.int64))
-    return _eval_units_double(c, x)[c.root]
+    x = _check_rows(c, np.atleast_2d(x))
+    return _fold(c, lambda u: (x[:, u.var] == u.value).astype(np.float64),
+                 _product, _weighted_sum)[c.root]
 
 
 # ---------------------------------------------------------------------------

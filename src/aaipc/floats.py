@@ -4,7 +4,9 @@ Values are 2**e * (1 + m / 2**M) with an E-bit biased exponent and an M-bit
 fraction mantissa.  There is no sign bit (probabilities are non-negative) and
 no subnormal range; zero is a reserved flag rather than an encoded value.
 Every operation rounds exactly once and saturates out-of-range results,
-reporting underflow/overflow through result flags.
+reporting underflow/overflow through result flags.  `encode`, `exact_mul`
+and `exact_add` all round in `_round`, the only place the package rounds;
+`aai_mul` does not round and only saturates.
 """
 
 from __future__ import annotations
@@ -109,31 +111,23 @@ FLOAT64 = FloatConfig(exp_bits=11, man_bits=52)
 
 
 # ---------------------------------------------------------------------------
-# rounding helpers
+# rounding
 # ---------------------------------------------------------------------------
 
-def _round_shifted(n: int, shift: int, mode: str) -> int:
-    """Round n / 2**shift to an integer; single rounding step."""
-    if shift <= 0:
-        return n << -shift
-    q, r = divmod(n, 1 << shift)
-    if mode == TOWARD_ZERO:
-        return q
-    half = 1 << (shift - 1)
-    if r > half or (r == half and q & 1):
-        q += 1
-    return q
+def _round(e: int, wide: int, cfg: FloatConfig) -> MultResult:
+    """Round the exact value wide * 2**(e - M) to M mantissa bits, once.
 
-
-def _round_fraction(fr: Fraction, mode: str) -> int:
-    """Round a non-negative rational to an integer per mode."""
-    q, r = divmod(fr.numerator, fr.denominator)
-    if mode == TOWARD_ZERO:
-        return q
-    twice = 2 * r
-    if twice > fr.denominator or (twice == fr.denominator and q & 1):
-        q += 1
-    return q
+    wide is a positive integer of at least M+1 bits.  Its top M+1 bits are
+    kept, the rest rounds per cfg.rounding (ties to the even significand, or
+    truncation toward zero), a carry out of the top bit moves into the
+    exponent, and the result saturates.
+    """
+    shift = wide.bit_length() - 1 - cfg.man_bits
+    if shift and cfg.rounding == NEAREST_EVEN:
+        # add just under half an ulp, plus one when the kept bits are odd
+        wide += (1 << (shift - 1)) - 1 + (wide >> shift & 1)
+        shift = wide.bit_length() - 1 - cfg.man_bits  # a carry lengthens wide
+    return _saturate(e + shift, (wide >> shift) - cfg.man_scale, cfg)
 
 
 def _saturate(exponent: int, mantissa: int, cfg: FloatConfig) -> MultResult:
@@ -158,17 +152,14 @@ def encode(x: Real, cfg: FloatConfig) -> MultResult:
         raise ValueError(f"cannot encode non-finite value {x!r}")
     if x < 0:
         raise ValueError(f"cannot encode negative value {x!r}")
-    frac = Fraction(x)
-    if frac == 0:
+    n, d = Fraction(x).as_integer_ratio()
+    if n == 0:
         return MultResult(CustomFloat.zero(cfg.man_bits))
-
-    e = _floor_log2(frac)
-    sig = frac / Fraction(2) ** e  # in [1, 2)
-    m = _round_fraction((sig - 1) * cfg.man_scale, cfg.rounding)
-    if m == cfg.man_scale:  # mantissa rounded up past the top, renormalize
-        m = 0
-        e += 1
-    return _saturate(e, m, cfg)
+    # n / d scaled by 2**shift has an integer part of M+2 or M+3 bits, so
+    # the round bit lies in q and the remainder only needs a sticky bit
+    shift = cfg.man_bits + 2 - (n.bit_length() - d.bit_length())
+    q, r = divmod(n << shift, d) if shift >= 0 else divmod(n, d << -shift)
+    return _round(cfg.man_bits - shift - 1, (q << 1) | (r != 0), cfg)
 
 
 def decode(v: CustomFloat) -> float:
@@ -197,15 +188,6 @@ def log2_value(v: CustomFloat) -> float:
     return math.log2((1 << v.man_bits) + v.mantissa) + (v.exponent - v.man_bits)
 
 
-def _floor_log2(x: Fraction) -> int:
-    n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length()
-    # bit lengths bound the ratio within a factor of two; fix up exactly
-    if (n >> e if e >= 0 else n << -e) >= d:
-        return e
-    return e - 1
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
@@ -215,17 +197,8 @@ def exact_mul(a: CustomFloat, b: CustomFloat, cfg: FloatConfig) -> MultResult:
     product, renormalize when the significand reaches 2, round once."""
     if a.is_zero or b.is_zero:
         return MultResult(CustomFloat.zero(cfg.man_bits))
-    e = a.exponent + b.exponent
-    prod = ((cfg.man_scale + a.mantissa) * (cfg.man_scale + b.mantissa))
-    shift = cfg.man_bits
-    if prod >= (1 << (2 * cfg.man_bits + 1)):  # (1+Ma)(1+Mb) >= 2
-        e += 1
-        shift += 1
-    sig = _round_shifted(prod, shift, cfg.rounding)
-    if sig == cfg.man_scale << 1:  # rounding overflowed the significand
-        sig >>= 1
-        e += 1
-    return _saturate(e, sig - cfg.man_scale, cfg)
+    return _round(a.exponent + b.exponent - cfg.man_bits,
+                  (cfg.man_scale + a.mantissa) * (cfg.man_scale + b.mantissa), cfg)
 
 
 def exact_add(a: CustomFloat, b: CustomFloat, cfg: FloatConfig) -> MultResult:
@@ -238,13 +211,7 @@ def exact_add(a: CustomFloat, b: CustomFloat, cfg: FloatConfig) -> MultResult:
     e_lo = min(a.exponent, b.exponent)
     wide = (((cfg.man_scale + a.mantissa) << (a.exponent - e_lo))
             + ((cfg.man_scale + b.mantissa) << (b.exponent - e_lo)))
-    top = wide.bit_length() - 1  # position of the leading one
-    e = e_lo - cfg.man_bits + top
-    sig = _round_shifted(wide, top - cfg.man_bits, cfg.rounding)
-    if sig == cfg.man_scale << 1:
-        sig >>= 1
-        e += 1
-    return _saturate(e, sig - cfg.man_scale, cfg)
+    return _round(e_lo, wide, cfg)
 
 
 def aai_mul(a: CustomFloat, b: CustomFloat, cfg: FloatConfig) -> MultResult:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, IndicatorUnit, ProductUnit, SumUnit, Unit
+from .circuit import Circuit, IndicatorUnit, ProductUnit, SumUnit, Unit, _check_rows
 from .floats import (
     FLOAT64,
     CustomFloat,
@@ -281,11 +281,7 @@ def induced_tree_edges(c: Circuit, trace: Mapping[int, int]) -> list[tuple[int, 
 def eval_mar(c: Circuit, x: Sequence[int], cfg: FloatConfig,
              plan: MultiplierPlan) -> MultResult:
     """Probability of one complete assignment under the given plan."""
-    x = np.asarray(x, dtype=np.int64)
-    cards = np.array([v.cardinality for v in c.variables])
-    if x.shape != (c.n_vars,) or np.any(x < 0) or np.any(x >= cards):
-        raise ValueError("eval_mar needs one complete assignment "
-                         f"of {c.n_vars} variables")
+    x = _check_rows(c, np.asarray(x)[np.newaxis])[0]
     result, _, _ = CircuitEvaluator(c, cfg, plan).mar(x)
     return result
 
@@ -312,15 +308,7 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     query whose observed entries (values >= 0) form the evidence.  MAP
     accuracy counts assignments identical to the baseline's.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=np.int64))
-    if data.shape[1] != c.n_vars:
-        raise ValueError(f"data has {data.shape[1]} columns, circuit has {c.n_vars}")
-    cards = np.array([v.cardinality for v in c.variables])
-    bad = np.argwhere(data >= cards)
-    if len(bad):
-        row_idx, var = bad[0]
-        raise ValueError(f"data row {row_idx}, column {var}: value {data[row_idx, var]} "
-                         f"is out of range for cardinality {cards[var]}")
+    data = _check_rows(c, np.atleast_2d(data), unobserved=True)
     base = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
     test = CircuitEvaluator(c, cfg, plan)
     under = test.weight_quant_underflows

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,25 @@ class TestValidate:
         c = generate_random_tree_pc(seed=1, n_vars=4, depth=2, sum_fanout=2)
         rep = validate(c)
         assert rep.smooth and rep.decomposable
+        assert not rep.deterministic
+        assert rep.determinism_check == "exhaustive"
+
+    @pytest.mark.parametrize("make", [
+        # 16,379 units x 4,096 states: one float64 per cell would be 512 MiB
+        lambda: generate_random_det_pc(seed=0, n_vars=12),
+        # 2**20 states of 20 variables: all of them as int64 take 160 MiB
+        lambda: generate_random_tree_pc(seed=0, n_vars=20, depth=2, sum_fanout=2),
+    ], ids=["det-12", "tree-20"])
+    def test_exhaustive_check_memory_is_bounded(self, make):
+        c = make()
+        tracemalloc.start()
+        try:
+            rep = validate(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.determinism_check == "exhaustive"
+        assert peak < 128 * 2**20
 
     def test_syntactic_path_on_large_state_space(self):
         # 21 binary variables exceed the exhaustive budget
@@ -221,6 +241,16 @@ class TestEvalDouble:
     def test_three_var_distribution_sums_to_one(self, three_var_circuit):
         probs = eval_double(three_var_circuit, enumerate_states(three_var_circuit))
         assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("row, message", [
+        ([0, 1, 7], r"row 0, column 2: value 7"),
+        ([0, 1, -3], r"row 0, column 2: value -3"),
+        ([0, 1, 1, 0], r"4 values, the circuit has 3"),
+        ([0, 1], r"2 values, the circuit has 3"),
+    ], ids=["above-cardinality", "negative", "extra-column", "missing-column"])
+    def test_rejects_out_of_range_rows(self, three_var_circuit, row, message):
+        with pytest.raises(ValueError, match=message):
+            eval_double(three_var_circuit, [row])
 
 
 class TestTreeMass:

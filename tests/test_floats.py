@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aaipc.floats import (
     FLOAT64,
@@ -33,6 +35,10 @@ from oracles import (
 )
 
 CFG_5_10 = FloatConfig(exp_bits=5, man_bits=10)
+
+#: widths the rounding oracles are checked at; M = 0 is left out because the
+#: oracle's tie rule reads the mantissa field, which is always 0 there
+ORACLE_MAN_BITS = (1, 2, 3, 7, 10, 23, 40, 52)
 
 
 def enc(x, cfg):
@@ -197,6 +203,84 @@ class TestExactAdd:
             r = exact_add(a, b, cfg)
             if not r.overflowed:
                 assert decode(r.value) >= max(decode(a), decode(b))
+
+
+def oracle_matches(got, expected):
+    """An op's result against an oracle value: None means underflow."""
+    if expected is None:
+        return got.value.is_zero and got.underflowed
+    return decode_fraction(got.value) == expected
+
+
+@st.composite
+def configs(draw):
+    return FloatConfig(draw(st.integers(2, 11)), draw(st.sampled_from(ORACLE_MAN_BITS)),
+                       rounding=draw(st.sampled_from((NEAREST_EVEN, TOWARD_ZERO))))
+
+
+@st.composite
+def operands(draw, cfg):
+    return CustomFloat(False, draw(st.integers(cfg.e_min, cfg.e_max)),
+                       draw(st.integers(0, cfg.man_scale - 1)), cfg.man_bits)
+
+
+class TestRoundingAgainstOracles:
+    """encode, exact_mul and exact_add round in one shared step; each must
+    equal the correctly rounded rational result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=configs(), num=st.integers(1, 2**64),
+           den=st.one_of(st.just(1), st.integers(1, 2**64)),
+           exp=st.one_of(st.integers(-8, 8), st.integers(-1100, 1100)))
+    def test_encode_matches_quantize(self, cfg, num, den, exp):
+        # dyadic (den 1) and non-dyadic rationals, near 0 and far from it
+        x = Fraction(num, den) * Fraction(2) ** exp
+        tz = cfg.rounding == TOWARD_ZERO
+        assert oracle_matches(encode(x, cfg), quantize(
+            x, cfg.man_bits, cfg.e_min, cfg.e_max, toward_zero=tz))
+        try:
+            f = float(x)
+        except OverflowError:
+            return
+        if f > 0.0:  # the float image, where it is a positive double
+            assert oracle_matches(encode(f, cfg), quantize(
+                Fraction(f), cfg.man_bits, cfg.e_min, cfg.e_max, toward_zero=tz))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), cfg=configs())
+    def test_exact_ops_match_oracles(self, data, cfg):
+        a, b = data.draw(operands(cfg)), data.draw(operands(cfg))
+        if data.draw(st.booleans()):  # close exponents make the adds round
+            e = min(cfg.e_max, max(cfg.e_min, a.exponent + data.draw(
+                st.integers(-cfg.man_bits - 2, cfg.man_bits + 2))))
+            b = CustomFloat(False, e, b.mantissa, cfg.man_bits)
+        fa, fb = decode_fraction(a), decode_fraction(b)
+        args = (cfg.man_bits, cfg.e_min, cfg.e_max, cfg.rounding == TOWARD_ZERO)
+        assert oracle_matches(exact_mul(a, b, cfg), exact_mul_oracle(fa, fb, *args))
+        assert oracle_matches(exact_add(a, b, cfg), exact_add_oracle(fa, fb, *args))
+
+    @pytest.mark.parametrize("rounding", [NEAREST_EVEN, TOWARD_ZERO])
+    @pytest.mark.parametrize("man_bits", ORACLE_MAN_BITS)
+    def test_exact_ties(self, man_bits, rounding):
+        # 1 + (2k+1)/2**(M+1) lies halfway between mantissas k and k+1
+        cfg = FloatConfig(11, man_bits, rounding=rounding)
+        top = cfg.man_scale - 1
+        for k in sorted(k for k in {0, 1, 2, top // 2, top - 1, top} if k <= top):
+            tie = 1 + Fraction(2 * k + 1, 2 ** (man_bits + 1))
+            m = k + (k & 1) if rounding == NEAREST_EVEN else k
+            want = 2 if m == cfg.man_scale else 1 + Fraction(m, cfg.man_scale)
+            assert decode_fraction(enc(tie, cfg)) == want
+            # the same tie as a sum: (1 + k/2**M) + 2**-(M+1)
+            a = CustomFloat(False, 0, k, man_bits)
+            b = CustomFloat(False, -man_bits - 1, 0, man_bits)
+            assert decode_fraction(exact_add(a, b, cfg).value) == want
+            assert want == quantize(tie, man_bits, cfg.e_min, cfg.e_max,
+                                    toward_zero=rounding == TOWARD_ZERO)
+
+    def test_zero_mantissa_bits_break_ties_like_the_exact_ops(self):
+        # at M = 0, 3 is halfway between 2 and 4; encode and exact_add agree
+        cfg = FloatConfig(4, 0)
+        assert enc(3, cfg) == exact_add(enc(1, cfg), enc(2, cfg), cfg).value
 
 
 class TestAaiMul:

@@ -1,0 +1,22 @@
+"""Package metadata in pyproject.toml agrees with the code."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_declared_scripts_resolve_to_callables():
+    import tomllib
+
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"script {name} = {target!r} is not callable"
