@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .circuit import Circuit, edge_masses, enumerate_states, eval_double, sample, validate
-from .floats import FloatConfig, decode, encode, log2_value, mitchell_delta
+from .floats import (FloatConfig, decode, encode, encode_words,  # noqa: F401
+                     log2_value, mitchell_delta)  # encode stays bound for callers that wrap it
 from .inference import CircuitEvaluator, MultiplierPlan, induced_tree_edges
 
 
@@ -69,12 +70,10 @@ class FailureEstimate:
 
 def _edge_deltas(c: Circuit, cfg: FloatConfig) -> dict[tuple[int, int], float]:
     """Mitchell shortfall of each sum edge's weight quantized to cfg."""
-    deltas = {}
-    for u in c.sum_units():
-        for i, w in enumerate(u.weights):
-            v = encode(w, cfg).value
-            deltas[(u.id, i)] = mitchell_delta(0.0 if v.is_zero else v.mantissa_fraction)
-    return deltas
+    edges = [(u.id, i) for u in c.sum_units() for i in range(len(u.children))]
+    words = encode_words([w for u in c.sum_units() for w in u.weights], cfg)[0]
+    fractions = np.where(words < 0, 0, words & (cfg.man_scale - 1)) / cfg.man_scale
+    return {e: mitchell_delta(f) for e, f in zip(edges, fractions.tolist())}
 
 
 def delta_det(c: Circuit, cfg: FloatConfig) -> AnalysisReport:
@@ -116,17 +115,16 @@ def delta_nondet_mc(c: Circuit, cfg: FloatConfig, n_samples: int,
     deltas = _edge_deltas(c, cfg)
 
     data = sample(c, seed, n_samples)
+    tops, _, _ = ev.map_query(data)
+    fulls, _, _ = ev.mar(data)
+    top_values = ev.restricted_value([top.trace for top in tops], data)
     terms = np.empty(n_samples)
     hits: dict[tuple[int, int], int] = {e: 0 for e in deltas}
-    for k, x in enumerate(data):
-        evidence = {int(v): int(x[v]) for v in range(c.n_vars)}
-        top, _, _ = ev.map_query(evidence)
+    for k, (top, full, top_value) in enumerate(zip(tops, fulls, top_values)):
         tree_sum = 0.0
         for edge in induced_tree_edges(c, top.trace):
             tree_sum += deltas[edge]
             hits[edge] += 1
-        full, _, _ = ev.mar(x)
-        top_value = ev.restricted_value(top.trace, evidence)
         tail = max(decode(full.value) - decode(top_value), 0.0)
         terms[k] = tree_sum - tail
     contribs = tuple(WeightContribution(e, deltas[e], hits[e] / n_samples)
@@ -150,11 +148,10 @@ def kl_bruteforce(c: Circuit, cfg: FloatConfig) -> float:
     states = enumerate_states(c)
     p64 = eval_double(c, states)
     ev = CircuitEvaluator(c, cfg, MultiplierPlan.all_aai(c))
+    positive = p64 > 0.0
+    approxes, _, _ = ev.mar(states[positive])
     total = 0.0
-    for x, p in zip(states, p64):
-        if p <= 0.0:
-            continue
-        approx, _, _ = ev.mar(x)
+    for x, p, approx in zip(states[positive], p64[positive], approxes):
         if approx.value.is_zero:
             raise ValueError(f"approximate probability is zero at state {x.tolist()} "
                              "while the reference is positive: infinite divergence")

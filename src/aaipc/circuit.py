@@ -568,15 +568,6 @@ def edge_masses(c: Circuit) -> dict[Edge, float]:
     return masses
 
 
-def weight_tree_mass(c: Circuit, edge: Edge) -> float:
-    """Mass of one sum edge; see edge_masses."""
-    uid, idx = edge
-    u = c.units.get(uid)
-    if not isinstance(u, SumUnit) or not 0 <= idx < len(u.children):
-        raise ValueError(f"{edge} is not a sum edge of this circuit")
-    return edge_masses(c)[edge]
-
-
 def min_positive_value(c: Circuit) -> float:
     """Smallest probability the circuit can output on its support: replace
     sums by a min over positive weighted children, indicators by one."""

@@ -5,8 +5,9 @@ fraction mantissa.  There is no sign bit (probabilities are non-negative) and
 no subnormal range; zero is a reserved flag rather than an encoded value.
 Every operation rounds exactly once and saturates out-of-range results,
 reporting underflow/overflow through result flags.  `encode`, `exact_mul`
-and `exact_add` all round in `_round`, the only place the package rounds;
-`aai_mul` does not round and only saturates.
+and `exact_add` all round in `_round`, the only scalar rounding step;
+`aai_mul` does not round and only saturates.  `encode_words` is the array
+form of `encode`: it rounds the same way, with numpy integer shifts.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 NEAREST_EVEN = "nearest-even"
 TOWARD_ZERO = "toward-zero"
@@ -152,7 +155,10 @@ def encode(x: Real, cfg: FloatConfig) -> MultResult:
         raise ValueError(f"cannot encode non-finite value {x!r}")
     if x < 0:
         raise ValueError(f"cannot encode negative value {x!r}")
-    n, d = Fraction(x).as_integer_ratio()
+    # Fraction(x) would normalise by a gcd only to hand the ratio back; it
+    # keeps a numpy integer's type, hence the int()
+    n, d = (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
+    n, d = int(n), int(d)
     if n == 0:
         return MultResult(CustomFloat.zero(cfg.man_bits))
     # n / d scaled by 2**shift has an integer part of M+2 or M+3 bits, so
@@ -160,6 +166,38 @@ def encode(x: Real, cfg: FloatConfig) -> MultResult:
     shift = cfg.man_bits + 2 - (n.bit_length() - d.bit_length())
     q, r = divmod(n << shift, d) if shift >= 0 else divmod(n, d << -shift)
     return _round(cfg.man_bits - shift - 1, (q << 1) | (r != 0), cfg)
+
+
+def encode_words(x: np.ndarray, cfg: FloatConfig) -> tuple[np.ndarray, int, int]:
+    """Array form of `encode` for float64 input: int64 bit patterns with -1
+    for zero, plus the counts of underflowing and overflowing entries.
+
+    frexp gives each value's 53-bit significand exactly (subnormals
+    included); it is rounded to M+1 bits as `_round` does, by adding just
+    under half an ulp plus the kept parity bit, then shifting.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not (np.isfinite(x).all() and (x >= 0).all()):
+        raise ValueError("cannot encode negative or non-finite values")
+    frac, exp2 = np.frexp(x)
+    wide = np.ldexp(frac, 53).astype(np.int64)  # exact: 2**52 <= wide < 2**53
+    e = exp2.astype(np.int64) - 1
+    shift = 52 - cfg.man_bits
+    if shift <= 0:
+        sig = wide << -shift
+    else:
+        if cfg.rounding == NEAREST_EVEN:
+            wide = wide + ((1 << (shift - 1)) - 1) + (wide >> shift & 1)
+            carry = wide >> 53  # rounding reached the next power of two
+            e += carry
+            wide >>= carry
+        sig = wide >> shift
+    biased = e + cfg.bias
+    under = (biased < 0) & (x > 0)
+    over = (biased > cfg.max_biased) & (x > 0)
+    words = np.where(over, cfg.max_word, (biased << cfg.man_bits) + sig - cfg.man_scale)
+    words[under | (x == 0)] = -1
+    return words, int(under.sum()), int(over.sum())
 
 
 def decode(v: CustomFloat) -> float:
@@ -237,7 +275,13 @@ def mitchell_delta(f: float) -> float:
 
 def to_bits(v: CustomFloat, cfg: FloatConfig) -> int:
     """Biased pattern (exponent field then mantissa field); zero maps to the
-    reserved all-zeros word."""
+    reserved all-zeros word.
+
+    That word is also the pattern of cfg.min_positive() (biased exponent 0,
+    mantissa 0), so the two values collide: from_bits reads it as zero.
+    The batched evaluator in `inference` carries zero as -1 instead, out of
+    band, and keeps the smallest value.
+    """
     if v.man_bits != cfg.man_bits:
         raise ValueError("value mantissa width does not match config")
     if v.is_zero:
@@ -260,7 +304,10 @@ def from_bits(word: int, cfg: FloatConfig) -> CustomFloat:
 
 def aai_mul_bits(a_bits: int, b_bits: int, cfg: FloatConfig) -> int:
     """Approximate multiply straight on bit patterns: integer-add the two
-    words and subtract the duplicated bias.  Saturates like aai_mul."""
+    words and subtract the duplicated bias.  Saturates like aai_mul, but a
+    result of pattern 0 (the value min_positive, see to_bits) reads as the
+    zero word: words 1 and (bias << M) - 1 give 0 here, while their aai_mul
+    is min_positive with no underflow flag."""
     for word in (a_bits, b_bits):
         if word == 0:
             raise ValueError("reserved zero pattern is not a valid operand")

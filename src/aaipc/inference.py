@@ -5,27 +5,37 @@ Every multiplication site in a circuit (one per sum edge for the weight
 multiply, one per binary fold step inside a product) is assigned a mode by a
 MultiplierPlan.  Additions always use the exact adder.  The 64-bit baseline
 is an all-exact plan at the IEEE double layout.
+
+Queries run on a compiled, levelized form of the circuit (`_Compiled`, kept
+on the circuit): a unit's level is one more than its highest child's, and
+each level is a few array operations on a value table with one row per unit
+and one column per query row.  Products fold their children in id order,
+padded with the word for one; sums fold their edges in `children` order,
+padded with zero-weight edges; padding never saturates.  Values are words:
+
+- bit patterns (biased exponent, then mantissa) in int32 or int64 when every
+  intermediate fits (M <= 13 or M <= 29), with zero as -1, out of band, so
+  the smallest value (pattern 0) stays apart and word order is value order;
+- the same patterns as Python ints in object arrays for wider formats;
+- IEEE doubles for FLOAT64, whose exact ops are IEEE ops.  A product at or
+  below 2**-1022, where IEEE subnormals part from this format, makes the
+  chunk rerun on Python-int words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from collections import namedtuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .circuit import Circuit, IndicatorUnit, ProductUnit, SumUnit, Unit, _check_rows
-from .floats import (
-    FLOAT64,
-    CustomFloat,
-    FloatConfig,
-    MultResult,
-    aai_mul,
-    encode,
-    exact_add,
-    exact_mul,
-    log2_value,
-)
+from .circuit import Circuit, ProductUnit, SumUnit, Unit, _check_rows
+from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F401
+                     MultResult, aai_mul, encode, encode_words, exact_add, exact_mul,
+                     log2_value)  # the scalar ops stay bound for callers that wrap them
 
 EXACT = "exact"
 AAI = "aai"
@@ -33,41 +43,49 @@ AAI = "aai"
 #: ("w", sum id, child position) or ("p", product id, fold step)
 Site = tuple[str, int, int]
 
+#: units x rows of one chunk's value table (a quarter of it for Python ints)
+CHUNK_CELLS = 1 << 19
+
 
 def enumerate_sites(c: Circuit) -> list[Site]:
     """Every multiplication site of the circuit, in deterministic order."""
-    sites: list[Site] = []
-    for uid in sorted(c.units):
-        u = c.units[uid]
-        if isinstance(u, SumUnit):
-            sites.extend(("w", uid, i) for i in range(len(u.children)))
-        elif isinstance(u, ProductUnit):
-            sites.extend(("p", uid, k) for k in range(len(u.children) - 1))
-    return sites
+    return list(_compile(c).sites)
 
 
 @dataclass(frozen=True)
 class MultiplierPlan:
-    """Mode assignment covering every multiplication site exactly once."""
+    """Mode assignment covering every multiplication site exactly once; a
+    read-only copy, so its AAI mask is cached per compiled circuit."""
 
     modes: Mapping[Site, str]
+    _masks: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
+                                      repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "modes", MappingProxyType(dict(self.modes)))
 
     @classmethod
     def all_exact(cls, c: Circuit) -> "MultiplierPlan":
-        return cls({s: EXACT for s in enumerate_sites(c)})
+        return cls._uniform(c, EXACT)
 
     @classmethod
     def all_aai(cls, c: Circuit) -> "MultiplierPlan":
-        return cls({s: AAI for s in enumerate_sites(c)})
+        return cls._uniform(c, AAI)
+
+    @classmethod
+    def _uniform(cls, c: Circuit, mode: str) -> "MultiplierPlan":
+        """The circuit's plan with every site in one mode, built once."""
+        plans = _compile(c).plans
+        if (cls, mode) not in plans:
+            plans[cls, mode] = cls(dict.fromkeys(enumerate_sites(c), mode))
+        return plans[cls, mode]
 
     @classmethod
     def from_aai_weight_sites(cls, c: Circuit,
                               aai_edges: Sequence[tuple[int, int]]) -> "MultiplierPlan":
         """AAI on the listed sum edges, exact everywhere else."""
         chosen = {("w", uid, i) for uid, i in aai_edges}
-        modes = {}
-        for s in enumerate_sites(c):
-            modes[s] = AAI if s in chosen else EXACT
+        modes = {s: AAI if s in chosen else EXACT for s in enumerate_sites(c)}
         missing = chosen - set(modes)
         if missing:
             raise ValueError(f"edges are not sites of this circuit: {sorted(missing)}")
@@ -84,6 +102,17 @@ class MultiplierPlan:
                              f"missing {sorted(expected - got)[:4]}, "
                              f"extra {sorted(got - expected)[:4]}")
 
+    def _mask(self, c: Circuit) -> np.ndarray:
+        """AAI flag per slot of the compiled circuit (padding slots exact)."""
+        comp = _compile(c)
+        if comp not in self._masks:
+            if len(self.modes) != len(comp.slot_sites) or \
+                    not all(map(self.modes.__contains__, comp.slot_sites)):
+                self.check_covers(c)  # raises, naming the missing and extra sites
+            mask = self._masks[comp] = np.zeros(comp.n_slots, dtype=bool)
+            mask[comp.slot_index] = [self.modes[s] == AAI for s in comp.slot_sites]
+        return self._masks[comp]
+
 
 @dataclass(frozen=True)
 class MapResult:
@@ -92,7 +121,23 @@ class MapResult:
 
     assignment: np.ndarray
     log2_value: float
-    trace: dict[int, int]
+    trace: Mapping[int, int]
+
+
+class _Trace(Mapping):
+    """A MAP trace, {sum id: child position}, read from a choice table."""
+
+    def __init__(self, index: dict[int, int], column: np.ndarray):
+        self._index, self._column = index, column
+
+    def __getitem__(self, uid: int) -> int:
+        return int(self._column[self._index[uid]])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 @dataclass(frozen=True)
@@ -109,169 +154,408 @@ class EvaluationError(ValueError):
     """Raised when a metric is undefined, e.g. the baseline underflows."""
 
 
-def _magnitude(v: CustomFloat) -> tuple[int, int, int]:
-    """Key that orders values exactly, without decoding; zero is least."""
-    return (0, 0, 0) if v.is_zero else (1, v.exponent, v.mantissa)
+#: one level: products at table rows p0:p1 fold the rows in pch's columns
+#: (id order, padded with the row of one), sums at rows s0:s1 add the rows in
+#: sch's columns (children order, padded with the row of zero); child k of
+#: unit i has slot pslot + k * n_p + i or sslot + k * n_s + i
+_Level = namedtuple("_Level", "p0 p1 pch pslot s0 s1 sch sslot")
 
 
-#: unit kinds of CircuitEvaluator's per-unit steps
-_INDICATOR, _PRODUCT, _SUM = range(3)
+class _Compiled:
+    """Per-level index arrays of one circuit.  Table rows: one per indicator
+    test (variable, value), each level's products and sums, then a row of one
+    and a row of zero.  Slots: every fold step and sum edge, padding included,
+    level by level; slot_sites names the real ones, slot_index places them."""
+
+    def __init__(self, c: Circuit):
+        level: dict[int, int] = {}
+        for uid in c.order:
+            level[uid] = 1 + max(map(level.get, getattr(c.units[uid], "children", ())), default=-1)
+        by_level: list[list[Unit]] = [[] for _ in range(max(level.values()) + 1)]
+        for uid in c.order:
+            by_level[level[uid]].append(c.units[uid])
+        tests: dict[tuple[int, int], int] = {}  # indicators of one test share a row
+        row = {u.id: tests.setdefault((u.var, u.value), len(tests)) for u in by_level[0]}
+        self.ind_var, self.ind_val = np.array(list(tests), dtype=np.int64).reshape(-1, 2).T
+        free = len(tests)
+        self.one_row = free + len(c.units) - len(by_level[0])
+        self.zero_row = self.one_row + 1
+        self.levels: list[_Level] = []
+        self.slot_sites: list[Site] = []
+        self.slot_index: list[int] = []
+        self.weights: list[np.ndarray] = []
+        self.n_slots = 0
+        for units in by_level[1:]:
+            prod = [u for u in units if isinstance(u, ProductUnit)]
+            summ = [u for u in units if isinstance(u, SumUnit)]
+            p0, s0, free = free, free + len(prod), free + len(units)
+            row.update((u.id, p0 + i) for i, u in enumerate(prod + summ))
+            self.levels.append(_Level(p0, s0, *self._group(prod, row, "p", self.one_row),
+                                      s0, free, *self._group(summ, row, "w", self.zero_row)))
+        self.root, self.n_table = row[c.root], self.zero_row + 1
+        self.slot_index = np.array(self.slot_index, dtype=np.int64)
+        self.weights = np.concatenate([np.zeros(0)] + self.weights)
+        self.sites = sorted(self.slot_sites, key=lambda s: s[1:])
+        sums = [u for units in by_level for u in units if isinstance(u, SumUnit)]
+        self.sum_index = {u.id: i for i, u in enumerate(sums)}
+        self.sum_arity = np.array([len(u.children) for u in sums], dtype=np.int64)
+        self.words: dict = {}  # (cfg, kind) -> weight words in slot order
+        self.plans: dict = {}  # (plan class, mode) -> uniform plan
+
+    def _group(self, units: list, row: dict[int, int], kind: str, pad: int):
+        """One level's products (kind "p") or sums ("w"): their children's
+        rows, one column per unit, and the first of their slots.  A product
+        multiplies in its children 1, 2, ... of id order, so its slots for
+        child 0 are padding."""
+        kids = [sorted(u.children) if kind == "p" else u.children for u in units]
+        ch = np.full((max(map(len, kids), default=1), len(units)), pad, dtype=np.int64)
+        w = np.zeros(ch.shape)
+        first, skip = self.n_slots, int(kind == "p")
+        for i, (u, ks) in enumerate(zip(units, kids)):
+            ch[:len(ks), i] = [row[k] for k in ks]
+            if kind == "w":
+                w[:len(ks), i] = u.weights
+            self.slot_sites += [(kind, u.id, k - skip) for k in range(skip, len(ks))]
+            self.slot_index += [first + k * len(units) + i for k in range(skip, len(ks))]
+        self.weights.append(w.ravel())
+        self.n_slots += ch.size
+        return ch, first
+
+    def weight_words(self, cfg: FloatConfig, kind):
+        """The slot weights as words of the given kind (a numpy dtype, or
+        "ieee" for float64), with the counts of weights that saturated."""
+        key = (cfg, str(kind))
+        if key not in self.words:
+            words, under, over = encode_words(self.weights, cfg)
+            self.words[key] = (self.weights if kind == "ieee" else words.astype(kind),
+                               under, over)
+        return self.words[key]
+
+
+def _compile(c: Circuit) -> _Compiled:
+    """The circuit's compiled layout, built on first use and kept on it."""
+    if "_compiled" not in c.__dict__:
+        c._compiled = _Compiled(c)
+    return c._compiled
+
+
+class _IntWords:
+    """The float ops on words with -1 for zero, over int32, int64 or Python
+    int arrays.  Every shift but the add's alignment is by a constant, and a
+    rounding carry out of the significand lands in the exponent field.  A
+    saturating result adds one to its column of `under` or `over`."""
+
+    def __init__(self, cfg: FloatConfig, dtype, n_rows: int):
+        if cfg.bias < 0:
+            raise ValueError("the word for one needs a non-negative bias")
+        self.dtype, self.m, self.top = dtype, cfg.man_bits, cfg.max_word
+        self.mm, self.scale = cfg.man_scale - 1, cfg.man_scale
+        self.one, self.zero = cfg.bias << cfg.man_bits, -1
+        self.nearest = cfg.rounding == NEAREST_EVEN
+        self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
+
+    def aai(self, a, b):
+        """Words add as integers and the duplicated bias goes."""
+        return self._saturate(a + b - self.one, (a < 0) | (b < 0))
+
+    def exact(self, a, b):
+        """Significand product, normalised to 2M+2 bits, rounded once."""
+        m = self.m
+        wide = ((a & self.mm) | self.scale) * ((b & self.mm) | self.scale)
+        carry = wide >> (2 * m + 1)
+        wide = wide * (2 - carry)
+        if self.nearest:  # add just under half an ulp, plus the kept parity bit
+            wide = wide + (wide >> (m + 1) & 1) + ((1 << m) - 1)
+        r = (((a >> m) + (b >> m) + carry) << m) + (wide >> (m + 1)) - self.one - self.scale
+        return self._saturate(r, (a < 0) | (b < 0))
+
+    def add(self, a, b):
+        """Aligned significand sum, normalised to 2M+4 bits, rounded once;
+        an operand M+2 or more binades below the other cannot change it."""
+        m = self.m
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        d = np.minimum((hi >> m) - (lo >> m), m + 2)
+        wide = ((((hi & self.mm) | self.scale) << (m + 2))
+                + (((lo & self.mm) | self.scale) << (m + 2 - d)))
+        carry = wide >> (2 * m + 3)
+        wide = wide * (2 - carry)
+        if self.nearest:
+            wide = wide + (wide >> (m + 3) & 1) + ((1 << (m + 2)) - 1)
+        r = (((hi >> m) + carry) << m) + (wide >> (m + 3)) - self.scale
+        return self._saturate(np.where((d > m + 1) | (lo < 0), hi, r))
+
+    def _saturate(self, r, zero=None):
+        """Count and saturate out-of-range words; zero marks the results of
+        a zero operand, which are zero without a flag."""
+        if zero is not None:
+            under = (r < 0) & ~zero
+            if under.any():
+                self.under += under.sum(axis=0)
+            r = np.where(zero | under, -1, r)
+        over = r > self.top
+        if over.any():
+            self.over += over.sum(axis=0)
+            r = np.where(over, self.top, r)
+        return r
+
+
+class _LeavesIEEE(Exception):
+    """A FLOAT64 value reached the range where IEEE doubles differ."""
+
+
+_TINY = 2.0 ** -1022
+
+
+class _IEEEWords:
+    """FLOAT64 on IEEE doubles, the same values and ops as the bit patterns
+    while every value stays normal: a product at or below 2**-1022 raises
+    _LeavesIEEE, sums of normal values stay normal, and the values of a
+    circuit whose weights sum to one stay far below overflow."""
+
+    dtype, one, zero = np.dtype(np.float64), 1.0, 0.0
+
+    def __init__(self, n_rows: int):
+        self.under = self.over = np.zeros(n_rows, dtype=np.int64)  # never saturates
+
+    @staticmethod
+    def aai(a, b):
+        zero = (a == 0) | (b == 0)
+        r = a.view(np.int64) + b.view(np.int64) - (1023 << 52)  # the bias word of 1.0
+        if ((r < 1 << 52) & ~zero).any():
+            raise _LeavesIEEE
+        return np.where(zero, 0.0, r.view(np.float64))
+
+    @staticmethod
+    def exact(a, b):
+        r = a * b
+        if ((r <= _TINY) & (a > 0) & (b > 0)).any():
+            raise _LeavesIEEE
+        return r
+
+    add = staticmethod(np.add)
+
+
+def _word_kind(cfg: FloatConfig):
+    """The narrowest words that hold every intermediate of cfg's ops: the
+    normalised sum needs 2M+5 bits, a sum of two words E+M+2."""
+    if cfg == FLOAT64:
+        return "ieee"
+    for dtype, bits in ((np.int32, 31), (np.int64, 63)):
+        if 2 * cfg.man_bits + 5 <= bits and cfg.exp_bits + cfg.man_bits + 2 <= bits:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
+def _split(mask: np.ndarray):
+    """How one fold step or level of edges multiplies: True (all AAI),
+    False (all exact), or the (AAI, exact) index arrays of a mixed one."""
+    if mask.all() or not mask.any():
+        return bool(mask.all())
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
+
+
+def _mul(ar, a, b, how):
+    if how is True or how is False:
+        return ar.aai(a, b) if how else ar.exact(a, b)
+    out = np.empty(b.shape, dtype=ar.dtype)
+    for idx, op in zip(how, (ar.aai, ar.exact)):
+        out[idx] = op(a[idx], b[idx])
+    return out
+
+
+_MAR, _MAP, _PICK = range(3)
 
 
 class CircuitEvaluator:
-    """Reusable evaluation state for one (circuit, config, plan) triple.
+    """Reusable evaluation state for one (circuit, config, plan) triple: a
+    handle over the compiled circuit, the weight words for cfg (cached with
+    it) and the plan's AAI mask (cached on the plan), so that building one
+    does no per-unit work.  Weights are quantized once, per cfg.rounding;
+    under toward-zero this keeps the one-sided underestimation end to end.
 
-    Weights are quantized once, per cfg.rounding; under toward-zero this
-    preserves the one-sided underestimation property end to end.  Each unit
-    becomes one step tuple, in children-first order: (_INDICATOR, var,
-    value); (_PRODUCT, first fold child, (child, is_aai) per fold step); or
-    (_SUM, (child, quantized weight, is_aai) per edge, None).
+    `mar`, `map_query` and `restricted_value` take one row (a sequence, or a
+    {variable: value} mapping) or a 2-D batch of rows, and then return one
+    result per row.  A -1 in a row leaves its variable unobserved, with its
+    indicators at one.  Batches run in chunks of CHUNK_CELLS table cells.
     """
 
     def __init__(self, c: Circuit, cfg: FloatConfig, plan: MultiplierPlan):
         self.circuit = c
         self.cfg = cfg
         self.plan = plan
-        self.weight_quant_underflows = 0
-        self.weight_quant_overflows = 0
-        self._one = CustomFloat.one(cfg.man_bits)
-        self._zero = CustomFloat.zero(cfg.man_bits)
-        modes = plan.modes
-        self._steps: dict[int, tuple] = {}
-        n_sites = 0
-        try:
-            for uid in c.order:
-                u = c.units[uid]
-                if isinstance(u, IndicatorUnit):
-                    self._steps[uid] = (_INDICATOR, u.var, u.value)
-                elif isinstance(u, ProductUnit):
-                    first, *rest = sorted(u.children)
-                    n_sites += len(rest)
-                    self._steps[uid] = (_PRODUCT, first, tuple([
-                        (ch, modes[("p", uid, k)] == AAI) for k, ch in enumerate(rest)]))
+        self._comp = comp = _compile(c)
+        mask = plan._mask(c)
+        self._kind = _word_kind(cfg)
+        if self._kind == "ieee" and ((comp.weights > 0) & (comp.weights < _TINY)).any():
+            self._kind = np.dtype(object)
+        w, self.weight_quant_underflows, self.weight_quant_overflows = \
+            comp.weight_words(cfg, self._kind)
+        self._w = w[:, np.newaxis]
+        # per level: how each product fold step, and how the sum edges, multiply
+        self._modes = [([_split(m) for m in mask[lev.pslot:lev.pslot + lev.pch.size]
+                         .reshape(lev.pch.shape)[1:]],
+                        _split(mask[lev.sslot:lev.sslot + lev.sch.size]))
+                       for lev in comp.levels]
+
+    def _pass(self, ar, w, rows: np.ndarray, mode: int, picks: Optional[np.ndarray]):
+        """Evaluate a chunk of rows, children first, one level at a time;
+        returns the root words, the per-row saturation counts and, for MAP,
+        the per-sum choices and the backtracked assignments."""
+        comp, n = self._comp, len(rows)
+        val = np.empty((comp.n_table, n), dtype=ar.dtype)
+        val[comp.one_row], val[comp.zero_row] = ar.one, ar.zero
+        obs = rows.T[comp.ind_var]
+        val[:len(comp.ind_var)] = np.where((obs < 0) | (obs == comp.ind_val[:, None]),
+                                           ar.one, ar.zero)
+        choices = []
+        for lev, (steps, edges) in zip(comp.levels, self._modes):
+            if lev.p1 > lev.p0:
+                acc = val[lev.pch[0]]
+                for k, how in enumerate(steps, 1):
+                    acc = _mul(ar, acc, val[lev.pch[k]], how)
+                val[lev.p0:lev.p1] = acc
+            if lev.s1 > lev.s0:
+                k_s, n_s = lev.sch.shape
+                terms = _mul(ar, w[lev.sslot:lev.sslot + lev.sch.size], val[lev.sch.ravel()],
+                             edges).reshape(k_s, n_s, n)
+                acc = terms[0]
+                if mode == _MAR:
+                    for k in range(1, k_s):
+                        acc = ar.add(acc, terms[k])
+                elif mode == _MAP:
+                    pick = np.zeros((n_s, n), dtype=np.int64)
+                    for k in range(1, k_s):
+                        better = terms[k] > acc  # strict: ties keep the lowest index
+                        acc = np.where(better, terms[k], acc)
+                        pick[better] = k
+                    choices.append(pick)
                 else:
-                    edges = []
-                    for i, (ch, w) in enumerate(zip(u.children, u.weights)):
-                        r = encode(w, cfg)
-                        self.weight_quant_underflows += r.underflowed
-                        self.weight_quant_overflows += r.overflowed
-                        edges.append((ch, r.value, modes[("w", uid, i)] == AAI))
-                    n_sites += len(edges)
-                    self._steps[uid] = (_SUM, tuple(edges), None)
-        except KeyError:  # a site the plan does not cover
-            n_sites = -1
-        if n_sites != len(modes):  # each site was looked up once
-            plan.check_covers(c)  # raises, naming the missing and extra sites
+                    pick, picks = picks[:n_s], picks[n_s:]
+                    acc = np.take_along_axis(terms, pick[np.newaxis], axis=0)[0]
+                val[lev.s0:lev.s1] = acc
+        roots = val[comp.root]
+        if ar.dtype == np.float64:
+            roots = np.where(roots == 0, -1, roots.view(np.int64))
+        if mode != _MAP:
+            return roots, ar.under, ar.over, None, None
+        return roots, ar.under, ar.over, *self._backtrack(choices, n)
 
-    def _pass(self, steps: Iterable[tuple[int, tuple]], row: Sequence[Optional[int]],
-              reduce: Callable[[int, list[CustomFloat]], tuple[CustomFloat, int, int]]
-              ) -> tuple[CustomFloat, int, int]:
-        """Evaluate steps children first and return the root value with the
-        counts of saturating operations.  An indicator is one when its
-        variable's entry in row is None (unobserved) or equals its value;
-        each sum's weighted child terms go to reduce(uid, terms), which
-        returns the sum's value and the saturations it caused."""
-        cfg, one, zero = self.cfg, self._one, self._zero
-        under = over = 0
-        val: dict[int, CustomFloat] = {}
-        for uid, (kind, a, b) in steps:
-            if kind == _SUM:
-                terms = []
-                for ch, w, aai in a:
-                    r = aai_mul(w, val[ch], cfg) if aai else exact_mul(w, val[ch], cfg)
-                    under += r.underflowed
-                    over += r.overflowed
-                    terms.append(r.value)
-                acc, du, do = reduce(uid, terms)
-                under += du
-                over += do
-            elif kind == _PRODUCT:
-                acc = val[a]
-                for ch, aai in b:
-                    r = aai_mul(acc, val[ch], cfg) if aai else exact_mul(acc, val[ch], cfg)
-                    under += r.underflowed
-                    over += r.overflowed
-                    acc = r.value
-            else:
-                obs = row[a]
-                acc = one if obs is None or obs == b else zero
-            val[uid] = acc
-        return val[self.circuit.root], under, over
+    def _backtrack(self, choices: list[np.ndarray], n: int):
+        """Top down, one level at a time: a selected sum selects its chosen
+        child, a selected product all its children."""
+        comp = self._comp
+        sel = np.zeros((comp.n_table, n), dtype=bool)
+        sel[comp.root] = True
+        chosen = reversed(choices)
+        for lev in reversed(comp.levels):
+            if lev.s1 > lev.s0:
+                i, b = np.nonzero(sel[lev.s0:lev.s1])
+                sel[lev.sch[next(chosen)[i, b], i], b] = True
+            if lev.p1 > lev.p0:
+                i, b = np.nonzero(sel[lev.p0:lev.p1])
+                sel[lev.pch[:, i], b] = True
+        i, b = np.nonzero(sel[:len(comp.ind_var)])
+        assignment = np.full((n, self.circuit.n_vars), -1, dtype=np.int64)
+        assignment[b, comp.ind_var[i]] = comp.ind_val[i]
+        return np.concatenate(choices or [np.zeros((0, n), dtype=np.int64)]), assignment
 
-    # -- marginal (complete evidence) pass ----------------------------------
+    def _evaluate(self, x, mode: int, traces=None):
+        """Run the pass over x's rows chunk by chunk, rerunning a chunk on
+        Python-int words when IEEE doubles leave this format's values.
+        Returns whether x was one row, the root values, the per-row
+        saturation counts and, for MAP, the choices and assignments."""
+        rows, single = self._batch(x)
+        picks = None if traces is None else self._picks([traces] if single else traces, len(rows))
+        cells = CHUNK_CELLS // 4 if self._kind == object else CHUNK_CELLS
+        step = max(1, cells // self._comp.n_table)
+        parts = []
+        for s in range(0, max(len(rows), 1), step):  # an empty batch makes one empty chunk
+            args = rows[s:s + step], mode, None if picks is None else picks[:, s:s + step]
+            try:
+                ar = (_IEEEWords(len(args[0])) if self._kind == "ieee"
+                      else _IntWords(self.cfg, self._kind, len(args[0])))
+                parts.append(self._pass(ar, self._w, *args))
+            except _LeavesIEEE:
+                w = self._comp.weight_words(self.cfg, np.dtype(object))[0][:, np.newaxis]
+                parts.append(self._pass(_IntWords(self.cfg, np.dtype(object), len(args[0])),
+                                        w, *args))
+        roots, under, over, trace, assignment = zip(*parts)
+        m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
+        zero = CustomFloat.zero(m)
+        values = [zero if w < 0 else CustomFloat(False, (w >> m) - bias, w & mm, m)
+                  for w in np.concatenate(roots).tolist()]
+        return (single, values, np.concatenate(under), np.concatenate(over),
+                None if trace[0] is None else np.hstack(trace),
+                None if assignment[0] is None else np.vstack(assignment))
 
-    def mar(self, x: Sequence[int]) -> tuple[MultResult, int, int]:
-        """Evaluate one complete assignment; returns the root result plus
-        counts of saturating operations along the way."""
-        root, under, over = self._pass(self._steps.items(), x, self._add_terms)
-        return (MultResult(root,
-                           under > 0 or self.weight_quant_underflows > 0,
-                           over > 0 or self.weight_quant_overflows > 0),
-                under, over)
+    def _batch(self, x) -> tuple[np.ndarray, bool]:
+        """x as a 2-D batch of rows, and whether it was a single row."""
+        if isinstance(x, Mapping):
+            row = np.full(self.circuit.n_vars, -1, dtype=np.int64)
+            row[list(x)] = list(x.values())
+            x = row
+        x = np.asarray(x, dtype=np.int64)
+        return (x[np.newaxis], True) if x.ndim == 1 else (x, False)
 
-    def _add_terms(self, _uid: int, terms: list[CustomFloat]) -> tuple[CustomFloat, int, int]:
-        acc = self._zero
-        under = over = 0
-        for t in terms:
-            r = exact_add(acc, t, self.cfg)
-            under += r.underflowed
-            over += r.overflowed
-            acc = r.value
-        return acc, under, over
+    def _picks(self, traces: Sequence[Mapping[int, int]], n_rows: int) -> np.ndarray:
+        """The traced edge of every sum (its first where a trace has none),
+        one column per trace and row."""
+        index = self._comp.sum_index
+        if len(traces) != n_rows:
+            raise ValueError(f"{len(traces)} traces for {n_rows} rows")
+        if traces and all(isinstance(t, _Trace) and t._index is index for t in traces):
+            picks = np.stack([t._column for t in traces], axis=1)
+        else:
+            picks = np.array([[t.get(uid, 0) for t in traces] for uid in index],
+                             dtype=np.int64).reshape(len(index), len(traces))
+        if ((picks < 0) | (picks >= self._comp.sum_arity[:, None])).any():
+            raise ValueError("trace names an edge its sum does not have")
+        return picks
 
-    # -- MAP (max-product) pass ----------------------------------------------
+    @staticmethod
+    def _per_row(single: bool, results: list, under: np.ndarray, over: np.ndarray):
+        return (results[0], int(under[0]), int(over[0])) if single else (results, under, over)
 
-    def map_query(self, evidence: Mapping[int, int]) -> tuple[MapResult, int, int]:
+    def mar(self, x):
+        """Marginal pass: the root result plus the counts of saturating
+        operations along the way, for one row or per row of a batch."""
+        single, roots, under, over, _, _ = self._evaluate(x, _MAR)
+        wu, wo = self.weight_quant_underflows > 0, self.weight_quant_overflows > 0
+        results = [MultResult(v, u > 0 or wu, o > 0 or wo)
+                   for v, u, o in zip(roots, under.tolist(), over.tolist())]
+        return self._per_row(single, results, under, over)
+
+    def map_query(self, evidence):
         """Max-product upward pass with argmax trace, then top-down
         backtracking.  Unobserved indicators score one; ties pick the lowest
         child index."""
-        c = self.circuit
-        trace: dict[int, int] = {}
+        single, roots, under, over, trace, assignment = self._evaluate(evidence, _MAP)
+        index = self._comp.sum_index
+        return self._per_row(single, [
+            MapResult(assignment[r], log2_value(v), _Trace(index, trace[:, r]))
+            for r, v in enumerate(roots)], under, over)
 
-        def argmax(uid: int, terms: list[CustomFloat]) -> tuple[CustomFloat, int, int]:
-            # max keeps the first of equal keys: the lowest child index
-            trace[uid] = best = max(range(len(terms)), key=lambda i: _magnitude(terms[i]))
-            return terms[best], 0, 0
-
-        row = [evidence.get(v) for v in range(c.n_vars)]
-        root, under, over = self._pass(self._steps.items(), row, argmax)
-        assignment = np.full(c.n_vars, -1, dtype=np.int64)
-        for u in _induced_tree(c, trace):
-            if isinstance(u, IndicatorUnit):
-                assignment[u.var] = u.value
-        return MapResult(assignment, log2_value(root), trace), under, over
-
-    def restricted_value(self, trace: Mapping[int, int],
-                         evidence: Mapping[int, int]) -> CustomFloat:
-        """Re-evaluate only the induced tree selected by a MAP trace; must
-        reproduce the MAP score bit for bit."""
-        c = self.circuit
-        steps = []
-        for u in reversed(list(_induced_tree(c, trace))):
-            step = self._steps[u.id]
-            if step[0] == _SUM:  # keep only the traced edge
-                step = (_SUM, (step[1][trace[u.id]],), None)
-            steps.append((u.id, step))
-        row = [evidence.get(v) for v in range(c.n_vars)]
-        return self._pass(steps, row, lambda _uid, terms: (terms[0], 0, 0))[0]
-
-
-def _induced_tree(c: Circuit, trace: Mapping[int, int]) -> Iterator[Unit]:
-    """Units of the induced tree a MAP trace selects, depth first from the
-    root, every parent before its children."""
-    stack = [c.root]
-    while stack:
-        u = c.units[stack.pop()]
-        yield u
-        if isinstance(u, ProductUnit):
-            stack.extend(u.children)
-        elif isinstance(u, SumUnit):
-            stack.append(u.children[trace[u.id]])
+    def restricted_value(self, trace, evidence):
+        """Re-evaluate with each sum taking only its traced edge (a sum the
+        trace leaves out, which must lie outside the induced tree, takes its
+        first); on a MAP trace this reproduces the MAP score bit for bit.
+        A batch of evidence rows takes a sequence of traces."""
+        single, roots = self._evaluate(evidence, _PICK, trace)[:2]
+        return roots[0] if single else roots
 
 
 def induced_tree_edges(c: Circuit, trace: Mapping[int, int]) -> list[tuple[int, int]]:
-    """Sum edges of the induced tree a MAP trace selects."""
-    return [(u.id, trace[u.id]) for u in _induced_tree(c, trace) if isinstance(u, SumUnit)]
+    """Sum edges of the induced tree a MAP trace selects, depth first from
+    the root."""
+    edges, stack = [], [c.root]
+    while stack:
+        u = c.units[stack.pop()]
+        if isinstance(u, SumUnit):
+            edges.append((u.id, trace[u.id]))
+            stack.append(u.children[trace[u.id]])
+        elif isinstance(u, ProductUnit):
+            stack.extend(u.children)
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -311,37 +595,26 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     data = _check_rows(c, np.atleast_2d(data), unobserved=True)
     base = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
     test = CircuitEvaluator(c, cfg, plan)
-    under = test.weight_quant_underflows
-    over = test.weight_quant_overflows
+    complete = np.flatnonzero((data >= 0).all(axis=1))
+    b_mar, _, _ = base.mar(data[complete])
+    for row_idx, b in zip(complete.tolist(), b_mar):
+        if b.value.is_zero:
+            raise EvaluationError(
+                f"baseline probability is zero for instance {row_idx}; "
+                "log error is undefined")
+    t_mar, mar_under, mar_over = test.mar(data[complete])
     log_err_sum = 0.0
-    n_mar = 0
-    map_hits = 0
-    for row_idx, row in enumerate(data):
-        observed = row >= 0
-        if observed.all():
-            b, _, _ = base.mar(row)
-            if b.value.is_zero:
-                raise EvaluationError(
-                    f"baseline probability is zero for instance {row_idx}; "
-                    "log error is undefined")
-            t, du, do = test.mar(row)
-            under += du
-            over += do
-            log_err_sum += abs(log2_value(b.value)
-                               - (log2_value(t.value) + correction))
-            n_mar += 1
-        evidence = {int(v): int(row[v]) for v in np.flatnonzero(observed)}
-        bm, _, _ = base.map_query(evidence)
-        tm, du, do = test.map_query(evidence)
-        under += du
-        over += do
-        map_hits += int(np.array_equal(bm.assignment, tm.assignment))
-    n = len(data)
+    for b, t in zip(b_mar, t_mar):
+        log_err_sum += abs(log2_value(b.value) - (log2_value(t.value) + correction))
+    b_map, _, _ = base.map_query(data)
+    t_map, map_under, map_over = test.map_query(data)
+    map_hits = sum(np.array_equal(b.assignment, t.assignment) for b, t in zip(b_map, t_map))
+    n, n_mar = len(data), len(complete)
     return QueryMetrics(
         mean_log_error=log_err_sum / n_mar if n_mar else 0.0,
         map_accuracy=map_hits / n if n else 0.0,
-        underflow_count=under,
-        overflow_count=over,
+        underflow_count=test.weight_quant_underflows + int(mar_under.sum() + map_under.sum()),
+        overflow_count=test.weight_quant_overflows + int(mar_over.sum() + map_over.sum()),
         n_instances=n,
         n_mar_instances=n_mar,
     )

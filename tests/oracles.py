@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-Everything here recomputes expected values from first principles with exact
+Most of this recomputes expected values from first principles with exact
 rational arithmetic (or brute-force enumeration), deliberately avoiding the
-package's own code paths.
+package's own code paths.  `ScalarEvaluator` is the bit-level reference for
+the batched evaluator: it walks the circuit one unit and one row at a time
+through the scalar `floats` operations.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 
 def quantize(x: Fraction, man_bits: int, e_min: int, e_max: int,
@@ -222,3 +226,161 @@ def root_readout_delta_oracle(circuit, man_bits: int, e_min: int, e_max: int,
         _, m = _split(root, man_bits)
         total += p * mitchell_delta_oracle(m / 2**man_bits)
     return total
+
+
+# ---------------------------------------------------------------------------
+# scalar bit-level reference evaluator
+# ---------------------------------------------------------------------------
+
+#: unit kinds of ScalarEvaluator's per-unit steps
+_INDICATOR, _PRODUCT, _SUM = range(3)
+
+
+def _magnitude(v) -> tuple[int, int, int]:
+    """Key that orders values exactly, without decoding; zero is least."""
+    return (0, 0, 0) if v.is_zero else (1, v.exponent, v.mantissa)
+
+
+class ScalarEvaluator:
+    """One unit and one row at a time through the scalar float ops.
+
+    Weights are quantized once with `encode`.  Each unit becomes one step
+    tuple, in children-first order: (_INDICATOR, var, value); (_PRODUCT,
+    first fold child, (child, is_aai) per fold step); or (_SUM, (child,
+    quantized weight, is_aai) per edge, None).  Returns what the package's
+    `CircuitEvaluator` returns for a single row.
+    """
+
+    def __init__(self, c, cfg, plan):
+        from aaipc.circuit import IndicatorUnit, ProductUnit
+        from aaipc.floats import CustomFloat, encode
+        from aaipc.inference import AAI
+
+        self.circuit = c
+        self.cfg = cfg
+        self.weight_quant_underflows = 0
+        self.weight_quant_overflows = 0
+        self._one = CustomFloat.one(cfg.man_bits)
+        self._zero = CustomFloat.zero(cfg.man_bits)
+        modes = plan.modes
+        self._steps: dict[int, tuple] = {}
+        for uid in c.order:
+            u = c.units[uid]
+            if isinstance(u, IndicatorUnit):
+                self._steps[uid] = (_INDICATOR, u.var, u.value)
+            elif isinstance(u, ProductUnit):
+                first, *rest = sorted(u.children)
+                self._steps[uid] = (_PRODUCT, first, tuple(
+                    (ch, modes[("p", uid, k)] == AAI) for k, ch in enumerate(rest)))
+            else:
+                edges = []
+                for i, (ch, w) in enumerate(zip(u.children, u.weights)):
+                    r = encode(w, cfg)
+                    self.weight_quant_underflows += r.underflowed
+                    self.weight_quant_overflows += r.overflowed
+                    edges.append((ch, r.value, modes[("w", uid, i)] == AAI))
+                self._steps[uid] = (_SUM, tuple(edges), None)
+
+    def _pass(self, steps: Iterable[tuple[int, tuple]], row: Sequence[Optional[int]],
+              reduce: Callable) -> tuple:
+        """Evaluate steps children first and return the root value with the
+        counts of saturating operations.  An indicator is one when its
+        variable's entry in row is None (unobserved) or equals its value;
+        each sum's weighted child terms go to reduce(uid, terms), which
+        returns the sum's value and the saturations it caused."""
+        from aaipc.floats import aai_mul, exact_mul
+
+        cfg, one, zero = self.cfg, self._one, self._zero
+        under = over = 0
+        val = {}
+        for uid, (kind, a, b) in steps:
+            if kind == _SUM:
+                terms = []
+                for ch, w, aai in a:
+                    r = aai_mul(w, val[ch], cfg) if aai else exact_mul(w, val[ch], cfg)
+                    under += r.underflowed
+                    over += r.overflowed
+                    terms.append(r.value)
+                acc, du, do = reduce(uid, terms)
+                under += du
+                over += do
+            elif kind == _PRODUCT:
+                acc = val[a]
+                for ch, aai in b:
+                    r = aai_mul(acc, val[ch], cfg) if aai else exact_mul(acc, val[ch], cfg)
+                    under += r.underflowed
+                    over += r.overflowed
+                    acc = r.value
+            else:
+                obs = row[a]
+                acc = one if obs is None or obs == b else zero
+            val[uid] = acc
+        return val[self.circuit.root], under, over
+
+    def mar(self, x):
+        from aaipc.floats import MultResult
+
+        root, under, over = self._pass(self._steps.items(), x, self._add_terms)
+        return (MultResult(root,
+                           under > 0 or self.weight_quant_underflows > 0,
+                           over > 0 or self.weight_quant_overflows > 0),
+                under, over)
+
+    def _add_terms(self, _uid, terms):
+        from aaipc.floats import exact_add
+
+        acc = self._zero
+        under = over = 0
+        for t in terms:
+            r = exact_add(acc, t, self.cfg)
+            under += r.underflowed
+            over += r.overflowed
+            acc = r.value
+        return acc, under, over
+
+    def map_query(self, evidence: Mapping[int, int]):
+        from aaipc.circuit import IndicatorUnit
+        from aaipc.floats import log2_value
+        from aaipc.inference import MapResult
+
+        c = self.circuit
+        trace: dict[int, int] = {}
+
+        def argmax(uid, terms):
+            # max keeps the first of equal keys: the lowest child index
+            trace[uid] = best = max(range(len(terms)), key=lambda i: _magnitude(terms[i]))
+            return terms[best], 0, 0
+
+        row = [evidence.get(v) for v in range(c.n_vars)]
+        root, under, over = self._pass(self._steps.items(), row, argmax)
+        assignment = np.full(c.n_vars, -1, dtype=np.int64)
+        for u in induced_tree_units(c, trace):
+            if isinstance(u, IndicatorUnit):
+                assignment[u.var] = u.value
+        return MapResult(assignment, log2_value(root), trace), under, over
+
+    def restricted_value(self, trace: Mapping[int, int], evidence: Mapping[int, int]):
+        c = self.circuit
+        steps = []
+        for u in reversed(list(induced_tree_units(c, trace))):
+            step = self._steps[u.id]
+            if step[0] == _SUM:  # keep only the traced edge
+                step = (_SUM, (step[1][trace[u.id]],), None)
+            steps.append((u.id, step))
+        row = [evidence.get(v) for v in range(c.n_vars)]
+        return self._pass(steps, row, lambda _uid, terms: (terms[0], 0, 0))[0]
+
+
+def induced_tree_units(c, trace: Mapping[int, int]):
+    """Units of the induced tree a MAP trace selects, depth first from the
+    root, every parent before its children."""
+    from aaipc.circuit import ProductUnit, SumUnit
+
+    stack = [c.root]
+    while stack:
+        u = c.units[stack.pop()]
+        yield u
+        if isinstance(u, ProductUnit):
+            stack.extend(u.children)
+        elif isinstance(u, SumUnit):
+            stack.append(u.children[trace[u.id]])

@@ -26,7 +26,6 @@ from aaipc.circuit import (
     parse_circuit,
     sample,
     validate,
-    weight_tree_mass,
 )
 
 from conftest import three_var_doc
@@ -121,6 +120,76 @@ class TestParse:
         # the error names the offending unit or variable
         with pytest.raises(CircuitFormatError, match=rf"{section[:-1]} {idx}\b"):
             parse_circuit(json.dumps(doc))
+
+
+#: keys every document part needs, by part
+REQUIRED = {"document": ("variables", "units", "root"), "variable": ("id", "cardinality"),
+            "sum": ("id", "type", "children", "weights"), "product": ("id", "type", "children"),
+            "indicator": ("id", "type", "var", "value")}
+
+#: values no integer field accepts
+NOT_INTS = st.one_of(st.floats(allow_nan=False), st.text(max_size=3), st.booleans(),
+                     st.none(), st.lists(st.integers(), max_size=2))
+
+#: values no weight accepts (numeric strings and ints parse as weights)
+NOT_WEIGHTS = st.one_of(st.booleans(), st.none(), st.sampled_from(["abc", "", "0x"]),
+                        st.lists(st.integers(), max_size=2), st.sampled_from(
+                            ["nan", "inf", "-inf", float("nan"), float("inf"), -float("inf")]))
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid generated document with one defect: a required key dropped,
+    a field retyped, a child id dangling or a weight made non-finite."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    c = (generate_random_det_pc(seed, draw(st.integers(1, 4))) if draw(st.booleans())
+         else generate_random_tree_pc(seed, draw(st.integers(2, 5)), 2, 2))
+    doc = json.loads(circuit_to_json(c))
+    units = doc["units"]
+    unit = draw(st.sampled_from(units))
+    inner = [u for u in units if u["type"] != "indicator"]
+    defect = draw(st.sampled_from(["drop", "retype", "dangle", "non-finite"]))
+    if defect == "drop":
+        part = draw(st.sampled_from([doc, draw(st.sampled_from(doc["variables"])), unit]))
+        kind = ("document" if part is doc else "variable" if "cardinality" in part
+                else part["type"])
+        del part[draw(st.sampled_from(REQUIRED[kind]))]
+    elif defect == "retype":
+        field = draw(st.sampled_from(["root", "cardinality", "unit", "child", "weight"]))
+        if field == "root":
+            doc["root"] = draw(NOT_INTS)
+        elif field == "cardinality":
+            draw(st.sampled_from(doc["variables"]))[draw(st.sampled_from(["id", "cardinality"]))] \
+                = draw(NOT_INTS)
+        elif field == "unit":
+            key = draw(st.sampled_from([k for k in unit if k not in ("children", "weights")]))
+            unit[key] = draw(NOT_INTS) if key != "type" else draw(st.sampled_from(["max", 3, None]))
+        else:
+            u = draw(st.sampled_from(inner))
+            key = "weights" if field == "weight" and u["type"] == "sum" else "children"
+            if draw(st.booleans()):
+                u[key] = draw(st.one_of(st.text(max_size=3), st.integers(), st.none()))
+            else:
+                u[key][draw(st.integers(0, len(u[key]) - 1))] = draw(
+                    NOT_WEIGHTS if key == "weights" else NOT_INTS)
+    elif defect == "dangle":
+        u = draw(st.sampled_from(inner))
+        u["children"][draw(st.integers(0, len(u["children"]) - 1))] = \
+            len(units) + draw(st.integers(0, 10))
+    else:
+        sums = [u for u in units if u["type"] == "sum"]
+        u = draw(st.sampled_from(sums))
+        u["weights"][draw(st.integers(0, len(u["weights"]) - 1))] = draw(st.sampled_from(
+            ["nan", "inf", "-inf", "NaN", "Infinity", float("inf"), float("nan")]))
+    return json.dumps(doc)
+
+
+class TestParseMutations:
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_documents())
+    def test_every_defect_is_rejected_at_parse_time(self, text):
+        with pytest.raises(CircuitFormatError):
+            parse_circuit(text)
 
 
 class TestValidate:
@@ -257,23 +326,25 @@ class TestTreeMass:
     def test_root_edges_equal_their_weights(self, three_var_distinct):
         c = three_var_distinct
         for i, w in enumerate(c.units[c.root].weights):
-            assert weight_tree_mass(c, (c.root, i)) == pytest.approx(w, abs=1e-15)
+            assert edge_masses(c)[(c.root, i)] == pytest.approx(w, abs=1e-15)
 
     def test_interior_edge_matches_tree_enumeration(self, three_var_distinct):
         c = three_var_distinct
+        masses = edge_masses(c)
         for edge in c.weight_edges():
-            assert weight_tree_mass(c, edge) == pytest.approx(
+            assert masses[edge] == pytest.approx(
                 tree_mass_oracle(c, edge), abs=1e-12)
 
     def test_random_circuit_matches_tree_enumeration(self):
         c = generate_random_tree_pc(seed=3, n_vars=4, depth=2, sum_fanout=2)
+        masses = edge_masses(c)
         for edge in c.weight_edges():
-            assert weight_tree_mass(c, edge) == pytest.approx(
+            assert masses[edge] == pytest.approx(
                 tree_mass_oracle(c, edge), abs=1e-12)
 
     def test_zero_weight_edge_has_zero_mass(self):
         c = toy_sum_over_indicators(weights=(0.0, 1.0))
-        assert weight_tree_mass(c, (2, 0)) == 0.0
+        assert edge_masses(c)[(2, 0)] == 0.0
 
     def test_per_sum_masses_total_to_flow_above(self, three_var_distinct):
         c = three_var_distinct
@@ -281,12 +352,6 @@ class TestTreeMass:
         # interior sum 13 is fed by root children 0 and 1
         w = c.units[c.root].weights
         assert sum(masses[(13, i)] for i in range(2)) == pytest.approx(w[0] + w[1], abs=1e-12)
-
-    def test_rejects_non_edges(self, three_var_circuit):
-        with pytest.raises(ValueError):
-            weight_tree_mass(three_var_circuit, (9, 0))  # product unit
-        with pytest.raises(ValueError):
-            weight_tree_mass(three_var_circuit, (18, 5))  # index out of range
 
 
 class TestMinPositiveValue:

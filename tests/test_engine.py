@@ -1,0 +1,333 @@
+"""The batched, levelized evaluator against the scalar bit-level reference
+(`oracles.ScalarEvaluator`) and the rational oracle (`oracles.reference_eval`)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aaipc import inference
+from aaipc.circuit import (
+    Circuit,
+    IndicatorUnit,
+    ProductUnit,
+    SumUnit,
+    Variable,
+    generate_random_det_pc,
+    generate_random_tree_pc,
+    sample,
+)
+from aaipc.floats import (
+    FLOAT64,
+    TOWARD_ZERO,
+    FloatConfig,
+    CustomFloat,
+    aai_mul,
+    decode_fraction,
+    encode,
+    exact_add,
+    exact_mul,
+    from_bits,
+)
+from aaipc.inference import (
+    AAI,
+    EXACT,
+    CircuitEvaluator,
+    MultiplierPlan,
+    _IEEEWords,
+    _IntWords,
+    _LeavesIEEE,
+    _word_kind,
+    enumerate_sites,
+)
+
+from oracles import ScalarEvaluator, reference_eval
+
+#: one config per word kind and rounding, and two that saturate: (3, 3)
+#: underflows below 2**-3, and bias 8 puts every value from 2**-1 up into
+#: overflow
+CONFIGS = [
+    FloatConfig(8, 10),                         # int32
+    FloatConfig(8, 12, rounding=TOWARD_ZERO),   # int32
+    FloatConfig(4, 0),                          # int32, no rounding bits
+    FloatConfig(3, 3),                          # int32, underflow
+    FloatConfig(3, 4, bias=8),                  # int32, overflow
+    FloatConfig(6, 20),                         # int64
+    FloatConfig(6, 29, rounding=TOWARD_ZERO),   # int64, the widest
+    FloatConfig(6, 30),                         # Python ints
+    FloatConfig(11, 40),                        # Python ints
+    FLOAT64,                                    # IEEE doubles
+]
+
+
+def with_equal_weights(c: Circuit) -> Circuit:
+    """The same structure with every sum's weights equal, so MAP ties."""
+    units = [SumUnit(u.id, u.children, (1 / len(u.children),) * len(u.children))
+             if isinstance(u, SumUnit) else u for u in c.units.values()]
+    return Circuit(c.variables, units, c.root)
+
+
+@st.composite
+def cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        n_vars = draw(st.integers(2, 6))
+        c = generate_random_tree_pc(seed, n_vars, draw(st.integers(1, 2)),
+                                    draw(st.integers(2, 3)))
+    else:
+        c = generate_random_det_pc(seed, draw(st.integers(1, 5)))
+    if draw(st.booleans()):
+        c = with_equal_weights(c)
+    cfg = draw(st.sampled_from(CONFIGS))
+    rng = np.random.default_rng(seed)
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    plan = MultiplierPlan({s: AAI if rng.random() < share else EXACT
+                           for s in enumerate_sites(c)})
+    rows = sample(c, seed, draw(st.integers(1, 12)))
+    hidden = rows.copy()
+    hidden[rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -1
+    return c, cfg, plan, rows, hidden
+
+
+def evidence_of(row) -> dict[int, int]:
+    return {v: int(x) for v, x in enumerate(row) if x >= 0}
+
+
+class TestAgainstScalarReference:
+    @settings(max_examples=120, deadline=None)
+    @given(cases())
+    def test_mar_words_and_counts(self, case):
+        c, cfg, plan, rows, _ = case
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        assert (ev.weight_quant_underflows, ev.weight_quant_overflows) == \
+            (ref.weight_quant_underflows, ref.weight_quant_overflows)
+        results, under, over = ev.mar(rows)
+        for x, got, u, o in zip(rows, results, under, over):
+            assert (got, u, o) == ref.mar(x)
+            assert ev.mar(x) == (got, u, o)
+
+    @settings(max_examples=120, deadline=None)
+    @given(cases())
+    def test_map_assignment_trace_score_and_restricted_value(self, case):
+        c, cfg, plan, _, hidden = case
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        results, under, over = ev.map_query(hidden)
+        values = ev.restricted_value([r.trace for r in results], hidden)
+        for row, got, u, o, value in zip(hidden, results, under, over, values):
+            evidence = evidence_of(row)
+            want, want_u, want_o = ref.map_query(evidence)
+            assert got.assignment.tolist() == want.assignment.tolist()
+            assert dict(got.trace) == want.trace
+            assert got.log2_value == want.log2_value
+            assert (u, o) == (want_u, want_o)
+            assert value == ref.restricted_value(want.trace, evidence)
+            assert ev.restricted_value(want.trace, evidence) == value
+            one, _, _ = ev.map_query(evidence)
+            assert one.assignment.tolist() == got.assignment.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases(), st.integers(1, 40))
+    def test_chunked_batches_match_one_chunk(self, case, cells):
+        c, cfg, plan, rows, hidden = case
+        ev = CircuitEvaluator(c, cfg, plan)
+        whole = ev.mar(rows), ev.map_query(hidden)
+        try:
+            inference.CHUNK_CELLS = cells * len(c.units)
+            parts = ev.mar(rows), ev.map_query(hidden)
+        finally:
+            inference.CHUNK_CELLS = 1 << 19
+        assert whole[0][0] == parts[0][0]
+        assert [r.assignment.tolist() for r in whole[1][0]] == \
+            [r.assignment.tolist() for r in parts[1][0]]
+        for a, b in zip(whole, parts):
+            assert a[1].tolist() == b[1].tolist() and a[2].tolist() == b[2].tolist()
+
+
+class TestAgainstRationalOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), aai=st.booleans(), toward_zero=st.booleans(),
+           man_bits=st.sampled_from([10, 12, 20, 40]))
+    def test_mar_equals_reference_eval(self, seed, aai, toward_zero, man_bits):
+        c = generate_random_tree_pc(seed, 5, 2, 3)
+        cfg = FloatConfig(8, man_bits, rounding=TOWARD_ZERO if toward_zero else "nearest-even")
+        plan = MultiplierPlan.all_aai(c) if aai else MultiplierPlan.all_exact(c)
+        results, _, _ = CircuitEvaluator(c, cfg, plan).mar(sample(c, seed, 8))
+        for x, got in zip(sample(c, seed, 8), results):
+            want = reference_eval(c, x, man_bits, cfg.e_min, cfg.e_max, aai=aai,
+                                  toward_zero=toward_zero)
+            assert decode_fraction(got.value) == want
+
+
+def value_of(word: int, cfg: FloatConfig) -> CustomFloat:
+    """The value of an engine word: -1 is zero, every other word a value."""
+    if word < 0:
+        return CustomFloat.zero(cfg.man_bits)
+    return CustomFloat(False, (word >> cfg.man_bits) - cfg.bias,
+                       word & (cfg.man_scale - 1), cfg.man_bits)
+
+
+class TestWordOps:
+    @pytest.mark.parametrize("cfg", [
+        FloatConfig(3, 3), FloatConfig(3, 3, rounding=TOWARD_ZERO), FloatConfig(3, 0),
+        FloatConfig(2, 4, rounding=TOWARD_ZERO), FloatConfig(3, 2, bias=5)], ids=str)
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
+    def test_every_word_pair_matches_the_scalar_ops(self, cfg, dtype):
+        words = np.arange(-1, cfg.max_word + 1)
+        a, b = (w.reshape(-1, 1).astype(dtype) for w in np.meshgrid(words, words))
+        for op, scalar in (("aai", aai_mul), ("exact", exact_mul), ("add", exact_add)):
+            ar = _IntWords(cfg, np.dtype(dtype), 1)
+            got = getattr(ar, op)(a, b).ravel().tolist()
+            want = [scalar(value_of(x, cfg), value_of(y, cfg), cfg)
+                    for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+            assert [value_of(w, cfg) for w in got] == [r.value for r in want]
+            assert int(ar.under[0]) == sum(r.underflowed for r in want)
+            assert int(ar.over[0]) == sum(r.overflowed for r in want)
+
+
+def chain_of_tiny_sums(n_vars: int, tiny: float) -> Circuit:
+    """A product over n_vars sums that each give weight `tiny` to value 0."""
+    units, kids = [], []
+    for v in range(n_vars):
+        base = 3 * v
+        units += [IndicatorUnit(base, v, 0), IndicatorUnit(base + 1, v, 1),
+                  SumUnit(base + 2, (base, base + 1), (tiny, 1.0 - tiny))]
+        kids.append(base + 2)
+    units.append(ProductUnit(3 * n_vars, tuple(kids)))
+    return Circuit([Variable(v, 2) for v in range(n_vars)], units, 3 * n_vars)
+
+
+class TestWordKinds:
+    @pytest.mark.parametrize("cfg, kind", [
+        (FloatConfig(8, 10), np.int32), (FloatConfig(8, 13), np.int32),
+        (FloatConfig(8, 14), np.int64), (FloatConfig(30, 10), np.int64),
+        (FloatConfig(6, 29), np.int64), (FloatConfig(6, 30), object),
+        (FloatConfig(11, 40), object), (FloatConfig(11, 52, rounding=TOWARD_ZERO), object),
+        (FLOAT64, "ieee"),
+    ])
+    def test_narrowest_words_that_hold_every_intermediate(self, cfg, kind):
+        assert _word_kind(cfg) == kind
+
+    def test_float64_below_min_normal_reruns_on_integer_words(self):
+        # w * w = 1.125 * 2**-1023 is an IEEE subnormal but a normal value of
+        # this format (e_min = -1023); w**3 underflows both
+        c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
+        rows = np.array([[0, 0, 1, 1], [1, 1, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
+        for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+            ev, ref = CircuitEvaluator(c, FLOAT64, plan), ScalarEvaluator(c, FLOAT64, plan)
+            assert ev._kind == "ieee"
+            with pytest.raises(_LeavesIEEE):
+                ev._pass(_IEEEWords(len(rows)), ev._w, rows, inference._MAR, None)
+            results, under, over = ev.mar(rows)
+            assert [(r, u, o) for r, u, o in zip(results, under, over)] == \
+                [ref.mar(x) for x in rows]
+            assert results[0].value.exponent == -1023 and under[0] == 0
+            assert under[2] > 0 and results[2].value.is_zero
+            got, _, _ = ev.map_query(rows)
+            assert [g.log2_value for g in got] == \
+                [ref.map_query(evidence_of(x))[0].log2_value for x in rows]
+
+    def test_float64_product_that_ieee_rounds_up_to_min_normal(self):
+        # (1 - 2**-53) * 2**-1022 is a normal value of this format; as an IEEE
+        # subnormal it is a tie that rounds up to 2**-1022 itself
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 1, 0),
+                 IndicatorUnit(3, 1, 1), SumUnit(4, (0, 1), (1 - 2.0 ** -53, 2.0 ** -53)),
+                 SumUnit(5, (2, 3), (2.0 ** -1022, 1.0)), ProductUnit(6, (4, 5))]
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, 6)
+        plan = MultiplierPlan.all_exact(c)
+        got, _, _ = CircuitEvaluator(c, FLOAT64, plan).mar([0, 0])
+        assert got == ScalarEvaluator(c, FLOAT64, plan).mar([0, 0])[0]
+        assert got.value == CustomFloat(False, -1023, (1 << 52) - 1, 52)
+
+    def test_float64_with_a_subnormal_weight_uses_integer_words(self):
+        c = chain_of_tiny_sums(2, 2.0 ** -1023)
+        ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
+        ref = ScalarEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
+        assert ev._kind == np.dtype(object)
+        for x in ([0, 1], [1, 1], [0, 0]):
+            assert ev.mar(x) == ref.mar(x)
+
+    @pytest.mark.parametrize("cfg", [FloatConfig(3, 3), FloatConfig(3, 4, bias=8)])
+    def test_saturation_counts_match_at_both_ends(self, cfg):
+        c = generate_random_tree_pc(3, 6, 2, 3)
+        rows = sample(c, 3, 16)
+        for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+            ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+            _, under, over = ev.mar(rows)
+            assert (under + over).sum() > 0
+            assert [(u, o) for u, o in zip(under, over)] == \
+                [ref.mar(x)[1:] for x in rows]
+
+
+class TestZeroWordCollision:
+    def test_engine_keeps_the_smallest_value_apart_from_zero(self):
+        # aai of words 1 and (bias << M) - 1 is min_positive, pattern 0
+        cfg = FloatConfig(8, 10)
+        lo, hi = from_bits(1, cfg), from_bits((cfg.bias << cfg.man_bits) - 1, cfg)
+        w_lo, w_hi = float(decode_fraction(lo)), float(decode_fraction(hi))
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1),
+                 SumUnit(2, (0, 1), (w_lo, 1.0 - w_lo)),
+                 SumUnit(3, (2, 1), (w_hi, 1.0 - w_hi))]
+        c = Circuit([Variable(0, 2)], units, 3)
+        plan = MultiplierPlan.from_aai_weight_sites(c, [(3, 0)])
+        assert encode(w_lo, cfg).value == lo and encode(w_hi, cfg).value == hi
+        result, under, over = CircuitEvaluator(c, cfg, plan).mar([0])
+        want = aai_mul(hi, lo, cfg)
+        assert want.value == cfg.min_positive() and not want.underflowed
+        assert result.value == want.value and (under, over) == (0, 0)
+        assert not result.underflowed
+
+
+class TestCaches:
+    def test_compiled_once_per_circuit_and_masks_once_per_plan(self):
+        c = generate_random_det_pc(0, 4)
+        plan = MultiplierPlan.all_aai(c)
+        a = CircuitEvaluator(c, FloatConfig(8, 10), plan)
+        b = CircuitEvaluator(c, FloatConfig(8, 10), plan)
+        assert a._comp is b._comp is c._compiled
+        assert plan._mask(c) is plan._mask(c)
+        assert a._w.base is b._w.base
+        assert MultiplierPlan.all_aai(c) is plan
+
+    def test_plan_modes_are_read_only_copies(self):
+        c = generate_random_det_pc(0, 3)
+        modes = dict.fromkeys(enumerate_sites(c), EXACT)
+        plan = MultiplierPlan(modes)
+        modes[next(iter(modes))] = AAI
+        assert AAI not in plan.modes.values()
+        with pytest.raises(TypeError):
+            plan.modes[next(iter(modes))] = AAI
+
+
+class TestBatchInterface:
+    def test_restricted_value_takes_plain_dict_traces(self):
+        c = generate_random_tree_pc(4, 6, 2, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        rows = sample(c, 4, 5)
+        results, _, _ = ev.map_query(rows)
+        assert ev.restricted_value([dict(r.trace) for r in results], rows) == \
+            ev.restricted_value([r.trace for r in results], rows)
+
+    def test_trace_naming_a_missing_edge_is_rejected(self):
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        res, _, _ = ev.map_query({})
+        bad = {**res.trace, c.root: 2}
+        with pytest.raises(ValueError, match="edge"):
+            ev.restricted_value(bad, {})
+
+    @pytest.mark.parametrize("cfg", [FloatConfig(8, 10), FloatConfig(11, 40), FLOAT64], ids=str)
+    def test_empty_batch(self, cfg):
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, cfg, MultiplierPlan.all_aai(c))
+        none = np.zeros((0, 3), dtype=np.int64)
+        for results, under, over in (ev.mar(none), ev.map_query(none)):
+            assert results == [] and len(under) == len(over) == 0
+        assert ev.restricted_value([], none) == []
+
+    def test_one_trace_per_row(self):
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        rows = sample(c, 0, 3)
+        results, _, _ = ev.map_query(rows)
+        with pytest.raises(ValueError, match="2 traces for 3 rows"):
+            ev.restricted_value([r.trace for r in results[:2]], rows)

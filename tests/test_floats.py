@@ -19,6 +19,7 @@ from aaipc.floats import (
     decode,
     decode_fraction,
     encode,
+    encode_words,
     exact_add,
     exact_mul,
     from_bits,
@@ -392,6 +393,80 @@ class TestBitPatterns:
         assert aai_mul_bits(small, small, CFG_5_10) == 0
         hi = to_bits(CFG_5_10.max_value(), CFG_5_10)
         assert aai_mul_bits(hi, hi, CFG_5_10) == CFG_5_10.max_word
+
+
+class TestZeroWordCollision:
+    """to_bits gives min_positive the reserved zero word; the bit API keeps
+    that collision, and aai_mul and aai_mul_bits part ways on it."""
+
+    @pytest.mark.parametrize("cfg", [CFG_5_10, FloatConfig(8, 10), FloatConfig(4, 0)])
+    def test_smallest_value_and_zero_share_a_word(self, cfg):
+        assert to_bits(cfg.min_positive(), cfg) == 0 == to_bits(CustomFloat.zero(cfg.man_bits), cfg)
+        assert from_bits(0, cfg).is_zero
+
+    @pytest.mark.parametrize("cfg", [CFG_5_10, FloatConfig(8, 10)])
+    def test_aai_mul_keeps_the_value_aai_mul_bits_returns_the_zero_word(self, cfg):
+        # biased exponents 0 + (bias - 1) and mantissas 1 + (2**M - 1) carry
+        # to exactly the bias word: the product is min_positive
+        a_bits, b_bits = 1, (cfg.bias << cfg.man_bits) - 1
+        r = aai_mul(from_bits(a_bits, cfg), from_bits(b_bits, cfg), cfg)
+        assert r.value == cfg.min_positive()
+        assert not r.underflowed and not r.overflowed
+        assert aai_mul_bits(a_bits, b_bits, cfg) == 0
+
+
+#: configurations the array encoder is checked at: the benchmark's, both
+#: roundings, the widest and M = 0
+ENCODE_CONFIGS = [FloatConfig(8, 10), FloatConfig(8, 12, rounding=TOWARD_ZERO),
+                  FloatConfig(11, 40), FloatConfig(11, 52), FloatConfig(5, 10),
+                  FloatConfig(8, 20), FloatConfig(4, 0), FloatConfig(4, 0, rounding=TOWARD_ZERO),
+                  FloatConfig(2, 61), FloatConfig(3, 4, bias=9)]
+
+
+def scalar_words(xs, cfg):
+    results = [encode(float(x), cfg) for x in xs]
+    words = [-1 if r.value.is_zero else to_bits(r.value, cfg) for r in results]
+    return words, sum(r.underflowed for r in results), sum(r.overflowed for r in results)
+
+
+class TestEncodeWords:
+    @pytest.mark.parametrize("cfg", ENCODE_CONFIGS, ids=str)
+    def test_matches_scalar_encode_on_edge_values(self, cfg):
+        m = cfg.man_bits
+        ties = [math.ldexp(1 + (2 * k + 1) / 2 ** (m + 1), e)
+                for k in (0, 1, 2, 5) for e in (-3, 0, 2) if m < 52]
+        subnormals = [5e-324, 2 ** -1074 * 3, 2 ** -1023, 2 ** -1022 * 0.75,
+                      2 ** -1022 - 2 ** -1074]
+        edges = [0.0, 1.0, 0.75, 0.1, 1 / 3, 2 ** -1022, 1e300, 1.7976931348623157e308,
+                 0.99999999] + [math.ldexp(f, e) for f, e in (
+                     (1.0, cfg.e_min), (1.0, cfg.e_min - 1), (1.0, cfg.e_max),
+                     (1.99, cfg.e_max)) if -1075 < e < 1023]
+        xs = ties + subnormals + edges
+        words, under, over = encode_words(np.array(xs), cfg)
+        assert (words.tolist(), under, over) == scalar_words(xs, cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=st.sampled_from(ENCODE_CONFIGS),
+           xs=st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=1, max_size=20))
+    def test_matches_scalar_encode_on_any_doubles(self, cfg, xs):
+        words, under, over = encode_words(np.array(xs), cfg)
+        assert (words.tolist(), under, over) == scalar_words(xs, cfg)
+
+    def test_rejects_negative_and_non_finite(self):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                encode_words(np.array([0.5, bad]), CFG_5_10)
+
+
+class TestEncodeInputTypes:
+    def test_ints_numpy_scalars_and_fractions_agree_with_floats(self):
+        cfg = FloatConfig(8, 10)
+        for x in (0, 1, 3, 7, 12345):
+            want = encode(float(x), cfg)
+            assert encode(x, cfg) == want
+            assert encode(np.int64(x), cfg) == want
+            assert encode(Fraction(x), cfg) == want
+        assert encode(np.float64(0.3), cfg) == encode(0.3, cfg)
 
 
 class TestLog2Value:
