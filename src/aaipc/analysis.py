@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -159,6 +160,19 @@ def kl_bruteforce(c: Circuit, cfg: FloatConfig) -> float:
     return total
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, or a ValueError naming the argument: a float would
+    be truncated and a bool read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+#: max over u in [0, 1] of log2(1 + u) - u, 0.086071... at u = 1/ln 2 - 1
+#: (Mitchell, 1962), rounded up
+MITCHELL_MAX = 0.0861
+
+
 def map_failure_prob(delta_e: int, n_mults_per_branch: int = 1,
                      n_samples: int = 100_000, seed: int = 0) -> FailureEstimate:
     """Probability that the approximate scores reorder two MAP branches.
@@ -169,21 +183,31 @@ def map_failure_prob(delta_e: int, n_mults_per_branch: int = 1,
     zero).  Mantissas are drawn uniformly on [0, 1).  When delta_e is at
     least twice the per-branch multiplication count, the mantissa terms can
     never overcome the exponent gap and the probability is exactly zero.
+
+    Each mantissa term's exact log exceeds its approximation by at most
+    MITCHELL_MAX, so the two differences part by at most 2n MITCHELL_MAX;
+    a sample whose approximate difference lies farther from zero than that
+    cannot fail, and only the others take logs.
     """
-    delta_e = abs(int(delta_e))
-    if n_mults_per_branch < 1:
+    delta_e = abs(_integer("delta_e", delta_e))
+    n = _integer("n_mults_per_branch", n_mults_per_branch)
+    n_samples = _integer("n_samples", n_samples)
+    if n < 1:
         raise ValueError("n_mults_per_branch must be >= 1")
     if n_samples < 10_000:
         raise ValueError("need at least 10^4 samples")
-    if delta_e >= 2 * n_mults_per_branch:
-        return FailureEstimate(delta_e, n_mults_per_branch, 0.0, 0.0)
+    if delta_e >= 2 * n:
+        return FailureEstimate(delta_e, n, 0.0, 0.0)
     rng = np.random.default_rng(seed)
+    signs = np.tile([1.0, 1.0, -1.0, -1.0], n)
+    margin = MITCHELL_MAX * 2 * n + 1e-6  # 1e-6 covers the sums' rounding
     fails = 0
     chunk = 1 << 16
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        u = rng.random((m, n_mults_per_branch, 4))
+        u = rng.random((m, n, 4))
+        u = u[np.abs(delta_e + u.reshape(m, 4 * n) @ signs) <= margin]
         exact = np.log2(1.0 + u)
         d_exact = delta_e + np.sum(exact[:, :, 0] + exact[:, :, 1]
                                    - exact[:, :, 2] - exact[:, :, 3], axis=1)
@@ -193,4 +217,4 @@ def map_failure_prob(delta_e: int, n_mults_per_branch: int = 1,
         done += m
     p = fails / n_samples
     se = math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-    return FailureEstimate(delta_e, n_mults_per_branch, p, se)
+    return FailureEstimate(delta_e, n, p, se)

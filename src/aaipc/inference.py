@@ -13,9 +13,12 @@ and one column per query row.  Products fold their children in id order,
 padded with the word for one; sums fold their edges in `children` order,
 padded with zero-weight edges; padding never saturates.  Values are words:
 
-- bit patterns (biased exponent, then mantissa) in int32 or int64 when every
-  intermediate fits (M <= 13 or M <= 29), with zero as -1, out of band, so
-  the smallest value (pattern 0) stays apart and word order is value order;
+- bit patterns (biased exponent, then mantissa) with zero as -1, out of
+  band, so the smallest value (pattern 0) stays apart and word order is value
+  order: in int32 where every intermediate fits (M <= 13), in int64 up to
+  M = 40 (E + M <= 61), where past M = 29 the exact product and add keep the
+  bits that decide the rounding and fold the rest into a sticky bit (the
+  analysis config (11, 40) runs there);
 - the same patterns as Python ints in object arrays for wider formats;
 - IEEE doubles for FLOAT64, whose exact ops are IEEE ops.  A product at or
   below 2**-1022, where IEEE subnormals part from this format, makes the
@@ -55,11 +58,11 @@ def enumerate_sites(c: Circuit) -> list[Site]:
 @dataclass(frozen=True)
 class MultiplierPlan:
     """Mode assignment covering every multiplication site exactly once; a
-    read-only copy, so its AAI mask is cached per compiled circuit."""
+    read-only copy, so its per-level modes are cached per compiled circuit."""
 
     modes: Mapping[Site, str]
-    _masks: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
-                                      repr=False, compare=False)
+    _levels: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", MappingProxyType(dict(self.modes)))
@@ -102,16 +105,22 @@ class MultiplierPlan:
                              f"missing {sorted(expected - got)[:4]}, "
                              f"extra {sorted(got - expected)[:4]}")
 
-    def _mask(self, c: Circuit) -> np.ndarray:
-        """AAI flag per slot of the compiled circuit (padding slots exact)."""
+    def _modes(self, c: Circuit) -> list:
+        """Per level of the compiled circuit, how each product fold step and
+        how the sum edges multiply (`_split` of the AAI flags per slot)."""
         comp = _compile(c)
-        if comp not in self._masks:
+        if comp not in self._levels:
             if len(self.modes) != len(comp.slot_sites) or \
                     not all(map(self.modes.__contains__, comp.slot_sites)):
                 self.check_covers(c)  # raises, naming the missing and extra sites
-            mask = self._masks[comp] = np.zeros(comp.n_slots, dtype=bool)
+            mask = np.zeros(comp.n_slots, dtype=bool)  # padding slots exact
             mask[comp.slot_index] = [self.modes[s] == AAI for s in comp.slot_sites]
-        return self._masks[comp]
+            self._levels[comp] = [
+                ([_split(m) for m in mask[lev.pslot:lev.pslot + lev.pch.size]
+                  .reshape(lev.pch.shape)[1:]],
+                 _split(mask[lev.sslot:lev.sslot + lev.sch.size]))
+                for lev in comp.levels]
+        return self._levels[comp]
 
 
 @dataclass(frozen=True)
@@ -239,11 +248,30 @@ def _compile(c: Circuit) -> _Compiled:
     return c._compiled
 
 
+def _widths(man_bits: int, dtype) -> tuple[int, int]:
+    """(k, g) for M-bit significands in words of the given dtype, of 31 or
+    63 value bits: the exact product drops the k low bits of its low partial
+    product into a sticky bit, k = max(0, 2M+3 - value bits), and the add
+    aligns with g guard bits, M+2 where the aligned sum's 2M+5 bits fit
+    (lossless), else 3 and a sticky bit."""
+    if dtype == object:
+        return 0, man_bits + 2
+    bits = np.iinfo(dtype).bits - 1
+    return (max(0, 2 * man_bits + 3 - bits),
+            man_bits + 2 if 2 * man_bits + 5 <= bits else 3)
+
+
 class _IntWords:
     """The float ops on words with -1 for zero, over int32, int64 or Python
     int arrays.  Every shift but the add's alignment is by a constant, and a
     rounding carry out of the significand lands in the exponent field.  A
-    saturating result adds one to its column of `under` or `over`."""
+    saturating result adds one to its column of `under` or `over`.
+
+    Where the word cannot hold the full significand product or aligned sum,
+    the rounding ops keep the bits that decide the rounding and fold the rest
+    into a sticky bit at bit 0, at least two places below the round bit: the
+    product's k low bits, and the add's lower operand past g guard bits
+    (`_widths`).  Where it can (k = 0, g = M+2), no bit is folded."""
 
     def __init__(self, cfg: FloatConfig, dtype, n_rows: int):
         if cfg.bias < 0:
@@ -252,6 +280,7 @@ class _IntWords:
         self.mm, self.scale = cfg.man_scale - 1, cfg.man_scale
         self.one, self.zero = cfg.bias << cfg.man_bits, -1
         self.nearest = cfg.rounding == NEAREST_EVEN
+        self.k, self.g = _widths(cfg.man_bits, dtype)
         self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
 
     def aai(self, a, b):
@@ -259,30 +288,50 @@ class _IntWords:
         return self._saturate(a + b - self.one, (a < 0) | (b < 0))
 
     def exact(self, a, b):
-        """Significand product, normalised to 2M+2 bits, rounded once."""
-        m = self.m
-        wide = ((a & self.mm) | self.scale) * ((b & self.mm) | self.scale)
-        carry = wide >> (2 * m + 1)
+        """Significand product over 2**k, normalised to 2M+2-k bits, rounded
+        once."""
+        m, k = self.m, self.k
+        wide = self._product((a & self.mm) | self.scale, (b & self.mm) | self.scale)
+        carry = wide >> (2 * m + 1 - k)
         wide = wide * (2 - carry)
         if self.nearest:  # add just under half an ulp, plus the kept parity bit
-            wide = wide + (wide >> (m + 1) & 1) + ((1 << m) - 1)
-        r = (((a >> m) + (b >> m) + carry) << m) + (wide >> (m + 1)) - self.one - self.scale
+            wide = wide + (wide >> (m + 1 - k) & 1) + ((1 << (m - k)) - 1)
+        r = (((a >> m) + (b >> m) + carry) << m) + (wide >> (m + 1 - k)) - self.one - self.scale
         return self._saturate(r, (a < 0) | (b < 0))
 
     def add(self, a, b):
-        """Aligned significand sum, normalised to 2M+4 bits, rounded once;
-        an operand M+2 or more binades below the other cannot change it."""
-        m = self.m
+        """Significand sum aligned to g guard bits, normalised to M+g+2 bits,
+        rounded once; an operand M+2 or more binades below the other cannot
+        change it."""
+        m, g = self.m, self.g
         hi, lo = np.maximum(a, b), np.minimum(a, b)
         d = np.minimum((hi >> m) - (lo >> m), m + 2)
-        wide = ((((hi & self.mm) | self.scale) << (m + 2))
-                + (((lo & self.mm) | self.scale) << (m + 2 - d)))
-        carry = wide >> (2 * m + 3)
+        wide = (((hi & self.mm) | self.scale) << g) + self._align((lo & self.mm) | self.scale, d)
+        carry = wide >> (m + g + 1)
         wide = wide * (2 - carry)
         if self.nearest:
-            wide = wide + (wide >> (m + 3) & 1) + ((1 << (m + 2)) - 1)
-        r = (((hi >> m) + carry) << m) + (wide >> (m + 3)) - self.scale
+            wide = wide + (wide >> (g + 1) & 1) + ((1 << g) - 1)
+        r = (((hi >> m) + carry) << m) + (wide >> (g + 1)) - self.scale
         return self._saturate(np.where((d > m + 1) | (lo < 0), hi, r))
+
+    def _product(self, sa, sb):
+        """sa * sb over 2**k: with k > 0, the k low bits of the low partial
+        product fold into bit 0."""
+        k = self.k
+        if not k:
+            return sa * sb
+        low = sa * (sb & ((1 << k) - 1))
+        return sa * (sb >> k) + (low >> k) | ((low & ((1 << k) - 1)) != 0)
+
+    def _align(self, s, d):
+        """s with g guard bits, d binades down: with g < M+2, the bits
+        shifted out fold into bit 0."""
+        g = self.g
+        if g == self.m + 2:
+            return s << (g - d)
+        s = s << g
+        r = s >> d
+        return r | ((r << d) != s)
 
     def _saturate(self, r, zero=None):
         """Count and saturate out-of-range words; zero marks the results of
@@ -336,13 +385,18 @@ class _IEEEWords:
 
 
 def _word_kind(cfg: FloatConfig):
-    """The narrowest words that hold every intermediate of cfg's ops: the
-    normalised sum needs 2M+5 bits, a sum of two words E+M+2."""
+    """The words cfg's ops run on.  A sum of two words needs E+M+2 bits.
+    int32 only where both rounding ops are lossless (k = 0, g = M+2: the
+    aligned sum needs 2M+5 bits), as the sticky forms cost time there; int64
+    also where the product's low partial product, of M+1+k bits, fits in 62
+    bits (M <= 40); Python ints for the rest."""
     if cfg == FLOAT64:
         return "ieee"
-    for dtype, bits in ((np.int32, 31), (np.int64, 63)):
-        if 2 * cfg.man_bits + 5 <= bits and cfg.exp_bits + cfg.man_bits + 2 <= bits:
-            return np.dtype(dtype)
+    m, e = cfg.man_bits, cfg.exp_bits
+    if e + m + 2 <= 31 and _widths(m, np.int32) == (0, m + 2):
+        return np.dtype(np.int32)
+    if e + m + 2 <= 63 and m + 1 + _widths(m, np.int64)[0] <= 62:
+        return np.dtype(np.int64)
     return np.dtype(object)
 
 
@@ -369,9 +423,10 @@ _MAR, _MAP, _PICK = range(3)
 class CircuitEvaluator:
     """Reusable evaluation state for one (circuit, config, plan) triple: a
     handle over the compiled circuit, the weight words for cfg (cached with
-    it) and the plan's AAI mask (cached on the plan), so that building one
-    does no per-unit work.  Weights are quantized once, per cfg.rounding;
-    under toward-zero this keeps the one-sided underestimation end to end.
+    it) and the plan's per-level modes (cached on the plan), so that
+    building one does no per-unit or per-level work.  Weights are quantized
+    once, per cfg.rounding; under toward-zero this keeps the one-sided
+    underestimation end to end.
 
     `mar`, `map_query` and `restricted_value` take one row (a sequence, or a
     {variable: value} mapping) or a 2-D batch of rows, and then return one
@@ -384,18 +439,13 @@ class CircuitEvaluator:
         self.cfg = cfg
         self.plan = plan
         self._comp = comp = _compile(c)
-        mask = plan._mask(c)
+        self._modes = plan._modes(c)
         self._kind = _word_kind(cfg)
         if self._kind == "ieee" and ((comp.weights > 0) & (comp.weights < _TINY)).any():
             self._kind = np.dtype(object)
         w, self.weight_quant_underflows, self.weight_quant_overflows = \
             comp.weight_words(cfg, self._kind)
         self._w = w[:, np.newaxis]
-        # per level: how each product fold step, and how the sum edges, multiply
-        self._modes = [([_split(m) for m in mask[lev.pslot:lev.pslot + lev.pch.size]
-                         .reshape(lev.pch.shape)[1:]],
-                        _split(mask[lev.sslot:lev.sslot + lev.sch.size]))
-                       for lev in comp.levels]
 
     def _pass(self, ar, w, rows: np.ndarray, mode: int, picks: Optional[np.ndarray]):
         """Evaluate a chunk of rows, children first, one level at a time;

@@ -384,3 +384,23 @@ def induced_tree_units(c, trace: Mapping[int, int]):
             stack.extend(u.children)
         elif isinstance(u, SumUnit):
             stack.append(u.children[trace[u.id]])
+
+
+def map_failure_oracle(delta_e: int, n_mults_per_branch: int, n_samples: int,
+                       seed: int) -> int:
+    """Failures among `analysis.map_failure_prob`'s samples, counted by
+    taking the logs of every sample: the same draws, no screen."""
+    delta_e = abs(delta_e)
+    rng = np.random.default_rng(seed)
+    fails = done = 0
+    while done < n_samples:
+        m = min(1 << 16, n_samples - done)
+        u = rng.random((m, n_mults_per_branch, 4))
+        exact = np.log2(1.0 + u)
+        d_exact = delta_e + np.sum(exact[:, :, 0] + exact[:, :, 1]
+                                   - exact[:, :, 2] - exact[:, :, 3], axis=1)
+        d_aai = delta_e + np.sum(u[:, :, 0] + u[:, :, 1]
+                                 - u[:, :, 2] - u[:, :, 3], axis=1)
+        fails += int(np.count_nonzero(d_exact * d_aai <= 0.0))
+        done += m
+    return fails

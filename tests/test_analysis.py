@@ -15,13 +15,14 @@ from aaipc.circuit import (
 )
 from aaipc.floats import FloatConfig, mitchell_delta
 from aaipc.analysis import (
+    MITCHELL_MAX,
     delta_det,
     delta_nondet_mc,
     kl_bruteforce,
     map_failure_prob,
 )
 
-from oracles import root_readout_delta_oracle
+from oracles import map_failure_oracle, root_readout_delta_oracle
 
 
 def simple_sum(weights=(0.75, 0.25)) -> Circuit:
@@ -172,6 +173,35 @@ class TestMapFailureProb:
         est4 = map_failure_prob(4, n_mults_per_branch=2, n_samples=10_000, seed=13)
         assert est4.probability == 0.0
 
+
+class TestMapFailureScreen:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12])
+    @pytest.mark.parametrize("delta_e", [0, 1, 2, 3])
+    def test_screened_count_equals_the_full_log_oracle(self, delta_e, n):
+        # 70,000 samples cross the 2**16-sample chunk boundary
+        for seed, n_samples in ((0, 10_000), (7, 70_000), (123, 10_000)):
+            est = map_failure_prob(delta_e, n, n_samples, seed)
+            assert est.probability == map_failure_oracle(delta_e, n, n_samples, seed) / n_samples
+
+    def test_margin_exceeds_the_largest_mitchell_shortfall(self):
+        u = 1 / math.log(2) - 1  # where d/du (log2(1 + u) - u) is zero
+        peak = math.log2(1 + u) - u
+        assert peak == pytest.approx(0.086071, abs=1e-6)
+        grid = np.linspace(0.0, 1.0, 1_000_001)
+        assert (np.log2(1 + grid) - grid).max() <= peak + 1e-12
+        assert MITCHELL_MAX > peak
+
+    @pytest.mark.parametrize("args, name", [
+        ((1.7, 1, 10_000), "delta_e"), ((1.0, 1, 10_000), "delta_e"),
+        ((1, True, 10_000), "n_mults_per_branch"), ((1, 2.0, 10_000), "n_mults_per_branch"),
+        ((1, 1, 1e5), "n_samples")])
+    def test_non_integer_arguments_rejected(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            map_failure_prob(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert map_failure_prob(np.int64(-1), np.int32(1), np.int64(10_000), 4) == \
+            map_failure_prob(1, 1, 10_000, 4)
 
 class TestMitchellDeltaProperties:
     def test_delta_det_uses_quantized_mantissas(self):

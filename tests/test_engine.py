@@ -13,6 +13,7 @@ from aaipc.circuit import (
     ProductUnit,
     SumUnit,
     Variable,
+    enumerate_states,
     generate_random_det_pc,
     generate_random_tree_pc,
     sample,
@@ -37,6 +38,7 @@ from aaipc.inference import (
     _IEEEWords,
     _IntWords,
     _LeavesIEEE,
+    _widths,
     _word_kind,
     enumerate_sites,
 )
@@ -53,9 +55,10 @@ CONFIGS = [
     FloatConfig(3, 3),                          # int32, underflow
     FloatConfig(3, 4, bias=8),                  # int32, overflow
     FloatConfig(6, 20),                         # int64
-    FloatConfig(6, 29, rounding=TOWARD_ZERO),   # int64, the widest
-    FloatConfig(6, 30),                         # Python ints
-    FloatConfig(11, 40),                        # Python ints
+    FloatConfig(6, 29, rounding=TOWARD_ZERO),   # int64, the widest lossless add
+    FloatConfig(6, 30),                         # int64, the add takes a sticky bit
+    FloatConfig(11, 40),                        # int64, the product splits too
+    FloatConfig(11, 41, rounding=TOWARD_ZERO),  # Python ints
     FLOAT64,                                    # IEEE doubles
 ]
 
@@ -166,23 +169,121 @@ def value_of(word: int, cfg: FloatConfig) -> CustomFloat:
                        word & (cfg.man_scale - 1), cfg.man_bits)
 
 
+def assert_ops_match_scalar(cfg, dtype, pairs):
+    """Each word op on the pairs gives the scalar op's value and counts."""
+    a, b = (np.array(col, dtype=dtype).reshape(-1, 1) for col in zip(*pairs))
+    for op, scalar in (("aai", aai_mul), ("exact", exact_mul), ("add", exact_add)):
+        ar = _IntWords(cfg, np.dtype(dtype), 1)
+        got = getattr(ar, op)(a, b).ravel().tolist()
+        want = [scalar(value_of(x, cfg), value_of(y, cfg), cfg) for x, y in pairs]
+        assert [value_of(w, cfg) for w in got] == [r.value for r in want], op
+        assert int(ar.under[0]) == sum(r.underflowed for r in want), op
+        assert int(ar.over[0]) == sum(r.overflowed for r in want), op
+
+
 class TestWordOps:
     @pytest.mark.parametrize("cfg", [
         FloatConfig(3, 3), FloatConfig(3, 3, rounding=TOWARD_ZERO), FloatConfig(3, 0),
         FloatConfig(2, 4, rounding=TOWARD_ZERO), FloatConfig(3, 2, bias=5)], ids=str)
     @pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
     def test_every_word_pair_matches_the_scalar_ops(self, cfg, dtype):
-        words = np.arange(-1, cfg.max_word + 1)
-        a, b = (w.reshape(-1, 1).astype(dtype) for w in np.meshgrid(words, words))
-        for op, scalar in (("aai", aai_mul), ("exact", exact_mul), ("add", exact_add)):
-            ar = _IntWords(cfg, np.dtype(dtype), 1)
-            got = getattr(ar, op)(a, b).ravel().tolist()
-            want = [scalar(value_of(x, cfg), value_of(y, cfg), cfg)
-                    for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
-            assert [value_of(w, cfg) for w in got] == [r.value for r in want]
-            assert int(ar.under[0]) == sum(r.underflowed for r in want)
-            assert int(ar.over[0]) == sum(r.overflowed for r in want)
+        words = range(-1, cfg.max_word + 1)
+        assert_ops_match_scalar(cfg, dtype, [(x, y) for y in words for x in words])
 
+
+#: formats whose words fold bits into a sticky bit: (11, 40) on int64 splits
+#: the product at k = 20, (5, 15) on int32 at k = 2; both add with g = 3
+SPLIT_WORDS = [
+    (FloatConfig(11, 40), np.int64),
+    (FloatConfig(11, 40, rounding=TOWARD_ZERO), np.int64),
+    (FloatConfig(5, 15), np.int32),
+    (FloatConfig(5, 15, rounding=TOWARD_ZERO), np.int32),
+]
+
+
+@st.composite
+def word_pairs(draw, cfg):
+    """Two words, often a few binades apart, with mantissas that are random,
+    sparse or nearly all ones, so that ties and sticky bits both show."""
+    m = cfg.man_bits
+    bit = st.one_of(st.integers(0, m - 1), st.sampled_from([0, 1, m - 2, m - 1]))
+    sparse = st.sets(bit, max_size=3).map(lambda s: sum(1 << i for i in s))
+    mantissas = st.one_of(st.integers(0, cfg.man_scale - 1), sparse,
+                          sparse.map(lambda x: cfg.man_scale - 1 - x))
+    ea = draw(st.integers(0, cfg.max_biased))
+    eb = draw(st.one_of(st.integers(0, cfg.max_biased), st.integers(ea - m - 3, ea + m + 3)))
+    words = [(e << m) | draw(mantissas) for e in (ea, min(max(eb, 0), cfg.max_biased))]
+    if draw(st.integers(0, 15)) == 0:
+        words[draw(st.integers(0, 1))] = -1
+    return tuple(words)
+
+
+class TestSplitWords:
+    @pytest.mark.parametrize("cfg, dtype, k, g", [
+        (FloatConfig(11, 40), np.int64, 20, 3), (FloatConfig(5, 15), np.int32, 2, 3),
+        (FloatConfig(6, 30), np.int64, 0, 3), (FloatConfig(6, 29), np.int64, 0, 31),
+        (FloatConfig(8, 10), np.int32, 0, 12), (FloatConfig(11, 40), object, 0, 42)], ids=str)
+    def test_widths(self, cfg, dtype, k, g):
+        assert _widths(cfg.man_bits, np.dtype(dtype)) == (k, g)
+
+    @pytest.mark.parametrize("cfg, dtype", SPLIT_WORDS, ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_word_pairs_match_the_scalar_ops(self, cfg, dtype, data):
+        pairs = data.draw(st.lists(word_pairs(cfg), min_size=1, max_size=40))
+        assert_ops_match_scalar(cfg, dtype, pairs)
+
+    @pytest.mark.parametrize("cfg, dtype", SPLIT_WORDS, ids=str)
+    def test_boundary_pairs_match_the_scalar_ops(self, cfg, dtype):
+        m, top, ones = cfg.man_bits, cfg.max_word, cfg.man_scale - 1
+        e = max(cfg.bias, m + 2)  # a binade with M+2 below it
+        pairs = [
+            (top, top),                                # overflow, every op
+            (0, 0), (1, 0),                            # exact and aai underflow
+            (top, (e << m) | 1),                       # rounding carries past e_max
+            ((e << m) | ones, (e << m) | 1),           # 2 - 2**-2M: the product rounds to 2
+            ((e << m) | ones, (e << m) | ones),        # the add's normalising carry
+            ((e << m) | ones, ((e - m - 1) << m) | ones),  # sum rounds up into the exponent
+            # a product's round bit M-1 set, the bits down to the k dropped
+            # ones clear: bit 0, now sticky, breaks the tie
+            ((e << m) | 1, (e << m) | (1 << (m - 1)) | 1),
+        ]
+        for hi_man in (0, 1, ones, 1 << (m - 1)):
+            for lo_man in (0, 1, ones, 1 << (m - 1)):
+                for d in (m, m + 1, m + 2):            # half an ulp and less below
+                    pairs.append(((e << m) | hi_man, ((e - d) << m) | lo_man))
+        assert_ops_match_scalar(cfg, dtype, pairs)
+        assert_ops_match_scalar(cfg, dtype, [(b, a) for a, b in pairs])
+
+
+class TestInt64AgainstPythonInts:
+    @pytest.mark.parametrize("which", ["det(9)", "tree(16, 3, 3)"])
+    def test_mar_map_and_restricted_value_agree(self, which, monkeypatch):
+        if which == "det(9)":
+            c, cfg = generate_random_det_pc(0, 9), FloatConfig(11, 40)
+            rows = enumerate_states(c)
+        else:
+            c, cfg = generate_random_tree_pc(0, 16, 3, 3), FloatConfig(11, 40, rounding=TOWARD_ZERO)
+            rows = sample(c, 0, 128)
+        hidden = rows.copy()
+        hidden[:, ::2] = -1
+        rng = np.random.default_rng(0)
+        plan = MultiplierPlan({s: AAI if rng.random() < 0.5 else EXACT
+                               for s in enumerate_sites(c)})
+
+        def run():
+            ev = CircuitEvaluator(c, cfg, plan)
+            mar, mp = ev.mar(rows), ev.map_query(hidden)
+            values = ev.restricted_value([r.trace for r in mp[0]], hidden)
+            return (ev._kind, mar[0], mar[1].tolist(), mar[2].tolist(),
+                    [(r.assignment.tolist(), r.log2_value, dict(r.trace)) for r in mp[0]],
+                    mp[1].tolist(), mp[2].tolist(), values)
+
+        words = run()
+        monkeypatch.setattr(inference, "_word_kind", lambda cfg: np.dtype(object))
+        python_ints = run()
+        assert words[0] == np.int64 and python_ints[0] == object
+        assert words[1:] == python_ints[1:]
 
 def chain_of_tiny_sums(n_vars: int, tiny: float) -> Circuit:
     """A product over n_vars sums that each give weight `tiny` to value 0."""
@@ -200,8 +301,9 @@ class TestWordKinds:
     @pytest.mark.parametrize("cfg, kind", [
         (FloatConfig(8, 10), np.int32), (FloatConfig(8, 13), np.int32),
         (FloatConfig(8, 14), np.int64), (FloatConfig(30, 10), np.int64),
-        (FloatConfig(6, 29), np.int64), (FloatConfig(6, 30), object),
-        (FloatConfig(11, 40), object), (FloatConfig(11, 52, rounding=TOWARD_ZERO), object),
+        (FloatConfig(6, 29), np.int64), (FloatConfig(6, 30), np.int64),
+        (FloatConfig(11, 40), np.int64), (FloatConfig(11, 41), object),
+        (FloatConfig(11, 52, rounding=TOWARD_ZERO), object), (FloatConfig(30, 32), object),
         (FLOAT64, "ieee"),
     ])
     def test_narrowest_words_that_hold_every_intermediate(self, cfg, kind):
@@ -284,7 +386,8 @@ class TestCaches:
         a = CircuitEvaluator(c, FloatConfig(8, 10), plan)
         b = CircuitEvaluator(c, FloatConfig(8, 10), plan)
         assert a._comp is b._comp is c._compiled
-        assert plan._mask(c) is plan._mask(c)
+        assert plan._modes(c) is plan._modes(c)
+        assert a._modes is b._modes
         assert a._w.base is b._w.base
         assert MultiplierPlan.all_aai(c) is plan
 
