@@ -96,7 +96,7 @@ def delta_det(c: Circuit, cfg: FloatConfig) -> AnalysisReport:
     note = "" if rep.deterministic else "bound, not equality"
     masses = edge_masses(c)
     contribs = [WeightContribution(e, d, masses[e]) for e, d in _edge_deltas(c, cfg).items()]
-    total = sum(wc.contribution for wc in contribs)
+    total = sum((wc.contribution for wc in contribs), 0.0)  # a float with no sums too
     return AnalysisReport(tuple(contribs), delta_det=total, note=note)
 
 
@@ -172,6 +172,9 @@ def _integer(name: str, value) -> int:
 #: (Mitchell, 1962), rounded up
 MITCHELL_MAX = 0.0861
 
+#: samples map_failure_prob draws at a time; its draw stream does not depend on it
+MAP_FAILURE_CHUNK = 1 << 14
+
 
 def map_failure_prob(delta_e: int, n_mults_per_branch: int = 1,
                      n_samples: int = 100_000, seed: int = 0) -> FailureEstimate:
@@ -201,13 +204,14 @@ def map_failure_prob(delta_e: int, n_mults_per_branch: int = 1,
     rng = np.random.default_rng(seed)
     signs = np.tile([1.0, 1.0, -1.0, -1.0], n)
     margin = MITCHELL_MAX * 2 * n + 1e-6  # 1e-6 covers the sums' rounding
-    fails = 0
-    chunk = 1 << 16
-    done = 0
+    draws, screen = np.empty((MAP_FAILURE_CHUNK, n, 4)), np.empty(MAP_FAILURE_CHUNK)
+    fails = done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
-        u = rng.random((m, n, 4))
-        u = u[np.abs(delta_e + u.reshape(m, 4 * n) @ signs) <= margin]
+        m = min(MAP_FAILURE_CHUNK, n_samples - done)
+        u, d = rng.random(out=draws[:m]), screen[:m]
+        np.matmul(u.reshape(m, 4 * n), signs, out=d)
+        d += delta_e
+        u = u.take(np.flatnonzero(np.abs(d, out=d) <= margin), axis=0)
         exact = np.log2(1.0 + u)
         d_exact = delta_e + np.sum(exact[:, :, 0] + exact[:, :, 1]
                                    - exact[:, :, 2] - exact[:, :, 3], axis=1)

@@ -1,5 +1,7 @@
-"""Probabilistic circuit structures: parsing, validation, generation and
-structural analytics (topological order, tree mass, minimum value, sampling).
+"""Probabilistic circuit structures: parsing, validation, generation,
+structural analytics (topological order, tree mass, minimum value, sampling)
+and the compiled, levelized layout that the exhaustive determinism check and
+the queries of `inference` run on.
 
 A circuit is a rooted DAG of sum, product and indicator units over discrete
 variables.  Sum children carry non-negative weights that sum to one; products
@@ -11,16 +13,20 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
+
+from .floats import FloatConfig, encode_words
 
 #: joint state spaces at or below this size are checked exhaustively
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
 
-#: the exhaustive determinism check holds one bool per unit and state for at
-#: most this many (unit, state) cells at a time
+#: the exhaustive determinism check holds one bit per (table row of the
+#: compiled layout, state) cell, packed in uint64 words, for at most this many
+#: cells at a time, in chunks of a multiple of 64 states
 CHECK_CELLS = 1 << 26
 
 WEIGHT_SUM_TOL = 1e-12
@@ -60,6 +66,9 @@ Unit = Union[SumUnit, ProductUnit, IndicatorUnit]
 
 #: a sum-edge identifier: (sum unit id, child position)
 Edge = tuple[int, int]
+
+#: a multiplication site: ("w", sum id, child position) or ("p", product id, fold step)
+Site = tuple[str, int, int]
 
 
 @dataclass(frozen=True)
@@ -227,6 +236,95 @@ def _weighted_sum(u: SumUnit, kids: Iterator) -> Any:
 
 
 # ---------------------------------------------------------------------------
+# compiled, levelized layout
+# ---------------------------------------------------------------------------
+
+#: one level: products at table rows p0:p1 fold the rows in pch's columns
+#: (id order, padded with the row of one), sums at rows s0:s1 add the rows in
+#: sch's columns (children order, padded with the row of zero); child k of
+#: unit i has slot pslot + k * n_p + i or sslot + k * n_s + i
+_Level = namedtuple("_Level", "p0 p1 pch pslot s0 s1 sch sslot")
+
+
+class _Compiled:
+    """Per-level index arrays of one circuit.  Table rows: one per indicator
+    test (variable, value), each level's products and sums, then a row of one
+    and a row of zero.  Slots: every fold step and sum edge, padding included,
+    level by level; slot_sites names the real ones, slot_index places them."""
+
+    def __init__(self, c: Circuit):
+        level: dict[int, int] = {}
+        for uid in c.order:
+            level[uid] = 1 + max(map(level.get, getattr(c.units[uid], "children", ())), default=-1)
+        by_level: list[list[Unit]] = [[] for _ in range(max(level.values()) + 1)]
+        for uid in c.order:
+            by_level[level[uid]].append(c.units[uid])
+        tests: dict[tuple[int, int], int] = {}  # indicators of one test share a row
+        row = {u.id: tests.setdefault((u.var, u.value), len(tests)) for u in by_level[0]}
+        self.ind_var, self.ind_val = np.array(list(tests), dtype=np.int64).reshape(-1, 2).T
+        free = len(tests)
+        self.one_row = free + len(c.units) - len(by_level[0])
+        self.zero_row = self.one_row + 1
+        self.levels: list[_Level] = []
+        self.slot_sites: list[Site] = []
+        self.slot_index: list[int] = []
+        self.weights: list[np.ndarray] = []
+        self.n_slots = 0
+        for units in by_level[1:]:
+            prod = [u for u in units if isinstance(u, ProductUnit)]
+            summ = [u for u in units if isinstance(u, SumUnit)]
+            p0, s0, free = free, free + len(prod), free + len(units)
+            row.update((u.id, p0 + i) for i, u in enumerate(prod + summ))
+            self.levels.append(_Level(p0, s0, *self._group(prod, row, "p", self.one_row),
+                                      s0, free, *self._group(summ, row, "w", self.zero_row)))
+        self.root, self.n_table = row[c.root], self.zero_row + 1
+        self.slot_index = np.array(self.slot_index, dtype=np.int64)
+        self.weights = np.concatenate([np.zeros(0)] + self.weights)
+        self.sites = sorted(self.slot_sites, key=lambda s: s[1:])
+        sums = [u for units in by_level for u in units if isinstance(u, SumUnit)]
+        self.sum_index = {u.id: i for i, u in enumerate(sums)}
+        self.sum_arity = np.array([len(u.children) for u in sums], dtype=np.int64)
+        self.words: dict = {}  # (cfg, kind) -> weight words in slot order
+        self.plans: dict = {}  # (plan class, mode) -> uniform plan
+
+    def _group(self, units: list, row: dict[int, int], kind: str, pad: int):
+        """One level's products (kind "p") or sums ("w"): their children's
+        rows, one column per unit, and the first of their slots.  A product
+        multiplies in its children 1, 2, ... of id order, so its slots for
+        child 0 are padding."""
+        kids = [sorted(u.children) if kind == "p" else u.children for u in units]
+        ch = np.full((max(map(len, kids), default=1), len(units)), pad, dtype=np.int64)
+        w = np.zeros(ch.shape)
+        first, skip = self.n_slots, int(kind == "p")
+        for i, (u, ks) in enumerate(zip(units, kids)):
+            ch[:len(ks), i] = [row[k] for k in ks]
+            if kind == "w":
+                w[:len(ks), i] = u.weights
+            self.slot_sites += [(kind, u.id, k - skip) for k in range(skip, len(ks))]
+            self.slot_index += [first + k * len(units) + i for k in range(skip, len(ks))]
+        self.weights.append(w.ravel())
+        self.n_slots += ch.size
+        return ch, first
+
+    def weight_words(self, cfg: FloatConfig, kind):
+        """The slot weights as words of the given kind (a numpy dtype, or
+        "ieee" for float64), with the counts of weights that saturated."""
+        key = (cfg, str(kind))
+        if key not in self.words:
+            words, under, over = encode_words(self.weights, cfg)
+            self.words[key] = (self.weights if kind == "ieee" else words.astype(kind),
+                               under, over)
+        return self.words[key]
+
+
+def _compile(c: Circuit) -> _Compiled:
+    """The circuit's compiled layout, built on first use and kept on it."""
+    if "_compiled" not in c.__dict__:
+        c._compiled = _Compiled(c)
+    return c._compiled
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -319,8 +417,9 @@ def validate(c: Circuit) -> StructureReport:
     """Check smoothness, decomposability and determinism.
 
     Determinism is decided exhaustively when the joint state space fits the
-    enumeration budget; otherwise a syntactic sufficient condition is used
-    and failures are flagged as unverified rather than proven violations.
+    enumeration budget, one level of the compiled layout at a time on one bit
+    per state; otherwise a syntactic sufficient condition is used and
+    failures are flagged as unverified rather than proven violations.
     """
     violations: list[tuple[int, str]] = []
     smooth = decomposable = True
@@ -348,20 +447,37 @@ def validate(c: Circuit) -> StructureReport:
 
 
 def _determinism_exhaustive(c: Circuit) -> list[tuple[int, str]]:
-    """Evaluate supports as bool columns; a sum whose children are positive
-    together on some state is flagged."""
-    bad: set[int] = set()
-
-    def sum_(u: SumUnit, kids: Iterator[np.ndarray]) -> np.ndarray:
-        kids = list(kids)
-        if (np.sum(kids, axis=0) > 1).any():
-            bad.add(u.id)
-        return np.logical_or.reduce([k for w, k in zip(u.weights, kids) if w > 0])
-
-    for chunk in _state_chunks(c):
-        _fold(c, lambda u: chunk[:, u.var] == u.value,
-              lambda kids: np.logical_and.reduce(list(kids)), sum_)
-    return [(uid, "multiple children positive on a complete state") for uid in sorted(bad)]
+    """Evaluate supports on the compiled layout, one bit per state packed in
+    uint64 words: products AND their children, sums OR their positive-weight
+    ones, and a sum with two children positive on one state is flagged."""
+    comp, size = _compile(c), c.state_space_size()
+    cards = [v.cardinality for v in c.variables]
+    strides = np.cumprod([1] + cards[:-1]).tolist()  # the check needs no state order
+    live = [np.where(comp.weights[lev.sslot:lev.sslot + lev.sch.size].reshape(lev.sch.shape) > 0,
+                     lev.sch, comp.zero_row) for lev in comp.levels]
+    ids = np.array(list(comp.sum_index), dtype=np.int64)
+    bad = np.zeros(len(ids), dtype=bool)
+    step = max(64, CHECK_CELLS // comp.n_table // 64 * 64)
+    for start in range(0, size, step):
+        states = np.arange(start, min(start + step, size), dtype=np.int32)
+        val = np.zeros((comp.n_table, -(-len(states) // 64)), dtype=np.uint64)
+        val[comp.one_row] = ~np.uint64(0)
+        for i, (var, value) in enumerate(zip(comp.ind_var.tolist(), comp.ind_val.tolist())):
+            bits = np.packbits(states // strides[var] % cards[var] == value, bitorder="little")
+            val[i].view(np.uint8)[:len(bits)] = bits
+        j = 0
+        for lev, live_kids in zip(comp.levels, live):
+            val[lev.p0:lev.p1] = np.bitwise_and.reduce(val[lev.pch], axis=0)
+            seen = val[lev.sch[0]]
+            over = np.zeros_like(seen)
+            for kid in map(val.__getitem__, lev.sch[1:]):
+                over |= seen & kid
+                seen |= kid
+            bad[j:j + len(seen)] |= over.any(axis=1)
+            j += len(seen)
+            val[lev.s0:lev.s1] = np.bitwise_or.reduce(val[live_kids], axis=0)
+    flagged = sorted(ids[bad].tolist())
+    return [(uid, "multiple children positive on a complete state") for uid in flagged]
 
 
 def _determinism_syntactic(c: Circuit) -> list[tuple[int, str]]:
@@ -410,30 +526,27 @@ def enumerate_states(c: Circuit) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
 
-def _state_chunks(c: Circuit) -> Iterable[np.ndarray]:
-    """All states in enumerate_states order, built one row block at a time;
-    a block's per-unit columns hold at most CHECK_CELLS cells."""
-    cards = [v.cardinality for v in c.variables]
-    size, rows = c.state_space_size(), max(1, CHECK_CELLS // len(c.units))
-    for start in range(0, size, rows):
-        flat = np.arange(start, min(start + rows, size))
-        yield np.stack(np.unravel_index(flat, cards), axis=1)
-
-
 def _check_rows(c: Circuit, x: Any, unobserved: bool = False) -> np.ndarray:
     """x as an int64 array of rows, one value per variable, each below its
     cardinality; negative values mean unobserved when that is allowed."""
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != c.n_vars:
         raise ValueError(f"rows have {x.shape[-1]} values, "
                          f"the circuit has {c.n_vars} variables")
+    if x.dtype.kind in "iu":
+        rows, bad = x.astype(np.int64, copy=False), False
+    else:
+        with np.errstate(invalid="ignore"):  # NaN and infinities fail the test below
+            rows = x.astype(np.int64)
+        bad = rows != x  # the cast reads 1.9 as 1
     cards = np.array([v.cardinality for v in c.variables])
-    bad = np.argwhere(x >= cards if unobserved else (x >= cards) | (x < 0))
+    bad = np.argwhere(bad | (rows >= cards if unobserved else (rows >= cards) | (rows < 0)))
     if len(bad):
         i, j = bad[0]
-        raise ValueError(f"row {i}, column {j}: value {x[i, j]} is out of range "
-                         f"for cardinality {cards[j]}")
-    return x
+        raise ValueError(f"row {i}, column {j}: value {x[i, j]} " + (
+            "is not an integer" if rows[i, j] != x[i, j]
+            else f"is out of range for cardinality {cards[j]}"))
+    return rows
 
 
 def eval_double(c: Circuit, x: np.ndarray) -> np.ndarray:

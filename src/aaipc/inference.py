@@ -6,8 +6,8 @@ multiply, one per binary fold step inside a product) is assigned a mode by a
 MultiplierPlan.  Additions always use the exact adder.  The 64-bit baseline
 is an all-exact plan at the IEEE double layout.
 
-Queries run on a compiled, levelized form of the circuit (`_Compiled`, kept
-on the circuit): a unit's level is one more than its highest child's, and
+Queries run on a compiled, levelized form of the circuit (`circuit._Compiled`,
+kept on it): a unit's level is one more than its highest child's, and
 each level is a few array operations on a value table with one row per unit
 and one column per query row.  Products fold their children in id order,
 padded with the word for one; sums fold their edges in `children` order,
@@ -27,7 +27,6 @@ padded with zero-weight edges; padding never saturates.  Values are words:
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
@@ -35,16 +34,13 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .circuit import Circuit, ProductUnit, SumUnit, Unit, _check_rows
+from .circuit import Circuit, ProductUnit, Site, SumUnit, _check_rows, _compile
 from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F401
-                     MultResult, aai_mul, encode, encode_words, exact_add, exact_mul,
+                     MultResult, aai_mul, encode, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
 
 EXACT = "exact"
 AAI = "aai"
-
-#: ("w", sum id, child position) or ("p", product id, fold step)
-Site = tuple[str, int, int]
 
 #: units x rows of one chunk's value table (a quarter of it for Python ints)
 CHUNK_CELLS = 1 << 19
@@ -161,91 +157,6 @@ class QueryMetrics:
 
 class EvaluationError(ValueError):
     """Raised when a metric is undefined, e.g. the baseline underflows."""
-
-
-#: one level: products at table rows p0:p1 fold the rows in pch's columns
-#: (id order, padded with the row of one), sums at rows s0:s1 add the rows in
-#: sch's columns (children order, padded with the row of zero); child k of
-#: unit i has slot pslot + k * n_p + i or sslot + k * n_s + i
-_Level = namedtuple("_Level", "p0 p1 pch pslot s0 s1 sch sslot")
-
-
-class _Compiled:
-    """Per-level index arrays of one circuit.  Table rows: one per indicator
-    test (variable, value), each level's products and sums, then a row of one
-    and a row of zero.  Slots: every fold step and sum edge, padding included,
-    level by level; slot_sites names the real ones, slot_index places them."""
-
-    def __init__(self, c: Circuit):
-        level: dict[int, int] = {}
-        for uid in c.order:
-            level[uid] = 1 + max(map(level.get, getattr(c.units[uid], "children", ())), default=-1)
-        by_level: list[list[Unit]] = [[] for _ in range(max(level.values()) + 1)]
-        for uid in c.order:
-            by_level[level[uid]].append(c.units[uid])
-        tests: dict[tuple[int, int], int] = {}  # indicators of one test share a row
-        row = {u.id: tests.setdefault((u.var, u.value), len(tests)) for u in by_level[0]}
-        self.ind_var, self.ind_val = np.array(list(tests), dtype=np.int64).reshape(-1, 2).T
-        free = len(tests)
-        self.one_row = free + len(c.units) - len(by_level[0])
-        self.zero_row = self.one_row + 1
-        self.levels: list[_Level] = []
-        self.slot_sites: list[Site] = []
-        self.slot_index: list[int] = []
-        self.weights: list[np.ndarray] = []
-        self.n_slots = 0
-        for units in by_level[1:]:
-            prod = [u for u in units if isinstance(u, ProductUnit)]
-            summ = [u for u in units if isinstance(u, SumUnit)]
-            p0, s0, free = free, free + len(prod), free + len(units)
-            row.update((u.id, p0 + i) for i, u in enumerate(prod + summ))
-            self.levels.append(_Level(p0, s0, *self._group(prod, row, "p", self.one_row),
-                                      s0, free, *self._group(summ, row, "w", self.zero_row)))
-        self.root, self.n_table = row[c.root], self.zero_row + 1
-        self.slot_index = np.array(self.slot_index, dtype=np.int64)
-        self.weights = np.concatenate([np.zeros(0)] + self.weights)
-        self.sites = sorted(self.slot_sites, key=lambda s: s[1:])
-        sums = [u for units in by_level for u in units if isinstance(u, SumUnit)]
-        self.sum_index = {u.id: i for i, u in enumerate(sums)}
-        self.sum_arity = np.array([len(u.children) for u in sums], dtype=np.int64)
-        self.words: dict = {}  # (cfg, kind) -> weight words in slot order
-        self.plans: dict = {}  # (plan class, mode) -> uniform plan
-
-    def _group(self, units: list, row: dict[int, int], kind: str, pad: int):
-        """One level's products (kind "p") or sums ("w"): their children's
-        rows, one column per unit, and the first of their slots.  A product
-        multiplies in its children 1, 2, ... of id order, so its slots for
-        child 0 are padding."""
-        kids = [sorted(u.children) if kind == "p" else u.children for u in units]
-        ch = np.full((max(map(len, kids), default=1), len(units)), pad, dtype=np.int64)
-        w = np.zeros(ch.shape)
-        first, skip = self.n_slots, int(kind == "p")
-        for i, (u, ks) in enumerate(zip(units, kids)):
-            ch[:len(ks), i] = [row[k] for k in ks]
-            if kind == "w":
-                w[:len(ks), i] = u.weights
-            self.slot_sites += [(kind, u.id, k - skip) for k in range(skip, len(ks))]
-            self.slot_index += [first + k * len(units) + i for k in range(skip, len(ks))]
-        self.weights.append(w.ravel())
-        self.n_slots += ch.size
-        return ch, first
-
-    def weight_words(self, cfg: FloatConfig, kind):
-        """The slot weights as words of the given kind (a numpy dtype, or
-        "ieee" for float64), with the counts of weights that saturated."""
-        key = (cfg, str(kind))
-        if key not in self.words:
-            words, under, over = encode_words(self.weights, cfg)
-            self.words[key] = (self.weights if kind == "ieee" else words.astype(kind),
-                               under, over)
-        return self.words[key]
-
-
-def _compile(c: Circuit) -> _Compiled:
-    """The circuit's compiled layout, built on first use and kept on it."""
-    if "_compiled" not in c.__dict__:
-        c._compiled = _Compiled(c)
-    return c._compiled
 
 
 def _widths(man_bits: int, dtype) -> tuple[int, int]:
@@ -626,6 +537,8 @@ def eval_map(c: Circuit, evidence: Mapping[int, int], cfg: FloatConfig,
     for var, value in evidence.items():
         if not 0 <= var < c.n_vars:
             raise ValueError(f"evidence names unknown variable {var}")
+        if not float(value).is_integer():
+            raise ValueError(f"evidence value {value!r} for variable {var} is not an integer")
         if not 0 <= value < c.variables[var].cardinality:
             raise ValueError(f"evidence value {value} out of range for variable {var}")
     result, _, _ = CircuitEvaluator(c, cfg, plan).map_query(dict(evidence))

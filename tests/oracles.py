@@ -371,6 +371,31 @@ class ScalarEvaluator:
         return self._pass(steps, row, lambda _uid, terms: (terms[0], 0, 0))[0]
 
 
+def determinism_oracle(circuit) -> list[tuple[int, str]]:
+    """`validate`'s exhaustive determinism violations, from one bool column
+    per unit over a block of states at a time: a sum is flagged where two
+    of its children are positive together, and is positive where one of
+    its positive-weight children is."""
+    from aaipc.circuit import IndicatorUnit, ProductUnit, enumerate_states
+
+    states, bad = enumerate_states(circuit), set()
+    for start in range(0, len(states), 4096):
+        block, support = states[start:start + 4096], {}
+        for uid in circuit.order:
+            u = circuit.units[uid]
+            if isinstance(u, IndicatorUnit):
+                support[uid] = block[:, u.var] == u.value
+            elif isinstance(u, ProductUnit):
+                support[uid] = np.logical_and.reduce([support[ch] for ch in u.children])
+            else:
+                kids = [support[ch] for ch in u.children]
+                if (np.sum(kids, axis=0) > 1).any():
+                    bad.add(uid)
+                support[uid] = np.logical_or.reduce(
+                    [k for w, k in zip(u.weights, kids) if w > 0])
+    return [(uid, "multiple children positive on a complete state") for uid in sorted(bad)]
+
+
 def induced_tree_units(c, trace: Mapping[int, int]):
     """Units of the induced tree a MAP trace selects, depth first from the
     root, every parent before its children."""

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aaipc import circuit
 from aaipc.circuit import (
     Circuit,
     CircuitFormatError,
@@ -29,7 +30,8 @@ from aaipc.circuit import (
 )
 
 from conftest import three_var_doc
-from oracles import brute_force_probability, induced_trees, tree_mass_oracle
+from oracles import (brute_force_probability, determinism_oracle, induced_trees,
+                     tree_mass_oracle)
 
 
 def toy_sum_over_indicators(weights=(0.25, 0.75)):
@@ -255,6 +257,95 @@ class TestValidate:
         assert validate(c).deterministic
 
 
+def random_ternary_pc(seed: int, n_vars: int = 5) -> Circuit:
+    """A decision tree over ternary variables whose sums sometimes give an
+    edge zero weight and, at odd seeds, sometimes repeat a value's branch,
+    so that they overlap."""
+    rng = np.random.default_rng(seed)
+    repeat = 0.1 * (seed % 2)
+    units: list = []
+
+    def add(unit_type, *args) -> int:
+        units.append(unit_type(len(units), *args))
+        return len(units) - 1
+
+    def build(var: int) -> int:
+        values = [0, 1, 2] + ([int(rng.integers(3))] if rng.random() < repeat else [])
+        kids = [add(IndicatorUnit, var, v) for v in values]
+        if var + 1 < n_vars:
+            kids = [add(ProductUnit, (k, build(var + 1))) for k in kids]
+        w = rng.dirichlet(np.ones(len(kids)))
+        if rng.random() < 0.3:
+            w[rng.integers(len(w))] = 0.0
+        return add(SumUnit, tuple(kids), tuple((w / w.sum()).tolist()))
+
+    root = build(0)
+    return Circuit([Variable(i, 3) for i in range(n_vars)], units, root)
+
+
+def determinism_violations(c: Circuit):
+    return [v for v in validate(c).violations if v[1].startswith("multiple children")]
+
+
+class TestPackedDeterminism:
+    """validate's exhaustive check runs on uint64 words over the compiled
+    layout; the bool-column oracle is the reference."""
+
+    CIRCUITS = {
+        **{f"det-{s}-{n}": (generate_random_det_pc, s, n) for s, n in ((0, 3), (1, 7), (2, 10))},
+        **{f"tree-{s}-{n}-{d}-{f}": (generate_random_tree_pc, s, n, d, f)
+           for s, n, d, f in ((0, 4, 2, 2), (1, 6, 2, 3), (2, 9, 3, 2), (3, 12, 2, 3),
+                               (4, 5, 1, 3), (5, 7, 2, 2))},  # products of 2 and 3 children
+        **{f"ternary-{s}": (random_ternary_pc, s) for s in range(6)},
+    }
+
+    @pytest.mark.parametrize("name", CIRCUITS)
+    @pytest.mark.parametrize("cells", [None, 1], ids=["one-chunk", "64-state-chunks"])
+    def test_matches_the_bool_oracle(self, name, cells, monkeypatch):
+        make, *args = self.CIRCUITS[name]
+        c = make(*args)
+        if cells is not None:  # every chunk holds 64 states, the last one fewer
+            monkeypatch.setattr(circuit, "CHECK_CELLS", cells)
+        want = determinism_oracle(c)
+        rep = validate(c)
+        assert rep.determinism_check == "exhaustive"
+        assert determinism_violations(c) == want
+        assert rep.deterministic == (not want)
+
+    def test_ternary_circuits_cover_both_outcomes(self):
+        # 3**5 = 243 states: the last word holds 51 of them
+        outcomes = {bool(determinism_oracle(random_ternary_pc(s))) for s in range(6)}
+        assert outcomes == {False, True}
+
+    def test_zero_weight_edge_is_flagged_but_adds_no_support(self):
+        # S1 = 1.0 [X=0] + 0.0 T, where T is positive on both states: S1
+        # overlaps on X=0, but its support stays X=0, so the root, which
+        # adds [X=1], is deterministic
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1),
+                 SumUnit(2, (0, 1), (0.5, 0.5)), SumUnit(3, (0, 2), (1.0, 0.0)),
+                 SumUnit(4, (3, 1), (0.5, 0.5))]
+        c = Circuit([Variable(0, 2)], units, 4)
+        assert [uid for uid, _ in determinism_violations(c)] == [3]
+        assert determinism_oracle(c) == determinism_violations(c)
+
+    @pytest.mark.parametrize("cells", [None, 1], ids=["one-chunk", "64-state-chunks"])
+    def test_violation_on_the_last_state_only(self, cells, monkeypatch):
+        # the root mixes the all-ones state with a product of Bernoullis:
+        # they overlap on state 127 of 128 alone, past the first word
+        if cells is not None:
+            monkeypatch.setattr(circuit, "CHECK_CELLS", cells)
+        units = [IndicatorUnit(2 * v + b, v, b) for v in range(7) for b in (0, 1)]
+        ones = len(units)
+        units.append(ProductUnit(ones, tuple(2 * v + 1 for v in range(7))))
+        for v in range(7):
+            units.append(SumUnit(ones + 1 + v, (2 * v, 2 * v + 1), (0.5, 0.5)))
+        units.append(ProductUnit(ones + 8, tuple(range(ones + 1, ones + 8))))
+        units.append(SumUnit(ones + 9, (ones, ones + 8), (0.5, 0.5)))
+        c = Circuit([Variable(v, 2) for v in range(7)], units, ones + 9)
+        assert determinism_violations(c) == determinism_oracle(c) == [
+            (ones + 9, "multiple children positive on a complete state")]
+
+
 class TestTopologicalOrder:
     def test_children_precede_parents(self, three_var_circuit):
         order = three_var_circuit.order
@@ -316,7 +407,11 @@ class TestEvalDouble:
         ([0, 1, -3], r"row 0, column 2: value -3"),
         ([0, 1, 1, 0], r"4 values, the circuit has 3"),
         ([0, 1], r"2 values, the circuit has 3"),
-    ], ids=["above-cardinality", "negative", "extra-column", "missing-column"])
+        ([0, 1, 0.5], r"row 0, column 2: value 0.5 is not an integer"),
+        ([1.9, 1, 0], r"row 0, column 0: value 1.9 is not an integer"),
+        ([0, 1, math.nan], r"row 0, column 2: value nan is not an integer"),
+    ], ids=["above-cardinality", "negative", "extra-column", "missing-column",
+            "fraction", "fraction-above-one", "nan"])
     def test_rejects_out_of_range_rows(self, three_var_circuit, row, message):
         with pytest.raises(ValueError, match=message):
             eval_double(three_var_circuit, [row])

@@ -1,5 +1,6 @@
 """Tests for marginal and MAP evaluation under multiplier plans."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,18 @@ class TestEvalMar:
         plan = MultiplierPlan.all_exact(three_var_circuit)
         with pytest.raises(ValueError):
             eval_mar(three_var_circuit, [0, -1, 1], FLOAT64, plan)
+
+    @pytest.mark.parametrize("x, message", [
+        ([1.9, 0, 1], r"row 0, column 0: value 1.9 is not an integer"),
+        ([1, 0, 0.5], r"row 0, column 2: value 0.5 is not an integer"),
+    ])
+    def test_rejects_non_integer_values(self, three_var_circuit, x, message):
+        # a cast to int64 would read 1.9 as 1
+        plan = MultiplierPlan.all_exact(three_var_circuit)
+        with pytest.raises(ValueError, match=message):
+            eval_mar(three_var_circuit, x, FLOAT64, plan)
+        assert eval_mar(three_var_circuit, [1.0, 0.0, 1.0], FLOAT64, plan) == \
+            eval_mar(three_var_circuit, [1, 0, 1], FLOAT64, plan)
 
     def test_three_var_states_match_rational_oracle(self, three_var_circuit):
         c = three_var_circuit
@@ -231,6 +244,13 @@ class TestEvalMap:
             eval_map(three_var_circuit, {7: 0}, FLOAT64, plan)
         with pytest.raises(ValueError):
             eval_map(three_var_circuit, {0: 5}, FLOAT64, plan)
+
+    @pytest.mark.parametrize("value", [1.5, 0.5, math.nan])
+    def test_rejects_non_integer_evidence(self, three_var_circuit, value):
+        # 1.5 passes the range check of cardinality 2, and would be read as 1
+        plan = MultiplierPlan.all_exact(three_var_circuit)
+        with pytest.raises(ValueError, match="for variable 1 is not an integer"):
+            eval_map(three_var_circuit, {1: value}, FLOAT64, plan)
 
     def test_induced_tree_edges(self, three_var_distinct):
         c = three_var_distinct

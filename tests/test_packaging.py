@@ -1,6 +1,8 @@
 """Package metadata in pyproject.toml agrees with the code."""
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,3 +22,17 @@ def test_declared_scripts_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name} = {target!r} is not callable"
+
+
+def test_circuit_layer_imports_no_query_layer():
+    # circuit holds the compiled layout that inference evaluates on; the
+    # dependency runs one way only
+    import aaipc.circuit
+
+    src = str(Path(aaipc.circuit.__file__).resolve().parents[1])
+    code = ("import sys, aaipc.circuit; "
+            "sys.exit('aaipc.inference' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
