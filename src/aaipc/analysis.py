@@ -71,8 +71,9 @@ class FailureEstimate:
 
 def _edge_deltas(c: Circuit, cfg: FloatConfig) -> dict[tuple[int, int], float]:
     """Mitchell shortfall of each sum edge's weight quantized to cfg."""
-    edges = [(u.id, i) for u in c.sum_units() for i in range(len(u.children))]
-    words = encode_words([w for u in c.sum_units() for w in u.weights], cfg)[0]
+    sums = c.sum_units()
+    edges = [(u.id, i) for u in sums for i in range(len(u.children))]
+    words = encode_words([w for u in sums for w in u.weights], cfg)[0]
     fractions = np.where(words < 0, 0, words & (cfg.man_scale - 1)) / cfg.man_scale
     return {e: mitchell_delta(f) for e, f in zip(edges, fractions.tolist())}
 

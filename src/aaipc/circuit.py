@@ -1,7 +1,11 @@
 """Probabilistic circuit structures: parsing, validation, generation,
 structural analytics (topological order, tree mass, minimum value, sampling)
-and the compiled, levelized layout that the exhaustive determinism check and
-the queries of `inference` run on.
+and the compiled, levelized layout that the exhaustive determinism check,
+`sample` and the queries of `inference` run on.  The layout is walked two
+ways: going up, one level at a time (the packed determinism check here, the
+MAR and MAP passes in `inference`), and going down in `_Compiled.descend`,
+which turns one child choice per sum into an assignment for both MAP and
+sampling.  This module knows no number format.
 
 A circuit is a rooted DAG of sum, product and indicator units over discrete
 variables.  Sum children carry non-negative weights that sum to one; products
@@ -18,8 +22,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
-
-from .floats import FloatConfig, encode_words
 
 #: joint state spaces at or below this size are checked exhaustively
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
@@ -250,7 +252,11 @@ class _Compiled:
     """Per-level index arrays of one circuit.  Table rows: one per indicator
     test (variable, value), each level's products and sums, then a row of one
     and a row of zero.  Slots: every fold step and sum edge, padding included,
-    level by level; slot_sites names the real ones, slot_index places them."""
+    level by level; slot_sites names the real ones, slot_index places them.
+    It is walked up a level at a time (the packed determinism check, the
+    passes of `inference`) and down by `descend`.  Sums are numbered level
+    by level in sum_index, the row order of the choice tables `descend`
+    takes."""
 
     def __init__(self, c: Circuit):
         level: dict[int, int] = {}
@@ -277,15 +283,13 @@ class _Compiled:
             row.update((u.id, p0 + i) for i, u in enumerate(prod + summ))
             self.levels.append(_Level(p0, s0, *self._group(prod, row, "p", self.one_row),
                                       s0, free, *self._group(summ, row, "w", self.zero_row)))
-        self.root, self.n_table = row[c.root], self.zero_row + 1
+        self.root, self.n_table, self.n_vars = row[c.root], self.zero_row + 1, c.n_vars
         self.slot_index = np.array(self.slot_index, dtype=np.int64)
         self.weights = np.concatenate([np.zeros(0)] + self.weights)
         self.sites = sorted(self.slot_sites, key=lambda s: s[1:])
         sums = [u for units in by_level for u in units if isinstance(u, SumUnit)]
         self.sum_index = {u.id: i for i, u in enumerate(sums)}
         self.sum_arity = np.array([len(u.children) for u in sums], dtype=np.int64)
-        self.words: dict = {}  # (cfg, kind) -> weight words in slot order
-        self.plans: dict = {}  # (plan class, mode) -> uniform plan
 
     def _group(self, units: list, row: dict[int, int], kind: str, pad: int):
         """One level's products (kind "p") or sums ("w"): their children's
@@ -306,15 +310,28 @@ class _Compiled:
         self.n_slots += ch.size
         return ch, first
 
-    def weight_words(self, cfg: FloatConfig, kind):
-        """The slot weights as words of the given kind (a numpy dtype, or
-        "ieee" for float64), with the counts of weights that saturated."""
-        key = (cfg, str(kind))
-        if key not in self.words:
-            words, under, over = encode_words(self.weights, cfg)
-            self.words[key] = (self.weights if kind == "ieee" else words.astype(kind),
-                               under, over)
-        return self.words[key]
+    def descend(self, choices: np.ndarray, n: int) -> np.ndarray:
+        """The assignments that n rows of child choices select, one row of
+        `choices` per sum in sum_index order and one column per row: top
+        down, one level at a time, a selected sum selects its chosen child
+        and a selected product all its children.  A variable no selected
+        indicator tests is -1; one that two test takes the value of
+        the one listed later in ind_var."""
+        sel = np.zeros((self.n_table, n), dtype=bool)
+        sel[self.root] = True
+        end = len(choices)
+        for lev in reversed(self.levels):
+            if lev.s1 > lev.s0:
+                end -= lev.s1 - lev.s0
+                i, b = np.nonzero(sel[lev.s0:lev.s1])
+                sel[lev.sch[choices[end + i, b], i], b] = True
+            if lev.p1 > lev.p0:
+                i, b = np.nonzero(sel[lev.p0:lev.p1])
+                sel[lev.pch[:, i], b] = True
+        i, b = np.nonzero(sel[:len(self.ind_var)])
+        assignment = np.full((n, self.n_vars), -1, dtype=np.int64)
+        assignment[b, self.ind_var[i]] = self.ind_val[i]
+        return assignment
 
 
 def _compile(c: Circuit) -> _Compiled:
@@ -462,9 +479,11 @@ def _determinism_exhaustive(c: Circuit) -> list[tuple[int, str]]:
         states = np.arange(start, min(start + step, size), dtype=np.int32)
         val = np.zeros((comp.n_table, -(-len(states) // 64)), dtype=np.uint64)
         val[comp.one_row] = ~np.uint64(0)
-        for i, (var, value) in enumerate(zip(comp.ind_var.tolist(), comp.ind_val.tolist())):
-            bits = np.packbits(states // strides[var] % cards[var] == value, bitorder="little")
-            val[i].view(np.uint8)[:len(bits)] = bits
+        for var, (stride, card) in enumerate(zip(strides, cards)):
+            digit = states // stride % card
+            for i in np.flatnonzero(comp.ind_var == var).tolist():
+                bits = np.packbits(digit == comp.ind_val[i], bitorder="little")
+                val[i].view(np.uint8)[:len(bits)] = bits
         j = 0
         for lev, live_kids in zip(comp.levels, live):
             val[lev.p0:lev.p1] = np.bitwise_and.reduce(val[lev.pch], axis=0)
@@ -697,9 +716,14 @@ def min_positive_value(c: Circuit) -> float:
 def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
     """Draw n complete assignments by ancestral descent.
 
-    Each sum unit consumes one dedicated column of uniforms per call, drawn
-    in topological order from a single seeded stream, so results are
-    reproducible and each sample's path is independent of the others.
+    The uniforms come from one seeded stream, n per sum unit, the sums
+    taking theirs in reversed `c.order` (parents first): one
+    `random((n_sums, n))` block, which holds the numbers that one
+    `random(n)` call per sum would give.  So results are reproducible, a
+    sum's draws do not depend on which rows reach it, and each sample's path
+    is independent of the others.  A draw picks the first child whose
+    cumulative normalized weight exceeds it (the last child where rounding
+    leaves none); the choices then descend the compiled layout as MAP's do.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -707,26 +731,15 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
         missing = sorted(frozenset(range(c.n_vars)) - c.scopes[c.root])
         raise ValueError(f"root scope does not cover variables {missing}; "
                          "samples would leave them unassigned")
-    rng = np.random.default_rng(seed)
-    out = np.full((n, c.n_vars), -1, dtype=np.int64)
-    reach: dict[int, np.ndarray] = {uid: np.zeros(n, dtype=bool) for uid in c.units}
-    reach[c.root][:] = True
-    cum = {u.id: np.cumsum(np.asarray(u.weights) / np.sum(u.weights)) for u in c.sum_units()}
-    for uid in reversed(c.order):
-        u = c.units[uid]
-        mask = reach[uid]
-        if isinstance(u, IndicatorUnit):
-            out[mask, u.var] = u.value
-        elif isinstance(u, ProductUnit):
-            for ch in u.children:
-                reach[ch] |= mask
-        else:
-            draws = rng.random(n)  # full column keeps the stream layout fixed
-            choice = np.searchsorted(cum[uid], draws[mask], side="right")
-            choice = np.minimum(choice, len(u.children) - 1)
-            idx = np.flatnonzero(mask)
-            for k in range(len(u.children)):
-                reach[u.children[k]][idx[choice == k]] = True
+    comp = _compile(c)
+    sums = [c.units[uid] for uid in reversed(c.order) if uid in comp.sum_index]
+    draws = np.random.default_rng(seed).random((len(sums), n))
+    choices = np.empty(draws.shape, dtype=np.int64)
+    for u, row in zip(sums, draws):
+        cum = np.cumsum(np.asarray(u.weights) / np.sum(u.weights))
+        choices[comp.sum_index[u.id]] = np.minimum(np.searchsorted(cum, row, side="right"),
+                                                   len(u.children) - 1)
+    out = comp.descend(choices, n)
     unassigned = np.flatnonzero((out < 0).any(axis=0)).tolist()
     if unassigned:
         raise ValueError(f"samples left variables {unassigned} unassigned; "

@@ -23,6 +23,12 @@ padded with zero-weight edges; padding never saturates.  Values are words:
 - IEEE doubles for FLOAT64, whose exact ops are IEEE ops.  A product at or
   below 2**-1022, where IEEE subnormals part from this format, makes the
   chunk rerun on Python-int words.
+
+This module owns the word kinds (`_word_kind`) and what is cached per
+compiled layout for them: the slot weights as words of each (config, kind),
+the uniform plans and each plan's per-level modes, all held weakly by the
+layout so that they go with the circuit.  MAP's backtrack is the layout's
+`descend`, which `circuit.sample` shares.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .circuit import Circuit, ProductUnit, Site, SumUnit, _check_rows, _compile
+from .circuit import Circuit, ProductUnit, Site, SumUnit, _check_rows, _compile, _Compiled
 from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F401
-                     MultResult, aai_mul, encode, exact_add, exact_mul,
+                     MultResult, aai_mul, encode, encode_words, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
 
 EXACT = "exact"
@@ -44,6 +50,10 @@ AAI = "aai"
 
 #: units x rows of one chunk's value table (a quarter of it for Python ints)
 CHUNK_CELLS = 1 << 19
+
+#: per compiled layout: {(cfg, kind): weight words} and {(plan class, mode): plan}
+_WORDS: WeakKeyDictionary = WeakKeyDictionary()
+_UNIFORM_PLANS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def enumerate_sites(c: Circuit) -> list[Site]:
@@ -74,7 +84,7 @@ class MultiplierPlan:
     @classmethod
     def _uniform(cls, c: Circuit, mode: str) -> "MultiplierPlan":
         """The circuit's plan with every site in one mode, built once."""
-        plans = _compile(c).plans
+        plans = _UNIFORM_PLANS.setdefault(_compile(c), {})
         if (cls, mode) not in plans:
             plans[cls, mode] = cls(dict.fromkeys(enumerate_sites(c), mode))
         return plans[cls, mode]
@@ -311,6 +321,30 @@ def _word_kind(cfg: FloatConfig):
     return np.dtype(object)
 
 
+def _weight_words(comp: _Compiled, cfg: FloatConfig, kind):
+    """The slot weights as words of the given kind (a numpy dtype, or
+    "ieee" for float64), with the counts of weights that saturated."""
+    words, key = _WORDS.setdefault(comp, {}), (cfg, str(kind))
+    if key not in words:
+        w, under, over = encode_words(comp.weights, cfg)
+        words[key] = (comp.weights if kind == "ieee" else w.astype(kind), under, over)
+    return words[key]
+
+
+def _evidence_row(c: Circuit, evidence: Mapping[int, int]) -> np.ndarray:
+    """{variable: value} evidence as a row, -1 where unobserved."""
+    row = np.full(c.n_vars, -1, dtype=np.int64)
+    for var, value in evidence.items():
+        if var not in range(c.n_vars):
+            raise ValueError(f"evidence names unknown variable {var}")
+        if not float(value).is_integer():
+            raise ValueError(f"evidence value {value!r} for variable {var} is not an integer")
+        if not 0 <= value < c.variables[int(var)].cardinality:
+            raise ValueError(f"evidence value {value} out of range for variable {var}")
+        row[int(var)] = value
+    return row
+
+
 def _split(mask: np.ndarray):
     """How one fold step or level of edges multiplies: True (all AAI),
     False (all exact), or the (AAI, exact) index arrays of a mixed one."""
@@ -355,7 +389,7 @@ class CircuitEvaluator:
         if self._kind == "ieee" and ((comp.weights > 0) & (comp.weights < _TINY)).any():
             self._kind = np.dtype(object)
         w, self.weight_quant_underflows, self.weight_quant_overflows = \
-            comp.weight_words(cfg, self._kind)
+            _weight_words(comp, cfg, self._kind)
         self._w = w[:, np.newaxis]
 
     def _pass(self, ar, w, rows: np.ndarray, mode: int, picks: Optional[np.ndarray]):
@@ -399,26 +433,8 @@ class CircuitEvaluator:
             roots = np.where(roots == 0, -1, roots.view(np.int64))
         if mode != _MAP:
             return roots, ar.under, ar.over, None, None
-        return roots, ar.under, ar.over, *self._backtrack(choices, n)
-
-    def _backtrack(self, choices: list[np.ndarray], n: int):
-        """Top down, one level at a time: a selected sum selects its chosen
-        child, a selected product all its children."""
-        comp = self._comp
-        sel = np.zeros((comp.n_table, n), dtype=bool)
-        sel[comp.root] = True
-        chosen = reversed(choices)
-        for lev in reversed(comp.levels):
-            if lev.s1 > lev.s0:
-                i, b = np.nonzero(sel[lev.s0:lev.s1])
-                sel[lev.sch[next(chosen)[i, b], i], b] = True
-            if lev.p1 > lev.p0:
-                i, b = np.nonzero(sel[lev.p0:lev.p1])
-                sel[lev.pch[:, i], b] = True
-        i, b = np.nonzero(sel[:len(comp.ind_var)])
-        assignment = np.full((n, self.circuit.n_vars), -1, dtype=np.int64)
-        assignment[b, comp.ind_var[i]] = comp.ind_val[i]
-        return np.concatenate(choices or [np.zeros((0, n), dtype=np.int64)]), assignment
+        choices = np.concatenate(choices or [np.zeros((0, n), dtype=np.int64)])
+        return roots, ar.under, ar.over, choices, comp.descend(choices, n)
 
     def _evaluate(self, x, mode: int, traces=None):
         """Run the pass over x's rows chunk by chunk, rerunning a chunk on
@@ -437,7 +453,7 @@ class CircuitEvaluator:
                       else _IntWords(self.cfg, self._kind, len(args[0])))
                 parts.append(self._pass(ar, self._w, *args))
             except _LeavesIEEE:
-                w = self._comp.weight_words(self.cfg, np.dtype(object))[0][:, np.newaxis]
+                w = _weight_words(self._comp, self.cfg, np.dtype(object))[0][:, np.newaxis]
                 parts.append(self._pass(_IntWords(self.cfg, np.dtype(object), len(args[0])),
                                         w, *args))
         roots, under, over, trace, assignment = zip(*parts)
@@ -450,13 +466,11 @@ class CircuitEvaluator:
                 None if assignment[0] is None else np.vstack(assignment))
 
     def _batch(self, x) -> tuple[np.ndarray, bool]:
-        """x as a 2-D batch of rows, and whether it was a single row."""
+        """x as a 2-D batch of checked rows, and whether it was a single row."""
         if isinstance(x, Mapping):
-            row = np.full(self.circuit.n_vars, -1, dtype=np.int64)
-            row[list(x)] = list(x.values())
-            x = row
-        x = np.asarray(x, dtype=np.int64)
-        return (x[np.newaxis], True) if x.ndim == 1 else (x, False)
+            return _evidence_row(self.circuit, x)[np.newaxis], True
+        x = np.asarray(x)
+        return _check_rows(self.circuit, np.atleast_2d(x), unobserved=True), x.ndim == 1
 
     def _picks(self, traces: Sequence[Mapping[int, int]], n_rows: int) -> np.ndarray:
         """The traced edge of every sum (its first where a trace has none),
@@ -534,13 +548,6 @@ def eval_mar(c: Circuit, x: Sequence[int], cfg: FloatConfig,
 def eval_map(c: Circuit, evidence: Mapping[int, int], cfg: FloatConfig,
              plan: MultiplierPlan) -> MapResult:
     """Most likely completion of partial evidence under the given plan."""
-    for var, value in evidence.items():
-        if not 0 <= var < c.n_vars:
-            raise ValueError(f"evidence names unknown variable {var}")
-        if not float(value).is_integer():
-            raise ValueError(f"evidence value {value!r} for variable {var} is not an integer")
-        if not 0 <= value < c.variables[var].cardinality:
-            raise ValueError(f"evidence value {value} out of range for variable {var}")
     result, _, _ = CircuitEvaluator(c, cfg, plan).map_query(dict(evidence))
     return result
 

@@ -4,7 +4,8 @@ Most of this recomputes expected values from first principles with exact
 rational arithmetic (or brute-force enumeration), deliberately avoiding the
 package's own code paths.  `ScalarEvaluator` is the bit-level reference for
 the batched evaluator: it walks the circuit one unit and one row at a time
-through the scalar `floats` operations.
+through the scalar `floats` operations.  `sample_oracle` is the per-unit
+ancestral walk that `circuit.sample` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -394,6 +395,45 @@ def determinism_oracle(circuit) -> list[tuple[int, str]]:
                 support[uid] = np.logical_or.reduce(
                     [k for w, k in zip(u.weights, kids) if w > 0])
     return [(uid, "multiple children positive on a complete state") for uid in sorted(bad)]
+
+
+def sample_oracle(c, seed: int, n: int) -> np.ndarray:
+    """`circuit.sample` as a walk over the units in reversed topological
+    order: one bool column per unit marks the rows that reach it, each sum
+    draws one column of uniforms and scatters its rows child by child."""
+    from aaipc.circuit import IndicatorUnit, ProductUnit
+
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if c.scopes[c.root] != frozenset(range(c.n_vars)):
+        missing = sorted(frozenset(range(c.n_vars)) - c.scopes[c.root])
+        raise ValueError(f"root scope does not cover variables {missing}; "
+                         "samples would leave them unassigned")
+    rng = np.random.default_rng(seed)
+    out = np.full((n, c.n_vars), -1, dtype=np.int64)
+    reach: dict[int, np.ndarray] = {uid: np.zeros(n, dtype=bool) for uid in c.units}
+    reach[c.root][:] = True
+    cum = {u.id: np.cumsum(np.asarray(u.weights) / np.sum(u.weights)) for u in c.sum_units()}
+    for uid in reversed(c.order):
+        u = c.units[uid]
+        mask = reach[uid]
+        if isinstance(u, IndicatorUnit):
+            out[mask, u.var] = u.value
+        elif isinstance(u, ProductUnit):
+            for ch in u.children:
+                reach[ch] |= mask
+        else:
+            draws = rng.random(n)  # full column keeps the stream layout fixed
+            choice = np.searchsorted(cum[uid], draws[mask], side="right")
+            choice = np.minimum(choice, len(u.children) - 1)
+            idx = np.flatnonzero(mask)
+            for k in range(len(u.children)):
+                reach[u.children[k]][idx[choice == k]] = True
+    unassigned = np.flatnonzero((out < 0).any(axis=0)).tolist()
+    if unassigned:
+        raise ValueError(f"samples left variables {unassigned} unassigned; "
+                         "the circuit is not smooth")
+    return out
 
 
 def induced_tree_units(c, trace: Mapping[int, int]):

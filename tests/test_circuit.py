@@ -31,7 +31,7 @@ from aaipc.circuit import (
 
 from conftest import three_var_doc
 from oracles import (brute_force_probability, determinism_oracle, induced_trees,
-                     tree_mass_oracle)
+                     sample_oracle, tree_mass_oracle)
 
 
 def toy_sum_over_indicators(weights=(0.25, 0.75)):
@@ -518,6 +518,133 @@ class TestSample:
         c = Circuit([Variable(0, 2), Variable(1, 2)], units, 4)
         with pytest.raises(ValueError, match=r"variables \[0\] unassigned"):
             sample(c, seed=0, n=64)
+
+
+def reweighted(c: Circuit, weights) -> Circuit:
+    """The same structure with each sum's weights replaced by weights(u)."""
+    units = [SumUnit(u.id, u.children, tuple(weights(u))) if isinstance(u, SumUnit) else u
+             for u in c.units.values()]
+    return Circuit(c.variables, units, c.root)
+
+
+def equal_weights(u: SumUnit):
+    return (1 / len(u.children),) * len(u.children)
+
+
+def some_zero_weights(u: SumUnit):
+    """Zero on each even position but the last, equal on the rest."""
+    keep = [k % 2 == 1 or k == len(u.children) - 1 for k in range(len(u.children))]
+    return [k / sum(keep) for k in keep]
+
+
+def short_of_one(u: SumUnit):
+    """Ten equal weights, whose normalized running sum ends below one, or
+    weights a little short of summing to one."""
+    if len(u.children) == 10:
+        return (0.1,) * 10
+    return [w * (1 - 4e-13) for w in u.weights]
+
+
+def wide_sum(n_children: int, seed: int) -> Circuit:
+    """A root sum of n_children products (X0 = k) x (a sum over X1), with
+    Dirichlet weights."""
+    rng = np.random.default_rng(seed)
+    units = [IndicatorUnit(0, 1, 0), IndicatorUnit(1, 1, 1)]
+    kids = []
+    for k in range(n_children):
+        w = rng.dirichlet(np.ones(2))
+        units += [IndicatorUnit(len(units), 0, k), SumUnit(len(units) + 1, (0, 1), tuple(w))]
+        units.append(ProductUnit(len(units), (len(units) - 2, len(units) - 1)))
+        kids.append(len(units) - 1)
+    w = rng.dirichlet(np.ones(n_children))
+    units.append(SumUnit(len(units), tuple(kids), tuple(w / w.sum())))
+    return Circuit([Variable(0, n_children), Variable(1, 2)], units, len(units) - 1)
+
+
+class TestSampleAgainstOracle:
+    """`sample` draws the same stream as the per-unit walk of
+    `oracles.sample_oracle` and returns the same rows, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("weights", [None, equal_weights, some_zero_weights],
+                             ids=["dirichlet", "equal", "zeros"])
+    def test_random_circuits(self, seed, weights):
+        for c in (generate_random_tree_pc(seed, 2 + seed % 5, 1 + seed % 2, 2 + seed % 3),
+                  generate_random_det_pc(seed, 1 + seed % 6)):
+            c = reweighted(c, weights) if weights else c
+            assert np.array_equal(sample(c, seed, 200), sample_oracle(c, seed, 200))
+
+    @pytest.mark.parametrize("n_children", [9, 13])
+    def test_sum_with_many_children(self, n_children):
+        for seed in range(4):
+            c = wide_sum(n_children, seed)
+            for weights in (None, equal_weights, some_zero_weights):
+                d = reweighted(c, weights) if weights else c
+                assert np.array_equal(sample(d, seed, 300), sample_oracle(d, seed, 300))
+
+    @pytest.mark.parametrize("weights", [equal_weights, some_zero_weights, short_of_one],
+                             ids=["equal", "zeros", "short"])
+    def test_draws_on_cumulative_weights(self, weights, monkeypatch):
+        # uniforms from the stream almost never meet a cumulative weight;
+        # these sit on them, and next to them, where the search side, the
+        # normalization and the clamp to the last child decide the pick
+        c = reweighted(wide_sum(10, 1), weights)
+        ends = [0.0, 1.0]
+        for u in c.sum_units():
+            w = np.asarray(u.weights)
+            ends += np.cumsum(w).tolist() + np.cumsum(w / np.sum(w)).tolist()
+        ends = np.array(ends)
+        pool = np.unique(np.concatenate([ends, np.nextafter(ends, 0), np.nextafter(ends, 2)]))
+        pool = pool[(pool >= 0) & (pool < 1)]
+        real_rng = np.random.default_rng
+
+        class OnTheEnds:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def random(self, size):
+                return self.rng.choice(pool, size)
+
+        monkeypatch.setattr(np.random, "default_rng", OnTheEnds)
+        assert np.array_equal(sample(c, 5, 2000), sample_oracle(c, 5, 2000))
+
+    @pytest.mark.parametrize("n", [0, 1, 257])
+    def test_batch_sizes(self, n, three_var_circuit):
+        for c in (three_var_circuit, generate_random_tree_pc(3, 6, 2, 3),
+                  generate_random_det_pc(3, 5)):
+            x = sample(c, 17, n)
+            assert x.shape == (n, c.n_vars) and x.dtype == np.int64
+            assert np.array_equal(x, sample_oracle(c, 17, n))
+
+    @pytest.mark.parametrize("units, root", [
+        # the root's scope leaves X1 out
+        ([IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), SumUnit(2, (0, 1), (0.5, 0.5))], 2),
+        # (X0=0 * X1=0) + (X1=1): the second branch never assigns X0
+        ([IndicatorUnit(0, 0, 0), IndicatorUnit(1, 1, 0), IndicatorUnit(2, 1, 1),
+          ProductUnit(3, (0, 1)), SumUnit(4, (3, 2), (0.5, 0.5))], 4),
+    ], ids=["root-scope", "not-smooth"])
+    def test_unassigned_variable_errors(self, units, root):
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, root)
+        with pytest.raises(ValueError) as want:
+            sample_oracle(c, 0, 64)
+        with pytest.raises(ValueError, match="unassigned") as got:
+            sample(c, 0, 64)
+        assert str(got.value) == str(want.value)
+
+    def test_non_decomposable_product_follows_map(self):
+        # (X0=0 * X0=1 * (X1=0 + X1=1)) reaches both values of X0; a row
+        # takes the value MAP's descent gives, that of the test listed last
+        from aaipc.floats import FLOAT64
+        from aaipc.inference import MultiplierPlan, eval_map
+
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 1, 0),
+                 IndicatorUnit(3, 1, 1), SumUnit(4, (2, 3), (0.25, 0.75)),
+                 ProductUnit(5, (0, 1, 4))]
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, 5)
+        x = sample(c, 4, 64)
+        assert eval_map(c, {}, FLOAT64, MultiplierPlan.all_exact(c)).assignment[0] == 1
+        assert (x[:, 0] == 1).all()
+        assert np.array_equal(x[:, 1], sample_oracle(c, 4, 64)[:, 1])
 
 
 class TestEnumerateStates:

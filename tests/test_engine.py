@@ -427,6 +427,21 @@ class TestBatchInterface:
             assert results == [] and len(under) == len(over) == 0
         assert ev.restricted_value([], none) == []
 
+    @pytest.mark.parametrize("query, x, message", [
+        ("mar", [1.9, 0, 1], "row 0, column 0: value 1.9 is not an integer"),
+        ("mar", [5, 0, 1], "row 0, column 0: value 5 is out of range for cardinality 2"),
+        ("map_query", {-1: 0}, "evidence names unknown variable -1"),
+        ("map_query", {0: 1.5}, "evidence value 1.5 for variable 0 is not an integer"),
+        ("map_query", {7: 0}, "evidence names unknown variable 7"),
+    ])
+    def test_rows_are_checked(self, query, x, message):
+        # unchecked, 1.9 read as 1, 5 gave probability 0, -1 named the last
+        # variable and 7 raised IndexError
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        with pytest.raises(ValueError, match=message):
+            getattr(ev, query)(x)
+
     def test_one_trace_per_row(self):
         c = generate_random_det_pc(0, 3)
         ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))

@@ -24,14 +24,15 @@ def test_declared_scripts_resolve_to_callables():
         assert callable(obj), f"script {name} = {target!r} is not callable"
 
 
-def test_circuit_layer_imports_no_query_layer():
-    # circuit holds the compiled layout that inference evaluates on; the
-    # dependency runs one way only
+@pytest.mark.parametrize("module", ["aaipc.inference", "aaipc.floats"])
+def test_circuit_layer_imports_no_query_layer(module):
+    # circuit holds the compiled layout that inference evaluates on, and
+    # knows no number format; the dependency runs one way only
     import aaipc.circuit
 
     src = str(Path(aaipc.circuit.__file__).resolve().parents[1])
     code = ("import sys, aaipc.circuit; "
-            "sys.exit('aaipc.inference' in sys.modules)")
+            f"sys.exit({module!r} in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
