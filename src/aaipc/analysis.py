@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .circuit import Circuit, edge_masses, enumerate_states, eval_double, sample, validate
+from .circuit import (Circuit, Edge, _integer, edge_masses, enumerate_states, eval_double,
+                      sample, validate)
 from .floats import (FloatConfig, decode, encode, encode_words,  # noqa: F401
                      log2_value, mitchell_delta)  # encode stays bound for callers that wrap it
 from .inference import CircuitEvaluator, MultiplierPlan, induced_tree_edges
@@ -29,7 +29,7 @@ from .inference import CircuitEvaluator, MultiplierPlan, induced_tree_edges
 
 @dataclass(frozen=True)
 class WeightContribution:
-    edge: tuple[int, int]
+    edge: Edge
     delta_w: float
     mass: float
 
@@ -69,7 +69,7 @@ class FailureEstimate:
     std_error: float
 
 
-def _edge_deltas(c: Circuit, cfg: FloatConfig) -> dict[tuple[int, int], float]:
+def _edge_deltas(c: Circuit, cfg: FloatConfig) -> dict[Edge, float]:
     """Mitchell shortfall of each sum edge's weight quantized to cfg."""
     sums = c.sum_units()
     edges = [(u.id, i) for u in sums for i in range(len(u.children))]
@@ -82,8 +82,9 @@ def delta_det(c: Circuit, cfg: FloatConfig) -> AnalysisReport:
     """Closed-form expected log2 gap of an all-AAI evaluation.
 
     Exact, in the sense below, for smooth, decomposable, deterministic
-    circuits; otherwise a lower-bound style estimate flagged in the report
-    note.
+    circuits; otherwise an estimate whose report note names what fails:
+    "not smooth", "not decomposable", and "bound, not equality" where
+    determinism is not shown.
 
     On a deterministic circuit a single tree is live per state and additions
     pass through.  An AAI product adds words as integers, so the root word's
@@ -94,7 +95,8 @@ def delta_det(c: Circuit, cfg: FloatConfig) -> AnalysisReport:
     it is an upper bound: KL = Delta_det - E_p[delta(f_root)] <= Delta_det.
     """
     rep = validate(c)
-    note = "" if rep.deterministic else "bound, not equality"
+    note = "; ".join([f"not {p}" for p in ("smooth", "decomposable") if not getattr(rep, p)]
+                     + ([] if rep.deterministic else ["bound, not equality"]))
     masses = edge_masses(c)
     contribs = [WeightContribution(e, d, masses[e]) for e, d in _edge_deltas(c, cfg).items()]
     total = sum((wc.contribution for wc in contribs), 0.0)  # a float with no sums too
@@ -110,6 +112,7 @@ def delta_nondet_mc(c: Circuit, cfg: FloatConfig, n_samples: int,
     tree mass enters as a linearized tail correction.  The dropped curvature
     term makes this a surrogate, not an exact expectation.
     """
+    n_samples = _integer("n_samples", n_samples)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     plan = MultiplierPlan.all_aai(c)
@@ -121,7 +124,7 @@ def delta_nondet_mc(c: Circuit, cfg: FloatConfig, n_samples: int,
     fulls, _, _ = ev.mar(data)
     top_values = ev.restricted_value([top.trace for top in tops], data)
     terms = np.empty(n_samples)
-    hits: dict[tuple[int, int], int] = {e: 0 for e in deltas}
+    hits: dict[Edge, int] = {e: 0 for e in deltas}
     for k, (top, full, top_value) in enumerate(zip(tops, fulls, top_values)):
         tree_sum = 0.0
         for edge in induced_tree_edges(c, top.trace):
@@ -159,14 +162,6 @@ def kl_bruteforce(c: Circuit, cfg: FloatConfig) -> float:
                              "while the reference is positive: infinite divergence")
         total += float(p) * (math.log2(float(p)) - log2_value(approx.value))
     return total
-
-
-def _integer(name: str, value) -> int:
-    """value as an int, or a ValueError naming the argument: a float would
-    be truncated and a bool read as 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 #: max over u in [0, 1] of log2(1 + u) - u, 0.086071... at u = 1/ln 2 - 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, Union
@@ -66,11 +67,10 @@ class IndicatorUnit:
 
 Unit = Union[SumUnit, ProductUnit, IndicatorUnit]
 
-#: a sum-edge identifier: (sum unit id, child position)
+#: an edge, (unit id, child position k), names the multiply that brings child
+#: k in: a sum's weight times child k, or a product's fold step k >= 1, so
+#: each multiply sits on one edge
 Edge = tuple[int, int]
-
-#: a multiplication site: ("w", sum id, child position) or ("p", product id, fold step)
-Site = tuple[str, int, int]
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,9 @@ def _weighted_sum(u: SumUnit, kids: Iterator) -> Any:
 # ---------------------------------------------------------------------------
 
 #: one level: products at table rows p0:p1 fold the rows in pch's columns
-#: (id order, padded with the row of one), sums at rows s0:s1 add the rows in
-#: sch's columns (children order, padded with the row of zero); child k of
-#: unit i has slot pslot + k * n_p + i or sslot + k * n_s + i
+#: (padded with the row of one), sums at rows s0:s1 add the rows in sch's
+#: columns (padded with the row of zero), both in `children` order; child k
+#: of unit i has slot pslot + k * n_p + i or sslot + k * n_s + i
 _Level = namedtuple("_Level", "p0 p1 pch pslot s0 s1 sch sslot")
 
 
@@ -272,7 +272,7 @@ class _Compiled:
         self.one_row = free + len(c.units) - len(by_level[0])
         self.zero_row = self.one_row + 1
         self.levels: list[_Level] = []
-        self.slot_sites: list[Site] = []
+        self.slot_sites: list[Edge] = []
         self.slot_index: list[int] = []
         self.weights: list[np.ndarray] = []
         self.n_slots = 0
@@ -281,31 +281,31 @@ class _Compiled:
             summ = [u for u in units if isinstance(u, SumUnit)]
             p0, s0, free = free, free + len(prod), free + len(units)
             row.update((u.id, p0 + i) for i, u in enumerate(prod + summ))
-            self.levels.append(_Level(p0, s0, *self._group(prod, row, "p", self.one_row),
-                                      s0, free, *self._group(summ, row, "w", self.zero_row)))
+            self.levels.append(_Level(p0, s0, *self._group(prod, row, self.one_row),
+                                      s0, free, *self._group(summ, row, self.zero_row)))
         self.root, self.n_table, self.n_vars = row[c.root], self.zero_row + 1, c.n_vars
         self.slot_index = np.array(self.slot_index, dtype=np.int64)
         self.weights = np.concatenate([np.zeros(0)] + self.weights)
-        self.sites = sorted(self.slot_sites, key=lambda s: s[1:])
+        self.sites = sorted(self.slot_sites)
         sums = [u for units in by_level for u in units if isinstance(u, SumUnit)]
         self.sum_index = {u.id: i for i, u in enumerate(sums)}
         self.sum_arity = np.array([len(u.children) for u in sums], dtype=np.int64)
 
-    def _group(self, units: list, row: dict[int, int], kind: str, pad: int):
-        """One level's products (kind "p") or sums ("w"): their children's
-        rows, one column per unit, and the first of their slots.  A product
-        multiplies in its children 1, 2, ... of id order, so its slots for
-        child 0 are padding."""
-        kids = [sorted(u.children) if kind == "p" else u.children for u in units]
+    def _group(self, units: list, row: dict[int, int], pad: int):
+        """One level's products or sums: their children's rows in `children`
+        order, one column per unit, and the first of their slots.  Edge
+        (u, k) multiplies child k in; a product's fold starts at child 0, so
+        its slots for child 0 are padding."""
+        kids = [u.children for u in units]
         ch = np.full((max(map(len, kids), default=1), len(units)), pad, dtype=np.int64)
         w = np.zeros(ch.shape)
-        first, skip = self.n_slots, int(kind == "p")
+        first = self.n_slots
         for i, (u, ks) in enumerate(zip(units, kids)):
-            ch[:len(ks), i] = [row[k] for k in ks]
-            if kind == "w":
-                w[:len(ks), i] = u.weights
-            self.slot_sites += [(kind, u.id, k - skip) for k in range(skip, len(ks))]
-            self.slot_index += [first + k * len(units) + i for k in range(skip, len(ks))]
+            n, skip = len(ks), int(isinstance(u, ProductUnit))
+            ch[:n, i] = [row[k] for k in ks]
+            w[:n, i] = getattr(u, "weights", 0.0)
+            self.slot_sites += [(u.id, k) for k in range(skip, n)]
+            self.slot_index += [first + k * len(units) + i for k in range(skip, n)]
         self.weights.append(w.ravel())
         self.n_slots += ch.size
         return ch, first
@@ -545,6 +545,14 @@ def enumerate_states(c: Circuit) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
 
+def _integer(name: str, value: Any) -> int:
+    """value as an int, or a ValueError naming the argument: a float would
+    be truncated and a bool read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_rows(c: Circuit, x: Any, unobserved: bool = False) -> np.ndarray:
     """x as an int64 array of rows, one value per variable, each below its
     cardinality; negative values mean unobserved when that is allowed."""
@@ -725,6 +733,7 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
     cumulative normalized weight exceeds it (the last child where rounding
     leaves none); the choices then descend the compiled layout as MAP's do.
     """
+    n = _integer("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     if c.scopes[c.root] != frozenset(range(c.n_vars)):

@@ -13,6 +13,7 @@ form of `encode`: it rounds the same way, with numpy integer shifts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -35,6 +36,13 @@ class FloatConfig:
     rounding: str = NEAREST_EVEN
 
     def __post_init__(self) -> None:
+        for name in ("exp_bits", "man_bits", "bias"):
+            value = getattr(self, name)
+            if name == "bias" and value is None:
+                continue  # resolved below
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.exp_bits < 2:
             raise ValueError(f"exp_bits must be >= 2, got {self.exp_bits}")
         if self.man_bits < 0:

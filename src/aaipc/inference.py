@@ -1,17 +1,17 @@
 """Finite-precision circuit evaluation: marginal and MAP queries under a
 per-multiplication choice of exact or approximate hardware.
 
-Every multiplication site in a circuit (one per sum edge for the weight
-multiply, one per binary fold step inside a product) is assigned a mode by a
-MultiplierPlan.  Additions always use the exact adder.  The 64-bit baseline
-is an all-exact plan at the IEEE double layout.
+Every multiplication site in a circuit is named by the edge that brings its
+operand in (`circuit.Edge`: one per sum edge, one per product child after the
+first) and assigned a mode by a MultiplierPlan.  Additions always use the
+exact adder.  The 64-bit baseline is an all-exact plan at the IEEE double layout.
 
 Queries run on a compiled, levelized form of the circuit (`circuit._Compiled`,
 kept on it): a unit's level is one more than its highest child's, and
 each level is a few array operations on a value table with one row per unit
-and one column per query row.  Products fold their children in id order,
-padded with the word for one; sums fold their edges in `children` order,
-padded with zero-weight edges; padding never saturates.  Values are words:
+and one column per query row.  Products fold their children and sums their
+edges in `children` order, padded with the word for one and with
+zero-weight edges; padding never saturates.  Values are words:
 
 - bit patterns (biased exponent, then mantissa) with zero as -1, out of
   band, so the smallest value (pattern 0) stays apart and word order is value
@@ -40,7 +40,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .circuit import Circuit, ProductUnit, Site, SumUnit, _check_rows, _compile, _Compiled
+from .circuit import Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile, _Compiled
 from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F401
                      MultResult, aai_mul, encode, encode_words, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
@@ -56,17 +56,17 @@ _WORDS: WeakKeyDictionary = WeakKeyDictionary()
 _UNIFORM_PLANS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def enumerate_sites(c: Circuit) -> list[Site]:
-    """Every multiplication site of the circuit, in deterministic order."""
+def enumerate_sites(c: Circuit) -> list[Edge]:
+    """Every multiplication site of the circuit as its edge, in sorted order."""
     return list(_compile(c).sites)
 
 
 @dataclass(frozen=True)
 class MultiplierPlan:
-    """Mode assignment covering every multiplication site exactly once; a
+    """One mode for each multiplication site, keyed by its `circuit.Edge`; a
     read-only copy, so its per-level modes are cached per compiled circuit."""
 
-    modes: Mapping[Site, str]
+    modes: Mapping[Edge, str]
     _levels: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
                                        repr=False, compare=False)
 
@@ -91,16 +91,15 @@ class MultiplierPlan:
 
     @classmethod
     def from_aai_weight_sites(cls, c: Circuit,
-                              aai_edges: Sequence[tuple[int, int]]) -> "MultiplierPlan":
+                              aai_edges: Sequence[Edge]) -> "MultiplierPlan":
         """AAI on the listed sum edges, exact everywhere else."""
-        chosen = {("w", uid, i) for uid, i in aai_edges}
-        modes = {s: AAI if s in chosen else EXACT for s in enumerate_sites(c)}
-        missing = chosen - set(modes)
+        chosen = {(uid, i) for uid, i in aai_edges}
+        missing = chosen.difference(c.weight_edges())
         if missing:
-            raise ValueError(f"edges are not sites of this circuit: {sorted(missing)}")
-        return cls(modes)
+            raise ValueError(f"edges are not sum edges of this circuit: {sorted(missing)}")
+        return cls({s: AAI if s in chosen else EXACT for s in enumerate_sites(c)})
 
-    def mode(self, site: Site) -> str:
+    def mode(self, site: Edge) -> str:
         return self.modes[site]
 
     def check_covers(self, c: Circuit) -> None:
@@ -519,7 +518,7 @@ class CircuitEvaluator:
         return roots[0] if single else roots
 
 
-def induced_tree_edges(c: Circuit, trace: Mapping[int, int]) -> list[tuple[int, int]]:
+def induced_tree_edges(c: Circuit, trace: Mapping[int, int]) -> list[Edge]:
     """Sum edges of the induced tree a MAP trace selects, depth first from
     the root."""
     edges, stack = [], [c.root]
@@ -562,6 +561,8 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     query whose observed entries (values >= 0) form the evidence.  MAP
     accuracy counts assignments identical to the baseline's.
     """
+    if not np.isfinite(correction):
+        raise ValueError(f"correction must be finite, got {correction!r}")
     data = _check_rows(c, np.atleast_2d(data), unobserved=True)
     base = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
     test = CircuitEvaluator(c, cfg, plan)

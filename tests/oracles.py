@@ -165,7 +165,7 @@ def reference_eval(circuit, x, man_bits: int, e_min: int, e_max: int,
 
     Mirrors the engine's operation order (weights quantized up front, sums
     accumulated in child order with one rounding per add, products folded
-    over id-sorted children) but is built on value-domain quantization
+    in child order too) but is built on value-domain quantization
     rather than bit manipulation.  Assumes no saturation occurs.
     """
     from aaipc.circuit import IndicatorUnit, ProductUnit
@@ -191,9 +191,8 @@ def reference_eval(circuit, x, man_bits: int, e_min: int, e_max: int,
         if isinstance(u, IndicatorUnit):
             val[uid] = Fraction(1) if x[u.var] == u.value else Fraction(0)
         elif isinstance(u, ProductUnit):
-            kids = sorted(u.children)
-            acc = val[kids[0]]
-            for ch in kids[1:]:
+            acc = val[u.children[0]]
+            for ch in u.children[1:]:
                 acc = mul(acc, val[ch])
             val[uid] = acc
         else:
@@ -270,16 +269,16 @@ class ScalarEvaluator:
             if isinstance(u, IndicatorUnit):
                 self._steps[uid] = (_INDICATOR, u.var, u.value)
             elif isinstance(u, ProductUnit):
-                first, *rest = sorted(u.children)
+                first, *rest = u.children
                 self._steps[uid] = (_PRODUCT, first, tuple(
-                    (ch, modes[("p", uid, k)] == AAI) for k, ch in enumerate(rest)))
+                    (ch, modes[uid, k] == AAI) for k, ch in enumerate(rest, 1)))
             else:
                 edges = []
                 for i, (ch, w) in enumerate(zip(u.children, u.weights)):
                     r = encode(w, cfg)
                     self.weight_quant_underflows += r.underflowed
                     self.weight_quant_overflows += r.overflowed
-                    edges.append((ch, r.value, modes[("w", uid, i)] == AAI))
+                    edges.append((ch, r.value, modes[uid, i] == AAI))
                 self._steps[uid] = (_SUM, tuple(edges), None)
 
     def _pass(self, steps: Iterable[tuple[int, tuple]], row: Sequence[Optional[int]],

@@ -9,12 +9,16 @@ import pytest
 from aaipc.circuit import (
     Circuit,
     IndicatorUnit,
+    ProductUnit,
     SumUnit,
     Variable,
+    enumerate_states,
     generate_random_det_pc,
     generate_random_tree_pc,
+    validate,
 )
 from aaipc.floats import FloatConfig, mitchell_delta
+from aaipc.inference import AAI, CircuitEvaluator, MultiplierPlan
 from aaipc.analysis import (
     MAP_FAILURE_CHUNK,
     MITCHELL_MAX,
@@ -24,7 +28,7 @@ from aaipc.analysis import (
     map_failure_prob,
 )
 
-from oracles import map_failure_oracle, root_readout_delta_oracle
+from oracles import ScalarEvaluator, map_failure_oracle, root_readout_delta_oracle
 
 
 def simple_sum(weights=(0.75, 0.25)) -> Circuit:
@@ -88,6 +92,19 @@ class TestDeltaDet:
         rep = delta_det(c, CFG)
         assert rep.note == "bound, not equality"
 
+    @pytest.mark.parametrize("left, note", [
+        ((IndicatorUnit(3, 1, 0),), "not smooth"),        # X0=0 x X1=0: sum of p 1.75
+        ((IndicatorUnit(3, 0, 0),), "not decomposable"),  # X0=0 x X0=0
+    ])
+    def test_structure_failures_named(self, left, note):
+        # a sum over a product with X0=0 and X0=1: deterministic either way
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), *left,
+                 ProductUnit(4, (0, 3)), SumUnit(5, (4, 1), (0.25, 0.75))]
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, 5)
+        rep = validate(c)
+        assert rep.deterministic
+        assert delta_det(c, CFG).note == note
+
     def test_json_serialization(self, three_var_distinct):
         import json
 
@@ -122,6 +139,37 @@ class TestDeltaNondetMc:
     def test_requires_samples(self):
         with pytest.raises(ValueError):
             delta_nondet_mc(simple_sum(), CFG, n_samples=1, seed=0)
+
+    @pytest.mark.parametrize("n", [4.0, True, "4"])
+    def test_non_integer_sample_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            delta_nondet_mc(simple_sum(), CFG, n_samples=n, seed=0)
+
+
+class TestContributionEdgesArePlanKeys:
+    def test_contribution_edges_are_the_sum_sites(self, three_var_distinct):
+        c = three_var_distinct
+        plan = MultiplierPlan.all_aai(c)
+        rep = delta_det(c, CFG)
+        assert {wc.edge for wc in rep.contributions} == \
+            {e for e in plan.modes if isinstance(c.units[e[0]], SumUnit)}
+
+    def test_plan_from_chosen_contribution_edges_evaluates(self):
+        c = generate_random_det_pc(seed=4, n_vars=5)
+        cfg = FloatConfig(8, 10)
+        rep = delta_det(c, cfg)
+        ranked = sorted(rep.contributions, key=lambda wc: wc.contribution)
+        chosen = [wc.edge for wc in ranked[:len(ranked) // 2]]
+        plan = MultiplierPlan.from_aai_weight_sites(c, chosen)
+        assert sorted(e for e, m in plan.modes.items() if m == AAI) == sorted(chosen)
+        states = enumerate_states(c)
+        results, _, _ = CircuitEvaluator(c, cfg, plan).mar(states)
+        ref = ScalarEvaluator(c, cfg, plan)
+        assert results == [ref.mar(x)[0] for x in states]
+
+    def test_product_edge_rejected(self, three_var_distinct):
+        with pytest.raises(ValueError, match=r"not sum edges.*\(15, 1\)"):
+            MultiplierPlan.from_aai_weight_sites(three_var_distinct, [(18, 0), (15, 1)])
 
 
 class TestKlBruteforce:

@@ -484,6 +484,15 @@ class TestSample:
         b = sample(three_var_circuit, seed=5, n=32)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_non_integer_count_rejected(self, three_var_circuit, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample(three_var_circuit, 0, n)
+
+    def test_numpy_integer_count_accepted(self, three_var_circuit):
+        assert np.array_equal(sample(three_var_circuit, 5, np.int64(8)),
+                              sample(three_var_circuit, 5, 8))
+
     def test_samples_stay_on_support(self, three_var_circuit):
         c = three_var_circuit
         x = sample(c, seed=9, n=256)

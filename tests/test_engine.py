@@ -13,7 +13,9 @@ from aaipc.circuit import (
     ProductUnit,
     SumUnit,
     Variable,
+    _compile,
     enumerate_states,
+    eval_double,
     generate_random_det_pc,
     generate_random_tree_pc,
     sample,
@@ -24,6 +26,7 @@ from aaipc.floats import (
     FloatConfig,
     CustomFloat,
     aai_mul,
+    decode,
     decode_fraction,
     encode,
     exact_add,
@@ -70,6 +73,14 @@ def with_equal_weights(c: Circuit) -> Circuit:
     return Circuit(c.variables, units, c.root)
 
 
+def with_shuffled_products(c: Circuit, rng: np.random.Generator) -> Circuit:
+    """The same circuit with each product's children listed in random order,
+    so that products of three or more fold out of id order."""
+    units = [ProductUnit(u.id, tuple(rng.permutation(u.children).tolist()))
+             if isinstance(u, ProductUnit) else u for u in c.units.values()]
+    return Circuit(c.variables, units, c.root)
+
+
 @st.composite
 def cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
@@ -81,6 +92,8 @@ def cases(draw):
         c = generate_random_det_pc(seed, draw(st.integers(1, 5)))
     if draw(st.booleans()):
         c = with_equal_weights(c)
+    if draw(st.booleans()):
+        c = with_shuffled_products(c, np.random.default_rng(seed + 1))
     cfg = draw(st.sampled_from(CONFIGS))
     rng = np.random.default_rng(seed)
     share = draw(st.sampled_from([0.0, 0.5, 1.0]))
@@ -144,6 +157,29 @@ class TestAgainstScalarReference:
             [r.assignment.tolist() for r in parts[1][0]]
         for a, b in zip(whole, parts):
             assert a[1].tolist() == b[1].tolist() and a[2].tolist() == b[2].tolist()
+
+
+class TestProductFoldOrder:
+    @pytest.mark.parametrize("n_vars", [6, 7])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_float64_all_exact_mar_is_eval_double(self, n_vars, seed):
+        # tree(n, 1, 3) has products of 3 and 4 univariate sums; listed out
+        # of id order, they fold in `children` order, as eval_double does
+        c = with_shuffled_products(generate_random_tree_pc(seed, n_vars, 1, 3),
+                                   np.random.default_rng(seed))
+        kids = [u.children for u in c.units.values() if isinstance(u, ProductUnit)]
+        assert any(len(ks) > 2 and list(ks) != sorted(ks) for ks in kids)
+        states = enumerate_states(c)
+        results, _, _ = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c)).mar(states)
+        assert [decode(r.value) for r in results] == eval_double(c, states).tolist()
+
+    def test_sites_follow_children_order(self):
+        units = [IndicatorUnit(0, 0, 1), IndicatorUnit(1, 1, 1), IndicatorUnit(2, 2, 1),
+                 ProductUnit(3, (2, 0, 1))]
+        c = Circuit([Variable(i, 2) for i in range(3)], units, 3)
+        assert enumerate_sites(c) == [(3, 1), (3, 2)]
+        (lev,) = _compile(c).levels
+        assert lev.pch[:, 0].tolist() == [2, 0, 1]  # indicator rows are in id order here
 
 
 class TestAgainstRationalOracle:

@@ -63,6 +63,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             FloatConfig(exp_bits=11, man_bits=52, rounding="up")
 
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((8, 10.5), {}, "man_bits"), ((8, 10.0), {}, "man_bits"), ((8, True), {}, "man_bits"),
+        ((8.0, 10), {}, "exp_bits"),
+        ((8, 10), {"bias": 7.5}, "bias"), ((8, 10), {"bias": True}, "bias")])
+    def test_rejects_non_integer_fields(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            FloatConfig(*args, **kwargs)
+
+    def test_numpy_integer_fields_are_stored_as_int(self):
+        cfg = FloatConfig(np.int64(11), np.int64(40), bias=np.int32(1023))
+        assert [type(f) for f in (cfg.exp_bits, cfg.man_bits, cfg.bias)] == [int] * 3
+        assert cfg == FloatConfig(11, 40) and hash(cfg) == hash(FloatConfig(11, 40))
+        assert encode(0.1, cfg) == encode(0.1, FloatConfig(11, 40))
+
     def test_custom_bias(self):
         cfg = FloatConfig(exp_bits=5, man_bits=4, bias=-2)
         # negative bias shifts the whole range upward

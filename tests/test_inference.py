@@ -60,12 +60,15 @@ def power_of_two_circuit() -> Circuit:
 
 class TestSitesAndPlans:
     def test_site_enumeration(self, three_var_circuit):
-        sites = enumerate_sites(three_var_circuit)
-        weight_sites = [s for s in sites if s[0] == "w"]
-        prod_sites = [s for s in sites if s[0] == "p"]
+        c = three_var_circuit
+        sites = enumerate_sites(c)
+        weight_sites = [s for s in sites if isinstance(c.units[s[0]], SumUnit)]
+        prod_sites = [s for s in sites if isinstance(c.units[s[0]], ProductUnit)]
         assert len(weight_sites) == 7  # 3 + 2 + 2 edges
         assert len(prod_sites) == 7    # seven binary products
-        assert len(set(sites)) == len(sites)
+        assert len(weight_sites) + len(prod_sites) == len(set(sites)) == len(sites)
+        assert weight_sites == c.weight_edges()
+        assert all(k == 1 for _, k in prod_sites)  # the step that brings child 1 in
 
     def test_all_exact_and_all_aai_cover(self, three_var_circuit):
         for plan in (MultiplierPlan.all_exact(three_var_circuit),
@@ -73,25 +76,25 @@ class TestSitesAndPlans:
             plan.check_covers(three_var_circuit)
 
     def test_partial_plan_rejected(self, three_var_circuit):
-        plan = MultiplierPlan({("w", 18, 0): EXACT})
+        plan = MultiplierPlan({(18, 0): EXACT})
         with pytest.raises(ValueError, match="sites"):
             plan.check_covers(three_var_circuit)
 
     def test_evaluator_rejects_plan_with_missing_or_extra_sites(self, three_var_circuit):
         c = three_var_circuit
         modes = dict(MultiplierPlan.all_aai(c).modes)
-        missing = {s: m for s, m in modes.items() if s != ("p", 15, 0)}
-        extra = {**modes, ("w", 99, 0): AAI}
-        swapped = {**missing, ("w", 99, 0): AAI}  # same count, one site renamed
+        missing = {s: m for s, m in modes.items() if s != (15, 1)}
+        extra = {**modes, (99, 0): AAI}
+        swapped = {**missing, (99, 0): AAI}  # same count, one site renamed
         for bad in (missing, extra, swapped):
             with pytest.raises(ValueError, match="sites"):
                 CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan(bad))
 
     def test_from_aai_weight_sites(self, three_var_circuit):
         plan = MultiplierPlan.from_aai_weight_sites(three_var_circuit, [(18, 0), (13, 1)])
-        assert plan.mode(("w", 18, 0)) == AAI
-        assert plan.mode(("w", 18, 1)) == EXACT
-        assert plan.mode(("p", 15, 0)) == EXACT
+        assert plan.mode((18, 0)) == AAI
+        assert plan.mode((18, 1)) == EXACT
+        assert plan.mode((15, 1)) == EXACT
 
 
 class TestEvalMar:
@@ -327,6 +330,13 @@ class TestCompareQueries:
             compare_queries(c, np.array([[0, 1, 5]]), FloatConfig(8, 8),
                             MultiplierPlan.all_aai(c))
         assert not isinstance(info.value, EvaluationError)
+
+    @pytest.mark.parametrize("correction", [math.nan, math.inf, -math.inf])
+    def test_non_finite_correction_rejected(self, three_var_circuit, correction):
+        c = three_var_circuit
+        with pytest.raises(ValueError, match="correction must be finite"):
+            compare_queries(c, sample(c, seed=3, n=4), FloatConfig(8, 10),
+                            MultiplierPlan.all_aai(c), correction=correction)
 
     def test_correction_shifts_log_error(self):
         c = generate_random_tree_pc(seed=29, n_vars=4, depth=2, sum_fanout=2)
