@@ -40,7 +40,8 @@ class WeightContribution:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Per-edge attribution plus the aggregate divergence prediction."""
+    """Per-edge attribution, in edge (sum id, child position) order, plus
+    the aggregate divergence prediction."""
 
     contributions: tuple[WeightContribution, ...]
     delta_det: Optional[float] = None
@@ -132,8 +133,7 @@ def delta_nondet_mc(c: Circuit, cfg: FloatConfig, n_samples: int,
             hits[edge] += 1
         tail = max(decode(full.value) - decode(top_value), 0.0)
         terms[k] = tree_sum - tail
-    contribs = tuple(WeightContribution(e, deltas[e], hits[e] / n_samples)
-                     for e in sorted(deltas))
+    contribs = tuple(WeightContribution(e, d, hits[e] / n_samples) for e, d in deltas.items())
     return AnalysisReport(
         contribs,
         delta_dc=float(np.mean(terms)),
@@ -190,7 +190,7 @@ def map_failure_prob(delta_e: int, n_mults_per_branch: int = 1,
     """
     delta_e = abs(_integer("delta_e", delta_e))
     n = _integer("n_mults_per_branch", n_mults_per_branch)
-    n_samples = _integer("n_samples", n_samples)
+    n_samples, seed = _integer("n_samples", n_samples), _integer("seed", seed)
     if n < 1:
         raise ValueError("n_mults_per_branch must be >= 1")
     if n_samples < 10_000:

@@ -189,16 +189,12 @@ class Circuit:
         return size
 
     def sum_units(self) -> list[SumUnit]:
-        return [u for u in self.units.values() if isinstance(u, SumUnit)]
+        """The sum units in id order, whatever order they were listed in."""
+        return [u for _, u in sorted(self.units.items()) if isinstance(u, SumUnit)]
 
     def weight_edges(self) -> list[Edge]:
         """All sum edges in (unit id, child position) order."""
-        edges = []
-        for uid in sorted(self.units):
-            u = self.units[uid]
-            if isinstance(u, SumUnit):
-                edges.extend((uid, i) for i in range(len(u.children)))
-        return edges
+        return [(u.id, i) for u in self.sum_units() for i in range(len(u.children))]
 
 
 def _fold(c: Circuit, indicator: Callable[[IndicatorUnit], Any],
@@ -545,10 +541,15 @@ def enumerate_states(c: Circuit) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
 
+def _is_integer(value: Any) -> bool:
+    """Whether value is an int or a numpy integer: a float would be
+    truncated and a bool read as 0 or 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _integer(name: str, value: Any) -> int:
-    """value as an int, or a ValueError naming the argument: a float would
-    be truncated and a bool read as 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """value as an int, or a ValueError naming the argument."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -560,6 +561,8 @@ def _check_rows(c: Circuit, x: Any, unobserved: bool = False) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != c.n_vars:
         raise ValueError(f"rows have {x.shape[-1]} values, "
                          f"the circuit has {c.n_vars} variables")
+    if x.dtype.kind == "b":  # the cast below would read them as 0 and 1
+        raise ValueError("rows must hold integers, not booleans")
     if x.dtype.kind in "iu":
         rows, bad = x.astype(np.int64, copy=False), False
     else:
@@ -595,6 +598,8 @@ def generate_random_tree_pc(seed: int, n_vars: int, depth: int,
     block into two random halves, so each sum mixes differently structured
     children and the result is generally not deterministic.
     """
+    seed, n_vars = _integer("seed", seed), _integer("n_vars", n_vars)
+    depth, sum_fanout = _integer("depth", depth), _integer("sum_fanout", sum_fanout)
     if n_vars < 2:
         raise ValueError("need at least 2 variables")
     if depth < 1:
@@ -631,6 +636,7 @@ def generate_random_tree_pc(seed: int, n_vars: int, depth: int,
 def generate_random_det_pc(seed: int, n_vars: int) -> Circuit:
     """Random deterministic circuit: a probabilistic decision tree where each
     sum splits on one variable's indicators, giving disjoint child supports."""
+    seed, n_vars = _integer("seed", seed), _integer("n_vars", n_vars)
     if n_vars < 1:
         raise ValueError("need at least 1 variable")
     rng = np.random.default_rng(seed)
@@ -733,7 +739,7 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
     cumulative normalized weight exceeds it (the last child where rounding
     leaves none); the choices then descend the compiled layout as MAP's do.
     """
-    n = _integer("n", n)
+    seed, n = _integer("seed", seed), _integer("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     if c.scopes[c.root] != frozenset(range(c.n_vars)):
@@ -741,16 +747,32 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
         raise ValueError(f"root scope does not cover variables {missing}; "
                          "samples would leave them unassigned")
     comp = _compile(c)
-    sums = [c.units[uid] for uid in reversed(c.order) if uid in comp.sum_index]
-    draws = np.random.default_rng(seed).random((len(sums), n))
-    choices = np.empty(draws.shape, dtype=np.int64)
-    for u, row in zip(sums, draws):
-        cum = np.cumsum(np.asarray(u.weights) / np.sum(u.weights))
-        choices[comp.sum_index[u.id]] = np.minimum(np.searchsorted(cum, row, side="right"),
-                                                   len(u.children) - 1)
+    cum, draw_row = _draw_table(c, comp)
+    draws = np.random.default_rng(seed).random((len(draw_row), n))[draw_row]
+    choices = np.zeros(draws.shape, dtype=np.int64)
+    for column in cum.T:  # the choice is how many cumulative weights are at or below the draw
+        choices += column[:, np.newaxis] <= draws
     out = comp.descend(choices, n)
     unassigned = np.flatnonzero((out < 0).any(axis=0)).tolist()
     if unassigned:
         raise ValueError(f"samples left variables {unassigned} unassigned; "
                          "the circuit is not smooth")
     return out
+
+
+def _draw_table(c: Circuit, comp: _Compiled) -> tuple[np.ndarray, np.ndarray]:
+    """What `sample` compares its draws with, built on its first call and
+    kept on the layout: one row per sum in sum_index order, its cumulative
+    normalized weights but the last, padded with +inf; and, per sum, the row
+    of the draw block it takes (sums draw in reversed `c.order`)."""
+    if "draw_table" not in comp.__dict__:
+        cum = np.full((len(comp.sum_index), comp.sum_arity.max(initial=1) - 1), np.inf)
+        draw_row = np.empty(len(comp.sum_index), dtype=np.int64)
+        sums = [uid for uid in reversed(c.order) if uid in comp.sum_index]
+        for k, uid in enumerate(sums):
+            w = np.asarray(c.units[uid].weights)
+            i = comp.sum_index[uid]
+            cum[i, :len(w) - 1] = np.cumsum(w / np.sum(w))[:-1]
+            draw_row[i] = k
+        comp.draw_table = cum, draw_row
+    return comp.draw_table

@@ -11,7 +11,8 @@ kept on it): a unit's level is one more than its highest child's, and
 each level is a few array operations on a value table with one row per unit
 and one column per query row.  Products fold their children and sums their
 edges in `children` order, padded with the word for one and with
-zero-weight edges; padding never saturates.  Values are words:
+zero-weight edges; padding never saturates.  Values are words of a kind
+that the format alone decides (`_word_kind`):
 
 - bit patterns (biased exponent, then mantissa) with zero as -1, out of
   band, so the smallest value (pattern 0) stays apart and word order is value
@@ -21,8 +22,9 @@ zero-weight edges; padding never saturates.  Values are words:
   analysis config (11, 40) runs there);
 - the same patterns as Python ints in object arrays for wider formats;
 - IEEE doubles for FLOAT64, whose exact ops are IEEE ops.  A product at or
-  below 2**-1022, where IEEE subnormals part from this format, makes the
-  chunk rerun on Python-int words.
+  below 2**-1022, where IEEE subnormals part from this format (a weight
+  below 2**-1022 times a positive child is one), makes the chunk rerun on
+  Python-int words; this is the one way a pass leaves IEEE doubles.
 
 This module owns the word kinds (`_word_kind`) and what is cached per
 compiled layout for them: the slot weights as words of each (config, kind),
@@ -40,7 +42,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .circuit import Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile, _Compiled
+from .circuit import (Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile, _Compiled,
+                      _is_integer)
 from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F401
                      MultResult, aai_mul, encode, encode_words, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
@@ -115,9 +118,7 @@ class MultiplierPlan:
         how the sum edges multiply (`_split` of the AAI flags per slot)."""
         comp = _compile(c)
         if comp not in self._levels:
-            if len(self.modes) != len(comp.slot_sites) or \
-                    not all(map(self.modes.__contains__, comp.slot_sites)):
-                self.check_covers(c)  # raises, naming the missing and extra sites
+            self.check_covers(c)
             mask = np.zeros(comp.n_slots, dtype=bool)  # padding slots exact
             mask[comp.slot_index] = [self.modes[s] == AAI for s in comp.slot_sites]
             self._levels[comp] = [
@@ -183,9 +184,10 @@ def _widths(man_bits: int, dtype) -> tuple[int, int]:
 
 class _IntWords:
     """The float ops on words with -1 for zero, over int32, int64 or Python
-    int arrays.  Every shift but the add's alignment is by a constant, and a
-    rounding carry out of the significand lands in the exponent field.  A
-    saturating result adds one to its column of `under` or `over`.
+    int arrays.  The exact product and the add round in one step, `_round`,
+    where a carry out of the significand lands in the exponent field.  Every
+    shift but the add's alignment is by a constant.  A saturating result adds
+    one to its column of `under` or `over`.
 
     Where the word cannot hold the full significand product or aligned sum,
     the rounding ops keep the bits that decide the rounding and fold the rest
@@ -198,7 +200,7 @@ class _IntWords:
             raise ValueError("the word for one needs a non-negative bias")
         self.dtype, self.m, self.top = dtype, cfg.man_bits, cfg.max_word
         self.mm, self.scale = cfg.man_scale - 1, cfg.man_scale
-        self.one, self.zero = cfg.bias << cfg.man_bits, -1
+        self.bias, self.one, self.zero = cfg.bias, cfg.bias << cfg.man_bits, -1
         self.nearest = cfg.rounding == NEAREST_EVEN
         self.k, self.g = _widths(cfg.man_bits, dtype)
         self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
@@ -208,31 +210,31 @@ class _IntWords:
         return self._saturate(a + b - self.one, (a < 0) | (b < 0))
 
     def exact(self, a, b):
-        """Significand product over 2**k, normalised to 2M+2-k bits, rounded
-        once."""
-        m, k = self.m, self.k
+        """Significand product over 2**k, rounded once."""
+        m = self.m
         wide = self._product((a & self.mm) | self.scale, (b & self.mm) | self.scale)
-        carry = wide >> (2 * m + 1 - k)
-        wide = wide * (2 - carry)
-        if self.nearest:  # add just under half an ulp, plus the kept parity bit
-            wide = wide + (wide >> (m + 1 - k) & 1) + ((1 << (m - k)) - 1)
-        r = (((a >> m) + (b >> m) + carry) << m) + (wide >> (m + 1 - k)) - self.one - self.scale
+        r = self._round((a >> m) + (b >> m) - self.bias, wide, m + 1 - self.k)
         return self._saturate(r, (a < 0) | (b < 0))
 
     def add(self, a, b):
-        """Significand sum aligned to g guard bits, normalised to M+g+2 bits,
-        rounded once; an operand M+2 or more binades below the other cannot
-        change it."""
+        """Significand sum aligned to g guard bits, rounded once; an operand
+        M+2 or more binades below the other cannot change it."""
         m, g = self.m, self.g
         hi, lo = np.maximum(a, b), np.minimum(a, b)
         d = np.minimum((hi >> m) - (lo >> m), m + 2)
         wide = (((hi & self.mm) | self.scale) << g) + self._align((lo & self.mm) | self.scale, d)
-        carry = wide >> (m + g + 1)
-        wide = wide * (2 - carry)
-        if self.nearest:
-            wide = wide + (wide >> (g + 1) & 1) + ((1 << g) - 1)
-        r = (((hi >> m) + carry) << m) + (wide >> (g + 1)) - self.scale
+        r = self._round(hi >> m, wide, g + 1)
         return self._saturate(np.where((d > m + 1) | (lo < 0), hi, r))
+
+    def _round(self, e, wide, s):
+        """The word of wide * 2**(e - bias - M - s + 1) for a significand
+        wide of M+s or M+s+1 bits: normalised to M+s+1 bits and rounded once
+        to M+1, a carry landing in the exponent field."""
+        carry = wide >> (self.m + s)
+        wide = wide * (2 - carry)
+        if self.nearest:  # add just under half an ulp, plus the kept parity bit
+            wide = wide + (wide >> s & 1) + ((1 << (s - 1)) - 1)
+        return ((e + carry) << self.m) + (wide >> s) - self.scale
 
     def _product(self, sa, sb):
         """sa * sb over 2**k: with k > 0, the k low bits of the low partial
@@ -334,13 +336,15 @@ def _evidence_row(c: Circuit, evidence: Mapping[int, int]) -> np.ndarray:
     """{variable: value} evidence as a row, -1 where unobserved."""
     row = np.full(c.n_vars, -1, dtype=np.int64)
     for var, value in evidence.items():
+        if not _is_integer(var):
+            raise ValueError(f"evidence variable {var!r} is not an integer")
         if var not in range(c.n_vars):
             raise ValueError(f"evidence names unknown variable {var}")
-        if not float(value).is_integer():
+        if not _is_integer(value):
             raise ValueError(f"evidence value {value!r} for variable {var} is not an integer")
-        if not 0 <= value < c.variables[int(var)].cardinality:
+        if not 0 <= value < c.variables[var].cardinality:
             raise ValueError(f"evidence value {value} out of range for variable {var}")
-        row[int(var)] = value
+        row[var] = value
     return row
 
 
@@ -370,7 +374,8 @@ class CircuitEvaluator:
     it) and the plan's per-level modes (cached on the plan), so that
     building one does no per-unit or per-level work.  Weights are quantized
     once, per cfg.rounding; under toward-zero this keeps the one-sided
-    underestimation end to end.
+    underestimation end to end.  The word kind follows from cfg alone; a
+    FLOAT64 chunk whose values leave IEEE doubles reruns on Python ints.
 
     `mar`, `map_query` and `restricted_value` take one row (a sequence, or a
     {variable: value} mapping) or a 2-D batch of rows, and then return one
@@ -385,8 +390,6 @@ class CircuitEvaluator:
         self._comp = comp = _compile(c)
         self._modes = plan._modes(c)
         self._kind = _word_kind(cfg)
-        if self._kind == "ieee" and ((comp.weights > 0) & (comp.weights < _TINY)).any():
-            self._kind = np.dtype(object)
         w, self.weight_quant_underflows, self.weight_quant_overflows = \
             _weight_words(comp, cfg, self._kind)
         self._w = w[:, np.newaxis]

@@ -6,15 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from aaipc import circuit
 from aaipc.circuit import (
     Circuit,
     IndicatorUnit,
     ProductUnit,
     SumUnit,
     Variable,
+    circuit_to_json,
+    edge_masses,
     enumerate_states,
     generate_random_det_pc,
     generate_random_tree_pc,
+    parse_circuit,
     validate,
 )
 from aaipc.floats import FloatConfig, mitchell_delta
@@ -145,6 +149,36 @@ class TestDeltaNondetMc:
         with pytest.raises(ValueError, match="n_samples must be an integer"):
             delta_nondet_mc(simple_sum(), CFG, n_samples=n, seed=0)
 
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            delta_nondet_mc(simple_sum(), CFG, n_samples=4, seed=seed)
+
+
+class TestListingOrder:
+    @pytest.mark.parametrize("limit", [circuit.EXHAUSTIVE_STATE_LIMIT, 0],
+                             ids=["exhaustive", "syntactic"])
+    @pytest.mark.parametrize("make", [lambda s: generate_random_det_pc(s, 6),
+                                      lambda s: generate_random_tree_pc(s, 6, 2, 2)],
+                             ids=["det", "tree"])
+    def test_results_do_not_depend_on_the_unit_listing(self, make, limit, monkeypatch):
+        # sums come in id order wherever a result lists or adds them, so a
+        # circuit read back from its own JSON (units in id order) gives the
+        # same totals, orders and violations as the one it was written from
+        monkeypatch.setattr(circuit, "EXHAUSTIVE_STATE_LIMIT", limit)
+        cfg = FloatConfig(8, 10)
+
+        def results(c):
+            rep = delta_det(c, cfg)
+            return (rep.delta_det, [(wc.edge, wc.delta_w, wc.mass) for wc in rep.contributions],
+                    list(edge_masses(c).items()), validate(c).violations)
+
+        for seed in range(6):
+            c = make(seed)
+            backwards = Circuit(c.variables, list(c.units.values())[::-1], c.root)
+            again = parse_circuit(circuit_to_json(backwards))
+            assert results(c) == results(backwards) == results(again)
+
 
 class TestContributionEdgesArePlanKeys:
     def test_contribution_edges_are_the_sum_sites(self, three_var_distinct):
@@ -252,7 +286,8 @@ class TestMapFailureScreen:
     @pytest.mark.parametrize("args, name", [
         ((1.7, 1, 10_000), "delta_e"), ((1.0, 1, 10_000), "delta_e"),
         ((1, True, 10_000), "n_mults_per_branch"), ((1, 2.0, 10_000), "n_mults_per_branch"),
-        ((1, 1, 1e5), "n_samples")])
+        ((1, 1, 1e5), "n_samples"), ((1, 1, 10_000, 0.5), "seed"),
+        ((1, 1, 10_000, True), "seed")])
     def test_non_integer_arguments_rejected(self, args, name):
         with pytest.raises(ValueError, match=name):
             map_failure_prob(*args)

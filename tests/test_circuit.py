@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from aaipc.circuit import (
     SumUnit,
     ProductUnit,
     Variable,
+    _compile,
     circuit_to_json,
     edge_masses,
     enumerate_states,
@@ -87,6 +89,33 @@ class TestParse:
         again = parse_circuit(circuit_to_json(three_var_circuit))
         assert again.units == three_var_circuit.units
         assert again.root == three_var_circuit.root
+
+    @pytest.mark.parametrize("section, idx, change, message", [
+        ("units", 1, {"id": 0}, "duplicate unit id 0"),
+        ("variables", 2, {"id": 5}, "variable ids must be dense 0..d-1, got [0, 1, 5]"),
+        ("variables", 1, {"cardinality": 1}, "variable 1 has cardinality 1"),
+        ("units", 0, {"var": 3}, "unit 0: unknown variable 3"),
+        ("units", 0, {"value": 2}, "unit 0: value 2 out of range"),
+        ("units", 9, {"children": [2]}, "product 9 needs at least 2 children"),
+        ("units", 13, {"children": [], "weights": []}, "sum 13 has no children"),
+        ("units", 13, {"weights": ["0.5", "0.25", "0.25"]},
+         "sum 13: children/weights length mismatch"),
+        ("units", 13, {"weights": ["1.5", "-0.5"]}, "sum 13 has a negative weight"),
+        ("units", 9, {"type": "max"}, "unit 9: unknown type 'max'"),
+    ], ids=["duplicate-id", "sparse-variables", "cardinality-one", "indicator-variable",
+            "indicator-value", "one-child-product", "childless-sum", "weights-length",
+            "negative-weight", "unknown-type"])
+    def test_structural_defect_named(self, section, idx, change, message):
+        doc = three_var_doc()
+        doc[section][idx].update(change)
+        with pytest.raises(CircuitFormatError, match=re.escape(message)):
+            parse_circuit(json.dumps(doc))
+
+    def test_root_that_is_not_a_unit(self):
+        doc = three_var_doc()
+        doc["root"] = 99
+        with pytest.raises(CircuitFormatError, match="root id 99 is not a unit"):
+            parse_circuit(json.dumps(doc))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(2, 8),
@@ -381,6 +410,29 @@ class TestGenerators:
         with pytest.raises(ValueError, match="depth"):
             generate_random_tree_pc(seed=0, n_vars=4, depth=4, sum_fanout=2)
 
+    @pytest.mark.parametrize("make, args, message", [
+        (generate_random_tree_pc, (0, 1, 1, 2), "need at least 2 variables"),
+        (generate_random_tree_pc, (0, 4, 0, 2), "depth must be >= 1"),
+        (generate_random_tree_pc, (0, 4, 2, 1), "sum_fanout must be >= 2"),
+        (generate_random_det_pc, (0, 0), "need at least 1 variable"),
+        (generate_random_tree_pc, (1.5, 4, 2, 2), "seed must be an integer, got 1.5"),
+        (generate_random_tree_pc, (0, 4.0, 2, 2), "n_vars must be an integer, got 4.0"),
+        (generate_random_tree_pc, (0, 4, 2.0, 2), "depth must be an integer, got 2.0"),
+        (generate_random_tree_pc, (0, 4, 2, 3.0), "sum_fanout must be an integer, got 3.0"),
+        (generate_random_det_pc, (True, 3), "seed must be an integer, got True"),
+        (generate_random_det_pc, (0, True), "n_vars must be an integer, got True"),
+    ], ids=["one-variable", "depth-zero", "fanout-one", "no-variables", "float-seed",
+            "float-n_vars", "float-depth", "float-fanout", "bool-seed", "bool-n_vars"])
+    def test_arguments_checked(self, make, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(*args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        assert generate_random_tree_pc(np.int64(7), np.int32(8), np.int64(3), np.int64(3)).units \
+            == generate_random_tree_pc(7, 8, 3, 3).units
+        assert generate_random_det_pc(np.int64(7), np.int32(5)).units == \
+            generate_random_det_pc(7, 5).units
+
     def test_det_generator_is_deterministic_and_normalized(self):
         for seed in range(5):
             c = generate_random_det_pc(seed=seed, n_vars=6)
@@ -410,8 +462,9 @@ class TestEvalDouble:
         ([0, 1, 0.5], r"row 0, column 2: value 0.5 is not an integer"),
         ([1.9, 1, 0], r"row 0, column 0: value 1.9 is not an integer"),
         ([0, 1, math.nan], r"row 0, column 2: value nan is not an integer"),
+        ([True, False, True], r"rows must hold integers, not booleans"),
     ], ids=["above-cardinality", "negative", "extra-column", "missing-column",
-            "fraction", "fraction-above-one", "nan"])
+            "fraction", "fraction-above-one", "nan", "bools"])
     def test_rejects_out_of_range_rows(self, three_var_circuit, row, message):
         with pytest.raises(ValueError, match=message):
             eval_double(three_var_circuit, [row])
@@ -488,6 +541,15 @@ class TestSample:
     def test_non_integer_count_rejected(self, three_var_circuit, n):
         with pytest.raises(ValueError, match="n must be an integer"):
             sample(three_var_circuit, 0, n)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "0"])
+    def test_non_integer_seed_rejected(self, three_var_circuit, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample(three_var_circuit, seed, 2)
+
+    def test_numpy_integer_seed_accepted(self, three_var_circuit):
+        assert np.array_equal(sample(three_var_circuit, np.int64(5), 8),
+                              sample(three_var_circuit, 5, 8))
 
     def test_numpy_integer_count_accepted(self, three_var_circuit):
         assert np.array_equal(sample(three_var_circuit, 5, np.int64(8)),
@@ -616,6 +678,16 @@ class TestSampleAgainstOracle:
 
         monkeypatch.setattr(np.random, "default_rng", OnTheEnds)
         assert np.array_equal(sample(c, 5, 2000), sample_oracle(c, 5, 2000))
+
+    def test_draw_table_is_built_by_the_first_sample(self):
+        # compiling is part of every query's set-up; only sample needs the table
+        c = generate_random_tree_pc(3, 6, 2, 3)
+        comp = _compile(c)
+        assert "draw_table" not in vars(comp)
+        first = sample(c, 3, 50)
+        assert "draw_table" in vars(comp)
+        assert np.array_equal(first, sample_oracle(c, 3, 50))
+        assert np.array_equal(sample(c, 4, 50), sample_oracle(c, 4, 50))
 
     @pytest.mark.parametrize("n", [0, 1, 257])
     def test_batch_sizes(self, n, three_var_circuit):

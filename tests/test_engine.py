@@ -376,12 +376,14 @@ class TestWordKinds:
         assert got == ScalarEvaluator(c, FLOAT64, plan).mar([0, 0])[0]
         assert got.value == CustomFloat(False, -1023, (1 << 52) - 1, 52)
 
-    def test_float64_with_a_subnormal_weight_uses_integer_words(self):
+    def test_float64_with_a_subnormal_weight_leaves_ieee_doubles(self):
         c = chain_of_tiny_sums(2, 2.0 ** -1023)
         ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
         ref = ScalarEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
-        assert ev._kind == np.dtype(object)
-        for x in ([0, 1], [1, 1], [0, 0]):
+        rows = np.array([[0, 1], [1, 1], [0, 0]])
+        with pytest.raises(_LeavesIEEE):
+            ev._pass(_IEEEWords(len(rows)), ev._w, rows, inference._MAR, None)
+        for x in rows:
             assert ev.mar(x) == ref.mar(x)
 
     @pytest.mark.parametrize("cfg", [FloatConfig(3, 3), FloatConfig(3, 4, bias=8)])
@@ -469,14 +471,32 @@ class TestBatchInterface:
         ("map_query", {-1: 0}, "evidence names unknown variable -1"),
         ("map_query", {0: 1.5}, "evidence value 1.5 for variable 0 is not an integer"),
         ("map_query", {7: 0}, "evidence names unknown variable 7"),
+        ("map_query", {True: 0}, "evidence variable True is not an integer"),
+        ("map_query", {1.0: 0}, r"evidence variable 1\.0 is not an integer"),
+        ("map_query", {np.float64(2.0): 1}, r"evidence variable .*2\.0.* is not an integer"),
+        ("map_query", {0: True}, "evidence value True for variable 0 is not an integer"),
+        ("map_query", {0: "1"}, "evidence value '1' for variable 0 is not an integer"),
+        ("mar", [True, False, True], "rows must hold integers, not booleans"),
     ])
     def test_rows_are_checked(self, query, x, message):
         # unchecked, 1.9 read as 1, 5 gave probability 0, -1 named the last
-        # variable and 7 raised IndexError
+        # variable and 7 raised IndexError; True and 1.0 named variable 1,
+        # np.float64(2.0) variable 2, a bool value or row read as 0 or 1 and
+        # "1" raised TypeError
         c = generate_random_det_pc(0, 3)
         ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
         with pytest.raises(ValueError, match=message):
             getattr(ev, query)(x)
+
+    def test_numpy_integer_evidence_accepted(self):
+        c = generate_random_det_pc(0, 3)
+        cfg, plan = FloatConfig(8, 10), MultiplierPlan.all_aai(c)
+        got = inference.eval_map(c, {np.int64(1): np.int32(1)}, cfg, plan)
+        want = inference.eval_map(c, {1: 1}, cfg, plan)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert got.log2_value == want.log2_value and dict(got.trace) == dict(want.trace)
+        assert inference.eval_mar(c, np.array([1, 0, 1], dtype=np.uint8), cfg, plan) == \
+            inference.eval_mar(c, [1, 0, 1], cfg, plan)
 
     def test_one_trace_per_row(self):
         c = generate_random_det_pc(0, 3)
