@@ -1,9 +1,9 @@
 """Probabilistic circuit structures: parsing, validation, generation,
 structural analytics (topological order, tree mass, minimum value, sampling)
-and the compiled, levelized layout that the exhaustive determinism check,
-`sample` and the queries of `inference` run on.  The layout is walked two
-ways: going up, one level at a time (the packed determinism check here, the
-MAR and MAP passes in `inference`), and going down in `_Compiled.descend`,
+and the compiled, levelized layout that both determinism checks, `sample` and
+the queries of `inference` run on.  The layout is walked two ways: going up,
+one level at a time (the determinism checks here, the MAR and MAP passes in
+`inference`), and going down in `_Compiled.descend`,
 which turns one child choice per sum into an assignment for both MAP and
 sampling.  This module knows no number format.
 
@@ -20,7 +20,7 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -249,7 +249,7 @@ class _Compiled:
     test (variable, value), each level's products and sums, then a row of one
     and a row of zero.  Slots: every fold step and sum edge, padding included,
     level by level; slot_sites names the real ones, slot_index places them.
-    It is walked up a level at a time (the packed determinism check, the
+    It is walked up a level at a time (`validate`'s determinism checks, the
     passes of `inference`) and down by `descend`.  Sums are numbered level
     by level in sum_index, the row order of the choice tables `descend`
     takes."""
@@ -429,10 +429,11 @@ def circuit_to_json(c: Circuit) -> str:
 def validate(c: Circuit) -> StructureReport:
     """Check smoothness, decomposability and determinism.
 
-    Determinism is decided exhaustively when the joint state space fits the
-    enumeration budget, one level of the compiled layout at a time on one bit
-    per state; otherwise a syntactic sufficient condition is used and
-    failures are flagged as unverified rather than proven violations.
+    Determinism is decided exhaustively, on one bit per state, when the
+    joint state space fits the enumeration budget; otherwise a syntactic
+    sufficient condition, on one bool per (variable, value), is used and
+    failures are flagged as unverified rather than proven violations.  Both
+    checks are one walk up the compiled layout, a level at a time.
     """
     violations: list[tuple[int, str]] = []
     smooth = decomposable = True
@@ -460,16 +461,20 @@ def validate(c: Circuit) -> StructureReport:
 
 
 def _determinism_exhaustive(c: Circuit) -> list[tuple[int, str]]:
-    """Evaluate supports on the compiled layout, one bit per state packed in
-    uint64 words: products AND their children, sums OR their positive-weight
-    ones, and a sum with two children positive on one state is flagged."""
-    comp, size = _compile(c), c.state_space_size()
-    cards = [v.cardinality for v in c.variables]
+    """Supports on one bit per state: a sum is flagged where two children
+    are positive together, and only positive-weight ones add to its own."""
+    comp = _compile(c)
+    live = [comp.weights[lev.sslot:lev.sslot + lev.sch.size].reshape(lev.sch.shape) > 0
+            for lev in comp.levels]
+    return [(uid, "multiple children positive on a complete state")
+            for uid in _overlapping_sums(comp, _state_chunks(c, comp), live, [0])]
+
+
+def _state_chunks(c: Circuit, comp: _Compiled) -> Iterator[np.ndarray]:
+    """One table of CHECK_CELLS bits or fewer per chunk of states, 64 per word:
+    indicator rows hold one bit per state, the row of one all ones."""
+    size, cards = c.state_space_size(), [v.cardinality for v in c.variables]
     strides = np.cumprod([1] + cards[:-1]).tolist()  # the check needs no state order
-    live = [np.where(comp.weights[lev.sslot:lev.sslot + lev.sch.size].reshape(lev.sch.shape) > 0,
-                     lev.sch, comp.zero_row) for lev in comp.levels]
-    ids = np.array(list(comp.sum_index), dtype=np.int64)
-    bad = np.zeros(len(ids), dtype=bool)
     step = max(64, CHECK_CELLS // comp.n_table // 64 * 64)
     for start in range(0, size, step):
         states = np.arange(start, min(start + step, size), dtype=np.int32)
@@ -480,50 +485,44 @@ def _determinism_exhaustive(c: Circuit) -> list[tuple[int, str]]:
             for i in np.flatnonzero(comp.ind_var == var).tolist():
                 bits = np.packbits(digit == comp.ind_val[i], bitorder="little")
                 val[i].view(np.uint8)[:len(bits)] = bits
-        j = 0
-        for lev, live_kids in zip(comp.levels, live):
-            val[lev.p0:lev.p1] = np.bitwise_and.reduce(val[lev.pch], axis=0)
-            seen = val[lev.sch[0]]
-            over = np.zeros_like(seen)
-            for kid in map(val.__getitem__, lev.sch[1:]):
-                over |= seen & kid
-                seen |= kid
-            bad[j:j + len(seen)] |= over.any(axis=1)
-            j += len(seen)
-            val[lev.s0:lev.s1] = np.bitwise_or.reduce(val[live_kids], axis=0)
-    flagged = sorted(ids[bad].tolist())
-    return [(uid, "multiple children positive on a complete state") for uid in flagged]
+        yield val
 
 
 def _determinism_syntactic(c: Circuit) -> list[tuple[int, str]]:
-    """Sufficient condition: each pair of sum children disagrees on some
-    variable's admissible values."""
-    Support = dict[int, frozenset[int]]
+    """Sufficient condition, on one bool per (variable, value) a unit admits
+    (an indicator all but the other values of its variable): each pair of
+    sum children admits disjoint values of some variable."""
+    comp, cards = _compile(c), [v.cardinality for v in c.variables]
+    starts = np.cumsum([0] + cards[:-1])
+    col_var = np.repeat(np.arange(c.n_vars), cards)
+    val = np.zeros((comp.n_table, len(col_var)), dtype=bool)
+    val[:len(comp.ind_var)] = ((col_var != comp.ind_var[:, np.newaxis]) | (
+        np.arange(len(col_var)) == (starts[comp.ind_var] + comp.ind_val)[:, np.newaxis]))
+    val[comp.one_row] = True
+    live = [np.ones(lev.sch.shape, dtype=bool) for lev in comp.levels]
+    return [(uid, "determinism unverified for a child pair")
+            for uid in _overlapping_sums(comp, [val], live, starts)]
 
-    def product(kids: Iterator[Support]) -> Support:
-        merged: Support = {}
-        for sub in kids:
-            for var, vals in sub.items():
-                merged[var] = merged[var] & vals if var in merged else vals
-        return merged
 
-    def sum_(u: SumUnit, kids: Iterator[Support]) -> Support:
-        merged: Support = {}
-        for sub in kids:
-            for var in c.scopes[u.id]:
-                full = frozenset(range(c.variables[var].cardinality))
-                vals = sub.get(var, full)
-                merged[var] = merged.get(var, frozenset()) | vals
-        return merged
-
-    def disjoint(a: Support, b: Support, scope: frozenset[int]) -> bool:
-        return any((a.get(v) is not None and b.get(v) is not None
-                    and not (a[v] & b[v])) for v in scope)
-
-    supports = _fold(c, lambda u: {u.var: frozenset((u.value,))}, product, sum_)
-    return [(u.id, "determinism unverified for a child pair") for u in c.sum_units()
-            if not all(disjoint(supports[x], supports[y], c.scopes[u.id])
-                       for x, y in itertools.combinations(u.children, 2))]
+def _overlapping_sums(comp: _Compiled, tables: Iterable[np.ndarray], live: list[np.ndarray],
+                      blocks: Sequence[int]) -> list[int]:
+    """The sums, in id order, two of whose children overlap in every block
+    of columns (starting at `blocks`) of some table, one level at a time:
+    products AND their children's rows, and sums OR the rows of the
+    children that `live` marks, one mask per level shaped as its `sch`."""
+    bad = np.zeros(len(comp.sum_index), dtype=bool)
+    for val in tables:
+        j = 0
+        for lev, live_kids in zip(comp.levels, live):
+            val[lev.p0:lev.p1] = np.bitwise_and.reduce(val[lev.pch], axis=0)
+            kids = val[lev.sch]
+            for a, b in itertools.combinations(kids, 2):
+                bad[j:j + lev.s1 - lev.s0] |= np.logical_or.reduceat(
+                    a & b, blocks, axis=1).all(axis=1)
+            j += lev.s1 - lev.s0
+            kids[~live_kids] = 0
+            val[lev.s0:lev.s1] = np.bitwise_or.reduce(kids, axis=0)
+    return sorted(np.array(list(comp.sum_index), dtype=np.int64)[bad].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +553,24 @@ def _integer(name: str, value: Any) -> int:
     return int(value)
 
 
-def _check_rows(c: Circuit, x: Any, unobserved: bool = False) -> np.ndarray:
-    """x as an int64 array of rows, one value per variable, each below its
-    cardinality; negative values mean unobserved when that is allowed."""
-    x = np.asarray(x)
+def _row_array(x: Any) -> np.ndarray:
+    """x as an array, refusing booleans, which a cast to integers reads as 0
+    and 1: a bool array, or a bool in a list or an object array."""
+    arr = np.asarray(x)
+    raw = arr if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
+    if arr.dtype.kind == "b" or raw.dtype == object and any(
+            isinstance(v, (bool, np.bool_)) for v in raw.flat):
+        raise ValueError("rows must hold integers, not booleans")
+    return arr
+
+
+def _check_rows(c: Circuit, x: np.ndarray, unobserved: bool = False) -> np.ndarray:
+    """x, from `_row_array`, as an int64 array of rows, one value per
+    variable, each below its cardinality; negative values mean unobserved
+    when that is allowed."""
     if x.ndim != 2 or x.shape[1] != c.n_vars:
         raise ValueError(f"rows have {x.shape[-1]} values, "
                          f"the circuit has {c.n_vars} variables")
-    if x.dtype.kind == "b":  # the cast below would read them as 0 and 1
-        raise ValueError("rows must hold integers, not booleans")
     if x.dtype.kind in "iu":
         rows, bad = x.astype(np.int64, copy=False), False
     else:
@@ -581,7 +589,7 @@ def _check_rows(c: Circuit, x: Any, unobserved: bool = False) -> np.ndarray:
 
 def eval_double(c: Circuit, x: np.ndarray) -> np.ndarray:
     """Reference 64-bit probabilities for a batch of complete assignments."""
-    x = _check_rows(c, np.atleast_2d(x))
+    x = _check_rows(c, np.atleast_2d(_row_array(x)))
     return _fold(c, lambda u: (x[:, u.var] == u.value).astype(np.float64),
                  _product, _weighted_sum)[c.root]
 

@@ -43,7 +43,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .circuit import (Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile, _Compiled,
-                      _is_integer)
+                      _is_integer, _row_array)
 from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F401
                      MultResult, aai_mul, encode, encode_words, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
@@ -75,6 +75,9 @@ class MultiplierPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", MappingProxyType(dict(self.modes)))
+        for site, mode in self.modes.items():
+            if mode not in (EXACT, AAI):  # _modes reads anything but AAI as exact
+                raise ValueError(f"site {site}: mode {mode!r} is neither {EXACT!r} nor {AAI!r}")
 
     @classmethod
     def all_exact(cls, c: Circuit) -> "MultiplierPlan":
@@ -471,7 +474,7 @@ class CircuitEvaluator:
         """x as a 2-D batch of checked rows, and whether it was a single row."""
         if isinstance(x, Mapping):
             return _evidence_row(self.circuit, x)[np.newaxis], True
-        x = np.asarray(x)
+        x = _row_array(x)
         return _check_rows(self.circuit, np.atleast_2d(x), unobserved=True), x.ndim == 1
 
     def _picks(self, traces: Sequence[Mapping[int, int]], n_rows: int) -> np.ndarray:
@@ -542,7 +545,7 @@ def induced_tree_edges(c: Circuit, trace: Mapping[int, int]) -> list[Edge]:
 def eval_mar(c: Circuit, x: Sequence[int], cfg: FloatConfig,
              plan: MultiplierPlan) -> MultResult:
     """Probability of one complete assignment under the given plan."""
-    x = _check_rows(c, np.asarray(x)[np.newaxis])[0]
+    x = _check_rows(c, _row_array(x)[np.newaxis])[0]
     result, _, _ = CircuitEvaluator(c, cfg, plan).mar(x)
     return result
 
@@ -566,7 +569,7 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     """
     if not np.isfinite(correction):
         raise ValueError(f"correction must be finite, got {correction!r}")
-    data = _check_rows(c, np.atleast_2d(data), unobserved=True)
+    data = _check_rows(c, np.atleast_2d(_row_array(data)), unobserved=True)
     base = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
     test = CircuitEvaluator(c, cfg, plan)
     complete = np.flatnonzero((data >= 0).all(axis=1))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -394,6 +394,40 @@ def determinism_oracle(circuit) -> list[tuple[int, str]]:
                 support[uid] = np.logical_or.reduce(
                     [k for w, k in zip(u.weights, kids) if w > 0])
     return [(uid, "multiple children positive on a complete state") for uid in sorted(bad)]
+
+
+def syntactic_determinism_oracle(c) -> list[tuple[int, str]]:
+    """`validate`'s syntactic determinism violations, from one dict of
+    admissible value sets per unit: a sum is flagged unless each pair of
+    its children admits disjoint values of some variable in both scopes."""
+    from aaipc.circuit import SumUnit, _fold
+
+    Support = dict[int, frozenset[int]]
+
+    def product(kids: Iterator[Support]) -> Support:
+        merged: Support = {}
+        for sub in kids:
+            for var, vals in sub.items():
+                merged[var] = merged[var] & vals if var in merged else vals
+        return merged
+
+    def sum_(u: SumUnit, kids: Iterator[Support]) -> Support:
+        merged: Support = {}
+        for sub in kids:
+            for var in c.scopes[u.id]:
+                full = frozenset(range(c.variables[var].cardinality))
+                vals = sub.get(var, full)
+                merged[var] = merged.get(var, frozenset()) | vals
+        return merged
+
+    def disjoint(a: Support, b: Support, scope: frozenset[int]) -> bool:
+        return any((a.get(v) is not None and b.get(v) is not None
+                    and not (a[v] & b[v])) for v in scope)
+
+    supports = _fold(c, lambda u: {u.var: frozenset((u.value,))}, product, sum_)
+    return [(u.id, "determinism unverified for a child pair") for u in c.sum_units()
+            if not all(disjoint(supports[x], supports[y], c.scopes[u.id])
+                       for x, y in itertools.combinations(u.children, 2))]
 
 
 def sample_oracle(c, seed: int, n: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from aaipc.circuit import (
 
 from conftest import three_var_doc
 from oracles import (brute_force_probability, determinism_oracle, induced_trees,
-                     sample_oracle, tree_mass_oracle)
+                     sample_oracle, syntactic_determinism_oracle, tree_mass_oracle)
 
 
 def toy_sum_over_indicators(weights=(0.25, 0.75)):
@@ -373,6 +373,112 @@ class TestPackedDeterminism:
         c = Circuit([Variable(v, 2) for v in range(7)], units, ones + 9)
         assert determinism_violations(c) == determinism_oracle(c) == [
             (ones + 9, "multiple children positive on a complete state")]
+
+
+def non_smooth_pc() -> Circuit:
+    """Sums over children with differing scopes: S5 = X0=1 + X0=0 * X1=0
+    passes on X0, S6 = X1=0 + X0=0 * X1=0 overlaps on X1 and leaves X0 to
+    one child, and the root mixes them."""
+    units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 1, 0),
+             ProductUnit(3, (0, 2)), IndicatorUnit(4, 1, 1),
+             SumUnit(5, (1, 3), (0.5, 0.5)), SumUnit(6, (2, 3), (0.5, 0.5)),
+             SumUnit(7, (5, 6, 4), (0.25, 0.25, 0.5))]
+    return Circuit([Variable(0, 2), Variable(1, 2)], units, 7)
+
+
+def non_decomposable_pc() -> Circuit:
+    """Smooth sums over products whose children share X0: P5 = X0=0 * (X0=0
+    + X0=1), P6 = X0=1 * (X0=0 + X0=1) * X1=0 and P9 = X0=0 * X0=1, which
+    admits no value of X0."""
+    units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 1, 0),
+             IndicatorUnit(3, 1, 1), SumUnit(4, (0, 1), (0.5, 0.5)),
+             ProductUnit(5, (0, 4)), ProductUnit(6, (1, 4, 2)), ProductUnit(7, (5, 3)),
+             ProductUnit(8, (1, 2)), ProductUnit(9, (0, 1)), SumUnit(10, (9, 0), (0.5, 0.5)),
+             ProductUnit(11, (10, 3)), SumUnit(12, (7, 6, 8, 11), (0.25, 0.25, 0.25, 0.25))]
+    return Circuit([Variable(0, 2), Variable(1, 2)], units, 12)
+
+
+def random_dag_pc(seed: int, n_vars: int = 4, n_inner: int = 10) -> Circuit:
+    """A DAG over ternary variables whose products and sums take two or
+    three random earlier units, so it is in general neither smooth nor
+    decomposable, and whose sums sometimes give an edge zero weight."""
+    rng = np.random.default_rng(seed)
+    units: list = [IndicatorUnit(3 * v + x, v, x) for v in range(n_vars) for x in range(3)]
+    for _ in range(n_inner):
+        kids = tuple(rng.choice(len(units), int(rng.integers(2, 4)), replace=False).tolist())
+        if rng.random() < 0.5:
+            units.append(ProductUnit(len(units), kids))
+        else:
+            w = rng.dirichlet(np.ones(len(kids)))
+            w[0] *= rng.random() < 0.7
+            units.append(SumUnit(len(units), kids, tuple((w / w.sum()).tolist())))
+    used = {k for u in units for k in getattr(u, "children", ())}
+    tops = tuple(u.id for u in units if u.id not in used)
+    units.append(SumUnit(len(units), tops, (1 / len(tops),) * len(tops)))
+    return Circuit([Variable(v, 3) for v in range(n_vars)], units, len(units) - 1)
+
+
+def syntactic_violations(c: Circuit, monkeypatch) -> list:
+    monkeypatch.setattr(circuit, "EXHAUSTIVE_STATE_LIMIT", 0)
+    rep = validate(c)
+    assert rep.determinism_check == "syntactic"
+    violations = [v for v in rep.violations if v[1].startswith("determinism unverified")]
+    assert rep.deterministic == (not violations)
+    return violations
+
+
+class TestSyntacticDeterminism:
+    """validate's syntactic check walks the compiled layout on one bool per
+    (variable, value); the per-unit walk over admissible value sets is the
+    reference."""
+
+    CIRCUITS = {
+        **{name: lambda make=make, args=args: make(*args)
+           for name, (make, *args) in TestPackedDeterminism.CIRCUITS.items()},
+        "three-var": lambda: parse_circuit(json.dumps(three_var_doc())),
+        "three-var-distinct": lambda: parse_circuit(json.dumps(three_var_doc(
+            w_root=("0.5", "0.3", "0.2"), w_left=("0.6", "0.4"), w_right=("0.7", "0.3")))),
+        "non-smooth": non_smooth_pc,
+        "non-decomposable": non_decomposable_pc,
+    }
+
+    @pytest.mark.parametrize("name", CIRCUITS)
+    def test_matches_the_set_oracle(self, name, monkeypatch):
+        c = self.CIRCUITS[name]()
+        assert syntactic_violations(c, monkeypatch) == syntactic_determinism_oracle(c)
+
+    def test_hand_built_circuits_flag_some_sums_and_pass_others(self):
+        assert [uid for uid, _ in syntactic_determinism_oracle(non_smooth_pc())] == [6, 7]
+        assert [uid for uid, _ in syntactic_determinism_oracle(non_decomposable_pc())] == [12]
+
+    @pytest.mark.parametrize("name", CIRCUITS)
+    def test_flags_every_sum_the_exhaustive_check_flags(self, name, monkeypatch):
+        # disjoint admissible values on some variable make two children
+        # disjoint on every state, so the syntactic condition is sufficient
+        c = self.CIRCUITS[name]()
+        exhaustive = {uid for uid, _ in determinism_oracle(c)}
+        assert exhaustive <= {uid for uid, _ in syntactic_violations(c, monkeypatch)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_sound_on_random_dags(self, seed):
+        c = random_dag_pc(seed)
+        exhaustive = determinism_oracle(c)
+        assert determinism_violations(c) == exhaustive
+        with pytest.MonkeyPatch.context() as mp:
+            syntactic = {uid for uid, _ in syntactic_violations(c, mp)}
+        assert {uid for uid, _ in exhaustive} <= syntactic
+
+    def test_child_that_admits_no_value_is_disjoint(self, monkeypatch):
+        # P3 = X0=0 * X0=1 is zero on every state, so S4 = P3 + X1=0 is
+        # deterministic; the set oracle compares only variables in both
+        # children's scopes and flags S4
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 1, 0),
+                 ProductUnit(3, (0, 1)), SumUnit(4, (3, 2), (0.5, 0.5))]
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, 4)
+        assert determinism_oracle(c) == []
+        assert [uid for uid, _ in syntactic_determinism_oracle(c)] == [4]
+        assert syntactic_violations(c, monkeypatch) == []
 
 
 class TestTopologicalOrder:

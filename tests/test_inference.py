@@ -1,6 +1,7 @@
 """Tests for marginal and MAP evaluation under multiplier plans."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -90,11 +91,50 @@ class TestSitesAndPlans:
             with pytest.raises(ValueError, match="sites"):
                 CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan(bad))
 
+    @pytest.mark.parametrize("mode", ["AAI", None, True], ids=["upper-case", "none", "bool"])
+    def test_unknown_mode_rejected(self, mode):
+        # the engine reads every mode but AAI as exact, so such a plan gave
+        # the all-exact value without an error
+        c = generate_random_det_pc(0, 3)
+        with pytest.raises(ValueError, match=re.escape(f"mode {mode!r} is neither 'exact' nor")):
+            MultiplierPlan(dict.fromkeys(enumerate_sites(c), mode))
+
     def test_from_aai_weight_sites(self, three_var_circuit):
         plan = MultiplierPlan.from_aai_weight_sites(three_var_circuit, [(18, 0), (13, 1)])
         assert plan.mode((18, 0)) == AAI
         assert plan.mode((18, 1)) == EXACT
         assert plan.mode((15, 1)) == EXACT
+
+
+class TestBooleanRows:
+    """Every entry point that takes rows refuses a bool in them, which the
+    cast to integers would read as 0 or 1, also mixed with ints."""
+
+    ENTRY_POINTS = {
+        "eval_double": lambda c, x, cfg: eval_double(c, x),
+        "eval_mar": lambda c, x, cfg: eval_mar(c, x, cfg, MultiplierPlan.all_aai(c)),
+        "compare_queries": lambda c, x, cfg: compare_queries(c, x, cfg, MultiplierPlan.all_aai(c)),
+        "evaluator-mar": lambda c, x, cfg: CircuitEvaluator(c, cfg, MultiplierPlan.all_aai(c)).mar(x),
+        "evaluator-map": lambda c, x, cfg:
+            CircuitEvaluator(c, cfg, MultiplierPlan.all_aai(c)).map_query(x),
+    }
+    ROWS = {
+        "list": [True, 0, 1],
+        "object-array": np.array([[1, 0, True]], dtype=object),
+        "numpy-bool-in-list": [[0, np.True_, 1]],
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_refused(self, entry, rows):
+        c = generate_random_det_pc(0, 3)
+        with pytest.raises(ValueError, match="rows must hold integers, not booleans"):
+            self.ENTRY_POINTS[entry](c, self.ROWS[rows], FloatConfig(8, 10))
+
+    def test_integers_in_an_object_array_accepted(self):
+        c = generate_random_det_pc(0, 3)
+        rows = np.array([[1, 0, 1]], dtype=object)
+        assert eval_double(c, rows).tolist() == eval_double(c, [[1, 0, 1]]).tolist()
 
 
 class TestEvalMar:
