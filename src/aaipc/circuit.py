@@ -1,11 +1,12 @@
 """Probabilistic circuit structures: parsing, validation, generation,
 structural analytics (topological order, tree mass, minimum value, sampling)
-and the compiled, levelized layout that both determinism checks, `sample` and
-the queries of `inference` run on.  The layout is walked two ways: going up,
-one level at a time (the determinism checks here, the MAR and MAP passes in
-`inference`), and going down in `_Compiled.descend`,
-which turns one child choice per sum into an assignment for both MAP and
-sampling.  This module knows no number format.
+and the compiled, levelized layout that every children-first pass runs on.
+The layout is walked two ways: going up, one level at a time (the
+determinism checks here, the MAR and MAP passes in `inference`, and
+`_Compiled.ascend`, the float64 walk of `eval_double`, `edge_masses` and
+`min_positive_value`), and going down in `_Compiled.descend`, which turns
+one child choice per sum into an assignment for both MAP and sampling.
+This module knows no number format but IEEE doubles.
 
 A circuit is a rooted DAG of sum, product and indicator units over discrete
 variables.  Sum children carry non-negative weights that sum to one; products
@@ -14,6 +15,7 @@ multiply children with disjoint scopes; indicators test one variable value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -95,10 +97,7 @@ class Circuit:
         self.root = root
         self._check_variables()
         self._check_units()
-        self.order = self._topological_order()
-        self.scopes: dict[int, frozenset[int]] = _fold(
-            self, lambda u: frozenset((u.var,)), lambda kids: frozenset().union(*kids),
-            lambda u, kids: frozenset().union(*kids))
+        self.order, self.scopes = self._topological_order()
         self._check_reachable()
 
     # -- construction checks ------------------------------------------------
@@ -138,8 +137,8 @@ class Circuit:
                     raise CircuitFormatError(
                         f"sum {u.id} weights sum to {sum(u.weights)!r}, expected 1")
 
-    def _topological_order(self) -> tuple[int, ...]:
-        # Kahn's algorithm, smallest ready id first for a stable order
+    def _topological_order(self) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
+        # Kahn's algorithm, smallest ready id first for a stable order; scopes children first
         import heapq
 
         indegree = {uid: 0 for uid in self.units}
@@ -150,18 +149,21 @@ class Circuit:
                 parents[c].append(u.id)
         ready = [uid for uid, deg in indegree.items() if deg == 0]
         heapq.heapify(ready)
-        order = []
+        order, scopes = [], {}
         while ready:
             uid = heapq.heappop(ready)
             order.append(uid)
-            for p in parents[uid]:
+            u = self.units[uid]
+            scopes[uid] = (frozenset((u.var,)) if isinstance(u, IndicatorUnit)
+                           else frozenset().union(*map(scopes.get, u.children)))
+            for p in parents.pop(uid):
                 indegree[p] -= 1
                 if indegree[p] == 0:
                     heapq.heappush(ready, p)
         if len(order) != len(self.units):
             stuck = sorted(set(self.units) - set(order))
             raise CircuitFormatError(f"cycle detected involving units {stuck}")
-        return tuple(order)
+        return tuple(order), scopes
 
     def _check_reachable(self) -> None:
         seen = {self.root}
@@ -197,42 +199,6 @@ class Circuit:
         return [(u.id, i) for u in self.sum_units() for i in range(len(u.children))]
 
 
-def _fold(c: Circuit, indicator: Callable[[IndicatorUnit], Any],
-          product: Callable[[Iterator], Any],
-          sum_: Callable[[SumUnit, Iterator], Any]) -> dict[int, Any]:
-    """One value per unit, children before parents: each product and sum
-    rule receives an iterator over its children's values in `children`
-    order."""
-    value: dict[int, Any] = {}
-    get = value.__getitem__
-    for uid in c.order:
-        u = c.units[uid]
-        if isinstance(u, IndicatorUnit):
-            value[uid] = indicator(u)
-        elif isinstance(u, ProductUnit):
-            value[uid] = product(map(get, u.children))
-        else:
-            value[uid] = sum_(u, map(get, u.children))
-    return value
-
-
-# The two rules below serve floats and float64 arrays alike: the first
-# operation makes a fresh array, the later ones update it in place.
-
-def _product(kids: Iterator) -> Any:
-    acc = 1.0
-    for v in kids:
-        acc *= v
-    return acc
-
-
-def _weighted_sum(u: SumUnit, kids: Iterator) -> Any:
-    acc = 0.0
-    for w, v in zip(u.weights, kids):
-        acc += w * v
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # compiled, levelized layout
 # ---------------------------------------------------------------------------
@@ -247,12 +213,13 @@ _Level = namedtuple("_Level", "p0 p1 pch pslot s0 s1 sch sslot")
 class _Compiled:
     """Per-level index arrays of one circuit.  Table rows: one per indicator
     test (variable, value), each level's products and sums, then a row of one
-    and a row of zero.  Slots: every fold step and sum edge, padding included,
-    level by level; slot_sites names the real ones, slot_index places them.
-    It is walked up a level at a time (`validate`'s determinism checks, the
-    passes of `inference`) and down by `descend`.  Sums are numbered level
-    by level in sum_index, the row order of the choice tables `descend`
-    takes."""
+    and a row of zero; `row` maps each unit id to its row.  Slots: every fold
+    step and sum edge, padding included, level by level; slot_sites names the
+    real ones, slot_index places them.  It is walked up a level at a time
+    (`validate`'s determinism checks, the passes of `inference`, and `ascend`
+    for the float64 analytics) and down by `descend`.  Sums are numbered
+    level by level in sum_index, the row order of the choice tables
+    `descend` takes."""
 
     def __init__(self, c: Circuit):
         level: dict[int, int] = {}
@@ -280,6 +247,7 @@ class _Compiled:
             self.levels.append(_Level(p0, s0, *self._group(prod, row, self.one_row),
                                       s0, free, *self._group(summ, row, self.zero_row)))
         self.root, self.n_table, self.n_vars = row[c.root], self.zero_row + 1, c.n_vars
+        self.row = row
         self.slot_index = np.array(self.slot_index, dtype=np.int64)
         self.weights = np.concatenate([np.zeros(0)] + self.weights)
         self.sites = sorted(self.slot_sites)
@@ -305,6 +273,26 @@ class _Compiled:
         self.weights.append(w.ravel())
         self.n_slots += ch.size
         return ch, first
+
+    def ascend(self, val: np.ndarray, sum_: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Fill val, a float64 table whose indicator rows are set, children
+        first, one level at a time, and return it: products multiply their
+        children in `children` order, and a sum is sum_ of its weighted
+        children, shaped (child, sum, column).  Padding multiplies by 1.0
+        and weighs the zero row by 0.0."""
+        val[self.one_row], val[self.zero_row] = 1.0, 0.0
+        for lev in self.levels:
+            if lev.p1 > lev.p0:
+                acc = val[lev.pch[0]]
+                for kids in lev.pch[1:]:
+                    acc *= val[kids]
+                val[lev.p0:lev.p1] = acc
+            if lev.s1 > lev.s0:
+                w = self.weights[lev.sslot:lev.sslot + lev.sch.size].reshape(lev.sch.shape)
+                terms = val[lev.sch]
+                terms *= w[..., np.newaxis]
+                val[lev.s0:lev.s1] = sum_(terms)
+        return val
 
     def descend(self, choices: np.ndarray, n: int) -> np.ndarray:
         """The assignments that n rows of child choices select, one row of
@@ -568,8 +556,10 @@ def _check_rows(c: Circuit, x: np.ndarray, unobserved: bool = False) -> np.ndarr
     """x, from `_row_array`, as an int64 array of rows, one value per
     variable, each below its cardinality; negative values mean unobserved
     when that is allowed."""
-    if x.ndim != 2 or x.shape[1] != c.n_vars:
-        raise ValueError(f"rows have {x.shape[-1]} values, "
+    if x.ndim != 2:
+        raise ValueError(f"rows must form a 2-D batch, got shape {x.shape}")
+    if x.shape[1] != c.n_vars:
+        raise ValueError(f"rows have {x.shape[1]} values, "
                          f"the circuit has {c.n_vars} variables")
     if x.dtype.kind in "iu":
         rows, bad = x.astype(np.int64, copy=False), False
@@ -590,8 +580,14 @@ def _check_rows(c: Circuit, x: np.ndarray, unobserved: bool = False) -> np.ndarr
 def eval_double(c: Circuit, x: np.ndarray) -> np.ndarray:
     """Reference 64-bit probabilities for a batch of complete assignments."""
     x = _check_rows(c, np.atleast_2d(_row_array(x)))
-    return _fold(c, lambda u: (x[:, u.var] == u.value).astype(np.float64),
-                 _product, _weighted_sum)[c.root]
+    comp = _compile(c)
+    val = np.empty((comp.n_table, len(x)))
+    val[:len(comp.ind_var)] = x.T[comp.ind_var] == comp.ind_val[:, np.newaxis]
+    return comp.ascend(val, _add_in_order)[comp.root].copy()
+
+
+#: a sum's terms added one after another (np.sum may add them pairwise)
+_add_in_order = functools.partial(functools.reduce, np.add)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +695,9 @@ def edge_masses(c: Circuit) -> dict[Edge, float]:
     a top-down flow pass accumulates the mass of all partial trees above a
     unit.  The edge mass is flow(sum) * weight * subtree_mass(child).
     """
-    value = _fold(c, lambda u: 1.0, _product, _weighted_sum)
+    comp = _compile(c)
+    table = comp.ascend(np.ones((comp.n_table, 1)), _add_in_order)[:, 0].tolist()
+    value = {uid: table[row] for uid, row in comp.row.items()}
     flow = {uid: 0.0 for uid in c.units}
     flow[c.root] = 1.0
     for uid in reversed(c.order):
@@ -725,14 +723,15 @@ def edge_masses(c: Circuit) -> dict[Edge, float]:
 def min_positive_value(c: Circuit) -> float:
     """Smallest probability the circuit can output on its support: replace
     sums by a min over positive weighted children, indicators by one."""
-    def sum_(u: SumUnit, kids: Iterator[float]) -> float:
-        terms = [w * v for w, v in zip(u.weights, kids) if w * v > 0]
-        return min(terms) if terms else 0.0
+    def least_positive(terms: np.ndarray) -> np.ndarray:
+        least = np.min(terms, axis=0, initial=np.inf, where=terms > 0)
+        return np.where(least < np.inf, least, 0.0)
 
-    value = _fold(c, lambda u: 1.0, _product, sum_)
-    if value[c.root] <= 0:
+    comp = _compile(c)
+    root = float(comp.ascend(np.ones((comp.n_table, 1)), least_positive)[comp.root, 0])
+    if root <= 0:
         raise ValueError("circuit has no positive output (all-zero circuit)")
-    return value[c.root]
+    return root
 
 
 def sample(c: Circuit, seed: int, n: int) -> np.ndarray:

@@ -35,6 +35,8 @@ layout so that they go with the circuit.  MAP's backtrack is the layout's
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
@@ -479,17 +481,27 @@ class CircuitEvaluator:
 
     def _picks(self, traces: Sequence[Mapping[int, int]], n_rows: int) -> np.ndarray:
         """The traced edge of every sum (its first where a trace has none),
-        one column per trace and row."""
+        one column per trace and row.  A trace read from this circuit's
+        choice tables is taken as it is; any other must map sums of the
+        circuit to integers."""
         index = self._comp.sum_index
         if len(traces) != n_rows:
             raise ValueError(f"{len(traces)} traces for {n_rows} rows")
         if traces and all(isinstance(t, _Trace) and t._index is index for t in traces):
             picks = np.stack([t._column for t in traces], axis=1)
         else:
+            for uid, k in (item for t in traces for item in t.items()):
+                if not (_is_integer(uid) and uid in index):
+                    raise ValueError(f"trace names {uid!r}, which is not a sum of the circuit")
+                if not _is_integer(k):
+                    raise ValueError(f"trace picks {k!r} for sum {uid}, not an integer")
             picks = np.array([[t.get(uid, 0) for t in traces] for uid in index],
                              dtype=np.int64).reshape(len(index), len(traces))
-        if ((picks < 0) | (picks >= self._comp.sum_arity[:, None])).any():
-            raise ValueError("trace names an edge its sum does not have")
+        bad = np.argwhere((picks < 0) | (picks >= self._comp.sum_arity[:, None]))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"trace picks edge {picks[i, j]} of sum {list(index)[i]}, "
+                             f"which has {self._comp.sum_arity[i]}")
         return picks
 
     @staticmethod
@@ -567,8 +579,10 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     query whose observed entries (values >= 0) form the evidence.  MAP
     accuracy counts assignments identical to the baseline's.
     """
-    if not np.isfinite(correction):
-        raise ValueError(f"correction must be finite, got {correction!r}")
+    if not (isinstance(correction, numbers.Real) and not isinstance(correction, bool)
+            and math.isfinite(correction)):
+        raise ValueError(f"correction must be finite and real, got {correction!r}")
+    correction = float(correction)
     data = _check_rows(c, np.atleast_2d(_row_array(data)), unobserved=True)
     base = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
     test = CircuitEvaluator(c, cfg, plan)

@@ -5,7 +5,9 @@ rational arithmetic (or brute-force enumeration), deliberately avoiding the
 package's own code paths.  `ScalarEvaluator` is the bit-level reference for
 the batched evaluator: it walks the circuit one unit and one row at a time
 through the scalar `floats` operations.  `sample_oracle` is the per-unit
-ancestral walk that `circuit.sample` must reproduce bit for bit.
+ancestral walk that `circuit.sample` must reproduce bit for bit, and `_fold`
+the per-unit children-first walk whose float64 results `eval_double`,
+`edge_masses` and `min_positive_value` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
+
+from aaipc.circuit import Circuit, IndicatorUnit, ProductUnit, SumUnit, enumerate_states
 
 
 def quantize(x: Fraction, man_bits: int, e_min: int, e_max: int,
@@ -104,7 +108,6 @@ def induced_trees(circuit) -> list[tuple[frozenset, float, dict]]:
     tree, where edges are (sum id, child position) pairs and constraints map
     variable -> required value for the tree to be non-zero.
     """
-    from aaipc.circuit import IndicatorUnit, ProductUnit, SumUnit
 
     def expand(uid):
         u = circuit.units[uid]
@@ -143,7 +146,6 @@ def tree_mass_oracle(circuit, edge) -> float:
 
 def brute_force_probability(circuit, x) -> float:
     """Direct recursive evaluation of one complete assignment in doubles."""
-    from aaipc.circuit import IndicatorUnit, ProductUnit
 
     def ev(uid):
         u = circuit.units[uid]
@@ -168,7 +170,6 @@ def reference_eval(circuit, x, man_bits: int, e_min: int, e_max: int,
     in child order too) but is built on value-domain quantization
     rather than bit manipulation.  Assumes no saturation occurs.
     """
-    from aaipc.circuit import IndicatorUnit, ProductUnit
 
     def q(v: Fraction) -> Fraction:
         out = quantize(v, man_bits, e_min, e_max, toward_zero=toward_zero)
@@ -252,7 +253,6 @@ class ScalarEvaluator:
     """
 
     def __init__(self, c, cfg, plan):
-        from aaipc.circuit import IndicatorUnit, ProductUnit
         from aaipc.floats import CustomFloat, encode
         from aaipc.inference import AAI
 
@@ -339,7 +339,6 @@ class ScalarEvaluator:
         return acc, under, over
 
     def map_query(self, evidence: Mapping[int, int]):
-        from aaipc.circuit import IndicatorUnit
         from aaipc.floats import log2_value
         from aaipc.inference import MapResult
 
@@ -371,13 +370,93 @@ class ScalarEvaluator:
         return self._pass(steps, row, lambda _uid, terms: (terms[0], 0, 0))[0]
 
 
+# ---------------------------------------------------------------------------
+# per-unit float64 walk: the reference for `circuit`'s float64 analytics
+# ---------------------------------------------------------------------------
+
+def _fold(c: Circuit, indicator: Callable[[IndicatorUnit], Any],
+          product: Callable[[Iterator], Any],
+          sum_: Callable[[SumUnit, Iterator], Any]) -> dict[int, Any]:
+    """One value per unit, children before parents: each product and sum
+    rule receives an iterator over its children's values in `children`
+    order."""
+    value: dict[int, Any] = {}
+    get = value.__getitem__
+    for uid in c.order:
+        u = c.units[uid]
+        if isinstance(u, IndicatorUnit):
+            value[uid] = indicator(u)
+        elif isinstance(u, ProductUnit):
+            value[uid] = product(map(get, u.children))
+        else:
+            value[uid] = sum_(u, map(get, u.children))
+    return value
+
+
+# The two rules below serve floats and float64 arrays alike: the first
+# operation makes a fresh array, the later ones update it in place.
+
+def _product(kids: Iterator) -> Any:
+    acc = 1.0
+    for v in kids:
+        acc *= v
+    return acc
+
+
+def _weighted_sum(u: SumUnit, kids: Iterator) -> Any:
+    acc = 0.0
+    for w, v in zip(u.weights, kids):
+        acc += w * v
+    return acc
+
+
+def eval_double_oracle(c, x) -> np.ndarray:
+    """`circuit.eval_double` of checked rows x, one unit at a time."""
+    x = np.atleast_2d(x)
+    return _fold(c, lambda u: (x[:, u.var] == u.value).astype(np.float64),
+                 _product, _weighted_sum)[c.root]
+
+
+def edge_masses_oracle(c) -> dict[tuple[int, int], float]:
+    """`circuit.edge_masses`, its subtree values from the per-unit walk."""
+    value = _fold(c, lambda u: 1.0, _product, _weighted_sum)
+    flow = {uid: 0.0 for uid in c.units}
+    flow[c.root] = 1.0
+    for uid in reversed(c.order):
+        u = c.units[uid]
+        if isinstance(u, SumUnit):
+            for w, ch in zip(u.weights, u.children):
+                flow[ch] += flow[uid] * w
+        elif isinstance(u, ProductUnit):
+            for pos, ch in enumerate(u.children):
+                other = 1.0
+                for k, sibling in enumerate(u.children):
+                    if k != pos:
+                        other *= value[sibling]
+                flow[ch] += flow[uid] * other
+
+    masses = {}
+    for u in c.sum_units():
+        for i, (w, ch) in enumerate(zip(u.weights, u.children)):
+            masses[(u.id, i)] = flow[u.id] * w * value[ch]
+    return masses
+
+
+def min_positive_value_oracle(c) -> float:
+    """`circuit.min_positive_value` from the per-unit walk, 0.0 for an
+    all-zero circuit."""
+    def sum_(u: SumUnit, kids: Iterator[float]) -> float:
+        terms = [w * v for w, v in zip(u.weights, kids) if w * v > 0]
+        return min(terms) if terms else 0.0
+
+    return _fold(c, lambda u: 1.0, _product, sum_)[c.root]
+
+
 def determinism_oracle(circuit) -> list[tuple[int, str]]:
     """`validate`'s exhaustive determinism violations, from one bool column
     per unit over a block of states at a time: a sum is flagged where two
     of its children are positive together, and is positive where one of
     its positive-weight children is."""
-    from aaipc.circuit import IndicatorUnit, ProductUnit, enumerate_states
-
     states, bad = enumerate_states(circuit), set()
     for start in range(0, len(states), 4096):
         block, support = states[start:start + 4096], {}
@@ -400,8 +479,6 @@ def syntactic_determinism_oracle(c) -> list[tuple[int, str]]:
     """`validate`'s syntactic determinism violations, from one dict of
     admissible value sets per unit: a sum is flagged unless each pair of
     its children admits disjoint values of some variable in both scopes."""
-    from aaipc.circuit import SumUnit, _fold
-
     Support = dict[int, frozenset[int]]
 
     def product(kids: Iterator[Support]) -> Support:
@@ -434,8 +511,6 @@ def sample_oracle(c, seed: int, n: int) -> np.ndarray:
     """`circuit.sample` as a walk over the units in reversed topological
     order: one bool column per unit marks the rows that reach it, each sum
     draws one column of uniforms and scatters its rows child by child."""
-    from aaipc.circuit import IndicatorUnit, ProductUnit
-
     if n < 0:
         raise ValueError("n must be non-negative")
     if c.scopes[c.root] != frozenset(range(c.n_vars)):
@@ -472,8 +547,6 @@ def sample_oracle(c, seed: int, n: int) -> np.ndarray:
 def induced_tree_units(c, trace: Mapping[int, int]):
     """Units of the induced tree a MAP trace selects, depth first from the
     root, every parent before its children."""
-    from aaipc.circuit import ProductUnit, SumUnit
-
     stack = [c.root]
     while stack:
         u = c.units[stack.pop()]

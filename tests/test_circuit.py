@@ -32,7 +32,8 @@ from aaipc.circuit import (
 )
 
 from conftest import three_var_doc
-from oracles import (brute_force_probability, determinism_oracle, induced_trees,
+from oracles import (brute_force_probability, determinism_oracle, edge_masses_oracle,
+                     eval_double_oracle, induced_trees, min_positive_value_oracle,
                      sample_oracle, syntactic_determinism_oracle, tree_mass_oracle)
 
 
@@ -554,7 +555,7 @@ class TestEvalDouble:
         states = enumerate_states(c)
         probs = eval_double(c, states)
         for x, p in zip(states, probs):
-            assert p == pytest.approx(brute_force_probability(c, x), abs=1e-15)
+            assert p == brute_force_probability(c, x)
 
     def test_three_var_distribution_sums_to_one(self, three_var_circuit):
         probs = eval_double(three_var_circuit, enumerate_states(three_var_circuit))
@@ -630,6 +631,111 @@ class TestMinPositiveValue:
 
     def test_zero_weights_skipped(self):
         assert min_positive_value(toy_sum_over_indicators((0.0, 1.0))) == 1.0
+
+
+#: weights a sum draws before normalizing: zeros, subnormals and ordinary ones
+RAW_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-310, 0.1, 0.3, 1.0, 2.5])
+
+
+@st.composite
+def float_dags(draw) -> Circuit:
+    """A DAG whose sums and products take one to four (products two to four)
+    earlier units in drawn order, so that units are shared, products list
+    children out of id order and sums mix children of differing scopes;
+    sum weights include zeros and subnormals.  A root sum takes every unit
+    no other unit does."""
+    cards = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    units: list = [IndicatorUnit(i, v, x) for i, (v, x) in enumerate(
+        (v, x) for v, card in enumerate(cards) for x in range(card))]
+    for _ in range(draw(st.integers(1, 12))):
+        earlier = st.integers(0, len(units) - 1)
+        if draw(st.booleans()) and len(units) > 1:
+            kids = draw(st.lists(earlier, min_size=2, max_size=4, unique=True))
+            units.append(ProductUnit(len(units), tuple(kids)))
+        else:
+            kids = draw(st.lists(earlier, min_size=1, max_size=4, unique=True))
+            w = draw(st.lists(RAW_WEIGHTS, min_size=len(kids), max_size=len(kids)))
+            w[0] += not sum(w)
+            units.append(SumUnit(len(units), tuple(kids), tuple(v / sum(w) for v in w)))
+    used = {k for u in units for k in getattr(u, "children", ())}
+    tops = tuple(u.id for u in units if u.id not in used)
+    units.append(SumUnit(len(units), tops, (1 / len(tops),) * len(tops)))
+    return Circuit([Variable(v, card) for v, card in enumerate(cards)], units, len(units) - 1)
+
+
+def assert_float64_analytics_match_the_fold(c: Circuit, rows: np.ndarray) -> None:
+    """eval_double, edge_masses and min_positive_value equal the per-unit
+    walk's bit for bit."""
+    def hexes(values) -> list[str]:
+        return [float(v).hex() for v in values]
+
+    got, want = eval_double(c, rows), eval_double_oracle(c, rows)
+    assert got.shape == want.shape == (len(rows),) and got.dtype == np.float64
+    assert hexes(got) == hexes(want)
+    masses, want_masses = edge_masses(c), edge_masses_oracle(c)
+    assert list(masses) == list(want_masses)
+    assert hexes(masses.values()) == hexes(want_masses.values())
+    want_min = min_positive_value_oracle(c)
+    if want_min > 0:
+        assert min_positive_value(c).hex() == want_min.hex()
+    else:
+        with pytest.raises(ValueError, match="no positive output"):
+            min_positive_value(c)
+
+
+class TestAscendMatchesTheFold:
+    """The float64 analytics walk the compiled layout up; the per-unit walk
+    of `oracles._fold` is the reference."""
+
+    @pytest.mark.parametrize("name", TestSyntacticDeterminism.CIRCUITS)
+    def test_fixtures(self, name):
+        c = TestSyntacticDeterminism.CIRCUITS[name]()
+        assert_float64_analytics_match_the_fold(c, enumerate_states(c))
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_dags())
+    def test_random_dags(self, c):
+        assert_float64_analytics_match_the_fold(c, enumerate_states(c))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_sum_adds_in_order(self, seed):
+        # R mixes 13 sums over X0 and feeds T's edges through the product;
+        # np.sum would add R's terms pairwise when one row makes a column
+        rng = np.random.default_rng(seed)
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 1, 0),
+                 IndicatorUnit(3, 1, 1), SumUnit(4, (2, 3), (0.3, 0.7))]
+        for w in rng.random(13):
+            units.append(SumUnit(len(units), (0, 1), (w, 1 - w)))
+        v = rng.dirichlet(np.ones(13))
+        units += [SumUnit(18, tuple(range(5, 18)), tuple(v / v.sum())), ProductUnit(19, (18, 4))]
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, 19)
+        for x in enumerate_states(c):
+            assert_float64_analytics_match_the_fold(c, x[np.newaxis])
+
+    def test_subnormal_values_are_kept(self):
+        # 1e-310 is below 2**-1022, where the engine's FLOAT64 format leaves
+        # IEEE doubles; eval_double stays on them
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 1, 0),
+                 IndicatorUnit(3, 1, 1), SumUnit(4, (0, 1), (1e-310, 1 - 1e-310)),
+                 SumUnit(5, (2, 3), (0.5, 0.5)), ProductUnit(6, (5, 4))]
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, 6)
+        assert eval_double(c, [[0, 0]])[0] == 0.5e-310
+        assert min_positive_value(c) == 0.5e-310
+        assert_float64_analytics_match_the_fold(c, enumerate_states(c))
+
+    def test_root_that_is_an_indicator(self):
+        c = Circuit([Variable(0, 2)], [IndicatorUnit(0, 0, 1)], 0)
+        assert eval_double(c, [[0], [1]]).tolist() == [0.0, 1.0]
+        assert edge_masses(c) == {} and min_positive_value(c) == 1.0
+        assert_float64_analytics_match_the_fold(c, enumerate_states(c))
+
+    @pytest.mark.parametrize("make", [lambda: generate_random_det_pc(0, 3),
+                                      lambda: Circuit([Variable(0, 2)],
+                                                      [IndicatorUnit(0, 0, 1)], 0)],
+                             ids=["det", "indicator-root"])
+    def test_empty_batch(self, make):
+        c = make()
+        assert_float64_analytics_match_the_fold(c, np.zeros((0, c.n_vars), dtype=np.int64))
 
 
 class TestSample:

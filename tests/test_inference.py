@@ -137,6 +137,16 @@ class TestBooleanRows:
         assert eval_double(c, rows).tolist() == eval_double(c, [[1, 0, 1]]).tolist()
 
 
+@pytest.mark.parametrize("entry", ["eval_double", "compare_queries", "evaluator-mar"])
+def test_batch_of_more_than_two_dimensions_names_its_shape(entry):
+    # the last axis alone would read "rows have 3 values, the circuit has 3 variables"
+    c = generate_random_det_pc(0, 3)
+    with pytest.raises(ValueError, match=re.escape(
+            "rows must form a 2-D batch, got shape (1, 1, 3)")):
+        TestBooleanRows.ENTRY_POINTS[entry](c, np.zeros((1, 1, 3), dtype=np.int64),
+                                            FloatConfig(8, 10))
+
+
 class TestEvalMar:
     def test_bernoulli(self):
         c = bernoulli(0.25)
@@ -295,6 +305,44 @@ class TestEvalMap:
         with pytest.raises(ValueError, match="for variable 1 is not an integer"):
             eval_map(three_var_circuit, {1: value}, FLOAT64, plan)
 
+    @pytest.mark.parametrize("choice", [0.5, "1", True, np.float64(1.0)])
+    def test_restricted_value_rejects_non_integer_choices(self, choice):
+        # a cast to int64 would read 0.5 as child 0, and "1" and True as child 1
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace picks {choice!r} for sum {c.root}, not an integer")):
+            ev.restricted_value({c.root: choice}, {})
+
+    def test_restricted_value_rejects_units_that_are_not_sums(self):
+        # the picks are read per sum, so any other key would go unread
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        product = next(u.id for u in c.units.values() if isinstance(u, ProductUnit))
+        for key in (99999, product, True, str(c.root)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"trace names {key!r}, which is not a sum of the circuit")):
+                ev.restricted_value({c.root: 0, key: 0}, {})
+
+    def test_restricted_value_names_the_sum_of_an_edge_out_of_range(self):
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace picks edge 2 of sum {c.root}, which has 2")):
+            ev.restricted_value({c.root: 2}, {})
+
+    def test_restricted_value_takes_numpy_integers_and_other_circuits_traces(self):
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        res, _, _ = ev.map_query({})
+        want = ev.restricted_value(res.trace, {})
+        assert ev.restricted_value({np.int64(k): np.int64(v) for k, v in res.trace.items()},
+                                   {}) == want
+        # a trace of an equal circuit built apart reads through its mapping
+        twin = CircuitEvaluator(generate_random_det_pc(0, 3), FloatConfig(8, 10),
+                                MultiplierPlan.all_aai(c))
+        assert twin.restricted_value(res.trace, {}) == want
+
     def test_induced_tree_edges(self, three_var_distinct):
         c = three_var_distinct
         res = eval_map(c, {}, FLOAT64, MultiplierPlan.all_exact(c))
@@ -377,6 +425,24 @@ class TestCompareQueries:
         with pytest.raises(ValueError, match="correction must be finite"):
             compare_queries(c, sample(c, seed=3, n=4), FloatConfig(8, 10),
                             MultiplierPlan.all_aai(c), correction=correction)
+
+    @pytest.mark.parametrize("correction", [True, np.True_, "0.1", None, 1j])
+    def test_non_real_correction_rejected(self, three_var_circuit, correction):
+        # a cast to float would read True as 1.0, and np.isfinite("0.1") raises TypeError
+        c = three_var_circuit
+        with pytest.raises(ValueError, match=re.escape(
+                f"correction must be finite and real, got {correction!r}")):
+            compare_queries(c, sample(c, seed=3, n=4), FloatConfig(8, 10),
+                            MultiplierPlan.all_aai(c), correction=correction)
+
+    def test_correction_is_stored_as_float(self, three_var_circuit):
+        c = three_var_circuit
+        data, cfg, plan = sample(c, seed=3, n=4), FloatConfig(8, 10), MultiplierPlan.all_aai(c)
+        want = compare_queries(c, data, cfg, plan, correction=0.1)
+        for correction in (np.float64(0.1), np.float32(0.25), 1, Fraction(1, 10)):
+            got = compare_queries(c, data, cfg, plan, correction=correction)
+            assert type(got.mean_log_error) is float
+        assert compare_queries(c, data, cfg, plan, correction=np.float64(0.1)) == want
 
     def test_correction_shifts_log_error(self):
         c = generate_random_tree_pc(seed=29, n_vars=4, depth=2, sum_fanout=2)
