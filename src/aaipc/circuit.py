@@ -29,6 +29,11 @@ import numpy as np
 #: joint state spaces at or below this size are checked exhaustively
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
 
+#: (table row, input row) cells of one chunk's value table in a pass up the
+#: compiled layout: `eval_double` here, the MAR and MAP passes of `inference`
+#: (a quarter as many on Python-int words)
+CHUNK_CELLS = 1 << 19
+
 #: the exhaustive determinism check holds one bit per (table row of the
 #: compiled layout, state) cell, packed in uint64 words, for at most this many
 #: cells at a time, in chunks of a multiple of 64 states
@@ -219,7 +224,14 @@ class _Compiled:
     (`validate`'s determinism checks, the passes of `inference`, and `ascend`
     for the float64 analytics) and down by `descend`.  Sums are numbered
     level by level in sum_index, the row order of the choice tables
-    `descend` takes."""
+    `descend` takes.
+
+    The first level's sums are those whose children are all indicators:
+    categorical inputs, as in generated circuits.  leaf_var gives, per such
+    sum in level order, the one variable its children test, or -1 where they
+    test two or more; where none is -1, each of their values depends on one
+    variable's value alone, so `inference` reads them from a per-state table
+    (input tables) in place of multiplying weights by indicators."""
 
     def __init__(self, c: Circuit):
         level: dict[int, int] = {}
@@ -254,6 +266,10 @@ class _Compiled:
         sums = [u for units in by_level for u in units if isinstance(u, SumUnit)]
         self.sum_index = {u.id: i for i, u in enumerate(sums)}
         self.sum_arity = np.array([len(u.children) for u in sums], dtype=np.int64)
+        first = by_level[1] if len(by_level) > 1 else []
+        tested = [{c.units[k].var for k in u.children} for u in first if isinstance(u, SumUnit)]
+        self.leaf_var = np.array([v.pop() if len(v) == 1 else -1 for v in tested],
+                                 dtype=np.int64)
 
     def _group(self, units: list, row: dict[int, int], pad: int):
         """One level's products or sums: their children's rows in `children`
@@ -300,19 +316,23 @@ class _Compiled:
         down, one level at a time, a selected sum selects its chosen child
         and a selected product all its children.  A variable no selected
         indicator tests is -1; one that two test takes the value of
-        the one listed later in ind_var."""
+        the one listed later in ind_var.  Selected cells are found by a scan
+        of the flat table, which NumPy does several times faster than a 2-D
+        `nonzero`, and split into (unit, row) by one divmod."""
         sel = np.zeros((self.n_table, n), dtype=bool)
+        flat, picks = sel.ravel(), choices.ravel()
         sel[self.root] = True
         end = len(choices)
         for lev in reversed(self.levels):
             if lev.s1 > lev.s0:
                 end -= lev.s1 - lev.s0
-                i, b = np.nonzero(sel[lev.s0:lev.s1])
-                sel[lev.sch[choices[end + i, b], i], b] = True
+                q = flat[lev.s0 * n:lev.s1 * n].nonzero()[0]
+                i, b = np.divmod(q, n)
+                sel[lev.sch[picks[end * n:][q], i], b] = True
             if lev.p1 > lev.p0:
-                i, b = np.nonzero(sel[lev.p0:lev.p1])
+                i, b = np.divmod(flat[lev.p0 * n:lev.p1 * n].nonzero()[0], n)
                 sel[lev.pch[:, i], b] = True
-        i, b = np.nonzero(sel[:len(self.ind_var)])
+        i, b = np.divmod(flat[:len(self.ind_var) * n].nonzero()[0], n)
         assignment = np.full((n, self.n_vars), -1, dtype=np.int64)
         assignment[b, self.ind_var[i]] = self.ind_val[i]
         return assignment
@@ -578,12 +598,18 @@ def _check_rows(c: Circuit, x: np.ndarray, unobserved: bool = False) -> np.ndarr
 
 
 def eval_double(c: Circuit, x: np.ndarray) -> np.ndarray:
-    """Reference 64-bit probabilities for a batch of complete assignments."""
+    """Reference 64-bit probabilities for a batch of complete assignments,
+    in chunks of CHUNK_CELLS table cells."""
     x = _check_rows(c, np.atleast_2d(_row_array(x)))
     comp = _compile(c)
-    val = np.empty((comp.n_table, len(x)))
-    val[:len(comp.ind_var)] = x.T[comp.ind_var] == comp.ind_val[:, np.newaxis]
-    return comp.ascend(val, _add_in_order)[comp.root].copy()
+    step = max(1, CHUNK_CELLS // comp.n_table)
+    out = np.empty(len(x))
+    for s in range(0, len(x), step):
+        rows = x[s:s + step]
+        val = np.empty((comp.n_table, len(rows)))
+        val[:len(comp.ind_var)] = rows.T[comp.ind_var] == comp.ind_val[:, np.newaxis]
+        out[s:s + step] = comp.ascend(val, _add_in_order)[comp.root]
+    return out
 
 
 #: a sum's terms added one after another (np.sum may add them pairwise)

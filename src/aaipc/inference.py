@@ -26,17 +26,31 @@ that the format alone decides (`_word_kind`):
   below 2**-1022 times a positive child is one), makes the chunk rerun on
   Python-int words; this is the one way a pass leaves IEEE doubles.
 
+Input tables.  Where every first-level sum (one whose children are all
+indicators) tests one variable (`_Compiled.leaf_var`), as the categorical
+inputs of generated circuits do, each of their words, and MAP's choice, depends
+on that variable's value alone.  The pass then reads that level's sums from a
+per-state table in one gather, `table.take(offset + x[var] + 1)`, in place
+of multiplying weights by indicators and adding.  A table is built once per
+(layout, config, word kind, MAR or MAP, AAI mask of the first level's edges)
+by the level code the pass runs (`_sums`), on one column per state:
+unobserved, then each value up to the largest cardinality.  Where that build
+saturates or leaves IEEE doubles there is no table and the level runs as
+above, and so does every `restricted_value` pass, so results and counts are
+the same either way.
+
 This module owns the word kinds (`_word_kind`) and what is cached per
 compiled layout for them: the slot weights as words of each (config, kind),
-the uniform plans and each plan's per-level modes, all held weakly by the
-layout so that they go with the circuit.  MAP's backtrack is the layout's
-`descend`, which `circuit.sample` shares.
+the input tables, the uniform plans and each plan's per-level modes, all
+held weakly by the layout so that they go with the circuit.  MAP's backtrack
+is the layout's `descend`, which `circuit.sample` shares.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
@@ -44,8 +58,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .circuit import (Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile, _Compiled,
-                      _is_integer, _row_array)
+from .circuit import (CHUNK_CELLS, Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile,
+                      _Compiled, _is_integer, _row_array)
 from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F401
                      MultResult, aai_mul, encode, encode_words, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
@@ -53,11 +67,10 @@ from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F
 EXACT = "exact"
 AAI = "aai"
 
-#: units x rows of one chunk's value table (a quarter of it for Python ints)
-CHUNK_CELLS = 1 << 19
-
-#: per compiled layout: {(cfg, kind): weight words} and {(plan class, mode): plan}
+#: per compiled layout: {(cfg, kind): weight words}, {(cfg, kind, MAR or MAP,
+#: first level's AAI mask): input table or None} and {(plan class, mode): plan}
 _WORDS: WeakKeyDictionary = WeakKeyDictionary()
+_TABLES: WeakKeyDictionary = WeakKeyDictionary()
 _UNIFORM_PLANS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -330,7 +343,7 @@ def _word_kind(cfg: FloatConfig):
 def _weight_words(comp: _Compiled, cfg: FloatConfig, kind):
     """The slot weights as words of the given kind (a numpy dtype, or
     "ieee" for float64), with the counts of weights that saturated."""
-    words, key = _WORDS.setdefault(comp, {}), (cfg, str(kind))
+    words, key = _WORDS.setdefault(comp, {}), (cfg, kind)
     if key not in words:
         w, under, over = encode_words(comp.weights, cfg)
         words[key] = (comp.weights if kind == "ieee" else w.astype(kind), under, over)
@@ -370,7 +383,46 @@ def _mul(ar, a, b, how):
     return out
 
 
+def _ops(cfg: FloatConfig, kind, n_rows: int):
+    """cfg's word ops on words of the given kind, over n_rows columns."""
+    return _IEEEWords(n_rows) if kind == "ieee" else _IntWords(cfg, kind, n_rows)
+
+
 _MAR, _MAP, _PICK = range(3)
+
+
+def _indicator_rows(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
+    """The indicator rows' words where their variables take the values obs
+    (-1 unobserved, with the indicators at one)."""
+    return np.where((obs < 0) | (obs == comp.ind_val[:, np.newaxis]), ar.one, ar.zero)
+
+
+def _sums(ar, w, val: np.ndarray, lev, edges, mode: int, pick=None):
+    """One level's sums over val's columns: each weight times its child in
+    the level's modes, then for MAR the terms added in `children` order, for
+    MAP the largest term and its index (strict >, so ties keep the lowest),
+    and for _PICK the term at pick.  Returns the words and MAP's choices."""
+    k_s, n_s = lev.sch.shape
+    terms = _mul(ar, w[lev.sslot:lev.sslot + lev.sch.size], val[lev.sch.ravel()],
+                 edges).reshape(k_s, n_s, val.shape[1])
+    if mode == _PICK:
+        return np.take_along_axis(terms, pick[np.newaxis], axis=0)[0], None
+    acc, pick = terms[0], None
+    if mode == _MAR:
+        for k in range(1, k_s):
+            acc = ar.add(acc, terms[k])
+    else:
+        pick = np.zeros(acc.shape, dtype=np.int64)
+        for k in range(1, k_s):
+            better = terms[k] > acc
+            acc = np.where(better, terms[k], acc)
+            pick = np.where(better, k, pick)
+    return acc, pick
+
+
+#: a first level's sums per state: sum i's word (and MAP choice) where its
+#: variable takes value x (-1 unobserved) sits at base[i] + x
+_Table = namedtuple("_Table", "words choices base")
 
 
 class CircuitEvaluator:
@@ -400,15 +452,15 @@ class CircuitEvaluator:
         self._w = w[:, np.newaxis]
 
     def _pass(self, ar, w, rows: np.ndarray, mode: int, picks: Optional[np.ndarray]):
-        """Evaluate a chunk of rows, children first, one level at a time;
-        returns the root words, the per-row saturation counts and, for MAP,
-        the per-sum choices and the backtracked assignments."""
+        """Evaluate a chunk of rows, children first, one level at a time, the
+        first level's sums from the input table where there is one; returns
+        the root words, the per-row saturation counts and, for MAP, the
+        per-sum choices and the backtracked assignments."""
         comp, n = self._comp, len(rows)
         val = np.empty((comp.n_table, n), dtype=ar.dtype)
         val[comp.one_row], val[comp.zero_row] = ar.one, ar.zero
-        obs = rows.T[comp.ind_var]
-        val[:len(comp.ind_var)] = np.where((obs < 0) | (obs == comp.ind_val[:, None]),
-                                           ar.one, ar.zero)
+        val[:len(comp.ind_var)] = _indicator_rows(comp, ar, rows.T[comp.ind_var])
+        table = None if mode == _PICK or not comp.levels else self._table(ar, w, mode)
         choices = []
         for lev, (steps, edges) in zip(comp.levels, self._modes):
             if lev.p1 > lev.p0:
@@ -417,23 +469,18 @@ class CircuitEvaluator:
                     acc = _mul(ar, acc, val[lev.pch[k]], how)
                 val[lev.p0:lev.p1] = acc
             if lev.s1 > lev.s0:
-                k_s, n_s = lev.sch.shape
-                terms = _mul(ar, w[lev.sslot:lev.sslot + lev.sch.size], val[lev.sch.ravel()],
-                             edges).reshape(k_s, n_s, n)
-                acc = terms[0]
-                if mode == _MAR:
-                    for k in range(1, k_s):
-                        acc = ar.add(acc, terms[k])
-                elif mode == _MAP:
-                    pick = np.zeros((n_s, n), dtype=np.int64)
-                    for k in range(1, k_s):
-                        better = terms[k] > acc  # strict: ties keep the lowest index
-                        acc = np.where(better, terms[k], acc)
-                        pick[better] = k
-                    choices.append(pick)
+                if table is not None:  # the first level's sums, by state
+                    at = rows.T[comp.leaf_var] + table.base
+                    acc = table.words.take(at)
+                    pick = None if table.choices is None else table.choices.take(at)
+                    table = None
+                elif mode == _PICK:
+                    acc, _ = _sums(ar, w, val, lev, edges, mode, picks[:lev.s1 - lev.s0])
+                    picks = picks[lev.s1 - lev.s0:]
                 else:
-                    pick, picks = picks[:n_s], picks[n_s:]
-                    acc = np.take_along_axis(terms, pick[np.newaxis], axis=0)[0]
+                    acc, pick = _sums(ar, w, val, lev, edges, mode)
+                if mode == _MAP:
+                    choices.append(pick)
                 val[lev.s0:lev.s1] = acc
         roots = val[comp.root]
         if ar.dtype == np.float64:
@@ -442,6 +489,35 @@ class CircuitEvaluator:
             return roots, ar.under, ar.over, None, None
         choices = np.concatenate(choices or [np.zeros((0, n), dtype=np.int64)])
         return roots, ar.under, ar.over, choices, comp.descend(choices, n)
+
+    def _table(self, ar, w, mode: int) -> Optional[_Table]:
+        """The input table for ar's word kind and a MAR or MAP pass, built on
+        first use and kept per layout: the first level's sums, as the pass
+        computes them, on one column per state.  None where a first-level
+        sum tests two variables, or where the build saturates or leaves IEEE
+        doubles, as the level must then run row by row."""
+        comp, edges = self._comp, self._modes[0][1]
+        kind = "ieee" if isinstance(ar, _IEEEWords) else ar.dtype
+        tables = _TABLES.setdefault(comp, {})
+        key = (self.cfg, kind, mode, edges if isinstance(edges, bool) else edges[0].tobytes())
+        if key not in tables:
+            tables[key] = None
+            lev = comp.levels[0]
+            if lev.s1 > lev.s0 and (comp.leaf_var >= 0).all():
+                width = 1 + max(v.cardinality for v in self.circuit.variables)
+                ops = _ops(self.cfg, kind, width)
+                val = np.empty((comp.n_table, width), dtype=ops.dtype)
+                val[comp.one_row], val[comp.zero_row] = ops.one, ops.zero
+                val[:len(comp.ind_var)] = _indicator_rows(comp, ops, np.arange(-1, width - 1))
+                try:
+                    words, choices = _sums(ops, w, val, lev, edges, mode)
+                except _LeavesIEEE:
+                    return None
+                if not (ops.under.any() or ops.over.any()):
+                    tables[key] = _Table(words.ravel(), None if choices is None else
+                                         choices.ravel(),
+                                         np.arange(lev.s1 - lev.s0)[:, np.newaxis] * width + 1)
+        return tables[key]
 
     def _evaluate(self, x, mode: int, traces=None):
         """Run the pass over x's rows chunk by chunk, rerunning a chunk on
@@ -456,13 +532,10 @@ class CircuitEvaluator:
         for s in range(0, max(len(rows), 1), step):  # an empty batch makes one empty chunk
             args = rows[s:s + step], mode, None if picks is None else picks[:, s:s + step]
             try:
-                ar = (_IEEEWords(len(args[0])) if self._kind == "ieee"
-                      else _IntWords(self.cfg, self._kind, len(args[0])))
-                parts.append(self._pass(ar, self._w, *args))
+                parts.append(self._pass(_ops(self.cfg, self._kind, len(args[0])), self._w, *args))
             except _LeavesIEEE:
                 w = _weight_words(self._comp, self.cfg, np.dtype(object))[0][:, np.newaxis]
-                parts.append(self._pass(_IntWords(self.cfg, np.dtype(object), len(args[0])),
-                                        w, *args))
+                parts.append(self._pass(_ops(self.cfg, np.dtype(object), len(args[0])), w, *args))
         roots, under, over, trace, assignment = zip(*parts)
         m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
         zero = CustomFloat.zero(m)

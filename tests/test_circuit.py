@@ -557,6 +557,31 @@ class TestEvalDouble:
         for x, p in zip(states, probs):
             assert p == brute_force_probability(c, x)
 
+    @pytest.mark.parametrize("make", [
+        lambda: generate_random_det_pc(2, 6), lambda: generate_random_tree_pc(2, 7, 2, 3),
+    ], ids=["det-6", "tree-7"])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3, 50])
+    def test_chunks_are_bit_identical(self, monkeypatch, make, rows_per_chunk):
+        c = make()
+        states = enumerate_states(c)
+        whole = [float(p).hex() for p in eval_double(c, states)]
+        monkeypatch.setattr(circuit, "CHUNK_CELLS", rows_per_chunk * _compile(c).n_table)
+        assert [float(p).hex() for p in eval_double(c, states)] == whole
+        assert eval_double(c, states[:0]).shape == (0,)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # det(10) at all 1,024 states is a 16 MiB table in one piece
+        c = generate_random_det_pc(0, 10)
+        states = enumerate_states(c)
+        _compile(c)
+        tracemalloc.start()
+        try:
+            eval_double(c, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
     def test_three_var_distribution_sums_to_one(self, three_var_circuit):
         probs = eval_double(three_var_circuit, enumerate_states(three_var_circuit))
         assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)

@@ -147,11 +147,12 @@ class TestAgainstScalarReference:
         c, cfg, plan, rows, hidden = case
         ev = CircuitEvaluator(c, cfg, plan)
         whole = ev.mar(rows), ev.map_query(hidden)
+        chunk_cells = inference.CHUNK_CELLS
         try:
             inference.CHUNK_CELLS = cells * len(c.units)
             parts = ev.mar(rows), ev.map_query(hidden)
         finally:
-            inference.CHUNK_CELLS = 1 << 19
+            inference.CHUNK_CELLS = chunk_cells
         assert whole[0][0] == parts[0][0]
         assert [r.assignment.tolist() for r in whole[1][0]] == \
             [r.assignment.tolist() for r in parts[1][0]]
@@ -398,6 +399,139 @@ class TestWordKinds:
                 [ref.mar(x)[1:] for x in rows]
 
 
+def ternary_inputs() -> Circuit:
+    """A mixture of two products of categorical inputs over variable 0 of
+    4 values, which no indicator tests for 3, variable 1 of 3 and binary
+    variable 2: sum 8 has two indicators of (0, 1) among its children, sum 10
+    one indicator twice."""
+    units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 0, 2),
+             IndicatorUnit(3, 0, 1), IndicatorUnit(4, 1, 0), IndicatorUnit(5, 1, 1),
+             IndicatorUnit(6, 1, 2), IndicatorUnit(7, 2, 1),
+             SumUnit(8, (0, 1, 2, 3), (0.1, 0.35, 0.3, 0.25)),
+             SumUnit(9, (2, 0, 1), (0.6, 0.1, 0.3)),
+             SumUnit(10, (4, 5, 6, 4), (0.2, 0.3, 0.1, 0.4)),
+             SumUnit(11, (6, 5, 4), (0.5, 0.25, 0.25)),
+             SumUnit(12, (7,), (1.0,)),
+             ProductUnit(13, (8, 10, 12)), ProductUnit(14, (11, 9, 12)),
+             SumUnit(15, (13, 14), (0.45, 0.55))]
+    return Circuit([Variable(0, 4), Variable(1, 3), Variable(2, 2)], units, 15)
+
+
+def table_of(ev: CircuitEvaluator, mode: int, kind=None):
+    """The evaluator's input table for words of the given kind (its own by
+    default), built as a pass builds it."""
+    kind = ev._kind if kind is None else kind
+    w = inference._weight_words(ev._comp, ev.cfg, kind)[0][:, np.newaxis]
+    return ev._table(inference._ops(ev.cfg, kind, 1), w, mode)
+
+
+def assert_matches_scalar(c, cfg, plan, rows, hidden):
+    """MAR, MAP and the counts, batched, equal the scalar reference's."""
+    ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+    results, under, over = ev.mar(rows)
+    assert [(r, u, o) for r, u, o in zip(results, under, over)] == [ref.mar(x) for x in rows]
+    results, under, over = ev.map_query(hidden)
+    for row, got, u, o in zip(hidden, results, under, over):
+        want, want_u, want_o = ref.map_query(evidence_of(row))
+        assert got.assignment.tolist() == want.assignment.tolist()
+        assert (got.log2_value, dict(got.trace), u, o) == \
+            (want.log2_value, want.trace, want_u, want_o)
+    return ev
+
+
+class TestInputTables:
+    @pytest.mark.parametrize("cfg, kind", [
+        (FloatConfig(8, 10), np.int32), (FloatConfig(11, 40), np.int64),
+        (FloatConfig(11, 41, rounding=TOWARD_ZERO), object), (FLOAT64, "ieee")], ids=str)
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_tables_match_the_scalar_reference(self, cfg, kind, share):
+        c = ternary_inputs()
+        rng = np.random.default_rng(int(share * 2))
+        plan = MultiplierPlan({s: AAI if rng.random() < share else EXACT
+                               for s in enumerate_sites(c)})
+        rows = enumerate_states(c)
+        hidden = rows.copy()
+        hidden[rng.random(rows.shape) < 0.4] = -1
+        hidden = np.vstack([hidden, np.full((1, 3), -1)])
+        ev = assert_matches_scalar(c, cfg, plan, rows, hidden)
+        assert ev._kind == kind
+        assert _compile(c).leaf_var.tolist() == [0, 0, 1, 1, 2]
+        for mode in (inference._MAR, inference._MAP):
+            table = table_of(ev, mode)
+            assert table is not None and len(table.words) == 5 * 5
+            assert (table.choices is None) == (mode == inference._MAR)
+
+    def test_tables_hold_the_words_the_level_computes(self, monkeypatch):
+        c = generate_random_tree_pc(5, 8, 2, 3)
+        cfg, plan = FloatConfig(8, 12, rounding=TOWARD_ZERO), MultiplierPlan.all_aai(c)
+        rows = sample(c, 5, 32)
+        rows[::3, ::2] = -1
+        ev = CircuitEvaluator(c, cfg, plan)
+        with_tables = ev.mar(rows[1::3]), ev.map_query(rows)
+        assert table_of(ev, inference._MAR) is not None
+        monkeypatch.setattr(CircuitEvaluator, "_table", lambda *args: None)
+        without = ev.mar(rows[1::3]), ev.map_query(rows)
+        assert with_tables[0][0] == without[0][0]
+        assert [(r.assignment.tolist(), r.log2_value, dict(r.trace)) for r in with_tables[1][0]] \
+            == [(r.assignment.tolist(), r.log2_value, dict(r.trace)) for r in without[1][0]]
+
+    def test_a_first_level_sum_over_two_variables_has_no_table(self):
+        c = ternary_inputs()
+        units = [*c.units.values(), IndicatorUnit(16, 2, 0), SumUnit(17, (16, 4), (0.5, 0.5))]
+        units[-3] = SumUnit(15, (13, 14, 17), (0.45, 0.45, 0.1))
+        c = Circuit(c.variables, units, 15)
+        assert -1 in _compile(c).leaf_var.tolist()
+        rows = enumerate_states(c)
+        ev = assert_matches_scalar(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c), rows, rows)
+        assert table_of(ev, inference._MAR) is table_of(ev, inference._MAP) is None
+
+    def test_a_build_that_overflows_has_no_table(self):
+        # every value from 2**-1 up overflows at bias 8: the MAR build adds
+        # each leaf's weights to about 1, MAP takes the largest weight
+        c = generate_random_tree_pc(3, 6, 2, 3)
+        cfg, rows = FloatConfig(3, 4, bias=8), sample(c, 3, 16)
+        for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+            ev = assert_matches_scalar(c, cfg, plan, rows, rows)
+            assert table_of(ev, inference._MAR) is None
+            assert table_of(ev, inference._MAP) is not None
+
+    def test_underflow_above_the_first_level_keeps_its_table_and_counts(self):
+        # (3, 3) underflows below 2**-3 in the products; a leaf's weight
+        # times one is the weight, and its sum at most one, so the first
+        # level never saturates
+        c = generate_random_tree_pc(3, 6, 2, 3)
+        cfg, rows = FloatConfig(3, 3), sample(c, 3, 16)
+        for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+            ev = assert_matches_scalar(c, cfg, plan, rows, rows)
+            assert ev.mar(rows)[1].sum() > 0
+            assert table_of(ev, inference._MAR) is not None
+
+    def test_a_subnormal_leaf_weight_under_float64_has_no_ieee_table(self):
+        c = chain_of_tiny_sums(2, 2.0 ** -1023)
+        ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
+        # the build leaves IEEE doubles where an indicator of value 0 is
+        # one; the level then runs on the rows, which never make it one
+        ev._pass(_IEEEWords(1), ev._w, np.array([[1, 1]]), inference._MAR, None)
+        assert table_of(ev, inference._MAR) is None
+        rows = np.array([[0, 1], [1, 1], [0, 0], [-1, 0]])
+        assert_matches_scalar(c, FLOAT64, MultiplierPlan.all_exact(c), rows[:3], rows)
+        with pytest.raises(_LeavesIEEE):
+            ev._pass(_IEEEWords(len(rows)), ev._w, rows, inference._MAR, None)
+        assert table_of(ev, inference._MAR, np.dtype(object)) is not None
+
+    def test_map_ties_pick_the_lowest_child(self):
+        # per sum 8..12, the choice when its variable is unobserved, 0, 1, 2,
+        # 3: sum 8 ties children 1 and 3 at value 1, sum 10 children 0 and 3
+        # at 0, and where every child is zero the first is chosen
+        c = with_equal_weights(ternary_inputs())
+        rows = enumerate_states(c)
+        hidden = np.vstack([rows, np.full((1, 3), -1)])
+        ev = assert_matches_scalar(c, FloatConfig(8, 10), MultiplierPlan.all_exact(c),
+                                   rows, hidden)
+        assert table_of(ev, inference._MAP).choices.reshape(5, 5).tolist() == \
+            [[0, 0, 1, 2, 0], [0, 1, 2, 0, 0], [0, 0, 1, 2, 0], [0, 2, 1, 0, 0], [0, 0, 0, 0, 0]]
+
+
 class TestZeroWordCollision:
     def test_engine_keeps_the_smallest_value_apart_from_zero(self):
         # aai of words 1 and (bias << M) - 1 is min_positive, pattern 0
@@ -427,6 +561,10 @@ class TestCaches:
         assert plan._modes(c) is plan._modes(c)
         assert a._modes is b._modes
         assert a._w.base is b._w.base
+        for mode in (inference._MAR, inference._MAP):
+            assert table_of(a, mode) is table_of(b, mode) is not None
+        other = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan(dict(plan.modes)))
+        assert table_of(other, inference._MAP) is table_of(a, inference._MAP)
         assert MultiplierPlan.all_aai(c) is plan
 
     def test_plan_modes_are_read_only_copies(self):
