@@ -575,7 +575,7 @@ def _row_array(x: Any) -> np.ndarray:
 def _check_rows(c: Circuit, x: np.ndarray, unobserved: bool = False) -> np.ndarray:
     """x, from `_row_array`, as an int64 array of rows, one value per
     variable, each below its cardinality; negative values mean unobserved
-    when that is allowed."""
+    when that is allowed, and come back as -1."""
     if x.ndim != 2:
         raise ValueError(f"rows must form a 2-D batch, got shape {x.shape}")
     if x.shape[1] != c.n_vars:
@@ -594,7 +594,7 @@ def _check_rows(c: Circuit, x: np.ndarray, unobserved: bool = False) -> np.ndarr
         raise ValueError(f"row {i}, column {j}: value {x[i, j]} " + (
             "is not an integer" if rows[i, j] != x[i, j]
             else f"is out of range for cardinality {cards[j]}"))
-    return rows
+    return np.maximum(rows, -1) if unobserved else rows
 
 
 def eval_double(c: Circuit, x: np.ndarray) -> np.ndarray:

@@ -32,9 +32,10 @@ inputs of generated circuits do, each of their words, and MAP's choice, depends
 on that variable's value alone.  The pass then reads that level's sums from a
 per-state table in one gather, `table.take(offset + x[var] + 1)`, in place
 of multiplying weights by indicators and adding.  A table is built once per
-(layout, config, word kind, MAR or MAP, AAI mask of the first level's edges)
-by the level code the pass runs (`_sums`), on one column per state:
-unobserved, then each value up to the largest cardinality.  Where that build
+(layout, config, word kind, MAR or MAP) by the level code the pass runs
+(`_sums`), on one column per state: unobserved, then each value up to the
+largest cardinality.  The plan does not enter, as a weight times one or zero
+is the same word under either multiplier.  Where that build
 saturates or leaves IEEE doubles there is no table and the level runs as
 above, and so does every `restricted_value` pass, so results and counts are
 the same either way.
@@ -67,8 +68,8 @@ from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F
 EXACT = "exact"
 AAI = "aai"
 
-#: per compiled layout: {(cfg, kind): weight words}, {(cfg, kind, MAR or MAP,
-#: first level's AAI mask): input table or None} and {(plan class, mode): plan}
+#: per compiled layout: {(cfg, kind): weight words}, {(cfg, kind, MAR or
+#: MAP): input table or None} and {(plan class, mode): plan}
 _WORDS: WeakKeyDictionary = WeakKeyDictionary()
 _TABLES: WeakKeyDictionary = WeakKeyDictionary()
 _UNIFORM_PLANS: WeakKeyDictionary = WeakKeyDictionary()
@@ -495,11 +496,14 @@ class CircuitEvaluator:
         first use and kept per layout: the first level's sums, as the pass
         computes them, on one column per state.  None where a first-level
         sum tests two variables, or where the build saturates or leaves IEEE
-        doubles, as the level must then run row by row."""
-        comp, edges = self._comp, self._modes[0][1]
+        doubles, as the level must then run row by row.  The plan does not
+        enter: at this level each weight is multiplied by one or by zero,
+        which gives the same word under both multipliers, so the build
+        multiplies approximately whatever the plan says."""
+        comp = self._comp
         kind = "ieee" if isinstance(ar, _IEEEWords) else ar.dtype
         tables = _TABLES.setdefault(comp, {})
-        key = (self.cfg, kind, mode, edges if isinstance(edges, bool) else edges[0].tobytes())
+        key = (self.cfg, kind, mode)
         if key not in tables:
             tables[key] = None
             lev = comp.levels[0]
@@ -510,7 +514,7 @@ class CircuitEvaluator:
                 val[comp.one_row], val[comp.zero_row] = ops.one, ops.zero
                 val[:len(comp.ind_var)] = _indicator_rows(comp, ops, np.arange(-1, width - 1))
                 try:
-                    words, choices = _sums(ops, w, val, lev, edges, mode)
+                    words, choices = _sums(ops, w, val, lev, True, mode)
                 except _LeavesIEEE:
                     return None
                 if not (ops.under.any() or ops.over.any()):

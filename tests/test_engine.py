@@ -519,6 +519,32 @@ class TestInputTables:
             ev._pass(_IEEEWords(len(rows)), ev._w, rows, inference._MAR, None)
         assert table_of(ev, inference._MAR, np.dtype(object)) is not None
 
+    @pytest.mark.parametrize("cfg", [FloatConfig(8, 10), FLOAT64], ids=str)
+    def test_any_negative_value_reads_as_unobserved(self, cfg):
+        # a table reads value x of sum i at i * width + 1 + x: a -2 would
+        # read the sum before's word, and at sum 0 wrap to the last sum's
+        c = ternary_inputs()
+        plan = MultiplierPlan.all_aai(c)
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        rows = enumerate_states(c)
+        hidden = np.where(np.random.default_rng(3).random(rows.shape) < 0.4, -1, rows)
+        hidden = np.vstack([hidden, [[-1, 0, 1], [0, -1, 1], [-1, -1, -1]]])
+
+        def answers(x):
+            results, under, over = ev.mar(x)
+            maps = ev.map_query(x)[0]
+            return ([(r, u, o) for r, u, o in zip(results, under.tolist(), over.tolist())],
+                    [(m.assignment.tolist(), m.log2_value, dict(m.trace)) for m in maps])
+
+        want = answers(hidden)
+        assert want[0] == [ref.mar([None if v < 0 else int(v) for v in row]) for row in hidden]
+        scalar = [ref.map_query(evidence_of(row))[0] for row in hidden]
+        assert want[1] == [(m.assignment.tolist(), m.log2_value, m.trace) for m in scalar]
+        assert table_of(ev, inference._MAR) is not None
+        for neg in (-2, -7):
+            assert answers(np.where(hidden < 0, neg, hidden)) == want
+            assert ev.mar([neg, 0, 1])[0] == want[0][-3][0]
+
     def test_map_ties_pick_the_lowest_child(self):
         # per sum 8..12, the choice when its variable is unobserved, 0, 1, 2,
         # 3: sum 8 ties children 1 and 3 at value 1, sum 10 children 0 and 3
@@ -565,6 +591,8 @@ class TestCaches:
             assert table_of(a, mode) is table_of(b, mode) is not None
         other = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan(dict(plan.modes)))
         assert table_of(other, inference._MAP) is table_of(a, inference._MAP)
+        exact = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_exact(c))
+        assert table_of(exact, inference._MAR) is table_of(a, inference._MAR)
         assert MultiplierPlan.all_aai(c) is plan
 
     def test_plan_modes_are_read_only_copies(self):
