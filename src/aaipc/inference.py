@@ -40,10 +40,25 @@ saturates or leaves IEEE doubles there is no table and the level runs as
 above, and so does every `restricted_value` pass, so results and counts are
 the same either way.
 
+Range certificate.  Once per (layout, plan, config, word kind), on its first
+pass, the evaluator decides whether any op of any pass on any row can leave
+the format's range, from two checked passes over one row with every variable
+unobserved (`CircuitEvaluator._certify`).  The ops are monotone and an add is
+at least its larger operand, so the MAR pass bounds every word from above,
+and a pass whose sums keep their least nonzero term (`_sums`' _LEAST) bounds
+every nonzero word from below.  Where neither saturates nor leaves IEEE
+doubles, and, for a plan with AAI sites, every weight and upper bound is at
+most one, the passes run unchecked: no op counts or clamps, the exact product
+only maps zero operands to zero, and an AAI product is one integer add,
+max(a + b - one, zero).  Such a pass counts no saturation, as the checked one
+would not.  Any other pass runs checked, so results and counts are the same
+either way.  The verdict is kept with the plan's per-level modes.
+
 This module owns the word kinds (`_word_kind`) and what is cached per
 compiled layout for them: the slot weights as words of each (config, kind),
-the input tables, the uniform plans and each plan's per-level modes, all
-held weakly by the layout so that they go with the circuit.  MAP's backtrack
+the input tables, the uniform plans, each plan's per-level modes and range
+certificates, all held weakly by the layout so that they go with the
+circuit.  MAP's backtrack
 is the layout's `descend`, which `circuit.sample` shares.
 """
 
@@ -83,11 +98,15 @@ def enumerate_sites(c: Circuit) -> list[Edge]:
 @dataclass(frozen=True)
 class MultiplierPlan:
     """One mode for each multiplication site, keyed by its `circuit.Edge`; a
-    read-only copy, so its per-level modes are cached per compiled circuit."""
+    read-only copy, so its per-level modes are cached per compiled circuit,
+    and with them the range certificate's verdicts, {(config, word kind):
+    certified}."""
 
     modes: Mapping[Edge, str]
     _levels: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
                                        repr=False, compare=False)
+    _verdicts: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", MappingProxyType(dict(self.modes)))
@@ -188,7 +207,7 @@ class EvaluationError(ValueError):
     """Raised when a metric is undefined, e.g. the baseline underflows."""
 
 
-def _widths(man_bits: int, dtype) -> tuple[int, int]:
+def _widths(man_bits: int, dtype: np.dtype) -> tuple[int, int]:
     """(k, g) for M-bit significands in words of the given dtype, of 31 or
     63 value bits: the exact product drops the k low bits of its low partial
     product into a sticky bit, k = max(0, 2M+3 - value bits), and the add
@@ -196,7 +215,7 @@ def _widths(man_bits: int, dtype) -> tuple[int, int]:
     (lossless), else 3 and a sticky bit."""
     if dtype == object:
         return 0, man_bits + 2
-    bits = np.iinfo(dtype).bits - 1
+    bits = dtype.itemsize * 8 - 1
     return (max(0, 2 * man_bits + 3 - bits),
             man_bits + 2 if 2 * man_bits + 5 <= bits else 3)
 
@@ -205,8 +224,12 @@ class _IntWords:
     """The float ops on words with -1 for zero, over int32, int64 or Python
     int arrays.  The exact product and the add round in one step, `_round`,
     where a carry out of the significand lands in the exponent field.  Every
-    shift but the add's alignment is by a constant.  A saturating result adds
-    one to its column of `under` or `over`.
+    shift but the add's alignment is by a constant.  Checked, a saturating
+    result adds one to its column of `under` or `over`.  Unchecked, for a
+    pass the range certificate covers, no op looks at the range: the exact
+    product only maps a zero operand to zero, and the AAI product is one
+    integer add, max(a + b - one, -1), as a zero operand, with the other at
+    most one, can only give a negative sum.
 
     Where the word cannot hold the full significand product or aligned sum,
     the rounding ops keep the bits that decide the rounding and fold the rest
@@ -214,7 +237,7 @@ class _IntWords:
     product's k low bits, and the add's lower operand past g guard bits
     (`_widths`).  Where it can (k = 0, g = M+2), no bit is folded."""
 
-    def __init__(self, cfg: FloatConfig, dtype, n_rows: int):
+    def __init__(self, cfg: FloatConfig, dtype: np.dtype, n_rows: int, checked: bool = True):
         if cfg.bias < 0:
             raise ValueError("the word for one needs a non-negative bias")
         self.dtype, self.m, self.top = dtype, cfg.man_bits, cfg.max_word
@@ -222,10 +245,15 @@ class _IntWords:
         self.bias, self.one, self.zero = cfg.bias, cfg.bias << cfg.man_bits, -1
         self.nearest = cfg.rounding == NEAREST_EVEN
         self.k, self.g = _widths(cfg.man_bits, dtype)
+        self.checked = checked
         self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
 
     def aai(self, a, b):
         """Words add as integers and the duplicated bias goes."""
+        if not self.checked:
+            r = a + b
+            r -= self.one
+            return np.maximum(r, -1, out=r)
         return self._saturate(a + b - self.one, (a < 0) | (b < 0))
 
     def exact(self, a, b):
@@ -276,7 +304,10 @@ class _IntWords:
 
     def _saturate(self, r, zero=None):
         """Count and saturate out-of-range words; zero marks the results of
-        a zero operand, which are zero without a flag."""
+        a zero operand, which are zero without a flag.  Unchecked, only
+        those become zero."""
+        if not self.checked:
+            return r if zero is None else np.where(zero, -1, r)
         if zero is not None:
             under = (r < 0) & ~zero
             if under.any():
@@ -294,31 +325,37 @@ class _LeavesIEEE(Exception):
 
 
 _TINY = 2.0 ** -1022
+_INT32, _INT64 = np.dtype(np.int32), np.dtype(np.int64)
 
 
 class _IEEEWords:
     """FLOAT64 on IEEE doubles, the same values and ops as the bit patterns
-    while every value stays normal: a product at or below 2**-1022 raises
-    _LeavesIEEE, sums of normal values stay normal, and the values of a
-    circuit whose weights sum to one stay far below overflow."""
+    while every value stays normal: checked, a product at or below 2**-1022
+    raises _LeavesIEEE, sums of normal values stay normal, and the values of
+    a circuit whose weights sum to one stay far below overflow.  Unchecked,
+    for a pass the range certificate covers, the products skip that test,
+    and the AAI product is max(a + b - one, 0) on the bit patterns: zero's
+    pattern is 0, and with the other operand at most 1.0 its sum is at most
+    0."""
 
     dtype, one, zero = np.dtype(np.float64), 1.0, 0.0
 
-    def __init__(self, n_rows: int):
+    def __init__(self, n_rows: int, checked: bool = True):
         self.under = self.over = np.zeros(n_rows, dtype=np.int64)  # never saturates
+        self.checked = checked
 
-    @staticmethod
-    def aai(a, b):
-        zero = (a == 0) | (b == 0)
+    def aai(self, a, b):
         r = a.view(np.int64) + b.view(np.int64) - (1023 << 52)  # the bias word of 1.0
+        if not self.checked:
+            return np.maximum(r, 0, out=r).view(np.float64)
+        zero = (a == 0) | (b == 0)
         if ((r < 1 << 52) & ~zero).any():
             raise _LeavesIEEE
         return np.where(zero, 0.0, r.view(np.float64))
 
-    @staticmethod
-    def exact(a, b):
+    def exact(self, a, b):
         r = a * b
-        if ((r <= _TINY) & (a > 0) & (b > 0)).any():
+        if self.checked and ((r <= _TINY) & (a > 0) & (b > 0)).any():
             raise _LeavesIEEE
         return r
 
@@ -334,10 +371,10 @@ def _word_kind(cfg: FloatConfig):
     if cfg == FLOAT64:
         return "ieee"
     m, e = cfg.man_bits, cfg.exp_bits
-    if e + m + 2 <= 31 and _widths(m, np.int32) == (0, m + 2):
-        return np.dtype(np.int32)
-    if e + m + 2 <= 63 and m + 1 + _widths(m, np.int64)[0] <= 62:
-        return np.dtype(np.int64)
+    if e + m + 2 <= 31 and _widths(m, _INT32) == (0, m + 2):
+        return _INT32
+    if e + m + 2 <= 63 and m + 1 + _widths(m, _INT64)[0] <= 62:
+        return _INT64
     return np.dtype(object)
 
 
@@ -384,12 +421,15 @@ def _mul(ar, a, b, how):
     return out
 
 
-def _ops(cfg: FloatConfig, kind, n_rows: int):
-    """cfg's word ops on words of the given kind, over n_rows columns."""
-    return _IEEEWords(n_rows) if kind == "ieee" else _IntWords(cfg, kind, n_rows)
+def _ops(cfg: FloatConfig, kind, n_rows: int, checked: bool = True):
+    """cfg's word ops on words of the given kind, over n_rows columns,
+    checking each result's range unless told not to."""
+    if kind == "ieee":
+        return _IEEEWords(n_rows, checked)
+    return _IntWords(cfg, kind, n_rows, checked)
 
 
-_MAR, _MAP, _PICK = range(3)
+_MAR, _MAP, _PICK, _LEAST = range(4)
 
 
 def _indicator_rows(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
@@ -402,12 +442,15 @@ def _sums(ar, w, val: np.ndarray, lev, edges, mode: int, pick=None):
     """One level's sums over val's columns: each weight times its child in
     the level's modes, then for MAR the terms added in `children` order, for
     MAP the largest term and its index (strict >, so ties keep the lowest),
-    and for _PICK the term at pick.  Returns the words and MAP's choices."""
+    for _PICK the term at pick, and for _LEAST the least nonzero term (zero
+    where every term is).  Returns the words and MAP's choices."""
     k_s, n_s = lev.sch.shape
     terms = _mul(ar, w[lev.sslot:lev.sslot + lev.sch.size], val[lev.sch.ravel()],
                  edges).reshape(k_s, n_s, val.shape[1])
     if mode == _PICK:
         return np.take_along_axis(terms, pick[np.newaxis], axis=0)[0], None
+    if mode == _LEAST:  # zero terms take the largest, nonzero where any term is
+        return np.where(terms > ar.zero, terms, terms.max(axis=0)).min(axis=0), None
     acc, pick = terms[0], None
     if mode == _MAR:
         for k in range(1, k_s):
@@ -434,6 +477,7 @@ class CircuitEvaluator:
     once, per cfg.rounding; under toward-zero this keeps the one-sided
     underestimation end to end.  The word kind follows from cfg alone; a
     FLOAT64 chunk whose values leave IEEE doubles reruns on Python ints.
+    Passes skip the range checks where the range certificate holds.
 
     `mar`, `map_query` and `restricted_value` take one row (a sequence, or a
     {variable: value} mapping) or a 2-D batch of rows, and then return one
@@ -453,15 +497,29 @@ class CircuitEvaluator:
         self._w = w[:, np.newaxis]
 
     def _pass(self, ar, w, rows: np.ndarray, mode: int, picks: Optional[np.ndarray]):
-        """Evaluate a chunk of rows, children first, one level at a time, the
-        first level's sums from the input table where there is one; returns
-        the root words, the per-row saturation counts and, for MAP, the
-        per-sum choices and the backtracked assignments."""
+        """Evaluate a chunk of rows, the first level's sums from the input
+        table where there is one; returns the root words, the per-row
+        saturation counts and, for MAP, the per-sum choices and the
+        backtracked assignments."""
+        comp, n = self._comp, len(rows)
+        table = None if mode == _PICK or not comp.levels else self._table(ar, w, mode)
+        val, choices = self._ascend(ar, w, rows, mode, picks, table)
+        roots = val[comp.root]
+        if ar.dtype == np.float64:
+            roots = np.where(roots == 0, -1, roots.view(np.int64))
+        if mode != _MAP:
+            return roots, ar.under, ar.over, None, None
+        choices = np.concatenate(choices or [np.zeros((0, n), dtype=np.int64)])
+        return roots, ar.under, ar.over, choices, comp.descend(choices, n)
+
+    def _ascend(self, ar, w, rows: np.ndarray, mode: int, picks=None, table=None):
+        """The value table of rows' columns, filled children first, one
+        level at a time, the first level's sums from table if given; with
+        MAP's choices per level of sums."""
         comp, n = self._comp, len(rows)
         val = np.empty((comp.n_table, n), dtype=ar.dtype)
         val[comp.one_row], val[comp.zero_row] = ar.one, ar.zero
         val[:len(comp.ind_var)] = _indicator_rows(comp, ar, rows.T[comp.ind_var])
-        table = None if mode == _PICK or not comp.levels else self._table(ar, w, mode)
         choices = []
         for lev, (steps, edges) in zip(comp.levels, self._modes):
             if lev.p1 > lev.p0:
@@ -483,13 +541,40 @@ class CircuitEvaluator:
                 if mode == _MAP:
                     choices.append(pick)
                 val[lev.s0:lev.s1] = acc
-        roots = val[comp.root]
-        if ar.dtype == np.float64:
-            roots = np.where(roots == 0, -1, roots.view(np.int64))
-        if mode != _MAP:
-            return roots, ar.under, ar.over, None, None
-        choices = np.concatenate(choices or [np.zeros((0, n), dtype=np.int64)])
-        return roots, ar.under, ar.over, choices, comp.descend(choices, n)
+        return val, choices
+
+    def _certified(self, kind, w) -> bool:
+        """Whether passes on words of this kind (weights w) stay in range
+        on every row, so that they may skip the range checks: decided on
+        the first pass and kept with the plan's per-level modes."""
+        verdicts = self.plan._verdicts.setdefault(self._comp, {})
+        key = (self.cfg, kind)
+        if key not in verdicts:
+            verdicts[key] = self._certify(kind, w)
+        return verdicts[key]
+
+    def _certify(self, kind, w) -> bool:
+        """The range certificate, from two checked passes over one row with
+        every variable unobserved.  The ops are monotone and an add is at
+        least its larger operand, so the MAR pass bounds every word of any
+        MAR, MAP or picked pass from above, and the pass that keeps each
+        sum's least nonzero term bounds every nonzero word from below.
+        Where neither saturates nor leaves IEEE doubles, no op of any pass
+        does.  A plan with AAI sites also needs every weight and upper bound
+        at most one, so that a zero operand of an AAI product meets an
+        operand of at most one; without them, sums that round a shade above
+        one, as float64 sums of weights do, are no hindrance."""
+        ar = _ops(self.cfg, kind, 1)
+        row = np.full((1, self._comp.n_vars), -1, dtype=np.int64)
+        try:
+            top, _ = self._ascend(ar, w, row, _MAR)
+            self._ascend(ar, w, row, _LEAST)
+        except _LeavesIEEE:
+            return False
+        if ar.under.any() or ar.over.any():
+            return False
+        return AAI not in self.plan.modes.values() or \
+            bool((w <= ar.one).all() and (top <= ar.one).all())
 
     def _table(self, ar, w, mode: int) -> Optional[_Table]:
         """The input table for ar's word kind and a MAR or MAP pass, built on
@@ -523,29 +608,33 @@ class CircuitEvaluator:
                                          np.arange(lev.s1 - lev.s0)[:, np.newaxis] * width + 1)
         return tables[key]
 
-    def _evaluate(self, x, mode: int, traces=None):
-        """Run the pass over x's rows chunk by chunk, rerunning a chunk on
-        Python-int words when IEEE doubles leave this format's values.
-        Returns whether x was one row, the root values, the per-row
-        saturation counts and, for MAP, the choices and assignments."""
-        rows, single = self._batch(x)
+    def _evaluate(self, rows: np.ndarray, single: bool, mode: int, traces=None):
+        """Run the pass over checked rows chunk by chunk, unchecked where
+        the range certificate holds, rerunning a chunk on Python-int words
+        when IEEE doubles leave this format's values.  Returns the root
+        values, the per-row saturation counts and, for MAP, the choices and
+        assignments."""
         picks = None if traces is None else self._picks([traces] if single else traces, len(rows))
         cells = CHUNK_CELLS // 4 if self._kind == object else CHUNK_CELLS
         step = max(1, cells // self._comp.n_table)
+        checked = not self._certified(self._kind, self._w)
         parts = []
         for s in range(0, max(len(rows), 1), step):  # an empty batch makes one empty chunk
             args = rows[s:s + step], mode, None if picks is None else picks[:, s:s + step]
             try:
-                parts.append(self._pass(_ops(self.cfg, self._kind, len(args[0])), self._w, *args))
-            except _LeavesIEEE:
-                w = _weight_words(self._comp, self.cfg, np.dtype(object))[0][:, np.newaxis]
-                parts.append(self._pass(_ops(self.cfg, np.dtype(object), len(args[0])), w, *args))
+                ar = _ops(self.cfg, self._kind, len(args[0]), checked)
+                parts.append(self._pass(ar, self._w, *args))
+            except _LeavesIEEE:  # only a checked pass raises it
+                kind = np.dtype(object)
+                w = _weight_words(self._comp, self.cfg, kind)[0][:, np.newaxis]
+                ar = _ops(self.cfg, kind, len(args[0]), not self._certified(kind, w))
+                parts.append(self._pass(ar, w, *args))
         roots, under, over, trace, assignment = zip(*parts)
         m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
         zero = CustomFloat.zero(m)
         values = [zero if w < 0 else CustomFloat(False, (w >> m) - bias, w & mm, m)
                   for w in np.concatenate(roots).tolist()]
-        return (single, values, np.concatenate(under), np.concatenate(over),
+        return (values, np.concatenate(under), np.concatenate(over),
                 None if trace[0] is None else np.hstack(trace),
                 None if assignment[0] is None else np.vstack(assignment))
 
@@ -588,7 +677,10 @@ class CircuitEvaluator:
     def mar(self, x):
         """Marginal pass: the root result plus the counts of saturating
         operations along the way, for one row or per row of a batch."""
-        single, roots, under, over, _, _ = self._evaluate(x, _MAR)
+        return self._mar(*self._batch(x))
+
+    def _mar(self, rows: np.ndarray, single: bool):
+        roots, under, over, _, _ = self._evaluate(rows, single, _MAR)
         wu, wo = self.weight_quant_underflows > 0, self.weight_quant_overflows > 0
         results = [MultResult(v, u > 0 or wu, o > 0 or wo)
                    for v, u, o in zip(roots, under.tolist(), over.tolist())]
@@ -598,7 +690,8 @@ class CircuitEvaluator:
         """Max-product upward pass with argmax trace, then top-down
         backtracking.  Unobserved indicators score one; ties pick the lowest
         child index."""
-        single, roots, under, over, trace, assignment = self._evaluate(evidence, _MAP)
+        rows, single = self._batch(evidence)
+        roots, under, over, trace, assignment = self._evaluate(rows, single, _MAP)
         index = self._comp.sum_index
         return self._per_row(single, [
             MapResult(assignment[r], log2_value(v), _Trace(index, trace[:, r]))
@@ -609,7 +702,8 @@ class CircuitEvaluator:
         trace leaves out, which must lie outside the induced tree, takes its
         first); on a MAP trace this reproduces the MAP score bit for bit.
         A batch of evidence rows takes a sequence of traces."""
-        single, roots = self._evaluate(evidence, _PICK, trace)[:2]
+        rows, single = self._batch(evidence)
+        roots = self._evaluate(rows, single, _PICK, trace)[0]
         return roots[0] if single else roots
 
 
@@ -634,8 +728,8 @@ def induced_tree_edges(c: Circuit, trace: Mapping[int, int]) -> list[Edge]:
 def eval_mar(c: Circuit, x: Sequence[int], cfg: FloatConfig,
              plan: MultiplierPlan) -> MultResult:
     """Probability of one complete assignment under the given plan."""
-    x = _check_rows(c, _row_array(x)[np.newaxis])[0]
-    result, _, _ = CircuitEvaluator(c, cfg, plan).mar(x)
+    rows = _check_rows(c, _row_array(x)[np.newaxis])  # complete: no value is negative
+    result, _, _ = CircuitEvaluator(c, cfg, plan)._mar(rows, True)
     return result
 
 

@@ -82,7 +82,7 @@ def with_shuffled_products(c: Circuit, rng: np.random.Generator) -> Circuit:
 
 
 @st.composite
-def cases(draw):
+def cases(draw, configs=CONFIGS):
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
         n_vars = draw(st.integers(2, 6))
@@ -94,7 +94,7 @@ def cases(draw):
         c = with_equal_weights(c)
     if draw(st.booleans()):
         c = with_shuffled_products(c, np.random.default_rng(seed + 1))
-    cfg = draw(st.sampled_from(CONFIGS))
+    cfg = draw(st.sampled_from(configs))
     rng = np.random.default_rng(seed)
     share = draw(st.sampled_from([0.0, 0.5, 1.0]))
     plan = MultiplierPlan({s: AAI if rng.random() < share else EXACT
@@ -291,6 +291,74 @@ class TestSplitWords:
                     pairs.append(((e << m) | hi_man, ((e - d) << m) | lo_man))
         assert_ops_match_scalar(cfg, dtype, pairs)
         assert_ops_match_scalar(cfg, dtype, [(b, a) for a, b in pairs])
+
+
+#: the word kinds the range certificate leans on: int32, int64 with M <= 13
+#: and in its split forms past M = 29, and Python ints
+MONOTONE_WORDS = [
+    (FloatConfig(8, 10), np.int32), (FloatConfig(3, 2), np.int32),
+    (FloatConfig(8, 12, rounding=TOWARD_ZERO), np.int32),
+    (FloatConfig(8, 10), np.int64), (FloatConfig(4, 3, rounding=TOWARD_ZERO), np.int64),
+    (FloatConfig(6, 30), np.int64), (FloatConfig(11, 40), np.int64),
+    (FloatConfig(11, 40, rounding=TOWARD_ZERO), np.int64),
+    (FloatConfig(11, 41), object), (FloatConfig(4, 3), object),
+]
+
+
+@st.composite
+def growing_pairs(draw, cfg):
+    """A pair of words (zero or any value) and the same pair with one
+    operand grown, often by a little."""
+    word = st.integers(-1, cfg.max_word)
+    a, b = draw(word), draw(word)
+    step = draw(st.one_of(st.integers(0, 3), st.integers(0, cfg.max_word)))
+    grown = min(a + step, cfg.max_word)
+    return ((a, b), (grown, b)) if draw(st.booleans()) else ((b, a), (b, grown))
+
+
+class TestMonotoneWordOps:
+    """The range certificate bounds every word of every pass by two passes
+    over one row: that needs each op to keep its operands' order, and an
+    add to be at least its larger operand.  Where nothing saturates, the
+    unchecked ops give the checked ops' words."""
+
+    @pytest.mark.parametrize("cfg, dtype", MONOTONE_WORDS, ids=str)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ops_never_decrease_when_an_operand_grows(self, cfg, dtype, data):
+        cases = data.draw(st.lists(growing_pairs(cfg), min_size=1, max_size=40))
+        (a, b), (a2, b2) = ([np.array(col, dtype=dtype).reshape(-1, 1) for col in zip(*pairs)]
+                            for pairs in zip(*cases))
+        for op in ("aai", "exact", "add"):
+            ar = _IntWords(cfg, np.dtype(dtype), 1)
+            before, after = getattr(ar, op)(a, b), getattr(ar, op)(a2, b2)
+            assert (after >= before).all(), op
+        ar = _IntWords(cfg, np.dtype(dtype), 1)
+        assert (ar.add(a, b) >= np.maximum(a, b)).all()
+
+    @pytest.mark.parametrize("cfg, dtype", MONOTONE_WORDS, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_unchecked_ops_match_where_nothing_saturates(self, cfg, dtype, data):
+        one = cfg.bias << cfg.man_bits
+        pairs = data.draw(st.lists(st.tuples(st.integers(-1, one), st.integers(-1, one)),
+                                   min_size=1, max_size=40))
+        for op in ("aai", "exact", "add"):
+            for a, b in pairs:
+                a_, b_ = (np.array([[x]], dtype=dtype) for x in (a, b))
+                checked = _IntWords(cfg, np.dtype(dtype), 1)
+                want = getattr(checked, op)(a_, b_)
+                if checked.under.any() or checked.over.any():
+                    continue
+                got = getattr(_IntWords(cfg, np.dtype(dtype), 1, checked=False), op)(a_, b_)
+                assert got.tolist() == want.tolist(), (op, a, b)
+
+    def test_unchecked_ieee_ops_match_on_normal_values(self):
+        x = np.array([0.0, 2.0 ** -500, 0.3, 0.75, 1.0])
+        a, b = np.meshgrid(x, x)
+        for op in ("aai", "exact", "add"):
+            want = getattr(_IEEEWords(1), op)(a, b)
+            assert getattr(_IEEEWords(1, checked=False), op)(a, b).tolist() == want.tolist()
 
 
 class TestInt64AgainstPythonInts:
@@ -603,6 +671,157 @@ class TestCaches:
         assert AAI not in plan.modes.values()
         with pytest.raises(TypeError):
             plan.modes[next(iter(modes))] = AAI
+
+
+#: CONFIGS and two tiny formats, whose passes mostly saturate
+CERTIFICATE_CONFIGS = CONFIGS + [FloatConfig(3, 2), FloatConfig(4, 3, rounding=TOWARD_ZERO)]
+
+
+def passes(ev: CircuitEvaluator, rows, picks, checked: bool):
+    """MAR, MAP and picked passes over rows on the evaluator's own words,
+    with or without the range checks."""
+    return [ev._pass(inference._ops(ev.cfg, ev._kind, len(rows), checked), ev._w, rows, mode,
+                     picks if mode == inference._PICK else None)
+            for mode in (inference._MAR, inference._MAP, inference._PICK)]
+
+
+def plain(results) -> list:
+    return [None if x is None else np.asarray(x).tolist() for r in results for x in r]
+
+
+def verdicts(ev: CircuitEvaluator) -> dict:
+    return dict(ev.plan._verdicts.get(ev._comp, {}))
+
+
+def with_weights(c: Circuit, uid: int, weights) -> Circuit:
+    units = [SumUnit(uid, u.children, weights) if u.id == uid else u for u in c.units.values()]
+    return Circuit(c.variables, units, c.root)
+
+
+class TestRangeCertificate:
+    """A pass runs unchecked where two checked passes over one all-unobserved
+    row show that no op of any pass can leave the format's range."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cases(CERTIFICATE_CONFIGS))
+    def test_certified_passes_match_the_checked_ones_and_the_reference(self, case):
+        c, cfg, plan, rows, hidden = case
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        results, under, over = ev.mar(rows)
+        assert [(r, u, o) for r, u, o in zip(results, under, over)] == [ref.mar(x) for x in rows]
+        maps, under, over = ev.map_query(hidden)
+        values = ev.restricted_value([m.trace for m in maps], hidden)
+        for row, got, u, o, value in zip(hidden, maps, under, over, values):
+            want, want_u, want_o = ref.map_query(evidence_of(row))
+            assert (got.assignment.tolist(), got.log2_value, dict(got.trace), u, o) == \
+                (want.assignment.tolist(), want.log2_value, want.trace, want_u, want_o)
+            assert value == ref.restricted_value(want.trace, evidence_of(row))
+        (certified,) = verdicts(ev).values()
+        if certified:  # every state, and the hidden rows
+            comp, x = ev._comp, np.vstack([enumerate_states(c), hidden])
+            picks = np.random.default_rng(len(rows)).integers(
+                0, comp.sum_arity[:, None], size=(len(comp.sum_arity), len(x)))
+            checked = passes(ev, x, picks, True)
+            for _, under, over, _, _ in checked:
+                assert not under.any() and not over.any()
+            assert plain(passes(ev, x, picks, False)) == plain(checked)
+
+    @pytest.mark.parametrize("cfg", [FloatConfig(8, 12, rounding=TOWARD_ZERO), FloatConfig(3, 2),
+                                     FloatConfig(4, 3), FloatConfig(11, 40), FLOAT64], ids=str)
+    def test_hand_built_circuits(self, cfg):
+        # on these circuits the certificate is tight: it refuses exactly the
+        # passes where a row saturates, at (3, 2) all of them and at (4, 3)
+        # ternary_inputs, whose least value 0.1 * 0.1 * 0.45 is about 2**-7.8
+        for c in (ternary_inputs(), with_equal_weights(ternary_inputs())):
+            rows = enumerate_states(c)
+            hidden = np.vstack([np.where(rows % 2 == 1, -1, rows), np.full((1, 3), -1)])
+            for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+                ev = assert_matches_scalar(c, cfg, plan, rows, hidden)
+                (certified,) = verdicts(ev).values()
+                counts = [n.sum() for r in (ev.mar(rows), ev.map_query(hidden)) for n in r[1:]]
+                assert certified == (sum(counts) == 0)
+                assert certified == (cfg.exp_bits > 4 or
+                                     cfg.exp_bits == 4 and c.units[8].weights[0] == 0.25)
+                if certified:
+                    picks = ev.map_query(hidden)[0]
+                    picks = np.stack([m.trace._column for m in picks], axis=1)
+                    assert plain(passes(ev, hidden, picks, False)) == \
+                        plain(passes(ev, hidden, picks, True))
+
+    def test_the_benchmarks_deep_circuit_is_certified(self):
+        c = generate_random_det_pc(0, 10)
+        cfg, plan = FloatConfig(8, 12, rounding=TOWARD_ZERO), MultiplierPlan.all_aai(c)
+        x = sample(c, 0, 1)[0]
+        assert inference.eval_mar(c, x, cfg, plan) == ScalarEvaluator(c, cfg, plan).mar(x)[0]
+        assert verdicts(CircuitEvaluator(c, cfg, plan)) == {(cfg, np.dtype(np.int32)): True}
+
+    @pytest.mark.parametrize("cfg", [FloatConfig(3, 3), FloatConfig(3, 4, bias=8),
+                                     FloatConfig(8, 10)], ids=str)
+    def test_a_circuit_whose_rows_saturate_is_refused(self, cfg):
+        # (3, 3) underflows below 2**-3 and bias 8 overflows from 2**-1; at
+        # (8, 10) a row of zeros gives 2**-45 ** 4, below 2**-126
+        c = (chain_of_tiny_sums(4, 2.0 ** -45) if cfg == FloatConfig(8, 10)
+             else generate_random_tree_pc(3, 6, 2, 3))
+        rows = sample(c, 3, 16)
+        rows[0] = 0
+        for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+            ev = assert_matches_scalar(c, cfg, plan, rows, rows)
+            assert verdicts(ev) == {(cfg, ev._kind): False}
+            assert (ev.mar(rows)[1] + ev.mar(rows)[2]).sum() > 0
+
+    @pytest.mark.parametrize("cfg", [FloatConfig(11, 40), FloatConfig(11, 41), FLOAT64], ids=str)
+    @pytest.mark.parametrize("uid, weights", [(12, (1 + 2.0 ** -40,)),
+                                              (10, (0.2, 0.3, 0.1, 0.4 + 2.0 ** -40))],
+                             ids=["weight", "unobserved-sum"])
+    def test_a_word_above_one_is_refused_under_aai(self, cfg, uid, weights):
+        # weights may sum to one within 1e-12, so a weight or an unobserved
+        # sum can be an ulp above one; an AAI product of it and a zero is
+        # zero, but max(a + b - one, -1) would give a value, so only plans
+        # without AAI sites are certified
+        c = with_weights(ternary_inputs(), uid, weights)
+        rows = enumerate_states(c)
+        hidden = np.vstack([rows, [[3, -1, 0], [3, -1, 1], [-1, -1, -1]]])
+        aai = assert_matches_scalar(c, cfg, MultiplierPlan.all_aai(c), rows, hidden)
+        assert verdicts(aai) == {(cfg, aai._kind): False}
+        unchecked, checked = (aai._ascend(inference._ops(cfg, aai._kind, len(hidden), flag),
+                                          aai._w, hidden, inference._MAR)[0]
+                              for flag in (False, True))
+        assert (unchecked != checked).any()
+        exact = assert_matches_scalar(c, cfg, MultiplierPlan.all_exact(c), rows, hidden)
+        assert verdicts(exact) == {(cfg, exact._kind): True}
+
+    def test_a_float64_circuit_with_a_subnormal_weight_is_refused(self):
+        c = chain_of_tiny_sums(2, 2.0 ** -1023)
+        rows = np.array([[0, 1], [1, 1], [0, 0], [-1, 1]])
+        for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+            ev = assert_matches_scalar(c, FLOAT64, plan, rows[:3], rows)
+            assert verdicts(ev)[FLOAT64, "ieee"] is False
+            assert verdicts(ev)[FLOAT64, np.dtype(object)] is False  # 2**-2046 underflows
+        ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan(dict(MultiplierPlan.all_exact(c).modes)))
+        ev.mar(np.array([[1, 1]]))  # stays in IEEE doubles: no rerun, no Python-int verdict
+        assert verdicts(ev) == {(FLOAT64, "ieee"): False}
+
+    def test_built_once_per_plan_layout_config_and_kind_on_the_first_pass(self, monkeypatch):
+        built = []
+        certify = CircuitEvaluator._certify
+        monkeypatch.setattr(CircuitEvaluator, "_certify", lambda ev, kind, w:
+                            built.append((ev.cfg, kind)) or certify(ev, kind, w))
+        c = generate_random_det_pc(0, 4)
+        plan, cfg = MultiplierPlan.all_aai(c), FloatConfig(8, 10)
+        a, b = CircuitEvaluator(c, cfg, plan), CircuitEvaluator(c, cfg, plan)
+        assert built == [] and verdicts(a) == {}
+        rows = sample(c, 0, 4)
+        maps, _, _ = a.map_query(rows)
+        a.mar(rows), b.mar(rows[0]), b.restricted_value([m.trace for m in maps], rows)
+        assert built == [(cfg, np.dtype(np.int32))]
+        CircuitEvaluator(c, FloatConfig(11, 40), plan).mar(rows)
+        CircuitEvaluator(c, cfg, MultiplierPlan(dict(plan.modes))).mar(rows)
+        assert built == [(cfg, np.dtype(np.int32)), (FloatConfig(11, 40), np.dtype(np.int64)),
+                         (cfg, np.dtype(np.int32))]
+        d = generate_random_det_pc(1, 4)  # another layout
+        CircuitEvaluator(d, cfg, MultiplierPlan.all_aai(d)).mar(sample(d, 0, 1))
+        assert len(built) == 4 and verdicts(a) == {(cfg, np.dtype(np.int32)): True,
+                                                   (FloatConfig(11, 40), np.dtype(np.int64)): True}
 
 
 class TestBatchInterface:
