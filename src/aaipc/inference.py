@@ -4,7 +4,10 @@ per-multiplication choice of exact or approximate hardware.
 Every multiplication site in a circuit is named by the edge that brings its
 operand in (`circuit.Edge`: one per sum edge, one per product child after the
 first) and assigned a mode by a MultiplierPlan.  Additions always use the
-exact adder.  The 64-bit baseline is an all-exact plan at the IEEE double layout.
+exact adder, which returns the other operands unrounded where every lower
+operand is zero: on a deterministic circuit a complete row's adds all do, as
+each sum keeps at most one nonzero term.  The 64-bit baseline is an all-exact
+plan at the IEEE double layout.
 
 Queries run on a compiled, levelized form of the circuit (`circuit._Compiled`,
 kept on it): a unit's level is one more than its highest child's, and
@@ -223,13 +226,14 @@ def _widths(man_bits: int, dtype: np.dtype) -> tuple[int, int]:
 class _IntWords:
     """The float ops on words with -1 for zero, over int32, int64 or Python
     int arrays.  The exact product and the add round in one step, `_round`,
-    where a carry out of the significand lands in the exponent field.  Every
-    shift but the add's alignment is by a constant.  Checked, a saturating
-    result adds one to its column of `under` or `over`.  Unchecked, for a
-    pass the range certificate covers, no op looks at the range: the exact
-    product only maps a zero operand to zero, and the AAI product is one
-    integer add, max(a + b - one, -1), as a zero operand, with the other at
-    most one, can only give a negative sum.
+    where a carry out of the significand lands in the exponent field; an add
+    whose lower operands are all zero skips it and returns the other
+    operands.  Every shift but the add's alignment is by a constant.
+    Checked, a saturating result adds one to its column of `under` or
+    `over`.  Unchecked, for a pass the range certificate covers, no op looks
+    at the range: the exact product only maps a zero operand to zero, and
+    the AAI product is one integer add, max(a + b - one, -1), as a zero
+    operand, with the other at most one, can only give a negative sum.
 
     Where the word cannot hold the full significand product or aligned sum,
     the rounding ops keep the bits that decide the rounding and fold the rest
@@ -265,9 +269,13 @@ class _IntWords:
 
     def add(self, a, b):
         """Significand sum aligned to g guard bits, rounded once; an operand
-        M+2 or more binades below the other cannot change it."""
+        M+2 or more binades below the other cannot change it.  Where every
+        lower operand is zero, the sums are the other operands: earlier ops'
+        words, in range, which round to themselves and count nothing."""
         m, g = self.m, self.g
         hi, lo = np.maximum(a, b), np.minimum(a, b)
+        if lo.max(initial=-1) < 0:
+            return hi
         d = np.minimum((hi >> m) - (lo >> m), m + 2)
         wide = (((hi & self.mm) | self.scale) << g) + self._align((lo & self.mm) | self.scale, d)
         r = self._round(hi >> m, wide, g + 1)
@@ -452,7 +460,8 @@ def _sums(ar, w, val: np.ndarray, lev, edges, mode: int, pick=None):
     if mode == _LEAST:  # zero terms take the largest, nonzero where any term is
         return np.where(terms > ar.zero, terms, terms.max(axis=0)).min(axis=0), None
     acc, pick = terms[0], None
-    if mode == _MAR:
+    if mode == _MAR:  # where each sum has one nonzero term, as on a
+        # deterministic circuit's complete rows, every add returns it unrounded
         for k in range(1, k_s):
             acc = ar.add(acc, terms[k])
     else:

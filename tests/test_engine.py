@@ -306,11 +306,12 @@ MONOTONE_WORDS = [
 
 
 @st.composite
-def growing_pairs(draw, cfg):
+def growing_pairs(draw, cfg, zero_lower=False):
     """A pair of words (zero or any value) and the same pair with one
-    operand grown, often by a little."""
+    operand grown, often by a little; with zero_lower, the other operand
+    is zero."""
     word = st.integers(-1, cfg.max_word)
-    a, b = draw(word), draw(word)
+    a, b = draw(word), -1 if zero_lower else draw(word)
     step = draw(st.one_of(st.integers(0, 3), st.integers(0, cfg.max_word)))
     grown = min(a + step, cfg.max_word)
     return ((a, b), (grown, b)) if draw(st.booleans()) else ((b, a), (b, grown))
@@ -326,7 +327,9 @@ class TestMonotoneWordOps:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_ops_never_decrease_when_an_operand_grows(self, cfg, dtype, data):
-        cases = data.draw(st.lists(growing_pairs(cfg), min_size=1, max_size=40))
+        # with every lower operand zero, the add returns its other operand
+        pairs = growing_pairs(cfg, zero_lower=data.draw(st.booleans()))
+        cases = data.draw(st.lists(pairs, min_size=1, max_size=40))
         (a, b), (a2, b2) = ([np.array(col, dtype=dtype).reshape(-1, 1) for col in zip(*pairs)]
                             for pairs in zip(*cases))
         for op in ("aai", "exact", "add"):
@@ -341,8 +344,10 @@ class TestMonotoneWordOps:
     @given(data=st.data())
     def test_unchecked_ops_match_where_nothing_saturates(self, cfg, dtype, data):
         one = cfg.bias << cfg.man_bits
-        pairs = data.draw(st.lists(st.tuples(st.integers(-1, one), st.integers(-1, one)),
-                                   min_size=1, max_size=40))
+        other = st.just(-1) if data.draw(st.booleans()) else st.integers(-1, one)
+        pair = st.tuples(st.integers(-1, one), other, st.booleans()).map(
+            lambda t: t[:2] if t[2] else t[1::-1])
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=40))
         for op in ("aai", "exact", "add"):
             for a, b in pairs:
                 a_, b_ = (np.array([[x]], dtype=dtype) for x in (a, b))
@@ -359,6 +364,98 @@ class TestMonotoneWordOps:
         for op in ("aai", "exact", "add"):
             want = getattr(_IEEEWords(1), op)(a, b)
             assert getattr(_IEEEWords(1, checked=False), op)(a, b).tolist() == want.tolist()
+
+
+#: the add's zero-operand select on int32, int64 in its split form and
+#: Python ints
+SELECT_WORDS = [(FloatConfig(8, 10), np.int32), (FloatConfig(11, 40), np.int64),
+                (FloatConfig(11, 41, rounding=TOWARD_ZERO), object)]
+
+
+def no_rounding(*args):
+    raise AssertionError("an add with a zero operand rounded")
+
+
+def with_root_split_unobserved(c: Circuit, rows: np.ndarray) -> np.ndarray:
+    """rows and, last, the first row with the variable that a deterministic
+    circuit's root sum splits on unobserved: both root terms are nonzero."""
+    product = c.units[c.units[c.root].children[0]]
+    var = next(c.units[u].var for u in product.children
+               if isinstance(c.units[u], IndicatorUnit))
+    partial = rows[0].copy()
+    partial[var] = -1
+    return np.vstack([rows, partial])
+
+
+class TestAddsWithAZeroOperand:
+    """An add whose lower operands are all zero returns its other operand
+    without rounding, as every MAR add of a complete row does on a
+    deterministic circuit; a batch with one real add rounds them all."""
+
+    @pytest.mark.parametrize("cfg, dtype", SELECT_WORDS, ids=str)
+    @pytest.mark.parametrize("checked", [True, False])
+    def test_the_select_matches_the_scalar_add(self, cfg, dtype, checked, monkeypatch):
+        one = cfg.bias << cfg.man_bits
+        words = [-1, 0, 1, one, cfg.max_word]
+        pairs = [(-1, x) for x in words] + [(x, -1) for x in words]
+
+        def add(batch):
+            a, b = (np.array(col, dtype=dtype).reshape(-1, 1) for col in zip(*batch))
+            ar = _IntWords(cfg, np.dtype(dtype), 1, checked)
+            got = ar.add(a, b).ravel().tolist()
+            want = [exact_add(value_of(x, cfg), value_of(y, cfg), cfg) for x, y in batch]
+            assert [value_of(w, cfg) for w in got] == [r.value for r in want]
+            assert int(ar.under[0]) == sum(r.underflowed for r in want)
+            assert int(ar.over[0]) == sum(r.overflowed for r in want)
+            return got
+
+        # one real add rounds the batch; the smallest value, word 0, is no zero
+        for real in ([(0, 0)], [(one, 1), (one, one)]):
+            add(pairs + real)
+        monkeypatch.setattr(_IntWords, "_round", no_rounding)
+        assert add(pairs) == [max(p) for p in pairs]
+
+    @pytest.mark.parametrize("cfg", [FloatConfig(8, 12, rounding=TOWARD_ZERO),
+                                     FloatConfig(11, 40)], ids=str)
+    def test_complete_rows_of_a_deterministic_circuit_never_round(self, cfg, monkeypatch):
+        # under an all-AAI plan only the add rounds; the input table and the
+        # range certificate, whose unobserved columns add, are built first
+        c = generate_random_det_pc(1, 8)
+        plan = MultiplierPlan.all_aai(c)
+        rows = sample(c, 1, 16)
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        want = ev.mar(rows)
+        assert [(r, u, o) for r, u, o in zip(*want)] == [ref.mar(x) for x in rows]
+        monkeypatch.setattr(_IntWords, "_round", no_rounding)
+        assert [inference.eval_mar(c, x, cfg, plan) for x in rows] == want[0]
+        got = ev.mar(rows)
+        assert got[0] == want[0] and (got[1] == want[1]).all() and (got[2] == want[2]).all()
+        for checked in (True, False):
+            ar = inference._ops(cfg, ev._kind, len(rows), checked)
+            ev._pass(ar, ev._w, rows, inference._MAR, None)
+        with pytest.raises(AssertionError, match="rounded"):
+            ev.mar(with_root_split_unobserved(c, rows))
+
+    @pytest.mark.parametrize("cfg", [
+        FloatConfig(8, 10), FloatConfig(11, 40), FloatConfig(11, 41, rounding=TOWARD_ZERO),
+        FLOAT64, FloatConfig(3, 4, bias=8)], ids=str)
+    @pytest.mark.parametrize("aai", [True, False])
+    def test_a_batch_with_an_unobserved_variable_adds_its_terms(self, cfg, aai):
+        # complete rows, one with the root's variable unobserved and, at
+        # (3, 4, bias=8), whose values run from 2**-8 to 31/32, one with
+        # every variable unobserved, whose root sum overflows
+        c = generate_random_det_pc(2, 5)
+        plan = MultiplierPlan.all_aai(c) if aai else MultiplierPlan.all_exact(c)
+        rows = with_root_split_unobserved(c, enumerate_states(c))
+        if cfg.bias == 8:
+            rows = np.vstack([rows, np.full(c.n_vars, -1)])
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        results, under, over = ev.mar(rows)
+        assert [(r, u, o) for r, u, o in zip(results, under.tolist(), over.tolist())] == \
+            [ref.mar([None if v < 0 else int(v) for v in x]) for x in rows]
+        assert decode(results[32].value) > decode(results[0].value)
+        if cfg.bias == 8:
+            assert under[:32].any() and over[-1] > 0
 
 
 class TestInt64AgainstPythonInts:
