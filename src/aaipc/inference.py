@@ -26,8 +26,8 @@ that the format alone decides (`_word_kind`):
 - the same patterns as Python ints in object arrays for wider formats;
 - IEEE doubles for FLOAT64, whose exact ops are IEEE ops.  A product at or
   below 2**-1022, where IEEE subnormals part from this format (a weight
-  below 2**-1022 times a positive child is one), makes the chunk rerun on
-  Python-int words; this is the one way a pass leaves IEEE doubles.
+  below 2**-1022 times a positive child is one), counts in `under`, and its
+  chunk reruns on Python-int words: the one way a pass leaves IEEE doubles.
 
 Input tables.  Where every first-level sum (one whose children are all
 indicators) tests one variable (`_Compiled.leaf_var`), as the categorical
@@ -39,9 +39,9 @@ of multiplying weights by indicators and adding.  A table is built once per
 (`_sums`), on one column per state: unobserved, then each value up to the
 largest cardinality.  The plan does not enter, as a weight times one or zero
 is the same word under either multiplier.  Where that build
-saturates or leaves IEEE doubles there is no table and the level runs as
-above, and so does every `restricted_value` pass, so results and counts are
-the same either way.
+counts in `under` or `over` there is no table and the level runs as above,
+and so does every `restricted_value` pass, so results and counts are the
+same either way.
 
 Range certificate.  Once per (layout, plan, config, word kind), on its first
 pass, the evaluator decides whether any op of any pass on any row can leave
@@ -49,13 +49,13 @@ the format's range, from two checked passes over one row with every variable
 unobserved (`CircuitEvaluator._certify`).  The ops are monotone and an add is
 at least its larger operand, so the MAR pass bounds every word from above,
 and a pass whose sums keep their least nonzero term (`_sums`' _LEAST) bounds
-every nonzero word from below.  Where neither saturates nor leaves IEEE
-doubles, and, for a plan with AAI sites, every weight and upper bound is at
-most one, the passes run unchecked: no op counts or clamps, the exact product
-only maps zero operands to zero, and an AAI product is one integer add,
-max(a + b - one, zero).  Such a pass counts no saturation, as the checked one
-would not.  Any other pass runs checked, so results and counts are the same
-either way.  The verdict is kept with the plan's per-level modes.
+every nonzero word from below.  Where neither counts in `under` or `over`
+(on IEEE doubles: no product leaves them), and, for a plan with AAI sites,
+every weight and upper bound is at most one, the passes run unchecked: no op
+counts or clamps, the exact product only maps zero operands to zero, and an
+AAI product is one integer add, max(a + b - one, zero).  Such a pass counts
+no saturation, as the checked one would not.  Any other pass runs checked,
+so results and counts are the same either way.  The verdict is kept with the plan's per-level modes.
 
 This module owns the word kinds (`_word_kind`) and what is cached per
 compiled layout for them: the slot weights as words of each (config, kind),
@@ -72,7 +72,7 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -328,28 +328,26 @@ class _IntWords:
         return r
 
 
-class _LeavesIEEE(Exception):
-    """A FLOAT64 value reached the range where IEEE doubles differ."""
-
-
 _TINY = 2.0 ** -1022
 _INT32, _INT64 = np.dtype(np.int32), np.dtype(np.int64)
 
 
 class _IEEEWords:
     """FLOAT64 on IEEE doubles, the same values and ops as the bit patterns
-    while every value stays normal: checked, a product at or below 2**-1022
-    raises _LeavesIEEE, sums of normal values stay normal, and the values of
-    a circuit whose weights sum to one stay far below overflow.  Unchecked,
-    for a pass the range certificate covers, the products skip that test,
-    and the AAI product is max(a + b - one, 0) on the bit patterns: zero's
-    pattern is 0, and with the other operand at most 1.0 its sum is at most
-    0."""
+    while every value stays normal: sums of normal values stay normal, and
+    the values of a circuit whose weights sum to one stay far below
+    overflow.  Checked, a product of nonzero operands at or below 2**-1022
+    (the AAI one: below it) leaves IEEE doubles: it adds one to its column
+    of `under` and gives 0.0, and `over` stays zero, so here a count means
+    that the column left them.  Unchecked, for a pass the range certificate
+    covers, the products skip that test, and the AAI product is
+    max(a + b - one, 0) on the bit patterns: zero's pattern is 0, and with
+    the other operand at most 1.0 its sum is at most 0."""
 
     dtype, one, zero = np.dtype(np.float64), 1.0, 0.0
 
     def __init__(self, n_rows: int, checked: bool = True):
-        self.under = self.over = np.zeros(n_rows, dtype=np.int64)  # never saturates
+        self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
         self.checked = checked
 
     def aai(self, a, b):
@@ -357,14 +355,17 @@ class _IEEEWords:
         if not self.checked:
             return np.maximum(r, 0, out=r).view(np.float64)
         zero = (a == 0) | (b == 0)
-        if ((r < 1 << 52) & ~zero).any():
-            raise _LeavesIEEE
-        return np.where(zero, 0.0, r.view(np.float64))
+        return self._count(np.where(zero, 0.0, r.view(np.float64)), (r < 1 << 52) & ~zero)
 
     def exact(self, a, b):
         r = a * b
-        if self.checked and ((r <= _TINY) & (a > 0) & (b > 0)).any():
-            raise _LeavesIEEE
+        return self._count(r, (r <= _TINY) & (a > 0) & (b > 0)) if self.checked else r
+
+    def _count(self, r, leaves):
+        """Count the products that leave IEEE doubles, and make them 0.0."""
+        if leaves.any():
+            self.under += leaves.sum(axis=0)
+            r = np.where(leaves, 0.0, r)
         return r
 
     add = staticmethod(np.add)
@@ -440,10 +441,15 @@ def _ops(cfg: FloatConfig, kind, n_rows: int, checked: bool = True):
 _MAR, _MAP, _PICK, _LEAST = range(4)
 
 
-def _indicator_rows(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
-    """The indicator rows' words where their variables take the values obs
-    (-1 unobserved, with the indicators at one)."""
-    return np.where((obs < 0) | (obs == comp.ind_val[:, np.newaxis]), ar.one, ar.zero)
+def _inputs(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
+    """A new value table, one column per entry of obs's last axis, with the
+    words for one, zero and the indicators where their variables take the
+    values obs (-1 unobserved: at one); every pass's table starts here."""
+    val = np.empty((comp.n_table, obs.shape[-1]), dtype=ar.dtype)
+    val[comp.one_row], val[comp.zero_row] = ar.one, ar.zero
+    val[:len(comp.ind_var)] = np.where((obs < 0) | (obs == comp.ind_val[:, np.newaxis]),
+                                       ar.one, ar.zero)
+    return val
 
 
 def _sums(ar, w, val: np.ndarray, lev, edges, mode: int, pick=None):
@@ -525,11 +531,8 @@ class CircuitEvaluator:
         """The value table of rows' columns, filled children first, one
         level at a time, the first level's sums from table if given; with
         MAP's choices per level of sums."""
-        comp, n = self._comp, len(rows)
-        val = np.empty((comp.n_table, n), dtype=ar.dtype)
-        val[comp.one_row], val[comp.zero_row] = ar.one, ar.zero
-        val[:len(comp.ind_var)] = _indicator_rows(comp, ar, rows.T[comp.ind_var])
-        choices = []
+        comp = self._comp
+        val, choices = _inputs(comp, ar, rows.T[comp.ind_var]), []
         for lev, (steps, edges) in zip(comp.levels, self._modes):
             if lev.p1 > lev.p0:
                 acc = val[lev.pch[0]]
@@ -568,18 +571,15 @@ class CircuitEvaluator:
         least its larger operand, so the MAR pass bounds every word of any
         MAR, MAP or picked pass from above, and the pass that keeps each
         sum's least nonzero term bounds every nonzero word from below.
-        Where neither saturates nor leaves IEEE doubles, no op of any pass
-        does.  A plan with AAI sites also needs every weight and upper bound
-        at most one, so that a zero operand of an AAI product meets an
-        operand of at most one; without them, sums that round a shade above
-        one, as float64 sums of weights do, are no hindrance."""
+        Where neither counts in `under` or `over`, no op of any pass would.
+        A plan with AAI sites also needs every weight and upper bound at
+        most one, so that a zero operand of an AAI product meets an operand
+        of at most one; without them, sums that round a shade above one, as
+        float64 sums of weights do, are no hindrance."""
         ar = _ops(self.cfg, kind, 1)
         row = np.full((1, self._comp.n_vars), -1, dtype=np.int64)
-        try:
-            top, _ = self._ascend(ar, w, row, _MAR)
-            self._ascend(ar, w, row, _LEAST)
-        except _LeavesIEEE:
-            return False
+        top, _ = self._ascend(ar, w, row, _MAR)
+        self._ascend(ar, w, row, _LEAST)
         if ar.under.any() or ar.over.any():
             return False
         return AAI not in self.plan.modes.values() or \
@@ -589,8 +589,8 @@ class CircuitEvaluator:
         """The input table for ar's word kind and a MAR or MAP pass, built on
         first use and kept per layout: the first level's sums, as the pass
         computes them, on one column per state.  None where a first-level
-        sum tests two variables, or where the build saturates or leaves IEEE
-        doubles, as the level must then run row by row.  The plan does not
+        sum tests two variables, or where the build counts in `under` or
+        `over`, as the level must then run row by row.  The plan does not
         enter: at this level each weight is multiplied by one or by zero,
         which gives the same word under both multipliers, so the build
         multiplies approximately whatever the plan says."""
@@ -604,40 +604,34 @@ class CircuitEvaluator:
             if lev.s1 > lev.s0 and (comp.leaf_var >= 0).all():
                 width = 1 + max(v.cardinality for v in self.circuit.variables)
                 ops = _ops(self.cfg, kind, width)
-                val = np.empty((comp.n_table, width), dtype=ops.dtype)
-                val[comp.one_row], val[comp.zero_row] = ops.one, ops.zero
-                val[:len(comp.ind_var)] = _indicator_rows(comp, ops, np.arange(-1, width - 1))
-                try:
-                    words, choices = _sums(ops, w, val, lev, True, mode)
-                except _LeavesIEEE:
-                    return None
+                val = _inputs(comp, ops, np.arange(-1, width - 1))
+                words, choices = _sums(ops, w, val, lev, True, mode)
                 if not (ops.under.any() or ops.over.any()):
                     tables[key] = _Table(words.ravel(), None if choices is None else
                                          choices.ravel(),
                                          np.arange(lev.s1 - lev.s0)[:, np.newaxis] * width + 1)
         return tables[key]
 
-    def _evaluate(self, rows: np.ndarray, single: bool, mode: int, traces=None):
+    def _evaluate(self, rows: np.ndarray, mode: int, picks: Optional[np.ndarray] = None):
         """Run the pass over checked rows chunk by chunk, unchecked where
-        the range certificate holds, rerunning a chunk on Python-int words
-        when IEEE doubles leave this format's values.  Returns the root
-        values, the per-row saturation counts and, for MAP, the choices and
-        assignments."""
-        picks = None if traces is None else self._picks([traces] if single else traces, len(rows))
+        the range certificate holds, rerunning on Python-int words an IEEE
+        chunk whose checked pass counted: on IEEE words a count means that
+        a product left IEEE doubles.  Returns the root values, the per-row
+        saturation counts and, for MAP, the choices and assignments."""
         cells = CHUNK_CELLS // 4 if self._kind == object else CHUNK_CELLS
         step = max(1, cells // self._comp.n_table)
         checked = not self._certified(self._kind, self._w)
         parts = []
         for s in range(0, max(len(rows), 1), step):  # an empty batch makes one empty chunk
             args = rows[s:s + step], mode, None if picks is None else picks[:, s:s + step]
-            try:
-                ar = _ops(self.cfg, self._kind, len(args[0]), checked)
-                parts.append(self._pass(ar, self._w, *args))
-            except _LeavesIEEE:  # only a checked pass raises it
+            ar = _ops(self.cfg, self._kind, len(args[0]), checked)
+            part = self._pass(ar, self._w, *args)
+            if self._kind == "ieee" and ar.under.any():
                 kind = np.dtype(object)
                 w = _weight_words(self._comp, self.cfg, kind)[0][:, np.newaxis]
                 ar = _ops(self.cfg, kind, len(args[0]), not self._certified(kind, w))
-                parts.append(self._pass(ar, w, *args))
+                part = self._pass(ar, w, *args)
+            parts.append(part)
         roots, under, over, trace, assignment = zip(*parts)
         m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
         zero = CustomFloat.zero(m)
@@ -689,7 +683,7 @@ class CircuitEvaluator:
         return self._mar(*self._batch(x))
 
     def _mar(self, rows: np.ndarray, single: bool):
-        roots, under, over, _, _ = self._evaluate(rows, single, _MAR)
+        roots, under, over, _, _ = self._evaluate(rows, _MAR)
         wu, wo = self.weight_quant_underflows > 0, self.weight_quant_overflows > 0
         results = [MultResult(v, u > 0 or wu, o > 0 or wo)
                    for v, u, o in zip(roots, under.tolist(), over.tolist())]
@@ -700,7 +694,7 @@ class CircuitEvaluator:
         backtracking.  Unobserved indicators score one; ties pick the lowest
         child index."""
         rows, single = self._batch(evidence)
-        roots, under, over, trace, assignment = self._evaluate(rows, single, _MAP)
+        roots, under, over, trace, assignment = self._evaluate(rows, _MAP)
         index = self._comp.sum_index
         return self._per_row(single, [
             MapResult(assignment[r], log2_value(v), _Trace(index, trace[:, r]))
@@ -710,9 +704,14 @@ class CircuitEvaluator:
         """Re-evaluate with each sum taking only its traced edge (a sum the
         trace leaves out, which must lie outside the induced tree, takes its
         first); on a MAP trace this reproduces the MAP score bit for bit.
-        A batch of evidence rows takes a sequence of traces."""
+        One evidence row takes one trace, a {sum id: child position}
+        mapping; a batch of rows takes a sequence of them, one per row."""
         rows, single = self._batch(evidence)
-        roots = self._evaluate(rows, single, _PICK, trace)[0]
+        traces = [trace] if single or not isinstance(trace, Iterable) else list(trace)
+        if isinstance(trace, Mapping) != single or not all(isinstance(t, Mapping) for t in traces):
+            raise ValueError("one evidence row takes one trace, a {sum id: child position} "
+                             "mapping, and a batch of rows a sequence of them, one per row")
+        roots = self._evaluate(rows, _PICK, self._picks(traces, len(rows)))[0]
         return roots[0] if single else roots
 
 

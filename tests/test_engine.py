@@ -1,6 +1,9 @@
 """The batched, levelized evaluator against the scalar bit-level reference
 (`oracles.ScalarEvaluator`) and the rational oracle (`oracles.reference_eval`)."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +43,6 @@ from aaipc.inference import (
     MultiplierPlan,
     _IEEEWords,
     _IntWords,
-    _LeavesIEEE,
     _widths,
     _word_kind,
     enumerate_sites,
@@ -487,6 +489,16 @@ class TestInt64AgainstPythonInts:
         assert words[0] == np.int64 and python_ints[0] == object
         assert words[1:] == python_ints[1:]
 
+
+def leaves_ieee(ev: CircuitEvaluator, rows: np.ndarray) -> list:
+    """Per row, whether a checked MAR pass on IEEE doubles leaves them: on
+    these words only such a product counts in `under`."""
+    ar = _IEEEWords(len(rows))
+    ev._pass(ar, ev._w, rows, inference._MAR, None)
+    assert not ar.over.any()
+    return (ar.under > 0).tolist()
+
+
 def chain_of_tiny_sums(n_vars: int, tiny: float) -> Circuit:
     """A product over n_vars sums that each give weight `tiny` to value 0."""
     units, kids = [], []
@@ -519,8 +531,7 @@ class TestWordKinds:
         for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
             ev, ref = CircuitEvaluator(c, FLOAT64, plan), ScalarEvaluator(c, FLOAT64, plan)
             assert ev._kind == "ieee"
-            with pytest.raises(_LeavesIEEE):
-                ev._pass(_IEEEWords(len(rows)), ev._w, rows, inference._MAR, None)
+            assert leaves_ieee(ev, rows) == [True, False, True, True]
             results, under, over = ev.mar(rows)
             assert [(r, u, o) for r, u, o in zip(results, under, over)] == \
                 [ref.mar(x) for x in rows]
@@ -547,8 +558,7 @@ class TestWordKinds:
         ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
         ref = ScalarEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
         rows = np.array([[0, 1], [1, 1], [0, 0]])
-        with pytest.raises(_LeavesIEEE):
-            ev._pass(_IEEEWords(len(rows)), ev._w, rows, inference._MAR, None)
+        assert leaves_ieee(ev, rows) == [True, False, True]
         for x in rows:
             assert ev.mar(x) == ref.mar(x)
 
@@ -562,6 +572,74 @@ class TestWordKinds:
             assert (under + over).sum() > 0
             assert [(u, o) for u, o in zip(under, over)] == \
                 [ref.mar(x)[1:] for x in rows]
+
+
+#: rows of chain_of_tiny_sums(4, 1.5 * 2**-512), in chunks of two: two tiny
+#: weights multiply to 1.125 * 2**-1023, so the second and fourth chunks
+#: leave IEEE doubles and the others do not
+TINY_CHAIN_ROWS = np.array([[1, 1, 1, 1], [1, 0, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1],
+                            [1, 1, 1, 1], [1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]])
+
+
+def tiny_edge_traces(rows: np.ndarray) -> list[dict[int, int]]:
+    """Per row, the trace of chain_of_tiny_sums that takes variable v's tiny
+    edge where the row holds 0: with every variable unobserved, its value
+    is the row's MAR value."""
+    return [{3 * v + 2: int(x != 0) for v, x in enumerate(row)} for row in rows]
+
+
+class TestLeavingIEEEDoubles:
+    """A checked product that leaves IEEE doubles counts in `under`, as a
+    saturating op does on the integer words, and its chunk reruns on
+    Python-int words."""
+
+    def test_checked_products_count_the_cells_that_leave(self):
+        # exact: nonzero operands whose product is at or below 2**-1022 (no
+        # IEEE product of these values rounds across it); AAI: nonzero
+        # operands whose words add to less than the word of 2**-1022
+        x = np.array([0.0, 2.0 ** -1074, 2.0 ** -1023, 2.0 ** -1022, 1.5 * 2.0 ** -512,
+                      2.0 ** -511, 0.75, 1.0])
+        a, b = np.meshgrid(x, x)
+
+        def word(v):
+            return int(np.float64(v).view(np.int64))
+
+        leaves = {"exact": lambda p, q: Fraction(p) * Fraction(q) <= Fraction(2) ** -1022,
+                  "aai": lambda p, q: word(p) + word(q) - word(1.0) < word(2.0 ** -1022)}
+        for op, rule in leaves.items():
+            want = np.array([[p > 0 and q > 0 and rule(p, q) for p, q in zip(ra, rb)]
+                             for ra, rb in zip(a.tolist(), b.tolist())])
+            checked, unchecked = _IEEEWords(len(x)), _IEEEWords(len(x), checked=False)
+            got, raw = getattr(checked, op)(a, b), getattr(unchecked, op)(a, b)
+            assert want.any() and not want.all()
+            assert checked.under.tolist() == want.sum(axis=0).tolist(), op
+            assert not checked.over.any() and not unchecked.under.any()
+            assert (got >= 0).all()  # no negative or NaN value
+            assert got.tolist() == np.where(want, 0.0, raw).tolist()
+
+    @pytest.mark.parametrize("aai", [False, True])
+    def test_only_the_chunks_that_leave_rerun_on_python_ints(self, aai, monkeypatch):
+        c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
+        plan = MultiplierPlan.all_aai(c) if aai else MultiplierPlan.all_exact(c)
+        rows = TINY_CHAIN_ROWS
+        assert leaves_ieee(CircuitEvaluator(c, FLOAT64, plan), rows) == \
+            [False, False, True, False, False, False, True, False]
+        kinds, run = [], CircuitEvaluator._pass
+
+        def spy(ev, ar, *args):
+            kinds.append("ints" if ar.dtype == object else "ieee")
+            return run(ev, ar, *args)
+
+        monkeypatch.setattr(CircuitEvaluator, "_pass", spy)
+        monkeypatch.setattr(inference, "CHUNK_CELLS", 2 * _compile(c).n_table)
+        per_query = ["ieee", "ieee", "ints", "ieee", "ieee", "ints"]
+        ev = assert_matches_scalar(c, FLOAT64, plan, rows, rows)
+        assert kinds == per_query * 2
+        kinds.clear()
+        traces = tiny_edge_traces(rows)
+        assert ev.restricted_value(traces, np.full(rows.shape, -1)) == \
+            [ScalarEvaluator(c, FLOAT64, plan).restricted_value(t, {}) for t in traces]
+        assert kinds == per_query
 
 
 def ternary_inputs() -> Circuit:
@@ -676,12 +754,11 @@ class TestInputTables:
         ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
         # the build leaves IEEE doubles where an indicator of value 0 is
         # one; the level then runs on the rows, which never make it one
-        ev._pass(_IEEEWords(1), ev._w, np.array([[1, 1]]), inference._MAR, None)
+        assert leaves_ieee(ev, np.array([[1, 1]])) == [False]
         assert table_of(ev, inference._MAR) is None
         rows = np.array([[0, 1], [1, 1], [0, 0], [-1, 0]])
         assert_matches_scalar(c, FLOAT64, MultiplierPlan.all_exact(c), rows[:3], rows)
-        with pytest.raises(_LeavesIEEE):
-            ev._pass(_IEEEWords(len(rows)), ev._w, rows, inference._MAR, None)
+        assert leaves_ieee(ev, rows) == [True, False, True, True]
         assert table_of(ev, inference._MAR, np.dtype(object)) is not None
 
     @pytest.mark.parametrize("cfg", [FloatConfig(8, 10), FLOAT64], ids=str)
@@ -921,6 +998,37 @@ class TestRangeCertificate:
                                                    (FloatConfig(11, 40), np.dtype(np.int64)): True}
 
 
+class TestRestrictedValue:
+    """The picked pass on traces that need not be MAP's, against the scalar
+    reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases(CERTIFICATE_CONFIGS), st.integers(0, 2**32 - 1))
+    def test_random_traces_match_the_reference(self, case, seed):
+        c, cfg, plan, _, hidden = case
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        rng = np.random.default_rng(seed)
+        sums = [u for u in c.units.values() if isinstance(u, SumUnit)]
+        traces = [{u.id: int(rng.integers(len(u.children))) for u in sums} for _ in hidden]
+        assert ev.restricted_value(traces, hidden) == \
+            [ref.restricted_value(t, evidence_of(row)) for t, row in zip(traces, hidden)]
+
+    @pytest.mark.parametrize("aai", [False, True])
+    def test_float64_traces_through_tiny_edges_rerun_on_python_ints(self, aai):
+        # every trace on every row of -1, 0 and 1: two tiny edges taken
+        # where their indicators are one leave IEEE doubles
+        c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
+        plan = MultiplierPlan.all_aai(c) if aai else MultiplierPlan.all_exact(c)
+        ev, ref = CircuitEvaluator(c, FLOAT64, plan), ScalarEvaluator(c, FLOAT64, plan)
+        states = np.array(list(itertools.product([-1, 0, 1], repeat=4)))
+        picks = np.array(list(itertools.product([0, 1], repeat=4)))
+        rows = np.repeat(states, len(picks), axis=0)
+        traces = tiny_edge_traces(np.tile(picks, (len(states), 1)))
+        assert ev.restricted_value(traces, rows) == \
+            [ref.restricted_value(t, evidence_of(row)) for t, row in zip(traces, rows)]
+        assert (FLOAT64, np.dtype(object)) in verdicts(ev)  # decided on the rerun
+
+
 class TestBatchInterface:
     def test_restricted_value_takes_plain_dict_traces(self):
         c = generate_random_tree_pc(4, 6, 2, 3)
@@ -987,3 +1095,40 @@ class TestBatchInterface:
         results, _, _ = ev.map_query(rows)
         with pytest.raises(ValueError, match="2 traces for 3 rows"):
             ev.restricted_value([r.trace for r in results[:2]], rows)
+
+    def test_one_mapping_for_a_batch_of_one_row_is_rejected(self):
+        # it was read as a sequence of its keys: AttributeError: 'int'
+        # object has no attribute 'items'
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        with pytest.raises(ValueError, match="a batch of rows a sequence of them, one per row"):
+            ev.restricted_value({c.root: 0}, np.array([[0, 1, 0]]))
+
+    def test_a_sequence_for_one_row_is_rejected(self):
+        # it was read as the row's trace: AttributeError: 'list' object has
+        # no attribute 'items'; so was a batch's trace that is no mapping
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        res, _, _ = ev.map_query({0: 1})
+        with pytest.raises(ValueError, match="one evidence row takes one trace"):
+            ev.restricted_value([res.trace], {0: 1})
+        with pytest.raises(ValueError, match="one evidence row takes one trace"):
+            ev.restricted_value([[res.trace]], np.array([[1, -1, -1]]))
+
+    def test_one_map_trace_for_two_rows_is_rejected(self):
+        # its keys were counted as traces: "7 traces for 2 rows"
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        rows = sample(c, 0, 2)
+        res, _, _ = ev.map_query(rows[0])
+        with pytest.raises(ValueError, match="a batch of rows a sequence of them, one per row"):
+            ev.restricted_value(res.trace, rows)
+
+    def test_a_generator_of_traces_is_taken(self):
+        # len() of a generator raised TypeError
+        c = generate_random_det_pc(0, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        rows = sample(c, 0, 3)
+        results, _, _ = ev.map_query(rows)
+        assert ev.restricted_value((r.trace for r in results), rows) == \
+            ev.restricted_value([r.trace for r in results], rows)
