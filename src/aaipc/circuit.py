@@ -103,7 +103,13 @@ class Circuit:
         self._check_variables()
         self._check_units()
         self.order, self.scopes = self._topological_order()
-        self._check_reachable()
+        reached = {root}  # parents come before their children in reversed order
+        for uid in reversed(self.order):
+            if uid in reached:
+                reached.update(getattr(self.units[uid], "children", ()))
+        unreachable = sorted(set(self.units) - reached)
+        if unreachable:
+            raise CircuitFormatError(f"units not reachable from root: {unreachable}")
 
     # -- construction checks ------------------------------------------------
 
@@ -170,19 +176,6 @@ class Circuit:
             raise CircuitFormatError(f"cycle detected involving units {stuck}")
         return tuple(order), scopes
 
-    def _check_reachable(self) -> None:
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            u = self.units[stack.pop()]
-            for c in getattr(u, "children", ()):
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        unreachable = sorted(set(self.units) - seen)
-        if unreachable:
-            raise CircuitFormatError(f"units not reachable from root: {unreachable}")
-
     # -- convenience ---------------------------------------------------------
 
     @property
@@ -211,8 +204,9 @@ class Circuit:
 #: one level: products at table rows p0:p1 fold the rows in pch's columns
 #: (padded with the row of one), sums at rows s0:s1 add the rows in sch's
 #: columns (padded with the row of zero), both in `children` order; child k
-#: of unit i has slot pslot + k * n_p + i or sslot + k * n_s + i
-_Level = namedtuple("_Level", "p0 p1 pch pslot s0 s1 sch sslot")
+#: of unit i has slot pslot + k * n_p + i or sslot + k * n_s + i, and sum i
+#: has sum_index position q0 + i (its sums are positions q0:q1)
+_Level = namedtuple("_Level", "p0 p1 pch pslot s0 s1 sch sslot q0 q1")
 
 
 class _Compiled:
@@ -224,7 +218,8 @@ class _Compiled:
     (`validate`'s determinism checks, the passes of `inference`, and `ascend`
     for the float64 analytics) and down by `descend`.  Sums are numbered
     level by level in sum_index, the row order of the choice tables
-    `descend` takes.
+    `descend` takes; each level's sums sit at positions q0:q1 there, in the
+    order of their table rows s0:s1.
 
     The first level's sums are those whose children are all indicators:
     categorical inputs, as in generated circuits.  leaf_var gives, per such
@@ -251,19 +246,21 @@ class _Compiled:
         self.slot_index: list[int] = []
         self.weights: list[np.ndarray] = []
         self.n_slots = 0
+        sums: list[SumUnit] = []
         for units in by_level[1:]:
             prod = [u for u in units if isinstance(u, ProductUnit)]
             summ = [u for u in units if isinstance(u, SumUnit)]
             p0, s0, free = free, free + len(prod), free + len(units)
             row.update((u.id, p0 + i) for i, u in enumerate(prod + summ))
             self.levels.append(_Level(p0, s0, *self._group(prod, row, self.one_row),
-                                      s0, free, *self._group(summ, row, self.zero_row)))
+                                      s0, free, *self._group(summ, row, self.zero_row),
+                                      len(sums), len(sums) + len(summ)))
+            sums += summ
         self.root, self.n_table, self.n_vars = row[c.root], self.zero_row + 1, c.n_vars
         self.row = row
         self.slot_index = np.array(self.slot_index, dtype=np.int64)
         self.weights = np.concatenate([np.zeros(0)] + self.weights)
         self.sites = sorted(self.slot_sites)
-        sums = [u for units in by_level for u in units if isinstance(u, SumUnit)]
         self.sum_index = {u.id: i for i, u in enumerate(sums)}
         self.sum_arity = np.array([len(u.children) for u in sums], dtype=np.int64)
         first = by_level[1] if len(by_level) > 1 else []
@@ -314,21 +311,20 @@ class _Compiled:
         """The assignments that n rows of child choices select, one row of
         `choices` per sum in sum_index order and one column per row: top
         down, one level at a time, a selected sum selects its chosen child
-        and a selected product all its children.  A variable no selected
-        indicator tests is -1; one that two test takes the value of
-        the one listed later in ind_var.  Selected cells are found by a scan
-        of the flat table, which NumPy does several times faster than a 2-D
-        `nonzero`, and split into (unit, row) by one divmod."""
+        (its level's choices are rows q0:q1) and a selected product all its
+        children.  A variable no selected indicator tests is -1; one that two
+        test takes the value of the one listed later in ind_var.  Selected
+        cells are found by a scan of the flat table, which NumPy does several
+        times faster than a 2-D `nonzero`, and split into (unit, row) by one
+        divmod."""
         sel = np.zeros((self.n_table, n), dtype=bool)
         flat, picks = sel.ravel(), choices.ravel()
         sel[self.root] = True
-        end = len(choices)
         for lev in reversed(self.levels):
             if lev.s1 > lev.s0:
-                end -= lev.s1 - lev.s0
                 q = flat[lev.s0 * n:lev.s1 * n].nonzero()[0]
                 i, b = np.divmod(q, n)
-                sel[lev.sch[picks[end * n:][q], i], b] = True
+                sel[lev.sch[picks[lev.q0 * n:][q], i], b] = True
             if lev.p1 > lev.p0:
                 i, b = np.divmod(flat[lev.p0 * n:lev.p1 * n].nonzero()[0], n)
                 sel[lev.pch[:, i], b] = True
@@ -517,17 +513,16 @@ def _overlapping_sums(comp: _Compiled, tables: Iterable[np.ndarray], live: list[
     """The sums, in id order, two of whose children overlap in every block
     of columns (starting at `blocks`) of some table, one level at a time:
     products AND their children's rows, and sums OR the rows of the
-    children that `live` marks, one mask per level shaped as its `sch`."""
+    children that `live` marks, one mask per level shaped as its `sch`; a
+    level flags its sums at their sum_index positions, q0:q1."""
     bad = np.zeros(len(comp.sum_index), dtype=bool)
     for val in tables:
-        j = 0
         for lev, live_kids in zip(comp.levels, live):
             val[lev.p0:lev.p1] = np.bitwise_and.reduce(val[lev.pch], axis=0)
             kids = val[lev.sch]
             for a, b in itertools.combinations(kids, 2):
-                bad[j:j + lev.s1 - lev.s0] |= np.logical_or.reduceat(
+                bad[lev.q0:lev.q1] |= np.logical_or.reduceat(
                     a & b, blocks, axis=1).all(axis=1)
-            j += lev.s1 - lev.s0
             kids[~live_kids] = 0
             val[lev.s0:lev.s1] = np.bitwise_or.reduce(kids, axis=0)
     return sorted(np.array(list(comp.sum_index), dtype=np.int64)[bad].tolist())

@@ -170,14 +170,19 @@ class MultiplierPlan:
         return self._levels[comp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapResult:
     """Backtracked MAP solution: assignment, its log2 score, and the per-sum
-    child choices the assignment was reconstructed from."""
+    child choices the assignment was reconstructed from.  Results compare
+    by value, traces as mappings; they are not hashable."""
 
     assignment: np.ndarray
     log2_value: float
     trace: Mapping[int, int]
+
+    def __eq__(self, other):
+        return isinstance(other, MapResult) and np.array_equal(self.assignment, other.assignment) \
+            and self.log2_value == other.log2_value and dict(self.trace) == dict(other.trace)
 
 
 class _Trace(Mapping):
@@ -194,6 +199,9 @@ class _Trace(Mapping):
 
     def __len__(self) -> int:
         return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -452,31 +460,31 @@ def _inputs(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
     return val
 
 
-def _sums(ar, w, val: np.ndarray, lev, edges, mode: int, pick=None):
+def _sums(ar, w, val: np.ndarray, lev, edges, mode: int, choices=None):
     """One level's sums over val's columns: each weight times its child in
     the level's modes, then for MAR the terms added in `children` order, for
-    MAP the largest term and its index (strict >, so ties keep the lowest),
-    for _PICK the term at pick, and for _LEAST the least nonzero term (zero
-    where every term is).  Returns the words and MAP's choices."""
+    MAP the largest term (strict >, so ties keep the lowest), its index
+    written to choices, for _PICK the term choices names, and for _LEAST the
+    least nonzero term (zero where every term is).  Returns the words."""
     k_s, n_s = lev.sch.shape
     terms = _mul(ar, w[lev.sslot:lev.sslot + lev.sch.size], val[lev.sch.ravel()],
                  edges).reshape(k_s, n_s, val.shape[1])
     if mode == _PICK:
-        return np.take_along_axis(terms, pick[np.newaxis], axis=0)[0], None
+        return np.take_along_axis(terms, choices[np.newaxis], axis=0)[0]
     if mode == _LEAST:  # zero terms take the largest, nonzero where any term is
-        return np.where(terms > ar.zero, terms, terms.max(axis=0)).min(axis=0), None
-    acc, pick = terms[0], None
+        return np.where(terms > ar.zero, terms, terms.max(axis=0)).min(axis=0)
+    acc = terms[0]
     if mode == _MAR:  # where each sum has one nonzero term, as on a
         # deterministic circuit's complete rows, every add returns it unrounded
         for k in range(1, k_s):
             acc = ar.add(acc, terms[k])
     else:
-        pick = np.zeros(acc.shape, dtype=np.int64)
+        choices[...] = 0
         for k in range(1, k_s):
             better = terms[k] > acc
             acc = np.where(better, terms[k], acc)
-            pick = np.where(better, k, pick)
-    return acc, pick
+            np.copyto(choices, k, where=better)
+    return acc
 
 
 #: a first level's sums per state: sum i's word (and MAP choice) where its
@@ -511,28 +519,25 @@ class CircuitEvaluator:
             _weight_words(comp, cfg, self._kind)
         self._w = w[:, np.newaxis]
 
-    def _pass(self, ar, w, rows: np.ndarray, mode: int, picks: Optional[np.ndarray]):
+    def _pass(self, ar, w, rows: np.ndarray, mode: int, choices: Optional[np.ndarray]):
         """Evaluate a chunk of rows, the first level's sums from the input
-        table where there is one; returns the root words, the per-row
-        saturation counts and, for MAP, the per-sum choices and the
-        backtracked assignments."""
-        comp, n = self._comp, len(rows)
+        table where there is one; MAP fills `choices`, the chunk's columns of
+        the choice table, and a picked pass reads them.  Returns the root
+        words, the per-row saturation counts and, for MAP, the assignments."""
+        comp = self._comp
         table = None if mode == _PICK or not comp.levels else self._table(ar, w, mode)
-        val, choices = self._ascend(ar, w, rows, mode, picks, table)
-        roots = val[comp.root]
+        roots = self._ascend(ar, w, rows, mode, choices, table)[comp.root]
         if ar.dtype == np.float64:
             roots = np.where(roots == 0, -1, roots.view(np.int64))
-        if mode != _MAP:
-            return roots, ar.under, ar.over, None, None
-        choices = np.concatenate(choices or [np.zeros((0, n), dtype=np.int64)])
-        return roots, ar.under, ar.over, choices, comp.descend(choices, n)
+        return roots, ar.under, ar.over, comp.descend(choices, len(rows)) if mode == _MAP else None
 
-    def _ascend(self, ar, w, rows: np.ndarray, mode: int, picks=None, table=None):
+    def _ascend(self, ar, w, rows: np.ndarray, mode: int, choices=None, table=None):
         """The value table of rows' columns, filled children first, one
-        level at a time, the first level's sums from table if given; with
-        MAP's choices per level of sums."""
+        level at a time, the first level's sums from table if given.  MAP
+        writes each level's choices to rows q0:q1 of `choices`, and a picked
+        pass reads them there."""
         comp = self._comp
-        val, choices = _inputs(comp, ar, rows.T[comp.ind_var]), []
+        val = _inputs(comp, ar, rows.T[comp.ind_var])
         for lev, (steps, edges) in zip(comp.levels, self._modes):
             if lev.p1 > lev.p0:
                 acc = val[lev.pch[0]]
@@ -540,20 +545,16 @@ class CircuitEvaluator:
                     acc = _mul(ar, acc, val[lev.pch[k]], how)
                 val[lev.p0:lev.p1] = acc
             if lev.s1 > lev.s0:
+                picks = None if choices is None else choices[lev.q0:lev.q1]
                 if table is not None:  # the first level's sums, by state
                     at = rows.T[comp.leaf_var] + table.base
-                    acc = table.words.take(at)
-                    pick = None if table.choices is None else table.choices.take(at)
+                    val[lev.s0:lev.s1] = table.words.take(at)
+                    if mode == _MAP:
+                        picks[...] = table.choices.take(at)
                     table = None
-                elif mode == _PICK:
-                    acc, _ = _sums(ar, w, val, lev, edges, mode, picks[:lev.s1 - lev.s0])
-                    picks = picks[lev.s1 - lev.s0:]
                 else:
-                    acc, pick = _sums(ar, w, val, lev, edges, mode)
-                if mode == _MAP:
-                    choices.append(pick)
-                val[lev.s0:lev.s1] = acc
-        return val, choices
+                    val[lev.s0:lev.s1] = _sums(ar, w, val, lev, edges, mode, picks)
+        return val
 
     def _certified(self, kind, w) -> bool:
         """Whether passes on words of this kind (weights w) stay in range
@@ -578,7 +579,7 @@ class CircuitEvaluator:
         float64 sums of weights do, are no hindrance."""
         ar = _ops(self.cfg, kind, 1)
         row = np.full((1, self._comp.n_vars), -1, dtype=np.int64)
-        top, _ = self._ascend(ar, w, row, _MAR)
+        top = self._ascend(ar, w, row, _MAR)
         self._ascend(ar, w, row, _LEAST)
         if ar.under.any() or ar.over.any():
             return False
@@ -605,10 +606,10 @@ class CircuitEvaluator:
                 width = 1 + max(v.cardinality for v in self.circuit.variables)
                 ops = _ops(self.cfg, kind, width)
                 val = _inputs(comp, ops, np.arange(-1, width - 1))
-                words, choices = _sums(ops, w, val, lev, True, mode)
+                choices = np.empty((lev.s1 - lev.s0, width), dtype=np.int64)  # MAP fills it
+                words = _sums(ops, w, val, lev, True, mode, choices)
                 if not (ops.under.any() or ops.over.any()):
-                    tables[key] = _Table(words.ravel(), None if choices is None else
-                                         choices.ravel(),
+                    tables[key] = _Table(words.ravel(), choices.ravel() if mode == _MAP else None,
                                          np.arange(lev.s1 - lev.s0)[:, np.newaxis] * width + 1)
         return tables[key]
 
@@ -616,14 +617,18 @@ class CircuitEvaluator:
         """Run the pass over checked rows chunk by chunk, unchecked where
         the range certificate holds, rerunning on Python-int words an IEEE
         chunk whose checked pass counted: on IEEE words a count means that
-        a product left IEEE doubles.  Returns the root values, the per-row
-        saturation counts and, for MAP, the choices and assignments."""
+        a product left IEEE doubles.  MAP fills one choice table per call (a
+        row per sum in sum_index order, a column per row), a picked pass reads
+        picks, and each chunk's pass gets its columns.  Returns the root values,
+        the per-row saturation counts and, for MAP, the choices and assignments."""
         cells = CHUNK_CELLS // 4 if self._kind == object else CHUNK_CELLS
         step = max(1, cells // self._comp.n_table)
         checked = not self._certified(self._kind, self._w)
+        choices = picks if mode != _MAP else np.empty((len(self._comp.sum_index), len(rows)),
+                                                      dtype=np.int64)
         parts = []
         for s in range(0, max(len(rows), 1), step):  # an empty batch makes one empty chunk
-            args = rows[s:s + step], mode, None if picks is None else picks[:, s:s + step]
+            args = rows[s:s + step], mode, None if choices is None else choices[:, s:s + step]
             ar = _ops(self.cfg, self._kind, len(args[0]), checked)
             part = self._pass(ar, self._w, *args)
             if self._kind == "ieee" and ar.under.any():
@@ -632,13 +637,12 @@ class CircuitEvaluator:
                 ar = _ops(self.cfg, kind, len(args[0]), not self._certified(kind, w))
                 part = self._pass(ar, w, *args)
             parts.append(part)
-        roots, under, over, trace, assignment = zip(*parts)
+        roots, under, over, assignment = zip(*parts)
         m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
         zero = CustomFloat.zero(m)
         values = [zero if w < 0 else CustomFloat(False, (w >> m) - bias, w & mm, m)
                   for w in np.concatenate(roots).tolist()]
-        return (values, np.concatenate(under), np.concatenate(over),
-                None if trace[0] is None else np.hstack(trace),
+        return (values, np.concatenate(under), np.concatenate(over), choices,
                 None if assignment[0] is None else np.vstack(assignment))
 
     def _batch(self, x) -> tuple[np.ndarray, bool]:

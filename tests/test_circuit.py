@@ -82,6 +82,31 @@ class TestParse:
         with pytest.raises(CircuitFormatError, match="reachable"):
             parse_circuit(json.dumps(doc))
 
+    @pytest.mark.parametrize("extra, unreachable", [
+        ([{"id": 40, "type": "sum", "children": [18], "weights": ["1"]}], [40]),
+        ([{"id": 41, "type": "indicator", "var": 1, "value": 1},
+          {"id": 40, "type": "product", "children": [41, 0]}], [40, 41]),
+        ([{"id": 42, "type": "product", "children": [18, 41]},
+          {"id": 41, "type": "indicator", "var": 1, "value": 1},
+          {"id": 40, "type": "sum", "children": [42], "weights": ["1"]}], [40, 41, 42]),
+    ], ids=["above-the-root", "below-an-unreachable-unit", "both"])
+    def test_every_unreachable_unit_is_named(self, extra, unreachable):
+        # a unit above the root gives the root a parent; one reachable only
+        # through an unreachable unit is unreachable too
+        doc = three_var_doc()
+        doc["units"] += extra
+        with pytest.raises(CircuitFormatError,
+                           match=re.escape(f"units not reachable from root: {unreachable}")):
+            parse_circuit(json.dumps(doc))
+
+    def test_a_unit_with_two_parents_is_reachable(self):
+        # sum 2 is a child of both products; the sweep meets it after both
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), SumUnit(2, (0, 1), (0.5, 0.5)),
+                 IndicatorUnit(3, 1, 0), IndicatorUnit(4, 1, 1), ProductUnit(5, (2, 3)),
+                 ProductUnit(6, (4, 2)), SumUnit(7, (5, 6), (0.25, 0.75))]
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, 7)
+        assert sorted(c.order) == list(range(8))
+
     def test_invalid_json(self):
         with pytest.raises(CircuitFormatError, match="JSON"):
             parse_circuit("{not json")
@@ -495,6 +520,36 @@ class TestTopologicalOrder:
                  SumUnit(2, (0, 1), (0.5, 0.5))]
         c = Circuit([Variable(0, 2)], units, 2)
         assert c.order == (0, 1, 2)
+
+
+def sums_out_of_id_order() -> Circuit:
+    """Sums on three levels, listed top down and numbered against the
+    levels: the root sum is unit 0, and sum 5 repeats a child."""
+    units = [SumUnit(0, (4, 2), (0.5, 0.5)), ProductUnit(4, (7, 3)), ProductUnit(2, (5, 6)),
+             SumUnit(7, (10, 11), (0.25, 0.75)), SumUnit(3, (12, 13), (0.5, 0.5)),
+             SumUnit(5, (11, 10, 11), (0.2, 0.3, 0.5)), SumUnit(6, (13, 12), (0.6, 0.4)),
+             IndicatorUnit(13, 1, 1), IndicatorUnit(12, 1, 0), IndicatorUnit(11, 0, 1),
+             IndicatorUnit(10, 0, 0)]
+    return Circuit([Variable(0, 2), Variable(1, 2)], units, 0)
+
+
+class TestCompiledLayout:
+    @pytest.mark.parametrize("make", [lambda: generate_random_det_pc(0, 6),
+                                      lambda: generate_random_tree_pc(0, 8, 3, 2),
+                                      sums_out_of_id_order],
+                             ids=["det(6)", "tree(8, 3, 2)", "sums-out-of-id-order"])
+    def test_levels_carry_their_sums_positions(self, make):
+        c = make()
+        comp = _compile(c)
+        sums = list(comp.sum_index)
+        assert [lev.q0 for lev in comp.levels] == [0] + [lev.q1 for lev in comp.levels[:-1]]
+        assert comp.levels[-1].q1 == len(sums) == sum(isinstance(u, SumUnit)
+                                                      for u in c.units.values())
+        for lev in comp.levels:
+            assert [comp.row[uid] for uid in sums[lev.q0:lev.q1]] == list(range(lev.s0, lev.s1))
+            assert comp.sum_arity[lev.q0:lev.q1].tolist() == \
+                (lev.sch != comp.zero_row).sum(axis=0).tolist() == \
+                [len(c.units[uid].children) for uid in sums[lev.q0:lev.q1]]
 
 
 class TestGenerators:

@@ -1,6 +1,7 @@
 """The batched, levelized evaluator against the scalar bit-level reference
 (`oracles.ScalarEvaluator`) and the rational oracle (`oracles.reference_eval`)."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from aaipc.circuit import (
     generate_random_det_pc,
     generate_random_tree_pc,
     sample,
+    validate,
 )
 from aaipc.floats import (
     FLOAT64,
@@ -48,7 +50,7 @@ from aaipc.inference import (
     enumerate_sites,
 )
 
-from oracles import ScalarEvaluator, reference_eval
+from oracles import ScalarEvaluator, determinism_oracle, reference_eval, sample_oracle
 
 #: one config per word kind and rounding, and two that saturate: (3, 3)
 #: underflows below 2**-3, and bias 8 puts every value from 2**-1 up into
@@ -146,18 +148,23 @@ class TestAgainstScalarReference:
     @settings(max_examples=40, deadline=None)
     @given(cases(), st.integers(1, 40))
     def test_chunked_batches_match_one_chunk(self, case, cells):
+        # each chunk's pass fills or reads its columns of one choice table
         c, cfg, plan, rows, hidden = case
         ev = CircuitEvaluator(c, cfg, plan)
         whole = ev.mar(rows), ev.map_query(hidden)
+        traces = [r.trace for r in whole[1][0]]
+        values = ev.restricted_value(traces, hidden)
         chunk_cells = inference.CHUNK_CELLS
         try:
             inference.CHUNK_CELLS = cells * len(c.units)
             parts = ev.mar(rows), ev.map_query(hidden)
+            chunked_values = ev.restricted_value(traces, hidden)
         finally:
             inference.CHUNK_CELLS = chunk_cells
         assert whole[0][0] == parts[0][0]
-        assert [r.assignment.tolist() for r in whole[1][0]] == \
-            [r.assignment.tolist() for r in parts[1][0]]
+        assert [(r.assignment.tolist(), dict(r.trace)) for r in whole[1][0]] == \
+            [(r.assignment.tolist(), dict(r.trace)) for r in parts[1][0]]
+        assert chunked_values == values
         for a, b in zip(whole, parts):
             assert a[1].tolist() == b[1].tolist() and a[2].tolist() == b[2].tolist()
 
@@ -682,6 +689,63 @@ def assert_matches_scalar(c, cfg, plan, rows, hidden):
     return ev
 
 
+def product_of_indicators() -> Circuit:
+    return Circuit([Variable(0, 2), Variable(1, 3)],
+                   [IndicatorUnit(0, 0, 1), IndicatorUnit(1, 1, 2), ProductUnit(2, (1, 0))], 2)
+
+
+def lone_indicator() -> Circuit:
+    return Circuit([Variable(0, 2)], [IndicatorUnit(5, 0, 1)], 5)
+
+
+class TestCircuitsWithoutSums:
+    """Circuits whose choice tables have no rows."""
+
+    @pytest.mark.parametrize("make", [product_of_indicators, lone_indicator])
+    @pytest.mark.parametrize("cfg", [FloatConfig(8, 10), FloatConfig(11, 41, rounding=TOWARD_ZERO),
+                                     FLOAT64], ids=str)
+    def test_queries_sampling_and_validation_match_the_references(self, make, cfg):
+        c = make()
+        rows = enumerate_states(c)
+        hidden = np.vstack([rows, np.full((1, c.n_vars), -1)])
+        for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+            ev = assert_matches_scalar(c, cfg, plan, rows, hidden)
+            ref = ScalarEvaluator(c, cfg, plan)
+            assert ev.map_query({0: 1}) == ref.map_query({0: 1})
+            results, under, over = ev.map_query(np.zeros((0, c.n_vars), dtype=np.int64))
+            assert results == [] and len(under) == len(over) == 0
+            assert ev.restricted_value({}, {}) == ref.restricted_value({}, {})
+        assert sample(c, 0, 5).tolist() == sample_oracle(c, 0, 5).tolist()
+        report = validate(c)
+        assert report.deterministic and list(report.violations) == determinism_oracle(c) == []
+
+
+class TestMapResult:
+    def test_results_compare_by_value(self):
+        # the generated __eq__ compared the assignment arrays with ==
+        c = generate_random_det_pc(0, 4)
+        cfg, plan = FloatConfig(8, 10), MultiplierPlan.all_aai(c)
+        ev = CircuitEvaluator(c, cfg, plan)
+        got = ev.map_query({0: 1})[0]
+        assert got == ev.map_query({0: 1})[0] and not got != ev.map_query({0: 1})[0]
+        assert got == ScalarEvaluator(c, cfg, plan).map_query({0: 1})[0]  # a dict trace
+        flipped = {**got.trace, c.root: 1 - got.trace[c.root]}
+        for other in (ev.map_query({0: 0})[0],
+                      dataclasses.replace(got, assignment=got.assignment[:-1]),
+                      dataclasses.replace(got, log2_value=got.log2_value - 1),
+                      dataclasses.replace(got, trace=flipped)):
+            assert got != other and not got == other
+        assert got != dict(got.trace)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(got)
+
+    def test_repr_shows_the_choices(self):
+        c = generate_random_det_pc(0, 4)
+        got = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c)).map_query({})[0]
+        assert repr(got.trace) == repr(dict(got.trace))
+        assert f"trace={dict(got.trace)!r}" in repr(got)
+
+
 class TestInputTables:
     @pytest.mark.parametrize("cfg, kind", [
         (FloatConfig(8, 10), np.int32), (FloatConfig(11, 40), np.int64),
@@ -853,10 +917,12 @@ CERTIFICATE_CONFIGS = CONFIGS + [FloatConfig(3, 2), FloatConfig(4, 3, rounding=T
 
 def passes(ev: CircuitEvaluator, rows, picks, checked: bool):
     """MAR, MAP and picked passes over rows on the evaluator's own words,
-    with or without the range checks."""
+    with or without the range checks, each with its choice table: none, the
+    one MAP fills, and picks."""
+    tables = [None, np.zeros((len(ev._comp.sum_index), len(rows)), dtype=np.int64), picks]
     return [ev._pass(inference._ops(ev.cfg, ev._kind, len(rows), checked), ev._w, rows, mode,
-                     picks if mode == inference._PICK else None)
-            for mode in (inference._MAR, inference._MAP, inference._PICK)]
+                     choices) + (choices,)
+            for mode, choices in zip((inference._MAR, inference._MAP, inference._PICK), tables)]
 
 
 def plain(results) -> list:
@@ -958,7 +1024,7 @@ class TestRangeCertificate:
         aai = assert_matches_scalar(c, cfg, MultiplierPlan.all_aai(c), rows, hidden)
         assert verdicts(aai) == {(cfg, aai._kind): False}
         unchecked, checked = (aai._ascend(inference._ops(cfg, aai._kind, len(hidden), flag),
-                                          aai._w, hidden, inference._MAR)[0]
+                                          aai._w, hidden, inference._MAR)
                               for flag in (False, True))
         assert (unchecked != checked).any()
         exact = assert_matches_scalar(c, cfg, MultiplierPlan.all_exact(c), rows, hidden)
