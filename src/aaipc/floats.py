@@ -7,7 +7,8 @@ Every operation rounds exactly once and saturates out-of-range results,
 reporting underflow/overflow through result flags.  `encode`, `exact_mul`
 and `exact_add` all round in `_round`, the only scalar rounding step;
 `aai_mul` does not round and only saturates.  `encode_words` is the array
-form of `encode`: it rounds the same way, with numpy integer shifts.
+form of `encode`; it and the word ops of `inference` round in
+`_round_words`, the array form of `_round`, with integer shifts.
 """
 
 from __future__ import annotations
@@ -181,31 +182,38 @@ def encode_words(x: np.ndarray, cfg: FloatConfig) -> tuple[np.ndarray, int, int]
     for zero, plus the counts of underflowing and overflowing entries.
 
     frexp gives each value's 53-bit significand exactly (subnormals
-    included); it is rounded to M+1 bits as `_round` does, by adding just
-    under half an ulp plus the kept parity bit, then shifting.
+    included); `_round_words` rounds it to M+1 bits as `_round` does.  The
+    range is read from the biased exponent, not from the words, whose
+    exponent field a wide shift of an exponent far below the range wraps.
     """
     x = np.asarray(x, dtype=np.float64)
     if not (np.isfinite(x).all() and (x >= 0).all()):
         raise ValueError("cannot encode negative or non-finite values")
     frac, exp2 = np.frexp(x)
     wide = np.ldexp(frac, 53).astype(np.int64)  # exact: 2**52 <= wide < 2**53
-    e = exp2.astype(np.int64) - 1
-    shift = 52 - cfg.man_bits
-    if shift <= 0:
-        sig = wide << -shift
-    else:
-        if cfg.rounding == NEAREST_EVEN:
-            wide = wide + ((1 << (shift - 1)) - 1) + (wide >> shift & 1)
-            carry = wide >> 53  # rounding reached the next power of two
-            e += carry
-            wide >>= carry
-        sig = wide >> shift
-    biased = e + cfg.bias
+    m, s = cfg.man_bits, 52 - cfg.man_bits
+    # the fraction, 2**M where rounding reaches the next power of two
+    f = _round_words(-1, wide, s, cfg) if s > 0 else (wide << -s) - cfg.man_scale
+    biased = exp2.astype(np.int64) - 1 + cfg.bias + (f >> m)
     under = (biased < 0) & (x > 0)
     over = (biased > cfg.max_biased) & (x > 0)
-    words = np.where(over, cfg.max_word, (biased << cfg.man_bits) + sig - cfg.man_scale)
+    words = np.where(over, cfg.max_word, (biased << m) + (f & (cfg.man_scale - 1)))
     words[under | (x == 0)] = -1
     return words, int(under.sum()), int(over.sum())
+
+
+def _round_words(e, wide, s: int, cfg: FloatConfig):
+    """Array form of `_round` on words: the word, biased exponent field then
+    M-bit fraction, of wide * 2**(e - M - s + 1) for a significand wide of
+    M+s or M+s+1 bits (s >= 1), normalised to M+s+1 bits and rounded once to
+    M+1, a carry landing in the exponent field.  Every shift is by a
+    constant, so it runs on int32, int64 and Python-int arrays alike."""
+    m = cfg.man_bits
+    carry = wide >> (m + s)
+    wide = wide * (2 - carry)
+    if cfg.rounding == NEAREST_EVEN:  # add just under half an ulp, plus the kept parity bit
+        wide = wide + (wide >> s & 1) + ((1 << (s - 1)) - 1)
+    return ((e + carry) << m) + (wide >> s) - (1 << m)
 
 
 def decode(v: CustomFloat) -> float:

@@ -24,18 +24,19 @@ that the format alone decides (`_word_kind`):
   bits that decide the rounding and fold the rest into a sticky bit (the
   analysis config (11, 40) runs there);
 - the same patterns as Python ints in object arrays for wider formats;
-- IEEE doubles for FLOAT64, whose exact ops are IEEE ops.  A product at or
-  below 2**-1022, where IEEE subnormals part from this format (a weight
-  below 2**-1022 times a positive child is one), counts in `under`, and its
-  chunk reruns on Python-int words: the one way a pass leaves IEEE doubles.
+- IEEE doubles (float64) for FLOAT64, whose exact ops are IEEE ops.  A
+  product at or below 2**-1022, where IEEE subnormals part from this format
+  (a weight below 2**-1022 times a positive child is one), counts in
+  `under`, and its chunk reruns, the same pass, on FLOAT64's Python-int
+  words: the one way a pass leaves IEEE doubles.
 
 Input tables.  Where every first-level sum (one whose children are all
 indicators) tests one variable (`_Compiled.leaf_var`), as the categorical
 inputs of generated circuits do, each of their words, and MAP's choice, depends
 on that variable's value alone.  The pass then reads that level's sums from a
 per-state table in one gather, `table.take(offset + x[var] + 1)`, in place
-of multiplying weights by indicators and adding.  A table is built once per
-(layout, config, word kind, MAR or MAP) by the level code the pass runs
+of multiplying weights by indicators and adding.  A MAR and a MAP table are
+built with each word format's record (below) by the level code the pass runs
 (`_sums`), on one column per state: unobserved, then each value up to the
 largest cardinality.  The plan does not enter, as a weight times one or zero
 is the same word under either multiplier.  Where that build
@@ -43,8 +44,8 @@ counts in `under` or `over` there is no table and the level runs as above,
 and so does every `restricted_value` pass, so results and counts are the
 same either way.
 
-Range certificate.  Once per (layout, plan, config, word kind), on its first
-pass, the evaluator decides whether any op of any pass on any row can leave
+Range certificate.  Once per (plan, word format record), on its first pass,
+the evaluator decides whether any op of any pass on any row can leave
 the format's range, from two checked passes over one row with every variable
 unobserved (`CircuitEvaluator._certify`).  The ops are monotone and an add is
 at least its larger operand, so the MAR pass bounds every word from above,
@@ -55,14 +56,22 @@ every weight and upper bound is at most one, the passes run unchecked: no op
 counts or clamps, the exact product only maps zero operands to zero, and an
 AAI product is one integer add, max(a + b - one, zero).  Such a pass counts
 no saturation, as the checked one would not.  Any other pass runs checked,
-so results and counts are the same either way.  The verdict is kept with the plan's per-level modes.
+so results and counts are the same either way.  The verdict is kept with
+the plan's per-level modes, keyed by the record.
 
-This module owns the word kinds (`_word_kind`) and what is cached per
-compiled layout for them: the slot weights as words of each (config, kind),
-the input tables, the uniform plans, each plan's per-level modes and range
-certificates, all held weakly by the layout so that they go with the
-circuit.  MAP's backtrack
-is the layout's `descend`, which `circuit.sample` shares.
+Word formats.  Everything a pass needs from its number format is worked out
+once per (compiled layout, config, word kind), in one record (`_Format`,
+built by `_format` and held weakly by the layout, so that it goes with the
+circuit): the slot weights as words with the counts of those that
+saturated, the MAR and MAP input tables, the word ops of a chunk
+(`_IntWords` or `_IEEEWords`, which carry the record), and the values of
+root words.  The evaluator reads no bit field: it hands rows to the word
+ops of its record, and the FLOAT64 rerun is the same pass on the ops of the
+(FLOAT64, Python int) record.  The rounding step of the word ops is
+`floats._round_words`, which `floats.encode_words` shares.  The uniform
+plans and each plan's per-level modes are kept per layout too.  MAP's
+backtrack is the layout's `descend`, which `circuit.sample` shares; the
+observed variables of an assignment keep their evidence values.
 """
 
 from __future__ import annotations
@@ -79,17 +88,15 @@ import numpy as np
 
 from .circuit import (CHUNK_CELLS, Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile,
                       _Compiled, _is_integer, _row_array)
-from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig,  # noqa: F401
-                     MultResult, aai_mul, encode, encode_words, exact_add, exact_mul,
+from .floats import (FLOAT64, CustomFloat, FloatConfig, MultResult, _round_words,  # noqa: F401
+                     aai_mul, encode, encode_words, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
 
 EXACT = "exact"
 AAI = "aai"
 
-#: per compiled layout: {(cfg, kind): weight words}, {(cfg, kind, MAR or
-#: MAP): input table or None} and {(plan class, mode): plan}
-_WORDS: WeakKeyDictionary = WeakKeyDictionary()
-_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+#: per compiled layout: {(cfg, word kind): _Format} and {(plan class, mode): plan}
+_FORMATS: WeakKeyDictionary = WeakKeyDictionary()
 _UNIFORM_PLANS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -102,8 +109,7 @@ def enumerate_sites(c: Circuit) -> list[Edge]:
 class MultiplierPlan:
     """One mode for each multiplication site, keyed by its `circuit.Edge`; a
     read-only copy, so its per-level modes are cached per compiled circuit,
-    and with them the range certificate's verdicts, {(config, word kind):
-    certified}."""
+    and with them the range certificate's verdicts, {_Format: certified}."""
 
     modes: Mapping[Edge, str]
     _levels: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
@@ -233,10 +239,11 @@ def _widths(man_bits: int, dtype: np.dtype) -> tuple[int, int]:
 
 class _IntWords:
     """The float ops on words with -1 for zero, over int32, int64 or Python
-    int arrays.  The exact product and the add round in one step, `_round`,
-    where a carry out of the significand lands in the exponent field; an add
-    whose lower operands are all zero skips it and returns the other
-    operands.  Every shift but the add's alignment is by a constant.
+    int arrays.  The exact product and the add round in one step,
+    `floats._round_words`, where a carry out of the significand lands in the
+    exponent field; an add whose lower operands are all zero skips it and
+    returns the other operands.  Every shift but the add's alignment is by a
+    constant.
     Checked, a saturating result adds one to its column of `under` or
     `over`.  Unchecked, for a pass the range certificate covers, no op looks
     at the range: the exact product only maps a zero operand to zero, and
@@ -250,12 +257,9 @@ class _IntWords:
     (`_widths`).  Where it can (k = 0, g = M+2), no bit is folded."""
 
     def __init__(self, cfg: FloatConfig, dtype: np.dtype, n_rows: int, checked: bool = True):
-        if cfg.bias < 0:
-            raise ValueError("the word for one needs a non-negative bias")
-        self.dtype, self.m, self.top = dtype, cfg.man_bits, cfg.max_word
+        self.cfg, self.dtype, self.m, self.top = cfg, dtype, cfg.man_bits, cfg.max_word
         self.mm, self.scale = cfg.man_scale - 1, cfg.man_scale
         self.bias, self.one, self.zero = cfg.bias, cfg.bias << cfg.man_bits, -1
-        self.nearest = cfg.rounding == NEAREST_EVEN
         self.k, self.g = _widths(cfg.man_bits, dtype)
         self.checked = checked
         self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
@@ -272,7 +276,7 @@ class _IntWords:
         """Significand product over 2**k, rounded once."""
         m = self.m
         wide = self._product((a & self.mm) | self.scale, (b & self.mm) | self.scale)
-        r = self._round((a >> m) + (b >> m) - self.bias, wide, m + 1 - self.k)
+        r = _round_words((a >> m) + (b >> m) - self.bias, wide, m + 1 - self.k, self.cfg)
         return self._saturate(r, (a < 0) | (b < 0))
 
     def add(self, a, b):
@@ -286,18 +290,8 @@ class _IntWords:
             return hi
         d = np.minimum((hi >> m) - (lo >> m), m + 2)
         wide = (((hi & self.mm) | self.scale) << g) + self._align((lo & self.mm) | self.scale, d)
-        r = self._round(hi >> m, wide, g + 1)
+        r = _round_words(hi >> m, wide, g + 1, self.cfg)
         return self._saturate(np.where((d > m + 1) | (lo < 0), hi, r))
-
-    def _round(self, e, wide, s):
-        """The word of wide * 2**(e - bias - M - s + 1) for a significand
-        wide of M+s or M+s+1 bits: normalised to M+s+1 bits and rounded once
-        to M+1, a carry landing in the exponent field."""
-        carry = wide >> (self.m + s)
-        wide = wide * (2 - carry)
-        if self.nearest:  # add just under half an ulp, plus the kept parity bit
-            wide = wide + (wide >> s & 1) + ((1 << (s - 1)) - 1)
-        return ((e + carry) << self.m) + (wide >> s) - self.scale
 
     def _product(self, sa, sb):
         """sa * sb over 2**k: with k > 0, the k low bits of the low partial
@@ -337,7 +331,7 @@ class _IntWords:
 
 
 _TINY = 2.0 ** -1022
-_INT32, _INT64 = np.dtype(np.int32), np.dtype(np.int64)
+_INT32, _INT64, _FLOAT64, _OBJECT = map(np.dtype, (np.int32, np.int64, np.float64, object))
 
 
 class _IEEEWords:
@@ -379,30 +373,20 @@ class _IEEEWords:
     add = staticmethod(np.add)
 
 
-def _word_kind(cfg: FloatConfig):
+def _word_kind(cfg: FloatConfig) -> np.dtype:
     """The words cfg's ops run on.  A sum of two words needs E+M+2 bits.
     int32 only where both rounding ops are lossless (k = 0, g = M+2: the
     aligned sum needs 2M+5 bits), as the sticky forms cost time there; int64
     also where the product's low partial product, of M+1+k bits, fits in 62
-    bits (M <= 40); Python ints for the rest."""
+    bits (M <= 40); Python ints for the rest, and IEEE doubles for FLOAT64."""
     if cfg == FLOAT64:
-        return "ieee"
+        return _FLOAT64
     m, e = cfg.man_bits, cfg.exp_bits
     if e + m + 2 <= 31 and _widths(m, _INT32) == (0, m + 2):
         return _INT32
     if e + m + 2 <= 63 and m + 1 + _widths(m, _INT64)[0] <= 62:
         return _INT64
-    return np.dtype(object)
-
-
-def _weight_words(comp: _Compiled, cfg: FloatConfig, kind):
-    """The slot weights as words of the given kind (a numpy dtype, or
-    "ieee" for float64), with the counts of weights that saturated."""
-    words, key = _WORDS.setdefault(comp, {}), (cfg, kind)
-    if key not in words:
-        w, under, over = encode_words(comp.weights, cfg)
-        words[key] = (comp.weights if kind == "ieee" else w.astype(kind), under, over)
-    return words[key]
+    return _OBJECT
 
 
 def _evidence_row(c: Circuit, evidence: Mapping[int, int]) -> np.ndarray:
@@ -438,14 +422,6 @@ def _mul(ar, a, b, how):
     return out
 
 
-def _ops(cfg: FloatConfig, kind, n_rows: int, checked: bool = True):
-    """cfg's word ops on words of the given kind, over n_rows columns,
-    checking each result's range unless told not to."""
-    if kind == "ieee":
-        return _IEEEWords(n_rows, checked)
-    return _IntWords(cfg, kind, n_rows, checked)
-
-
 _MAR, _MAP, _PICK, _LEAST = range(4)
 
 
@@ -460,14 +436,15 @@ def _inputs(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
     return val
 
 
-def _sums(ar, w, val: np.ndarray, lev, edges, mode: int, choices=None):
-    """One level's sums over val's columns: each weight times its child in
-    the level's modes, then for MAR the terms added in `children` order, for
-    MAP the largest term (strict >, so ties keep the lowest), its index
-    written to choices, for _PICK the term choices names, and for _LEAST the
-    least nonzero term (zero where every term is).  Returns the words."""
+def _sums(ar, val: np.ndarray, lev, edges, mode: int, choices=None):
+    """One level's sums over val's columns: each weight of ar's record times
+    its child in the level's modes, then for MAR the terms added in
+    `children` order, for MAP the largest term (strict >, so ties keep the
+    lowest), its index written to choices, for _PICK the term choices names,
+    and for _LEAST the least nonzero term (zero where every term is).
+    Returns the words."""
     k_s, n_s = lev.sch.shape
-    terms = _mul(ar, w[lev.sslot:lev.sslot + lev.sch.size], val[lev.sch.ravel()],
+    terms = _mul(ar, ar.fmt.w[lev.sslot:lev.sslot + lev.sch.size], val[lev.sch.ravel()],
                  edges).reshape(k_s, n_s, val.shape[1])
     if mode == _PICK:
         return np.take_along_axis(terms, choices[np.newaxis], axis=0)[0]
@@ -492,12 +469,78 @@ def _sums(ar, w, val: np.ndarray, lev, edges, mode: int, choices=None):
 _Table = namedtuple("_Table", "words choices base")
 
 
+class _Format:
+    """What a pass needs from one word format on one compiled layout, built
+    once per (layout, config, word kind) by `_format`: the slot weights as
+    words, one column wide, with the counts of those that saturated; the
+    word ops of a chunk; the MAR and MAP input tables; and the values of
+    root words.  Integer words need the word for one, so a negative bias is
+    refused here."""
+
+    def __init__(self, c: Circuit, cfg: FloatConfig, kind: np.dtype):
+        if cfg.bias < 0:
+            raise ValueError("the word for one needs a non-negative bias")
+        comp = _compile(c)
+        self.cfg, self.kind = cfg, kind
+        w, self.under, self.over = encode_words(comp.weights, cfg)
+        self.w = (comp.weights if kind == _FLOAT64 else w.astype(kind))[:, np.newaxis]
+        self.tables = {mode: self._table(c, comp, mode) for mode in (_MAR, _MAP)}
+
+    def ops(self, n_rows: int, checked: bool = True):
+        """The word ops over n_rows columns, checking each result's range
+        unless told not to; they carry this record as `fmt`."""
+        ar = (_IEEEWords(n_rows, checked) if self.kind == _FLOAT64
+              else _IntWords(self.cfg, self.kind, n_rows, checked))
+        ar.fmt = self
+        return ar
+
+    def values(self, roots: np.ndarray) -> list[CustomFloat]:
+        """Root words as values; IEEE doubles read as FLOAT64's words."""
+        if self.kind == _FLOAT64:
+            roots = np.where(roots == 0, -1, roots.view(np.int64))
+        m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
+        zero = CustomFloat.zero(m)
+        return [zero if w < 0 else CustomFloat(False, (w >> m) - bias, w & mm, m)
+                for w in roots.tolist()]
+
+    def _table(self, c: Circuit, comp: _Compiled, mode: int) -> Optional[_Table]:
+        """The input table of a MAR or MAP pass: the first level's sums, as
+        the pass computes them, on one column per state.  None where a
+        first-level sum tests two variables, or where the build counts in
+        `under` or `over`, as the level must then run row by row.  The plan
+        does not enter: at this level each weight is multiplied by one or
+        by zero, which gives the same word under both multipliers, so the
+        build multiplies approximately whatever the plan says."""
+        if not comp.leaf_var.size or (comp.leaf_var < 0).any():
+            return None
+        lev = comp.levels[0]
+        width = 1 + max(v.cardinality for v in c.variables)
+        ops = self.ops(width)
+        choices = np.empty((lev.s1 - lev.s0, width), dtype=np.int64)  # MAP fills it
+        words = _sums(ops, _inputs(comp, ops, np.arange(-1, width - 1)), lev, True, mode, choices)
+        if ops.under.any() or ops.over.any():
+            return None
+        return _Table(words.ravel(), choices.ravel() if mode == _MAP else None,
+                      np.arange(lev.s1 - lev.s0)[:, np.newaxis] * width + 1)
+
+
+def _format(c: Circuit, cfg: FloatConfig, kind: Optional[np.dtype] = None) -> _Format:
+    """The record of cfg on c's layout, for words of the given kind (cfg's
+    own by default), built on first use and held weakly by the layout."""
+    key = (cfg, _word_kind(cfg) if kind is None else kind)
+    formats = _FORMATS.setdefault(_compile(c), {})
+    if key not in formats:
+        formats[key] = _Format(c, *key)
+    return formats[key]
+
+
 class CircuitEvaluator:
     """Reusable evaluation state for one (circuit, config, plan) triple: a
-    handle over the compiled circuit, the weight words for cfg (cached with
-    it) and the plan's per-level modes (cached on the plan), so that
-    building one does no per-unit or per-level work.  Weights are quantized
-    once, per cfg.rounding; under toward-zero this keeps the one-sided
+    handle over the compiled circuit, cfg's record on it (`_Format`: the
+    weight words, input tables and word ops, kept with the layout) and the
+    plan's per-level modes (cached on the plan), so that building one does
+    no per-unit or per-level work.  Weights are quantized once, per
+    cfg.rounding; under toward-zero this keeps the one-sided
     underestimation end to end.  The word kind follows from cfg alone; a
     FLOAT64 chunk whose values leave IEEE doubles reruns on Python ints.
     Passes skip the range checks where the range certificate holds.
@@ -512,31 +555,29 @@ class CircuitEvaluator:
         self.circuit = c
         self.cfg = cfg
         self.plan = plan
-        self._comp = comp = _compile(c)
+        self._comp = _compile(c)
         self._modes = plan._modes(c)
-        self._kind = _word_kind(cfg)
-        w, self.weight_quant_underflows, self.weight_quant_overflows = \
-            _weight_words(comp, cfg, self._kind)
-        self._w = w[:, np.newaxis]
+        self._format = _format(c, cfg)
+        self.weight_quant_underflows = self._format.under
+        self.weight_quant_overflows = self._format.over
 
-    def _pass(self, ar, w, rows: np.ndarray, mode: int, choices: Optional[np.ndarray]):
-        """Evaluate a chunk of rows, the first level's sums from the input
-        table where there is one; MAP fills `choices`, the chunk's columns of
-        the choice table, and a picked pass reads them.  Returns the root
-        words, the per-row saturation counts and, for MAP, the assignments."""
+    def _pass(self, ar, rows: np.ndarray, mode: int, choices: Optional[np.ndarray]):
+        """Evaluate a chunk of rows on ar's words; MAP fills `choices`, the
+        chunk's columns of the choice table, and a picked pass reads them.
+        Returns the root values, the per-row saturation counts and, for MAP,
+        the assignments."""
         comp = self._comp
-        table = None if mode == _PICK or not comp.levels else self._table(ar, w, mode)
-        roots = self._ascend(ar, w, rows, mode, choices, table)[comp.root]
-        if ar.dtype == np.float64:
-            roots = np.where(roots == 0, -1, roots.view(np.int64))
-        return roots, ar.under, ar.over, comp.descend(choices, len(rows)) if mode == _MAP else None
+        roots = self._ascend(ar, rows, mode, choices)[comp.root]
+        return (ar.fmt.values(roots), ar.under, ar.over,
+                comp.descend(choices, len(rows)) if mode == _MAP else None)
 
-    def _ascend(self, ar, w, rows: np.ndarray, mode: int, choices=None, table=None):
+    def _ascend(self, ar, rows: np.ndarray, mode: int, choices=None):
         """The value table of rows' columns, filled children first, one
-        level at a time, the first level's sums from table if given.  MAP
-        writes each level's choices to rows q0:q1 of `choices`, and a picked
-        pass reads them there."""
-        comp = self._comp
+        level at a time, the first level's sums of a MAR or MAP pass from
+        the input table where ar's record has one.  MAP writes each level's
+        choices to rows q0:q1 of `choices`, and a picked pass reads them
+        there."""
+        comp, table = self._comp, ar.fmt.tables.get(mode)
         val = _inputs(comp, ar, rows.T[comp.ind_var])
         for lev, (steps, edges) in zip(comp.levels, self._modes):
             if lev.p1 > lev.p0:
@@ -553,20 +594,19 @@ class CircuitEvaluator:
                         picks[...] = table.choices.take(at)
                     table = None
                 else:
-                    val[lev.s0:lev.s1] = _sums(ar, w, val, lev, edges, mode, picks)
+                    val[lev.s0:lev.s1] = _sums(ar, val, lev, edges, mode, picks)
         return val
 
-    def _certified(self, kind, w) -> bool:
-        """Whether passes on words of this kind (weights w) stay in range
-        on every row, so that they may skip the range checks: decided on
-        the first pass and kept with the plan's per-level modes."""
-        verdicts = self.plan._verdicts.setdefault(self._comp, {})
-        key = (self.cfg, kind)
-        if key not in verdicts:
-            verdicts[key] = self._certify(kind, w)
-        return verdicts[key]
+    def _certified(self, fmt: _Format) -> bool:
+        """Whether passes on fmt's words stay in range on every row, so
+        that they may skip the range checks: decided on the first pass and
+        kept with the plan's per-level modes."""
+        verdicts = self.plan._verdicts
+        if fmt not in verdicts:
+            verdicts[fmt] = self._certify(fmt)
+        return verdicts[fmt]
 
-    def _certify(self, kind, w) -> bool:
+    def _certify(self, fmt: _Format) -> bool:
         """The range certificate, from two checked passes over one row with
         every variable unobserved.  The ops are monotone and an add is at
         least its larger operand, so the MAR pass bounds every word of any
@@ -577,73 +617,41 @@ class CircuitEvaluator:
         most one, so that a zero operand of an AAI product meets an operand
         of at most one; without them, sums that round a shade above one, as
         float64 sums of weights do, are no hindrance."""
-        ar = _ops(self.cfg, kind, 1)
+        ar = fmt.ops(1)
         row = np.full((1, self._comp.n_vars), -1, dtype=np.int64)
-        top = self._ascend(ar, w, row, _MAR)
-        self._ascend(ar, w, row, _LEAST)
+        top = self._ascend(ar, row, _MAR)
+        self._ascend(ar, row, _LEAST)
         if ar.under.any() or ar.over.any():
             return False
         return AAI not in self.plan.modes.values() or \
-            bool((w <= ar.one).all() and (top <= ar.one).all())
-
-    def _table(self, ar, w, mode: int) -> Optional[_Table]:
-        """The input table for ar's word kind and a MAR or MAP pass, built on
-        first use and kept per layout: the first level's sums, as the pass
-        computes them, on one column per state.  None where a first-level
-        sum tests two variables, or where the build counts in `under` or
-        `over`, as the level must then run row by row.  The plan does not
-        enter: at this level each weight is multiplied by one or by zero,
-        which gives the same word under both multipliers, so the build
-        multiplies approximately whatever the plan says."""
-        comp = self._comp
-        kind = "ieee" if isinstance(ar, _IEEEWords) else ar.dtype
-        tables = _TABLES.setdefault(comp, {})
-        key = (self.cfg, kind, mode)
-        if key not in tables:
-            tables[key] = None
-            lev = comp.levels[0]
-            if lev.s1 > lev.s0 and (comp.leaf_var >= 0).all():
-                width = 1 + max(v.cardinality for v in self.circuit.variables)
-                ops = _ops(self.cfg, kind, width)
-                val = _inputs(comp, ops, np.arange(-1, width - 1))
-                choices = np.empty((lev.s1 - lev.s0, width), dtype=np.int64)  # MAP fills it
-                words = _sums(ops, w, val, lev, True, mode, choices)
-                if not (ops.under.any() or ops.over.any()):
-                    tables[key] = _Table(words.ravel(), choices.ravel() if mode == _MAP else None,
-                                         np.arange(lev.s1 - lev.s0)[:, np.newaxis] * width + 1)
-        return tables[key]
+            bool((fmt.w <= ar.one).all() and (top <= ar.one).all())
 
     def _evaluate(self, rows: np.ndarray, mode: int, picks: Optional[np.ndarray] = None):
         """Run the pass over checked rows chunk by chunk, unchecked where
-        the range certificate holds, rerunning on Python-int words an IEEE
-        chunk whose checked pass counted: on IEEE words a count means that
-        a product left IEEE doubles.  MAP fills one choice table per call (a
-        row per sum in sum_index order, a column per row), a picked pass reads
-        picks, and each chunk's pass gets its columns.  Returns the root values,
-        the per-row saturation counts and, for MAP, the choices and assignments."""
-        cells = CHUNK_CELLS // 4 if self._kind == object else CHUNK_CELLS
+        the range certificate holds, rerunning on the Python-int record an
+        IEEE chunk whose checked pass counted: on IEEE words a count means
+        that a product left IEEE doubles.  MAP fills one choice table per
+        call (a row per sum in sum_index order, a column per row), a picked
+        pass reads picks, and each chunk's pass gets its columns.  Returns
+        the root values, the per-row saturation counts and, for MAP, the
+        choices and assignments."""
+        fmt = self._format
+        cells = CHUNK_CELLS // 4 if fmt.kind == _OBJECT else CHUNK_CELLS
         step = max(1, cells // self._comp.n_table)
-        checked = not self._certified(self._kind, self._w)
+        checked = not self._certified(fmt)
         choices = picks if mode != _MAP else np.empty((len(self._comp.sum_index), len(rows)),
                                                       dtype=np.int64)
         parts = []
         for s in range(0, max(len(rows), 1), step):  # an empty batch makes one empty chunk
             args = rows[s:s + step], mode, None if choices is None else choices[:, s:s + step]
-            ar = _ops(self.cfg, self._kind, len(args[0]), checked)
-            part = self._pass(ar, self._w, *args)
-            if self._kind == "ieee" and ar.under.any():
-                kind = np.dtype(object)
-                w = _weight_words(self._comp, self.cfg, kind)[0][:, np.newaxis]
-                ar = _ops(self.cfg, kind, len(args[0]), not self._certified(kind, w))
-                part = self._pass(ar, w, *args)
+            part = self._pass(fmt.ops(len(args[0]), checked), *args)
+            if fmt.kind == _FLOAT64 and part[1].any():
+                ints = _format(self.circuit, FLOAT64, _OBJECT)
+                part = self._pass(ints.ops(len(args[0]), not self._certified(ints)), *args)
             parts.append(part)
-        roots, under, over, assignment = zip(*parts)
-        m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
-        zero = CustomFloat.zero(m)
-        values = [zero if w < 0 else CustomFloat(False, (w >> m) - bias, w & mm, m)
-                  for w in np.concatenate(roots).tolist()]
-        return (values, np.concatenate(under), np.concatenate(over), choices,
-                None if assignment[0] is None else np.vstack(assignment))
+        values, under, over, assignment = zip(*parts)
+        return ([v for vs in values for v in vs], np.concatenate(under), np.concatenate(over),
+                choices, None if assignment[0] is None else np.vstack(assignment))
 
     def _batch(self, x) -> tuple[np.ndarray, bool]:
         """x as a 2-D batch of checked rows, and whether it was a single row."""
@@ -696,9 +704,11 @@ class CircuitEvaluator:
     def map_query(self, evidence):
         """Max-product upward pass with argmax trace, then top-down
         backtracking.  Unobserved indicators score one; ties pick the lowest
-        child index."""
+        child index.  Observed variables keep their evidence values, also
+        where the root is zero and the backtrack's choices are all ties."""
         rows, single = self._batch(evidence)
         roots, under, over, trace, assignment = self._evaluate(rows, _MAP)
+        assignment = np.where(rows >= 0, rows, assignment)
         index = self._comp.sum_index
         return self._per_row(single, [
             MapResult(assignment[r], log2_value(v), _Trace(index, trace[:, r]))

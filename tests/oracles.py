@@ -356,6 +356,8 @@ class ScalarEvaluator:
         for u in induced_tree_units(c, trace):
             if isinstance(u, IndicatorUnit):
                 assignment[u.var] = u.value
+        for var, value in evidence.items():  # kept where the root is zero
+            assignment[var] = value
         return MapResult(assignment, log2_value(root), trace), under, over
 
     def restricted_value(self, trace: Mapping[int, int], evidence: Mapping[int, int]):

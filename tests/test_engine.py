@@ -34,6 +34,7 @@ from aaipc.floats import (
     decode,
     decode_fraction,
     encode,
+    encode_words,
     exact_add,
     exact_mul,
     from_bits,
@@ -421,7 +422,7 @@ class TestAddsWithAZeroOperand:
         # one real add rounds the batch; the smallest value, word 0, is no zero
         for real in ([(0, 0)], [(one, 1), (one, one)]):
             add(pairs + real)
-        monkeypatch.setattr(_IntWords, "_round", no_rounding)
+        monkeypatch.setattr(inference, "_round_words", no_rounding)
         assert add(pairs) == [max(p) for p in pairs]
 
     @pytest.mark.parametrize("cfg", [FloatConfig(8, 12, rounding=TOWARD_ZERO),
@@ -435,13 +436,12 @@ class TestAddsWithAZeroOperand:
         ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
         want = ev.mar(rows)
         assert [(r, u, o) for r, u, o in zip(*want)] == [ref.mar(x) for x in rows]
-        monkeypatch.setattr(_IntWords, "_round", no_rounding)
+        monkeypatch.setattr(inference, "_round_words", no_rounding)
         assert [inference.eval_mar(c, x, cfg, plan) for x in rows] == want[0]
         got = ev.mar(rows)
         assert got[0] == want[0] and (got[1] == want[1]).all() and (got[2] == want[2]).all()
         for checked in (True, False):
-            ar = inference._ops(cfg, ev._kind, len(rows), checked)
-            ev._pass(ar, ev._w, rows, inference._MAR, None)
+            ev._pass(ev._format.ops(len(rows), checked), rows, inference._MAR, None)
         with pytest.raises(AssertionError, match="rounded"):
             ev.mar(with_root_split_unobserved(c, rows))
 
@@ -486,7 +486,7 @@ class TestInt64AgainstPythonInts:
             ev = CircuitEvaluator(c, cfg, plan)
             mar, mp = ev.mar(rows), ev.map_query(hidden)
             values = ev.restricted_value([r.trace for r in mp[0]], hidden)
-            return (ev._kind, mar[0], mar[1].tolist(), mar[2].tolist(),
+            return (ev._format.kind, mar[0], mar[1].tolist(), mar[2].tolist(),
                     [(r.assignment.tolist(), r.log2_value, dict(r.trace)) for r in mp[0]],
                     mp[1].tolist(), mp[2].tolist(), values)
 
@@ -500,8 +500,9 @@ class TestInt64AgainstPythonInts:
 def leaves_ieee(ev: CircuitEvaluator, rows: np.ndarray) -> list:
     """Per row, whether a checked MAR pass on IEEE doubles leaves them: on
     these words only such a product counts in `under`."""
-    ar = _IEEEWords(len(rows))
-    ev._pass(ar, ev._w, rows, inference._MAR, None)
+    ar = ev._format.ops(len(rows))
+    assert isinstance(ar, _IEEEWords)
+    ev._pass(ar, rows, inference._MAR, None)
     assert not ar.over.any()
     return (ar.under > 0).tolist()
 
@@ -525,10 +526,23 @@ class TestWordKinds:
         (FloatConfig(6, 29), np.int64), (FloatConfig(6, 30), np.int64),
         (FloatConfig(11, 40), np.int64), (FloatConfig(11, 41), object),
         (FloatConfig(11, 52, rounding=TOWARD_ZERO), object), (FloatConfig(30, 32), object),
-        (FLOAT64, "ieee"),
+        (FLOAT64, np.float64),
     ])
     def test_narrowest_words_that_hold_every_intermediate(self, cfg, kind):
         assert _word_kind(cfg) == kind
+
+    @pytest.mark.parametrize("cfg", CONFIGS + [FloatConfig(30, 32)], ids=str)
+    def test_word_kinds_are_dtypes(self, cfg):
+        c, kind = ternary_inputs(), _word_kind(cfg)
+        assert isinstance(kind, np.dtype)
+        assert CircuitEvaluator(c, cfg, MultiplierPlan.all_aai(c))._format.kind is kind
+
+    def test_a_negative_bias_is_refused_when_the_evaluator_is_built(self):
+        # the word for one, bias << M, would be negative, the word for zero
+        c = generate_random_det_pc(0, 3)
+        for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+            with pytest.raises(ValueError, match="non-negative bias"):
+                CircuitEvaluator(c, FloatConfig(5, 4, bias=-2), plan)
 
     def test_float64_below_min_normal_reruns_on_integer_words(self):
         # w * w = 1.125 * 2**-1023 is an IEEE subnormal but a normal value of
@@ -537,7 +551,7 @@ class TestWordKinds:
         rows = np.array([[0, 0, 1, 1], [1, 1, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
         for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
             ev, ref = CircuitEvaluator(c, FLOAT64, plan), ScalarEvaluator(c, FLOAT64, plan)
-            assert ev._kind == "ieee"
+            assert ev._format.kind == np.float64
             assert leaves_ieee(ev, rows) == [True, False, True, True]
             results, under, over = ev.mar(rows)
             assert [(r, u, o) for r, u, o in zip(results, under, over)] == \
@@ -648,6 +662,20 @@ class TestLeavingIEEEDoubles:
             [ScalarEvaluator(c, FLOAT64, plan).restricted_value(t, {}) for t in traces]
         assert kinds == per_query
 
+    def test_the_rerun_is_the_same_pass_on_the_python_int_record(self, monkeypatch):
+        c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
+        plan = MultiplierPlan.all_exact(c)
+        ev = CircuitEvaluator(c, FLOAT64, plan)
+        records, run = [], CircuitEvaluator._pass
+        monkeypatch.setattr(CircuitEvaluator, "_pass",
+                            lambda ev, ar, *args: records.append(ar.fmt) or run(ev, ar, *args))
+        got = ev.mar(TINY_CHAIN_ROWS[2])
+        ints = inference._format(c, FLOAT64, np.dtype(object))
+        assert records == [ev._format, ints] and ints.kind == object and ints.cfg == FLOAT64
+        assert ints.w.ravel().tolist() == encode_words(_compile(c).weights, FLOAT64)[0].tolist()
+        assert got == ScalarEvaluator(c, FLOAT64, plan).mar(TINY_CHAIN_ROWS[2])
+        assert plan._verdicts[ints] is False  # checked: a product leaves the range
+
 
 def ternary_inputs() -> Circuit:
     """A mixture of two products of categorical inputs over variable 0 of
@@ -669,10 +697,9 @@ def ternary_inputs() -> Circuit:
 
 def table_of(ev: CircuitEvaluator, mode: int, kind=None):
     """The evaluator's input table for words of the given kind (its own by
-    default), built as a pass builds it."""
-    kind = ev._kind if kind is None else kind
-    w = inference._weight_words(ev._comp, ev.cfg, kind)[0][:, np.newaxis]
-    return ev._table(inference._ops(ev.cfg, kind, 1), w, mode)
+    default), from the record a pass reads it from."""
+    fmt = ev._format if kind is None else inference._format(ev.circuit, ev.cfg, kind)
+    return fmt.tables[mode]
 
 
 def assert_matches_scalar(c, cfg, plan, rows, hidden):
@@ -720,6 +747,37 @@ class TestCircuitsWithoutSums:
         assert report.deterministic and list(report.violations) == determinism_oracle(c) == []
 
 
+class TestMapKeepsItsEvidence:
+    """Where the root is zero every term ties, the backtrack picks each
+    sum's first child, and the observed variables keep their values."""
+
+    @pytest.mark.parametrize("cfg", [FloatConfig(11, 40), FLOAT64], ids=str)
+    def test_evidence_of_probability_zero(self, cfg):
+        # X0 = 1 and X1 = 0; the evidence X0 = 0 makes the root zero
+        c = Circuit([Variable(0, 2), Variable(1, 2)],
+                    [IndicatorUnit(0, 0, 1), IndicatorUnit(1, 1, 0), ProductUnit(2, (0, 1))], 2)
+        plan = MultiplierPlan.all_exact(c)
+        got, under, over = CircuitEvaluator(c, cfg, plan).map_query({0: 0})
+        assert got.assignment.tolist() == [0, 0] and got.log2_value == -np.inf
+        assert (got, under, over) == ScalarEvaluator(c, cfg, plan).map_query({0: 0})
+        assert inference.eval_map(c, {0: 0}, cfg, plan).assignment.tolist() == [0, 0]
+
+    def test_rows_that_underflow_keep_their_evidence(self):
+        # at (3, 2) every such row of this circuit underflows to a zero root,
+        # and the first children there break the evidence on 63 of 64 rows
+        c = generate_random_det_pc(0, 10)
+        cfg, plan = FloatConfig(3, 2), MultiplierPlan.all_aai(c)
+        rows = sample(c, 0, 64)
+        rows[:, ::2] = -1
+        results, under, _ = CircuitEvaluator(c, cfg, plan).map_query(rows)
+        assert (under > 0).all() and all(r.log2_value == -np.inf for r in results)
+        for row, got in zip(rows, results):
+            assert (np.where(row >= 0, row, got.assignment) == got.assignment).all()
+            assert (got.assignment >= 0).all()
+        ref = ScalarEvaluator(c, cfg, plan)
+        assert results[:8] == [ref.map_query(evidence_of(row))[0] for row in rows[:8]]
+
+
 class TestMapResult:
     def test_results_compare_by_value(self):
         # the generated __eq__ compared the assignment arrays with ==
@@ -749,7 +807,7 @@ class TestMapResult:
 class TestInputTables:
     @pytest.mark.parametrize("cfg, kind", [
         (FloatConfig(8, 10), np.int32), (FloatConfig(11, 40), np.int64),
-        (FloatConfig(11, 41, rounding=TOWARD_ZERO), object), (FLOAT64, "ieee")], ids=str)
+        (FloatConfig(11, 41, rounding=TOWARD_ZERO), object), (FLOAT64, np.float64)], ids=str)
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_tables_match_the_scalar_reference(self, cfg, kind, share):
         c = ternary_inputs()
@@ -761,7 +819,7 @@ class TestInputTables:
         hidden[rng.random(rows.shape) < 0.4] = -1
         hidden = np.vstack([hidden, np.full((1, 3), -1)])
         ev = assert_matches_scalar(c, cfg, plan, rows, hidden)
-        assert ev._kind == kind
+        assert ev._format.kind == kind
         assert _compile(c).leaf_var.tolist() == [0, 0, 1, 1, 2]
         for mode in (inference._MAR, inference._MAP):
             table = table_of(ev, mode)
@@ -776,7 +834,7 @@ class TestInputTables:
         ev = CircuitEvaluator(c, cfg, plan)
         with_tables = ev.mar(rows[1::3]), ev.map_query(rows)
         assert table_of(ev, inference._MAR) is not None
-        monkeypatch.setattr(CircuitEvaluator, "_table", lambda *args: None)
+        monkeypatch.setattr(ev._format, "tables", {})
         without = ev.mar(rows[1::3]), ev.map_query(rows)
         assert with_tables[0][0] == without[0][0]
         assert [(r.assignment.tolist(), r.log2_value, dict(r.trace)) for r in with_tables[1][0]] \
@@ -884,6 +942,22 @@ class TestZeroWordCollision:
 
 
 class TestCaches:
+    def test_one_record_and_one_weight_encoding_per_layout_and_config(self, monkeypatch):
+        calls, encode_words = [], inference.encode_words
+        monkeypatch.setattr(inference, "encode_words",
+                            lambda x, cfg: calls.append(cfg) or encode_words(x, cfg))
+        c, cfg = generate_random_tree_pc(2, 6, 2, 3), FloatConfig(8, 10)
+        a = CircuitEvaluator(c, cfg, MultiplierPlan.all_aai(c))
+        b = CircuitEvaluator(c, cfg, MultiplierPlan.all_exact(c))
+        a.mar(sample(c, 2, 4)), b.map_query(sample(c, 3, 4))
+        assert a._format is b._format is inference._format(c, cfg)
+        assert calls == [cfg]
+        other = CircuitEvaluator(c, FloatConfig(8, 12), MultiplierPlan.all_aai(c))
+        assert other._format is not a._format and calls == [cfg, FloatConfig(8, 12)]
+        d = generate_random_tree_pc(2, 6, 2, 3)  # the same circuit, another layout
+        assert CircuitEvaluator(d, cfg, MultiplierPlan.all_aai(d))._format is not a._format
+        assert len(calls) == 3
+
     def test_compiled_once_per_circuit_and_masks_once_per_plan(self):
         c = generate_random_det_pc(0, 4)
         plan = MultiplierPlan.all_aai(c)
@@ -892,7 +966,7 @@ class TestCaches:
         assert a._comp is b._comp is c._compiled
         assert plan._modes(c) is plan._modes(c)
         assert a._modes is b._modes
-        assert a._w.base is b._w.base
+        assert a._format is b._format and a._format.w is b._format.w
         for mode in (inference._MAR, inference._MAP):
             assert table_of(a, mode) is table_of(b, mode) is not None
         other = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan(dict(plan.modes)))
@@ -920,8 +994,7 @@ def passes(ev: CircuitEvaluator, rows, picks, checked: bool):
     with or without the range checks, each with its choice table: none, the
     one MAP fills, and picks."""
     tables = [None, np.zeros((len(ev._comp.sum_index), len(rows)), dtype=np.int64), picks]
-    return [ev._pass(inference._ops(ev.cfg, ev._kind, len(rows), checked), ev._w, rows, mode,
-                     choices) + (choices,)
+    return [ev._pass(ev._format.ops(len(rows), checked), rows, mode, choices) + (choices,)
             for mode, choices in zip((inference._MAR, inference._MAP, inference._PICK), tables)]
 
 
@@ -930,7 +1003,10 @@ def plain(results) -> list:
 
 
 def verdicts(ev: CircuitEvaluator) -> dict:
-    return dict(ev.plan._verdicts.get(ev._comp, {}))
+    """The plan's range verdicts on the evaluator's layout, by the (config,
+    word kind) of their records."""
+    formats = inference._FORMATS.get(ev._comp, {})
+    return {key: ev.plan._verdicts[f] for key, f in formats.items() if f in ev.plan._verdicts}
 
 
 def with_weights(c: Circuit, uid: int, weights) -> Circuit:
@@ -1006,7 +1082,7 @@ class TestRangeCertificate:
         rows[0] = 0
         for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
             ev = assert_matches_scalar(c, cfg, plan, rows, rows)
-            assert verdicts(ev) == {(cfg, ev._kind): False}
+            assert verdicts(ev) == {(cfg, ev._format.kind): False}
             assert (ev.mar(rows)[1] + ev.mar(rows)[2]).sum() > 0
 
     @pytest.mark.parametrize("cfg", [FloatConfig(11, 40), FloatConfig(11, 41), FLOAT64], ids=str)
@@ -1022,30 +1098,30 @@ class TestRangeCertificate:
         rows = enumerate_states(c)
         hidden = np.vstack([rows, [[3, -1, 0], [3, -1, 1], [-1, -1, -1]]])
         aai = assert_matches_scalar(c, cfg, MultiplierPlan.all_aai(c), rows, hidden)
-        assert verdicts(aai) == {(cfg, aai._kind): False}
-        unchecked, checked = (aai._ascend(inference._ops(cfg, aai._kind, len(hidden), flag),
-                                          aai._w, hidden, inference._MAR)
+        assert verdicts(aai) == {(cfg, aai._format.kind): False}
+        unchecked, checked = (aai._ascend(aai._format.ops(len(hidden), flag), hidden,
+                                          inference._MAR)
                               for flag in (False, True))
         assert (unchecked != checked).any()
         exact = assert_matches_scalar(c, cfg, MultiplierPlan.all_exact(c), rows, hidden)
-        assert verdicts(exact) == {(cfg, exact._kind): True}
+        assert verdicts(exact) == {(cfg, exact._format.kind): True}
 
     def test_a_float64_circuit_with_a_subnormal_weight_is_refused(self):
         c = chain_of_tiny_sums(2, 2.0 ** -1023)
         rows = np.array([[0, 1], [1, 1], [0, 0], [-1, 1]])
         for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
             ev = assert_matches_scalar(c, FLOAT64, plan, rows[:3], rows)
-            assert verdicts(ev)[FLOAT64, "ieee"] is False
+            assert verdicts(ev)[FLOAT64, np.dtype(np.float64)] is False
             assert verdicts(ev)[FLOAT64, np.dtype(object)] is False  # 2**-2046 underflows
         ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan(dict(MultiplierPlan.all_exact(c).modes)))
         ev.mar(np.array([[1, 1]]))  # stays in IEEE doubles: no rerun, no Python-int verdict
-        assert verdicts(ev) == {(FLOAT64, "ieee"): False}
+        assert verdicts(ev) == {(FLOAT64, np.dtype(np.float64)): False}
 
     def test_built_once_per_plan_layout_config_and_kind_on_the_first_pass(self, monkeypatch):
         built = []
         certify = CircuitEvaluator._certify
-        monkeypatch.setattr(CircuitEvaluator, "_certify", lambda ev, kind, w:
-                            built.append((ev.cfg, kind)) or certify(ev, kind, w))
+        monkeypatch.setattr(CircuitEvaluator, "_certify", lambda ev, fmt:
+                            built.append((fmt.cfg, fmt.kind)) or certify(ev, fmt))
         c = generate_random_det_pc(0, 4)
         plan, cfg = MultiplierPlan.all_aai(c), FloatConfig(8, 10)
         a, b = CircuitEvaluator(c, cfg, plan), CircuitEvaluator(c, cfg, plan)
@@ -1054,6 +1130,7 @@ class TestRangeCertificate:
         maps, _, _ = a.map_query(rows)
         a.mar(rows), b.mar(rows[0]), b.restricted_value([m.trace for m in maps], rows)
         assert built == [(cfg, np.dtype(np.int32))]
+        assert dict(plan._verdicts) == {inference._format(c, cfg): True}  # keyed by the record
         CircuitEvaluator(c, FloatConfig(11, 40), plan).mar(rows)
         CircuitEvaluator(c, cfg, MultiplierPlan(dict(plan.modes))).mar(rows)
         assert built == [(cfg, np.dtype(np.int32)), (FloatConfig(11, 40), np.dtype(np.int64)),

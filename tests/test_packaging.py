@@ -24,16 +24,26 @@ def test_declared_scripts_resolve_to_callables():
         assert callable(obj), f"script {name} = {target!r} is not callable"
 
 
+def imports(importer: str, module: str) -> bool:
+    """Whether importing `importer` in a fresh interpreter loads `module`."""
+    import aaipc.circuit
+
+    src = str(Path(aaipc.circuit.__file__).resolve().parents[1])
+    code = f"import sys, {importer}; sys.exit({module!r} in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode != 0
+
+
 @pytest.mark.parametrize("module", ["aaipc.inference", "aaipc.floats"])
 def test_circuit_layer_imports_no_query_layer(module):
     # circuit holds the compiled layout that inference evaluates on, and
     # knows no number format; the dependency runs one way only
-    import aaipc.circuit
+    assert not imports("aaipc.circuit", module)
 
-    src = str(Path(aaipc.circuit.__file__).resolve().parents[1])
-    code = ("import sys, aaipc.circuit; "
-            f"sys.exit({module!r} in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-    assert done.returncode == 0
+
+@pytest.mark.parametrize("module", ["aaipc.circuit", "aaipc.inference"])
+def test_float_layer_imports_no_other_layer(module):
+    # inference rounds its words in floats' array rounding step; the
+    # dependency runs one way only
+    assert not imports("aaipc.floats", module)
