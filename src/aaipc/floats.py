@@ -207,7 +207,7 @@ def _round_words(e, wide, s: int, cfg: FloatConfig):
     M-bit fraction, of wide * 2**(e - M - s + 1) for a significand wide of
     M+s or M+s+1 bits (s >= 1), normalised to M+s+1 bits and rounded once to
     M+1, a carry landing in the exponent field.  Every shift is by a
-    constant, so it runs on int32, int64 and Python-int arrays alike."""
+    constant, so it runs on int64 and Python-int arrays alike."""
     m = cfg.man_bits
     carry = wide >> (m + s)
     wide = wide * (2 - carry)

@@ -17,18 +17,28 @@ edges in `children` order, padded with the word for one and with
 zero-weight edges; padding never saturates.  Values are words of a kind
 that the format alone decides (`_word_kind`):
 
-- bit patterns (biased exponent, then mantissa) with zero as -1, out of
-  band, so the smallest value (pattern 0) stays apart and word order is value
-  order: in int32 where every intermediate fits (M <= 13), in int64 up to
-  M = 40 (E + M <= 61), where past M = 29 the exact product and add keep the
-  bits that decide the rounding and fold the rest into a sticky bit (the
+- IEEE doubles (kind float64), wherever the format fits them
+  (`_fits_doubles`: 1 <= M <= 25, bias <= 511, e_max <= 510), as the int64
+  bit patterns of the values with zero as 0 (`_PatternWords`).  The AAI
+  product is still an integer add less the pattern of 1.0 and MAP still
+  compares integers; the exact product is one IEEE multiply, exact as
+  2(M+1) <= 53, and the add one IEEE add, whose rounding to 53 bits then to
+  M+1 rounds as once as 53 >= 2(M+1) + 1, each then rounded by a mask on
+  the pattern.  M = 0 stays on the format's words, as its ties go up on the
+  implicit leading bit, which a pattern does not hold;
+- IEEE doubles for FLOAT64 too, held as float64 values (`_IEEEWords`), so
+  its exact ops are one IEEE op each.  A product at or below 2**-1022,
+  where IEEE subnormals part from this format (a weight below 2**-1022
+  times a positive child is one), counts in `under`, and its chunk reruns,
+  the same pass, on FLOAT64's Python-int words: the one way a pass leaves
+  IEEE doubles;
+- the format's own bit patterns (biased exponent, then mantissa) with zero
+  as -1, out of band, so the smallest value (pattern 0) stays apart and
+  word order is value order (`_IntWords`): in int64 up to M = 40
+  (E + M <= 61), where past M = 29 the exact product and add keep the bits
+  that decide the rounding and fold the rest into a sticky bit (the
   analysis config (11, 40) runs there);
-- the same patterns as Python ints in object arrays for wider formats;
-- IEEE doubles (float64) for FLOAT64, whose exact ops are IEEE ops.  A
-  product at or below 2**-1022, where IEEE subnormals part from this format
-  (a weight below 2**-1022 times a positive child is one), counts in
-  `under`, and its chunk reruns, the same pass, on FLOAT64's Python-int
-  words: the one way a pass leaves IEEE doubles.
+- the same patterns as Python ints in object arrays for wider formats.
 
 Input tables.  Where every first-level sum (one whose children are all
 indicators) tests one variable (`_Compiled.leaf_var`), as the categorical
@@ -45,30 +55,34 @@ and so does every `restricted_value` pass, so results and counts are the
 same either way.
 
 Range certificate.  Once per (plan, word format record), on its first pass,
-the evaluator decides whether any op of any pass on any row can leave
-the format's range, from two checked passes over one row with every variable
-unobserved (`CircuitEvaluator._certify`).  The ops are monotone and an add is
-at least its larger operand, so the MAR pass bounds every word from above,
-and a pass whose sums keep their least nonzero term (`_sums`' _LEAST) bounds
-every nonzero word from below.  Where neither counts in `under` or `over`
-(on IEEE doubles: no product leaves them), and, for a plan with AAI sites,
-every weight and upper bound is at most one, the passes run unchecked: no op
-counts or clamps, the exact product only maps zero operands to zero, and an
-AAI product is one integer add, max(a + b - one, zero).  Such a pass counts
-no saturation, as the checked one would not.  Any other pass runs checked,
-so results and counts are the same either way.  The verdict is kept with
-the plan's per-level modes, keyed by the record.
+the evaluator decides up to which level no op of any pass on any row can
+leave the format's range, from two checked passes over one row with every
+variable unobserved (`CircuitEvaluator._certify`).  The ops are monotone and
+an add is at least its larger operand, so the MAR pass bounds every word
+from above, and a pass whose sums keep their least nonzero term (`_sums`'
+_LEAST) bounds every nonzero word from below, up to the first level where
+either counts in `under` or `over` (on IEEE doubles: where a product leaves
+them); above an underflow the least-term pass bounds nothing.  The verdict
+is the number of leading levels before that one and before the first level
+with an AAI product whose operand can meet the zero word and may exceed
+one.  Those levels run unchecked: no op counts or clamps, the exact product
+only maps zero operands to zero, and an AAI product is one integer add,
+max(a + b - one, zero).  They count no saturation, as checked ones would
+not, and every level from there runs checked, so results and counts are the
+same either way.  The verdict is kept with the plan's per-level modes, keyed
+by the record.
 
 Word formats.  Everything a pass needs from its number format is worked out
 once per (compiled layout, config, word kind), in one record (`_Format`,
 built by `_format` and held weakly by the layout, so that it goes with the
 circuit): the slot weights as words with the counts of those that
 saturated, the MAR and MAP input tables, the word ops of a chunk
-(`_IntWords` or `_IEEEWords`, which carry the record), and the values of
-root words.  The evaluator reads no bit field: it hands rows to the word
-ops of its record, and the FLOAT64 rerun is the same pass on the ops of the
-(FLOAT64, Python int) record.  The rounding step of the word ops is
-`floats._round_words`, which `floats.encode_words` shares.  The uniform
+(`_PatternWords`, `_IEEEWords` or `_IntWords`, which carry the record), and
+the values of root words.  The evaluator reads no bit field: it hands rows
+to the word ops of its record, and the FLOAT64 rerun is the same pass on the
+ops of the (FLOAT64, Python int) record.  The rounding step of the word ops
+is `floats._round_words` on the format's words, which `floats.encode_words`
+shares, and a mask on IEEE double patterns.  The uniform
 plans and each plan's per-level modes are kept per layout too.  MAP's
 backtrack is the layout's `descend`, which `circuit.sample` shares; the
 observed variables of an assignment keep their evidence values.
@@ -88,8 +102,8 @@ import numpy as np
 
 from .circuit import (CHUNK_CELLS, Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile,
                       _Compiled, _is_integer, _row_array)
-from .floats import (FLOAT64, CustomFloat, FloatConfig, MultResult, _round_words,  # noqa: F401
-                     aai_mul, encode, encode_words, exact_add, exact_mul,
+from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig, MultResult,  # noqa: F401
+                     _round_words, aai_mul, encode, encode_words, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
 
 EXACT = "exact"
@@ -109,7 +123,8 @@ def enumerate_sites(c: Circuit) -> list[Edge]:
 class MultiplierPlan:
     """One mode for each multiplication site, keyed by its `circuit.Edge`; a
     read-only copy, so its per-level modes are cached per compiled circuit,
-    and with them the range certificate's verdicts, {_Format: certified}."""
+    and with them the range certificate's verdicts, {_Format: the number of
+    leading levels that run unchecked}."""
 
     modes: Mapping[Edge, str]
     _levels: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False,
@@ -225,52 +240,76 @@ class EvaluationError(ValueError):
 
 
 def _widths(man_bits: int, dtype: np.dtype) -> tuple[int, int]:
-    """(k, g) for M-bit significands in words of the given dtype, of 31 or
-    63 value bits: the exact product drops the k low bits of its low partial
-    product into a sticky bit, k = max(0, 2M+3 - value bits), and the add
-    aligns with g guard bits, M+2 where the aligned sum's 2M+5 bits fit
-    (lossless), else 3 and a sticky bit."""
+    """(k, g) for M-bit significands in int64 words (63 value bits) or
+    Python ints: the exact product drops the k low bits of its low partial
+    product into a sticky bit, k = max(0, 2M+3 - 63), and the add aligns
+    with g guard bits, M+2 where the aligned sum's 2M+5 bits fit (lossless),
+    else 3 and a sticky bit."""
     if dtype == object:
         return 0, man_bits + 2
-    bits = dtype.itemsize * 8 - 1
-    return (max(0, 2 * man_bits + 3 - bits),
-            man_bits + 2 if 2 * man_bits + 5 <= bits else 3)
+    return max(0, 2 * man_bits - 60), man_bits + 2 if 2 * man_bits + 5 <= 63 else 3
 
 
-class _IntWords:
-    """The float ops on words with -1 for zero, over int32, int64 or Python
-    int arrays.  The exact product and the add round in one step,
-    `floats._round_words`, where a carry out of the significand lands in the
-    exponent field; an add whose lower operands are all zero skips it and
-    returns the other operands.  Every shift but the add's alignment is by a
-    constant.
-    Checked, a saturating result adds one to its column of `under` or
-    `over`.  Unchecked, for a pass the range certificate covers, no op looks
-    at the range: the exact product only maps a zero operand to zero, and
-    the AAI product is one integer add, max(a + b - one, -1), as a zero
-    operand, with the other at most one, can only give a negative sum.
+class _Words:
+    """What the word ops on integer words share: the AAI product, one
+    integer add less the word for one, and the range check of a result.
+    Checked, a result below the least value's word `lo` underflows and one
+    above the largest, `top`, overflows; each adds one to its column of
+    `under` or `over`.  Unchecked, for a level the range certificate covers,
+    no op looks at the range, and the AAI product is max(a + b - one, zero):
+    a zero operand, with the other at most one, gives at most the zero word."""
 
-    Where the word cannot hold the full significand product or aligned sum,
-    the rounding ops keep the bits that decide the rounding and fold the rest
-    into a sticky bit at bit 0, at least two places below the round bit: the
-    product's k low bits, and the add's lower operand past g guard bits
-    (`_widths`).  Where it can (k = 0, g = M+2), no bit is folded."""
-
-    def __init__(self, cfg: FloatConfig, dtype: np.dtype, n_rows: int, checked: bool = True):
-        self.cfg, self.dtype, self.m, self.top = cfg, dtype, cfg.man_bits, cfg.max_word
-        self.mm, self.scale = cfg.man_scale - 1, cfg.man_scale
-        self.bias, self.one, self.zero = cfg.bias, cfg.bias << cfg.man_bits, -1
-        self.k, self.g = _widths(cfg.man_bits, dtype)
+    def __init__(self, n_rows: int, checked: bool):
         self.checked = checked
         self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
 
     def aai(self, a, b):
         """Words add as integers and the duplicated bias goes."""
+        r = a + b
+        r -= self.one
         if not self.checked:
-            r = a + b
-            r -= self.one
-            return np.maximum(r, -1, out=r)
-        return self._saturate(a + b - self.one, (a < 0) | (b < 0))
+            return np.maximum(r, self.zero, out=r)
+        return self._saturate(r, (a == self.zero) | (b == self.zero))
+
+    def _saturate(self, r, zero=None):
+        """Count and saturate out-of-range words; zero marks the results of
+        a zero operand, which are zero without a flag.  Unchecked, only
+        those become zero."""
+        if not self.checked:
+            return r if zero is None else np.where(zero, self.zero, r)
+        if zero is not None:
+            under = (r < self.lo) & ~zero
+            if under.any():
+                self.under += under.sum(axis=0)
+            r = np.where(zero | under, self.zero, r)
+        over = r > self.top
+        if over.any():
+            self.over += over.sum(axis=0)
+            r = np.where(over, self.top, r)
+        return r
+
+
+class _IntWords(_Words):
+    """The float ops on the format's own words, with -1 for zero, over int64
+    or Python int arrays.  The exact product and the add round in one step,
+    `floats._round_words`, where a carry out of the significand lands in the
+    exponent field; an add whose lower operands are all zero skips it and
+    returns the other operands.  Every shift but the add's alignment is by a
+    constant.  Unchecked, the exact product only maps a zero operand to zero.
+
+    Where the word cannot hold the full significand product or aligned sum,
+    the rounding ops keep the bits that decide the rounding and fold the rest
+    into a sticky bit at bit 0, at least two places below the round bit: the
+    product's k low bits, and the add's lower operand past g guard bits
+    (`_widths`).  Where it can (k = 0, g = M+2: M <= 29 on int64), no bit is
+    folded."""
+
+    def __init__(self, cfg: FloatConfig, dtype: np.dtype, n_rows: int, checked: bool = True):
+        super().__init__(n_rows, checked)
+        self.cfg, self.dtype, self.m, self.top = cfg, dtype, cfg.man_bits, cfg.max_word
+        self.mm, self.scale = cfg.man_scale - 1, cfg.man_scale
+        self.bias, self.one, self.zero, self.lo = cfg.bias, cfg.bias << cfg.man_bits, -1, 0
+        self.k, self.g = _widths(cfg.man_bits, dtype)
 
     def exact(self, a, b):
         """Significand product over 2**k, rounded once."""
@@ -312,37 +351,71 @@ class _IntWords:
         r = s >> d
         return r | ((r << d) != s)
 
-    def _saturate(self, r, zero=None):
-        """Count and saturate out-of-range words; zero marks the results of
-        a zero operand, which are zero without a flag.  Unchecked, only
-        those become zero."""
-        if not self.checked:
-            return r if zero is None else np.where(zero, -1, r)
-        if zero is not None:
-            under = (r < 0) & ~zero
-            if under.any():
-                self.under += under.sum(axis=0)
-            r = np.where(zero | under, -1, r)
-        over = r > self.top
-        if over.any():
-            self.over += over.sum(axis=0)
-            r = np.where(over, self.top, r)
+
+_TINY = 2.0 ** -1022
+_INT64, _FLOAT64, _OBJECT = map(np.dtype, (np.int64, np.float64, object))
+_ONE = 1023 << 52  # the bit pattern of 1.0
+
+
+def _fits_doubles(cfg: FloatConfig) -> bool:
+    """Whether cfg's ops run on IEEE double patterns (`_PatternWords`): its
+    values and their products are normal doubles (bias <= 511, e_max <= 510),
+    an (M+1)-bit significand product is exact in 53 bits and an add rounded
+    to 53 bits, then to M+1, rounds as once (53 >= 2(M+1) + 1), and the
+    lowest kept bit is a fraction bit (M >= 1: at M = 0 ties go up on the
+    implicit leading bit, not on the exponent's low bit)."""
+    return 1 <= cfg.man_bits <= 25 and cfg.bias <= 511 and cfg.e_max <= 510
+
+
+class _PatternWords(_Words):
+    """cfg's values as the int64 bit patterns of the IEEE doubles they are,
+    with zero as 0, for the formats that fit (`_fits_doubles`).  Patterns of
+    non-negative doubles compare as the values do, and the AAI product is
+    their integer add less the pattern of 1.0, as on the format's words.
+    The exact product is one IEEE multiply and the add one IEEE add (zero
+    operands give zero), each then rounded once to M fraction bits by a
+    mask on the pattern, where a carry lands in the exponent field.  The
+    range is the patterns of 2**-bias (`lo`) and of the largest value."""
+
+    dtype, one, zero = _INT64, _ONE, 0
+
+    def __init__(self, cfg: FloatConfig, n_rows: int, checked: bool = True):
+        super().__init__(n_rows, checked)
+        self.cfg, self.s = cfg, 52 - cfg.man_bits
+        self.lo = (1023 - cfg.bias) << 52
+        self.top = (cfg.max_word << self.s) + self.lo
+        self.keep = -1 << self.s
+        self.half = (1 << (self.s - 1)) - 1 if cfg.rounding == NEAREST_EVEN else None
+
+    def exact(self, a, b):
+        r = self._round((a.view(np.float64) * b.view(np.float64)).view(np.int64))
+        return self._saturate(r, (a == 0) | (b == 0)) if self.checked else r
+
+    def add(self, a, b):
+        r = self._round((a.view(np.float64) + b.view(np.float64)).view(np.int64))
+        return self._saturate(r) if self.checked else r
+
+    def _round(self, r):
+        """r, a new array, rounded to M fraction bits in place: to nearest
+        with ties to the even kept bit (add just under half an ulp, plus the
+        kept parity bit), or toward zero."""
+        if self.half is not None:
+            r += (r >> self.s) & 1
+            r += self.half
+        r &= self.keep
         return r
 
 
-_TINY = 2.0 ** -1022
-_INT32, _INT64, _FLOAT64, _OBJECT = map(np.dtype, (np.int32, np.int64, np.float64, object))
-
-
 class _IEEEWords:
-    """FLOAT64 on IEEE doubles, the same values and ops as the bit patterns
-    while every value stays normal: sums of normal values stay normal, and
-    the values of a circuit whose weights sum to one stay far below
-    overflow.  Checked, a product of nonzero operands at or below 2**-1022
-    (the AAI one: below it) leaves IEEE doubles: it adds one to its column
-    of `under` and gives 0.0, and `over` stays zero, so here a count means
-    that the column left them.  Unchecked, for a pass the range certificate
-    covers, the products skip that test, and the AAI product is
+    """FLOAT64 on IEEE doubles, held as float64 values, so that its exact
+    product and add are one IEEE op each: the same values and ops as the bit
+    patterns while every value stays normal.  Sums of normal values stay
+    normal, and the values of a circuit whose weights sum to one stay far
+    below overflow.  Checked, a product of nonzero operands at or below
+    2**-1022 (the AAI one: below it) leaves IEEE doubles: it adds one to its
+    column of `under` and gives 0.0, and `over` stays zero, so here a count
+    means that the column left them.  Unchecked, for a level the range
+    certificate covers, the products skip that test, and the AAI product is
     max(a + b - one, 0) on the bit patterns: zero's pattern is 0, and with
     the other operand at most 1.0 its sum is at most 0."""
 
@@ -353,7 +426,7 @@ class _IEEEWords:
         self.checked = checked
 
     def aai(self, a, b):
-        r = a.view(np.int64) + b.view(np.int64) - (1023 << 52)  # the bias word of 1.0
+        r = a.view(np.int64) + b.view(np.int64) - _ONE
         if not self.checked:
             return np.maximum(r, 0, out=r).view(np.float64)
         zero = (a == 0) | (b == 0)
@@ -374,16 +447,15 @@ class _IEEEWords:
 
 
 def _word_kind(cfg: FloatConfig) -> np.dtype:
-    """The words cfg's ops run on.  A sum of two words needs E+M+2 bits.
-    int32 only where both rounding ops are lossless (k = 0, g = M+2: the
-    aligned sum needs 2M+5 bits), as the sticky forms cost time there; int64
-    also where the product's low partial product, of M+1+k bits, fits in 62
-    bits (M <= 40); Python ints for the rest, and IEEE doubles for FLOAT64."""
-    if cfg == FLOAT64:
+    """The words cfg's ops run on, by format alone: float64 for IEEE doubles,
+    FLOAT64's as float64 values (`_IEEEWords`) and those of the formats that
+    fit them as their int64 bit patterns (`_PatternWords`); else int64 for
+    the format's own words (`_IntWords`) where a sum of two, of E+M+2 bits,
+    fits in 63 and the product's low partial product, of M+1+k bits, in 62
+    (M <= 40); and Python ints for the rest."""
+    if cfg == FLOAT64 or _fits_doubles(cfg):
         return _FLOAT64
     m, e = cfg.man_bits, cfg.exp_bits
-    if e + m + 2 <= 31 and _widths(m, _INT32) == (0, m + 2):
-        return _INT32
     if e + m + 2 <= 63 and m + 1 + _widths(m, _INT64)[0] <= 62:
         return _INT64
     return _OBJECT
@@ -413,12 +485,38 @@ def _split(mask: np.ndarray):
     return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
-def _mul(ar, a, b, how):
+def _aai_part(how, n: int):
+    """The positions, of n, that a `_split` result multiplies approximately."""
     if how is True or how is False:
+        return slice(n if how else 0)
+    return how[0]
+
+
+def _within_one(ar, top: np.ndarray, lev, steps, edges) -> bool:
+    """Whether every AAI product of the level whose operand can meet the
+    zero word has that operand at most one, by the upper bounds top, so that
+    the unchecked form max(a + b - one, zero) gives zero there.  A sum
+    edge's child can be zero, so its nonzero weight must be at most one,
+    and a zero weight meets its child; a fold step's operands can both be
+    zero, so every child folded so far must be."""
+    for k, how in enumerate(steps, 1):
+        if (top[lev.pch[:k + 1, _aai_part(how, lev.pch.shape[1])]] > ar.one).any():
+            return False
+    at = _aai_part(edges, lev.sch.size)
+    w = ar.fmt.w[lev.sslot:lev.sslot + lev.sch.size][at]
+    kids = top[lev.sch.ravel()[at]]
+    return not (np.where(w == ar.zero, kids, w) > ar.one).any()
+
+
+def _mul(ar, a, val: np.ndarray, rows: np.ndarray, how):
+    """a times val's rows `rows`, multiplied as `how` says; a mixed step
+    gathers each part's rows straight from val."""
+    if how is True or how is False:
+        b = val.take(rows, axis=0)
         return ar.aai(a, b) if how else ar.exact(a, b)
-    out = np.empty(b.shape, dtype=ar.dtype)
+    out = np.empty((len(rows), val.shape[1]), dtype=ar.dtype)
     for idx, op in zip(how, (ar.aai, ar.exact)):
-        out[idx] = op(a[idx], b[idx])
+        out[idx] = op(a[idx], val.take(rows[idx], axis=0))
     return out
 
 
@@ -444,7 +542,7 @@ def _sums(ar, val: np.ndarray, lev, edges, mode: int, choices=None):
     and for _LEAST the least nonzero term (zero where every term is).
     Returns the words."""
     k_s, n_s = lev.sch.shape
-    terms = _mul(ar, ar.fmt.w[lev.sslot:lev.sslot + lev.sch.size], val[lev.sch.ravel()],
+    terms = _mul(ar, ar.fmt.w[lev.sslot:lev.sslot + lev.sch.size], val, lev.sch.ravel(),
                  edges).reshape(k_s, n_s, val.shape[1])
     if mode == _PICK:
         return np.take_along_axis(terms, choices[np.newaxis], axis=0)[0]
@@ -474,7 +572,11 @@ class _Format:
     once per (layout, config, word kind) by `_format`: the slot weights as
     words, one column wide, with the counts of those that saturated; the
     word ops of a chunk; the MAR and MAP input tables; and the values of
-    root words.  Integer words need the word for one, so a negative bias is
+    root words.  On IEEE doubles a value's bit pattern is its word shifted
+    up by s = 52 - M, plus that of 2**-bias (FLOAT64's are its own words);
+    FLOAT64's weights are the doubles themselves, a subnormal one included,
+    and only there (`leaves`) may a count mean that a product left IEEE
+    doubles.  The words need a word for one in range, so a negative bias is
     refused here."""
 
     def __init__(self, c: Circuit, cfg: FloatConfig, kind: np.dtype):
@@ -482,22 +584,33 @@ class _Format:
             raise ValueError("the word for one needs a non-negative bias")
         comp = _compile(c)
         self.cfg, self.kind = cfg, kind
+        self.leaves = kind == _FLOAT64 and cfg == FLOAT64
+        self.s, self.lo = 52 - cfg.man_bits, (1023 - cfg.bias) << 52
         w, self.under, self.over = encode_words(comp.weights, cfg)
-        self.w = (comp.weights if kind == _FLOAT64 else w.astype(kind))[:, np.newaxis]
+        if self.leaves:
+            w = comp.weights
+        elif kind == _FLOAT64:
+            w = np.where(w < 0, 0, (w << self.s) + self.lo)
+        else:
+            w = w.astype(kind)
+        self.w = w[:, np.newaxis]
         self.tables = {mode: self._table(c, comp, mode) for mode in (_MAR, _MAP)}
 
     def ops(self, n_rows: int, checked: bool = True):
         """The word ops over n_rows columns, checking each result's range
         unless told not to; they carry this record as `fmt`."""
-        ar = (_IEEEWords(n_rows, checked) if self.kind == _FLOAT64
-              else _IntWords(self.cfg, self.kind, n_rows, checked))
+        if self.kind != _FLOAT64:
+            ar = _IntWords(self.cfg, self.kind, n_rows, checked)
+        else:
+            ar = _IEEEWords(n_rows, checked) if self.leaves else \
+                _PatternWords(self.cfg, n_rows, checked)
         ar.fmt = self
         return ar
 
     def values(self, roots: np.ndarray) -> list[CustomFloat]:
-        """Root words as values; IEEE doubles read as FLOAT64's words."""
+        """Root words as values; IEEE doubles read through their patterns."""
         if self.kind == _FLOAT64:
-            roots = np.where(roots == 0, -1, roots.view(np.int64))
+            roots = np.where(roots == 0, -1, (roots.view(np.int64) - self.lo) >> self.s)
         m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
         zero = CustomFloat.zero(m)
         return [zero if w < 0 else CustomFloat(False, (w >> m) - bias, w & mm, m)
@@ -543,7 +656,8 @@ class CircuitEvaluator:
     cfg.rounding; under toward-zero this keeps the one-sided
     underestimation end to end.  The word kind follows from cfg alone; a
     FLOAT64 chunk whose values leave IEEE doubles reruns on Python ints.
-    Passes skip the range checks where the range certificate holds.
+    Passes skip the range checks on the leading levels that the range
+    certificate covers.
 
     `mar`, `map_query` and `restricted_value` take one row (a sequence, or a
     {variable: value} mapping) or a 2-D batch of rows, and then return one
@@ -561,93 +675,106 @@ class CircuitEvaluator:
         self.weight_quant_underflows = self._format.under
         self.weight_quant_overflows = self._format.over
 
-    def _pass(self, ar, rows: np.ndarray, mode: int, choices: Optional[np.ndarray]):
-        """Evaluate a chunk of rows on ar's words; MAP fills `choices`, the
-        chunk's columns of the choice table, and a picked pass reads them.
-        Returns the root values, the per-row saturation counts and, for MAP,
-        the assignments."""
+    def _pass(self, ar, rows: np.ndarray, mode: int, choices: Optional[np.ndarray],
+              free: int = 0):
+        """Evaluate a chunk of rows on ar's words, its first `free` levels
+        unchecked; MAP fills `choices`, the chunk's columns of the choice
+        table, and a picked pass reads them.  Returns the root values, the
+        per-row saturation counts and, for MAP, the assignments."""
         comp = self._comp
-        roots = self._ascend(ar, rows, mode, choices)[comp.root]
+        roots = self._ascend(ar, rows, mode, choices, free)[comp.root]
         return (ar.fmt.values(roots), ar.under, ar.over,
                 comp.descend(choices, len(rows)) if mode == _MAP else None)
 
-    def _ascend(self, ar, rows: np.ndarray, mode: int, choices=None):
+    def _ascend(self, ar, rows: np.ndarray, mode: int, choices=None, free: int = 0,
+                counted: Optional[list] = None):
         """The value table of rows' columns, filled children first, one
         level at a time, the first level's sums of a MAR or MAP pass from
-        the input table where ar's record has one.  MAP writes each level's
-        choices to rows q0:q1 of `choices`, and a picked pass reads them
-        there."""
-        comp, table = self._comp, ar.fmt.tables.get(mode)
+        the input table where ar's record has one.  The first `free` levels
+        run unchecked, the rest as ar says; `counted`, where given, gets
+        per level whether any op so far has counted.  MAP writes each
+        level's choices to rows q0:q1 of `choices`, and a picked pass reads
+        them there."""
+        comp, table, checked = self._comp, ar.fmt.tables.get(mode), ar.checked
         val = _inputs(comp, ar, rows.T[comp.ind_var])
-        for lev, (steps, edges) in zip(comp.levels, self._modes):
+        for i, (lev, (steps, edges)) in enumerate(zip(comp.levels, self._modes)):
+            ar.checked = checked and i >= free
             if lev.p1 > lev.p0:
-                acc = val[lev.pch[0]]
+                acc = val.take(lev.pch[0], axis=0)
                 for k, how in enumerate(steps, 1):
-                    acc = _mul(ar, acc, val[lev.pch[k]], how)
+                    acc = _mul(ar, acc, val, lev.pch[k], how)
                 val[lev.p0:lev.p1] = acc
             if lev.s1 > lev.s0:
                 picks = None if choices is None else choices[lev.q0:lev.q1]
                 if table is not None:  # the first level's sums, by state
                     at = rows.T[comp.leaf_var] + table.base
-                    val[lev.s0:lev.s1] = table.words.take(at)
+                    # checked rows keep at in range; "clip" skips take's
+                    # buffered copy of out
+                    table.words.take(at, out=val[lev.s0:lev.s1], mode="clip")
                     if mode == _MAP:
                         picks[...] = table.choices.take(at)
                     table = None
                 else:
                     val[lev.s0:lev.s1] = _sums(ar, val, lev, edges, mode, picks)
+            if counted is not None:
+                counted.append(bool(ar.under.any() or ar.over.any()))
+        ar.checked = checked
         return val
 
-    def _certified(self, fmt: _Format) -> bool:
-        """Whether passes on fmt's words stay in range on every row, so
-        that they may skip the range checks: decided on the first pass and
-        kept with the plan's per-level modes."""
+    def _free(self, fmt: _Format) -> int:
+        """How many leading levels passes on fmt's words run unchecked:
+        decided on the first pass and kept with the plan's per-level modes."""
         verdicts = self.plan._verdicts
         if fmt not in verdicts:
             verdicts[fmt] = self._certify(fmt)
         return verdicts[fmt]
 
-    def _certify(self, fmt: _Format) -> bool:
-        """The range certificate, from two checked passes over one row with
-        every variable unobserved.  The ops are monotone and an add is at
-        least its larger operand, so the MAR pass bounds every word of any
-        MAR, MAP or picked pass from above, and the pass that keeps each
-        sum's least nonzero term bounds every nonzero word from below.
-        Where neither counts in `under` or `over`, no op of any pass would.
-        A plan with AAI sites also needs every weight and upper bound at
-        most one, so that a zero operand of an AAI product meets an operand
-        of at most one; without them, sums that round a shade above one, as
-        float64 sums of weights do, are no hindrance."""
-        ar = fmt.ops(1)
+    def _certify(self, fmt: _Format) -> int:
+        """The range certificate: the number of leading levels where no op
+        of any MAR, MAP or picked pass on any row leaves the format's range,
+        from two checked passes over one row with every variable
+        unobserved.  The ops are monotone and an add is at least its larger
+        operand, so the MAR pass bounds every word from above, and the pass
+        that keeps each sum's least nonzero term bounds every nonzero word
+        from below, up to the first level where either counts in `under` or
+        `over`: above an underflow the least-term pass bounds nothing, so the
+        unchecked levels are a prefix.  It also ends at the first level with
+        an AAI product whose operand can meet the zero word and may exceed
+        one (`_within_one`)."""
         row = np.full((1, self._comp.n_vars), -1, dtype=np.int64)
-        top = self._ascend(ar, row, _MAR)
-        self._ascend(ar, row, _LEAST)
-        if ar.under.any() or ar.over.any():
-            return False
-        return AAI not in self.plan.modes.values() or \
-            bool((fmt.w <= ar.one).all() and (top <= ar.one).all())
+        ar, top_counted, least_counted = fmt.ops(1), [], []
+        top = self._ascend(ar, row, _MAR, counted=top_counted)
+        self._ascend(fmt.ops(1), row, _LEAST, counted=least_counted)
+        free = 0
+        for lev, (steps, edges), *counted in zip(self._comp.levels, self._modes,
+                                                 top_counted, least_counted):
+            if any(counted) or not _within_one(ar, top, lev, steps, edges):
+                break
+            free += 1
+        return free
 
     def _evaluate(self, rows: np.ndarray, mode: int, picks: Optional[np.ndarray] = None):
-        """Run the pass over checked rows chunk by chunk, unchecked where
-        the range certificate holds, rerunning on the Python-int record an
-        IEEE chunk whose checked pass counted: on IEEE words a count means
-        that a product left IEEE doubles.  MAP fills one choice table per
-        call (a row per sum in sum_index order, a column per row), a picked
-        pass reads picks, and each chunk's pass gets its columns.  Returns
-        the root values, the per-row saturation counts and, for MAP, the
-        choices and assignments."""
+        """Run the pass over checked rows chunk by chunk, the levels the
+        range certificate covers unchecked, rerunning on the Python-int
+        record a FLOAT64 chunk on IEEE doubles whose pass counted: there a
+        count means that a product left IEEE doubles.  MAP fills one choice
+        table per call (a row per sum in sum_index order, a column per row),
+        a picked pass reads picks, and each chunk's pass gets its columns.
+        Returns the root values, the per-row saturation counts and, for MAP,
+        the choices and assignments."""
         fmt = self._format
         cells = CHUNK_CELLS // 4 if fmt.kind == _OBJECT else CHUNK_CELLS
         step = max(1, cells // self._comp.n_table)
-        checked = not self._certified(fmt)
+        free = self._free(fmt)
         choices = picks if mode != _MAP else np.empty((len(self._comp.sum_index), len(rows)),
                                                       dtype=np.int64)
         parts = []
         for s in range(0, max(len(rows), 1), step):  # an empty batch makes one empty chunk
             args = rows[s:s + step], mode, None if choices is None else choices[:, s:s + step]
-            part = self._pass(fmt.ops(len(args[0]), checked), *args)
-            if fmt.kind == _FLOAT64 and part[1].any():
+            part = self._pass(fmt.ops(len(args[0])), *args, free)
+            if fmt.leaves and part[1].any():
                 ints = _format(self.circuit, FLOAT64, _OBJECT)
-                part = self._pass(ints.ops(len(args[0]), not self._certified(ints)), *args)
+                part = self._pass(ints.ops(len(args[0])), *args, self._free(ints))
             parts.append(part)
         values, under, over, assignment = zip(*parts)
         return ([v for vs in values for v in vs], np.concatenate(under), np.concatenate(over),
@@ -790,9 +917,10 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     log_err_sum = 0.0
     for b, t in zip(b_mar, t_mar):
         log_err_sum += abs(log2_value(b.value) - (log2_value(t.value) + correction))
-    b_map, _, _ = base.map_query(data)
-    t_map, map_under, map_over = test.map_query(data)
-    map_hits = sum(np.array_equal(b.assignment, t.assignment) for b, t in zip(b_map, t_map))
+    b_map = base._evaluate(data, _MAP)[4]
+    _, map_under, map_over, _, t_map = test._evaluate(data, _MAP)
+    # the assignments before the evidence goes in: observed variables agree
+    map_hits = int(((b_map == t_map) | (data >= 0)).all(axis=1).sum())
     n, n_mar = len(data), len(complete)
     return QueryMetrics(
         mean_log_error=log_err_sum / n_mar if n_mar else 0.0,

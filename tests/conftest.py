@@ -1,8 +1,17 @@
 """Shared fixtures: a small hand-built deterministic circuit and helpers."""
 
 import json
+import warnings
 
 import pytest
+
+# Hypothesis writes the patch for a failing example with libcst, whose import
+# raises a DeprecationWarning from mypy_extensions; under filterwarnings =
+# ["error"] that ended the run with INTERNALERROR and hid the failure.  Import
+# it once here, with only that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from aaipc.circuit import parse_circuit
 

@@ -46,6 +46,7 @@ from aaipc.inference import (
     MultiplierPlan,
     _IEEEWords,
     _IntWords,
+    _PatternWords,
     _widths,
     _word_kind,
     enumerate_sites,
@@ -57,12 +58,14 @@ from oracles import ScalarEvaluator, determinism_oracle, reference_eval, sample_
 #: underflows below 2**-3, and bias 8 puts every value from 2**-1 up into
 #: overflow
 CONFIGS = [
-    FloatConfig(8, 10),                         # int32
-    FloatConfig(8, 12, rounding=TOWARD_ZERO),   # int32
-    FloatConfig(4, 0),                          # int32, no rounding bits
-    FloatConfig(3, 3),                          # int32, underflow
-    FloatConfig(3, 4, bias=8),                  # int32, overflow
-    FloatConfig(6, 20),                         # int64
+    FloatConfig(8, 10),                         # IEEE double patterns
+    FloatConfig(8, 12, rounding=TOWARD_ZERO),   # IEEE double patterns
+    FloatConfig(4, 0),                          # int64, no rounding bits
+    FloatConfig(3, 3),                          # IEEE double patterns, underflow
+    FloatConfig(3, 4, bias=8),                  # IEEE double patterns, overflow
+    FloatConfig(10, 12, rounding=TOWARD_ZERO),  # int64, lossless (e_max 512)
+    FloatConfig(6, 20),                         # IEEE double patterns
+    FloatConfig(6, 26),                         # int64
     FloatConfig(6, 29, rounding=TOWARD_ZERO),   # int64, the widest lossless add
     FloatConfig(6, 30),                         # int64, the add takes a sticky bit
     FloatConfig(11, 40),                        # int64, the product splits too
@@ -216,12 +219,39 @@ def value_of(word: int, cfg: FloatConfig) -> CustomFloat:
                        word & (cfg.man_scale - 1), cfg.man_bits)
 
 
-def assert_ops_match_scalar(cfg, dtype, pairs):
+#: the word kind of `_PatternWords` in these tests, next to the dtypes of
+#: `_IntWords`: cfg's values as the bit patterns of IEEE doubles
+PATTERNS = "patterns"
+
+
+def word_ops(cfg, kind, n_rows=1, checked=True):
+    """cfg's word ops on words of the kind: a dtype of `_IntWords` or PATTERNS."""
+    if kind == PATTERNS:
+        return _PatternWords(cfg, n_rows, checked)
+    return _IntWords(cfg, np.dtype(kind), n_rows, checked)
+
+
+def as_kind(words, cfg, kind, shape=(-1, 1)) -> np.ndarray:
+    """The format's words (-1 for zero) as words of the kind, in shape."""
+    a = np.array(words, dtype=object if kind is object else np.int64).reshape(shape)
+    if kind == PATTERNS:  # a double's pattern is its word << (52 - M), plus 2**-bias's
+        return np.where(a < 0, 0, (a << (52 - cfg.man_bits)) + ((1023 - cfg.bias) << 52))
+    return a
+
+
+def of_kind(words: np.ndarray, cfg, kind) -> list[int]:
+    """Words of the kind back as the format's words, flat."""
+    if kind == PATTERNS:
+        words = np.where(words == 0, -1, (words - ((1023 - cfg.bias) << 52)) >> (52 - cfg.man_bits))
+    return words.ravel().tolist()
+
+
+def assert_ops_match_scalar(cfg, kind, pairs):
     """Each word op on the pairs gives the scalar op's value and counts."""
-    a, b = (np.array(col, dtype=dtype).reshape(-1, 1) for col in zip(*pairs))
+    a, b = (as_kind(col, cfg, kind) for col in zip(*pairs))
     for op, scalar in (("aai", aai_mul), ("exact", exact_mul), ("add", exact_add)):
-        ar = _IntWords(cfg, np.dtype(dtype), 1)
-        got = getattr(ar, op)(a, b).ravel().tolist()
+        ar = word_ops(cfg, kind)
+        got = of_kind(getattr(ar, op)(a, b), cfg, kind)
         want = [scalar(value_of(x, cfg), value_of(y, cfg), cfg) for x, y in pairs]
         assert [value_of(w, cfg) for w in got] == [r.value for r in want], op
         assert int(ar.under[0]) == sum(r.underflowed for r in want), op
@@ -232,19 +262,71 @@ class TestWordOps:
     @pytest.mark.parametrize("cfg", [
         FloatConfig(3, 3), FloatConfig(3, 3, rounding=TOWARD_ZERO), FloatConfig(3, 0),
         FloatConfig(2, 4, rounding=TOWARD_ZERO), FloatConfig(3, 2, bias=5)], ids=str)
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
-    def test_every_word_pair_matches_the_scalar_ops(self, cfg, dtype):
+    @pytest.mark.parametrize("kind", [np.int64, object])
+    def test_every_word_pair_matches_the_scalar_ops(self, cfg, kind):
         words = range(-1, cfg.max_word + 1)
-        assert_ops_match_scalar(cfg, dtype, [(x, y) for y in words for x in words])
+        assert_ops_match_scalar(cfg, kind, [(x, y) for y in words for x in words])
 
 
-#: formats whose words fold bits into a sticky bit: (11, 40) on int64 splits
-#: the product at k = 20, (5, 15) on int32 at k = 2; both add with g = 3
+#: the formats the IEEE double patterns are checked on pair by pair; the
+#: first four are also checked against the scalar ops on every pair
+PATTERN_FORMATS = [(3, 1), (3, 2), (4, 3), (3, 3, 5), (5, 4), (4, 6), (9, 1), (2, 7)]
+
+
+class TestPatternWords:
+    """The word ops on IEEE double patterns, checked and unchecked, with the
+    counts of every word pair, against the scalar ops and the format's own
+    int64 words (lossless at these M: k = 0, g = M+2)."""
+
+    @pytest.mark.parametrize("rounding", ["nearest-even", TOWARD_ZERO])
+    @pytest.mark.parametrize("fmt", PATTERN_FORMATS, ids=str)
+    def test_every_word_pair(self, fmt, rounding):
+        cfg = FloatConfig(*fmt, rounding=rounding)
+        assert inference._word_kind(cfg) == np.float64
+        words = np.arange(-1, cfg.max_word + 1)
+        x, y = (w.ravel() for w in np.meshgrid(words, words))
+        one = cfg.bias << cfg.man_bits
+        # unchecked ops meet the zero word only with an operand of at most one
+        aai_ok = ((x >= 0) & (y >= 0)) | (np.maximum(x, y) <= one)
+        for op, scalar in (("aai", aai_mul), ("exact", exact_mul), ("add", exact_add)):
+            ints = word_ops(cfg, np.int64, len(x))
+            want = getattr(ints, op)(x[np.newaxis], y[np.newaxis]).ravel()
+            checked = word_ops(cfg, PATTERNS, len(x))
+            got = getattr(checked, op)(as_kind(x, cfg, PATTERNS, (1, -1)),
+                                       as_kind(y, cfg, PATTERNS, (1, -1)))
+            assert of_kind(got, cfg, PATTERNS) == want.tolist(), op
+            assert checked.under.tolist() == ints.under.tolist(), op
+            assert checked.over.tolist() == ints.over.tolist(), op
+            unchecked = getattr(word_ops(cfg, PATTERNS, len(x), checked=False), op)(
+                as_kind(x, cfg, PATTERNS, (1, -1)), as_kind(y, cfg, PATTERNS, (1, -1)))
+            kept = (checked.under == 0) & (checked.over == 0) & (aai_ok if op == "aai" else True)
+            assert kept.sum() > len(x) // 4, op
+            assert (unchecked.ravel() == got.ravel())[kept].all(), op
+            if len(x) <= 20_000:
+                ref = [scalar(value_of(p, cfg), value_of(q, cfg), cfg)
+                       for p, q in zip(x.tolist(), y.tolist())]
+                assert [value_of(w, cfg) for w in want.tolist()] == [r.value for r in ref], op
+                assert ints.under.tolist() == [int(r.underflowed) for r in ref], op
+                assert ints.over.tolist() == [int(r.overflowed) for r in ref], op
+
+    @pytest.mark.parametrize("rounding", ["nearest-even", TOWARD_ZERO])
+    @pytest.mark.parametrize("man_bits", [10, 13, 20, 24, 25])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_near_tie_pairs_match_the_scalar_ops(self, man_bits, rounding, data):
+        cfg = FloatConfig(8, man_bits, rounding=rounding)
+        assert inference._word_kind(cfg) == np.float64
+        pairs = data.draw(st.lists(word_pairs(cfg), min_size=1, max_size=40))
+        assert_ops_match_scalar(cfg, PATTERNS, pairs)
+
+
+#: formats whose words fold bits into a sticky bit: on int64, (11, 40)
+#: splits the product at k = 20 and (6, 31) at k = 2; both add with g = 3
 SPLIT_WORDS = [
     (FloatConfig(11, 40), np.int64),
     (FloatConfig(11, 40, rounding=TOWARD_ZERO), np.int64),
-    (FloatConfig(5, 15), np.int32),
-    (FloatConfig(5, 15, rounding=TOWARD_ZERO), np.int32),
+    (FloatConfig(6, 31), np.int64),
+    (FloatConfig(6, 31, rounding=TOWARD_ZERO), np.int64),
 ]
 
 
@@ -267,9 +349,9 @@ def word_pairs(draw, cfg):
 
 class TestSplitWords:
     @pytest.mark.parametrize("cfg, dtype, k, g", [
-        (FloatConfig(11, 40), np.int64, 20, 3), (FloatConfig(5, 15), np.int32, 2, 3),
+        (FloatConfig(11, 40), np.int64, 20, 3), (FloatConfig(6, 31), np.int64, 2, 3),
         (FloatConfig(6, 30), np.int64, 0, 3), (FloatConfig(6, 29), np.int64, 0, 31),
-        (FloatConfig(8, 10), np.int32, 0, 12), (FloatConfig(11, 40), object, 0, 42)], ids=str)
+        (FloatConfig(8, 10), np.int64, 0, 12), (FloatConfig(11, 40), object, 0, 42)], ids=str)
     def test_widths(self, cfg, dtype, k, g):
         assert _widths(cfg.man_bits, np.dtype(dtype)) == (k, g)
 
@@ -303,11 +385,11 @@ class TestSplitWords:
         assert_ops_match_scalar(cfg, dtype, [(b, a) for a, b in pairs])
 
 
-#: the word kinds the range certificate leans on: int32, int64 with M <= 13
-#: and in its split forms past M = 29, and Python ints
+#: the word kinds the range certificate leans on: IEEE double patterns,
+#: int64 with M <= 13 and in its split forms past M = 29, and Python ints
 MONOTONE_WORDS = [
-    (FloatConfig(8, 10), np.int32), (FloatConfig(3, 2), np.int32),
-    (FloatConfig(8, 12, rounding=TOWARD_ZERO), np.int32),
+    (FloatConfig(8, 10), PATTERNS), (FloatConfig(3, 2), PATTERNS),
+    (FloatConfig(8, 12, rounding=TOWARD_ZERO), PATTERNS), (FloatConfig(8, 25), PATTERNS),
     (FloatConfig(8, 10), np.int64), (FloatConfig(4, 3, rounding=TOWARD_ZERO), np.int64),
     (FloatConfig(6, 30), np.int64), (FloatConfig(11, 40), np.int64),
     (FloatConfig(11, 40, rounding=TOWARD_ZERO), np.int64),
@@ -333,26 +415,26 @@ class TestMonotoneWordOps:
     add to be at least its larger operand.  Where nothing saturates, the
     unchecked ops give the checked ops' words."""
 
-    @pytest.mark.parametrize("cfg, dtype", MONOTONE_WORDS, ids=str)
+    @pytest.mark.parametrize("cfg, kind", MONOTONE_WORDS, ids=str)
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_ops_never_decrease_when_an_operand_grows(self, cfg, dtype, data):
+    def test_ops_never_decrease_when_an_operand_grows(self, cfg, kind, data):
         # with every lower operand zero, the add returns its other operand
         pairs = growing_pairs(cfg, zero_lower=data.draw(st.booleans()))
         cases = data.draw(st.lists(pairs, min_size=1, max_size=40))
-        (a, b), (a2, b2) = ([np.array(col, dtype=dtype).reshape(-1, 1) for col in zip(*pairs)]
+        (a, b), (a2, b2) = ([as_kind(col, cfg, kind) for col in zip(*pairs)]
                             for pairs in zip(*cases))
         for op in ("aai", "exact", "add"):
-            ar = _IntWords(cfg, np.dtype(dtype), 1)
+            ar = word_ops(cfg, kind)
             before, after = getattr(ar, op)(a, b), getattr(ar, op)(a2, b2)
             assert (after >= before).all(), op
-        ar = _IntWords(cfg, np.dtype(dtype), 1)
+        ar = word_ops(cfg, kind)
         assert (ar.add(a, b) >= np.maximum(a, b)).all()
 
-    @pytest.mark.parametrize("cfg, dtype", MONOTONE_WORDS, ids=str)
+    @pytest.mark.parametrize("cfg, kind", MONOTONE_WORDS, ids=str)
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_unchecked_ops_match_where_nothing_saturates(self, cfg, dtype, data):
+    def test_unchecked_ops_match_where_nothing_saturates(self, cfg, kind, data):
         one = cfg.bias << cfg.man_bits
         other = st.just(-1) if data.draw(st.booleans()) else st.integers(-1, one)
         pair = st.tuples(st.integers(-1, one), other, st.booleans()).map(
@@ -360,12 +442,12 @@ class TestMonotoneWordOps:
         pairs = data.draw(st.lists(pair, min_size=1, max_size=40))
         for op in ("aai", "exact", "add"):
             for a, b in pairs:
-                a_, b_ = (np.array([[x]], dtype=dtype) for x in (a, b))
-                checked = _IntWords(cfg, np.dtype(dtype), 1)
+                a_, b_ = (as_kind([x], cfg, kind) for x in (a, b))
+                checked = word_ops(cfg, kind)
                 want = getattr(checked, op)(a_, b_)
                 if checked.under.any() or checked.over.any():
                     continue
-                got = getattr(_IntWords(cfg, np.dtype(dtype), 1, checked=False), op)(a_, b_)
+                got = getattr(word_ops(cfg, kind, checked=False), op)(a_, b_)
                 assert got.tolist() == want.tolist(), (op, a, b)
 
     def test_unchecked_ieee_ops_match_on_normal_values(self):
@@ -376,9 +458,9 @@ class TestMonotoneWordOps:
             assert getattr(_IEEEWords(1, checked=False), op)(a, b).tolist() == want.tolist()
 
 
-#: the add's zero-operand select on int32, int64 in its split form and
-#: Python ints
-SELECT_WORDS = [(FloatConfig(8, 10), np.int32), (FloatConfig(11, 40), np.int64),
+#: the add's zero-operand select on int64, lossless and in its split form,
+#: and Python ints
+SELECT_WORDS = [(FloatConfig(8, 10), np.int64), (FloatConfig(11, 40), np.int64),
                 (FloatConfig(11, 41, rounding=TOWARD_ZERO), object)]
 
 
@@ -425,7 +507,7 @@ class TestAddsWithAZeroOperand:
         monkeypatch.setattr(inference, "_round_words", no_rounding)
         assert add(pairs) == [max(p) for p in pairs]
 
-    @pytest.mark.parametrize("cfg", [FloatConfig(8, 12, rounding=TOWARD_ZERO),
+    @pytest.mark.parametrize("cfg", [FloatConfig(10, 12, rounding=TOWARD_ZERO),
                                      FloatConfig(11, 40)], ids=str)
     def test_complete_rows_of_a_deterministic_circuit_never_round(self, cfg, monkeypatch):
         # under an all-AAI plan only the add rounds; the input table and the
@@ -521,8 +603,8 @@ def chain_of_tiny_sums(n_vars: int, tiny: float) -> Circuit:
 
 class TestWordKinds:
     @pytest.mark.parametrize("cfg, kind", [
-        (FloatConfig(8, 10), np.int32), (FloatConfig(8, 13), np.int32),
-        (FloatConfig(8, 14), np.int64), (FloatConfig(30, 10), np.int64),
+        (FloatConfig(8, 10), np.float64), (FloatConfig(8, 13), np.float64),
+        (FloatConfig(8, 25), np.float64), (FloatConfig(30, 10), np.int64),
         (FloatConfig(6, 29), np.int64), (FloatConfig(6, 30), np.int64),
         (FloatConfig(11, 40), np.int64), (FloatConfig(11, 41), object),
         (FloatConfig(11, 52, rounding=TOWARD_ZERO), object), (FloatConfig(30, 32), object),
@@ -530,6 +612,32 @@ class TestWordKinds:
     ])
     def test_narrowest_words_that_hold_every_intermediate(self, cfg, kind):
         assert _word_kind(cfg) == kind
+
+    #: at each edge of the IEEE double patterns: M = 0 and 26, bias 512 and
+    #: e_max 511 stay on integer words; M = 1 and 25, bias 511 and e_max 510
+    #: do not
+    KIND_EDGES = [(FloatConfig(4, 0), np.int64), (FloatConfig(4, 1), np.float64),
+                  (FloatConfig(8, 26), np.int64), (FloatConfig(8, 25), np.float64),
+                  (FloatConfig(9, 10, bias=512), np.int64),
+                  (FloatConfig(9, 10, bias=511), np.float64),
+                  (FloatConfig(9, 10, bias=0), np.int64), (FloatConfig(9, 10, bias=1), np.float64),
+                  (FloatConfig(10, 3, bias=512), np.int64)]
+
+    @pytest.mark.parametrize("cfg, kind", KIND_EDGES, ids=str)
+    def test_the_edges_of_the_ieee_double_patterns(self, cfg, kind):
+        # M = 0 ties on the implicit leading bit, where a pattern's kept
+        # parity bit would be the exponent's low bit; past bias 511 or e_max
+        # 510 a product leaves the normal doubles
+        assert _word_kind(cfg) == kind
+        c = ternary_inputs()
+        ev = CircuitEvaluator(c, cfg, MultiplierPlan.all_exact(c))
+        assert isinstance(ev._format.ops(1), _PatternWords if kind == np.float64 else _IntWords)
+        if kind == np.float64:  # extreme pairs, each product and add at the range's ends
+            m, top, lo = cfg.man_bits, cfg.max_word, 0
+            ones = cfg.man_scale - 1
+            words = [lo, lo | 1, lo | ones, top, top - 1, top & ~ones, cfg.bias << m,
+                     (cfg.bias << m) | (1 << (m - 1)), -1]
+            assert_ops_match_scalar(cfg, PATTERNS, [(x, y) for x in words for y in words])
 
     @pytest.mark.parametrize("cfg", CONFIGS + [FloatConfig(30, 32)], ids=str)
     def test_word_kinds_are_dtypes(self, cfg):
@@ -674,7 +782,7 @@ class TestLeavingIEEEDoubles:
         assert records == [ev._format, ints] and ints.kind == object and ints.cfg == FLOAT64
         assert ints.w.ravel().tolist() == encode_words(_compile(c).weights, FLOAT64)[0].tolist()
         assert got == ScalarEvaluator(c, FLOAT64, plan).mar(TINY_CHAIN_ROWS[2])
-        assert plan._verdicts[ints] is False  # checked: a product leaves the range
+        assert plan._verdicts[ints] == 1  # checked from the product, which leaves the range
 
 
 def ternary_inputs() -> Circuit:
@@ -806,7 +914,7 @@ class TestMapResult:
 
 class TestInputTables:
     @pytest.mark.parametrize("cfg, kind", [
-        (FloatConfig(8, 10), np.int32), (FloatConfig(11, 40), np.int64),
+        (FloatConfig(8, 10), np.float64), (FloatConfig(11, 40), np.int64),
         (FloatConfig(11, 41, rounding=TOWARD_ZERO), object), (FLOAT64, np.float64)], ids=str)
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_tables_match_the_scalar_reference(self, cfg, kind, share):
@@ -989,13 +1097,22 @@ class TestCaches:
 CERTIFICATE_CONFIGS = CONFIGS + [FloatConfig(3, 2), FloatConfig(4, 3, rounding=TOWARD_ZERO)]
 
 
-def passes(ev: CircuitEvaluator, rows, picks, checked: bool):
-    """MAR, MAP and picked passes over rows on the evaluator's own words,
-    with or without the range checks, each with its choice table: none, the
-    one MAP fills, and picks."""
+def passes(ev: CircuitEvaluator, rows, picks, free: int = 0):
+    """MAR, MAP and picked passes over rows on the evaluator's own words, the
+    first `free` levels unchecked (none by default), each with its choice
+    table: none, the one MAP fills, and picks."""
     tables = [None, np.zeros((len(ev._comp.sum_index), len(rows)), dtype=np.int64), picks]
-    return [ev._pass(ev._format.ops(len(rows), checked), rows, mode, choices) + (choices,)
+    return [ev._pass(ev._format.ops(len(rows)), rows, mode, choices, free) + (choices,)
             for mode, choices in zip((inference._MAR, inference._MAP, inference._PICK), tables)]
+
+
+def counted_levels(ev: CircuitEvaluator, rows, picks, mode=inference._MAR) -> list:
+    """Per level of a checked pass over rows, whether any op so far counted."""
+    choices = {inference._MAP: np.zeros((len(ev._comp.sum_index), len(rows)), dtype=np.int64),
+               inference._PICK: picks}.get(mode)
+    counted = []
+    ev._ascend(ev._format.ops(len(rows)), rows, mode, choices, counted=counted)
+    return counted
 
 
 def plain(results) -> list:
@@ -1003,8 +1120,9 @@ def plain(results) -> list:
 
 
 def verdicts(ev: CircuitEvaluator) -> dict:
-    """The plan's range verdicts on the evaluator's layout, by the (config,
-    word kind) of their records."""
+    """The plan's range verdicts on the evaluator's layout, the number of
+    levels passes run unchecked, by the (config, word kind) of their
+    records."""
     formats = inference._FORMATS.get(ev._comp, {})
     return {key: ev.plan._verdicts[f] for key, f in formats.items() if f in ev.plan._verdicts}
 
@@ -1014,9 +1132,20 @@ def with_weights(c: Circuit, uid: int, weights) -> Circuit:
     return Circuit(c.variables, units, c.root)
 
 
+def tree_batch(seed: int):
+    """The benchmark's tree-batch circuit, config and half-AAI plan at seed."""
+    c = generate_random_tree_pc(seed, 32, 4, 3)
+    edges = c.weight_edges()
+    pick = np.random.default_rng(seed).choice(len(edges), len(edges) // 2, replace=False)
+    plan = MultiplierPlan.from_aai_weight_sites(c, [edges[i] for i in sorted(pick)])
+    return c, FloatConfig(8, 10), plan
+
+
 class TestRangeCertificate:
-    """A pass runs unchecked where two checked passes over one all-unobserved
-    row show that no op of any pass can leave the format's range."""
+    """A pass runs its first levels unchecked where two checked passes over
+    one all-unobserved row show that no op there of any pass can leave the
+    format's range; from the first level where they count, or where an AAI
+    operand that can meet the zero word may exceed one, it runs checked."""
 
     @settings(max_examples=80, deadline=None)
     @given(cases(CERTIFICATE_CONFIGS))
@@ -1032,44 +1161,86 @@ class TestRangeCertificate:
             assert (got.assignment.tolist(), got.log2_value, dict(got.trace), u, o) == \
                 (want.assignment.tolist(), want.log2_value, want.trace, want_u, want_o)
             assert value == ref.restricted_value(want.trace, evidence_of(row))
-        (certified,) = verdicts(ev).values()
-        if certified:  # every state, and the hidden rows
-            comp, x = ev._comp, np.vstack([enumerate_states(c), hidden])
-            picks = np.random.default_rng(len(rows)).integers(
-                0, comp.sum_arity[:, None], size=(len(comp.sum_arity), len(x)))
-            checked = passes(ev, x, picks, True)
-            for _, under, over, _, _ in checked:
-                assert not under.any() and not over.any()
-            assert plain(passes(ev, x, picks, False)) == plain(checked)
+        (free,) = verdicts(ev).values()
+        # every state, and the hidden rows: no checked op of the free levels
+        # counts, and the passes give the all-checked words and counts
+        comp, x = ev._comp, np.vstack([enumerate_states(c), hidden])
+        picks = np.random.default_rng(len(rows)).integers(
+            0, comp.sum_arity[:, None], size=(len(comp.sum_arity), len(x)))
+        for mode in (inference._MAR, inference._MAP, inference._PICK):
+            assert not any(counted_levels(ev, x, picks, mode)[:free])
+        assert plain(passes(ev, x, picks, free)) == plain(passes(ev, x, picks))
 
     @pytest.mark.parametrize("cfg", [FloatConfig(8, 12, rounding=TOWARD_ZERO), FloatConfig(3, 2),
                                      FloatConfig(4, 3), FloatConfig(11, 40), FLOAT64], ids=str)
     def test_hand_built_circuits(self, cfg):
-        # on these circuits the certificate is tight: it refuses exactly the
-        # passes where a row saturates, at (3, 2) all of them and at (4, 3)
-        # ternary_inputs, whose least value 0.1 * 0.1 * 0.45 is about 2**-7.8
+        # on these circuits the certificate is tight: it frees every level
+        # exactly where no row saturates, at (3, 2) on none of the passes and
+        # at (4, 3) on ternary_inputs, whose least value 0.1 * 0.1 * 0.45 is
+        # about 2**-7.8
         for c in (ternary_inputs(), with_equal_weights(ternary_inputs())):
             rows = enumerate_states(c)
             hidden = np.vstack([np.where(rows % 2 == 1, -1, rows), np.full((1, 3), -1)])
             for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
                 ev = assert_matches_scalar(c, cfg, plan, rows, hidden)
-                (certified,) = verdicts(ev).values()
+                (free,) = verdicts(ev).values()
+                every = free == len(ev._comp.levels)
                 counts = [n.sum() for r in (ev.mar(rows), ev.map_query(hidden)) for n in r[1:]]
-                assert certified == (sum(counts) == 0)
-                assert certified == (cfg.exp_bits > 4 or
-                                     cfg.exp_bits == 4 and c.units[8].weights[0] == 0.25)
-                if certified:
-                    picks = ev.map_query(hidden)[0]
-                    picks = np.stack([m.trace._column for m in picks], axis=1)
-                    assert plain(passes(ev, hidden, picks, False)) == \
-                        plain(passes(ev, hidden, picks, True))
+                assert every == (sum(counts) == 0)
+                assert every == (cfg.exp_bits > 4 or
+                                 cfg.exp_bits == 4 and c.units[8].weights[0] == 0.25)
+                picks = ev.map_query(hidden)[0]
+                picks = np.stack([m.trace._column for m in picks], axis=1)
+                assert plain(passes(ev, hidden, picks, free)) == plain(passes(ev, hidden, picks))
 
     def test_the_benchmarks_deep_circuit_is_certified(self):
         c = generate_random_det_pc(0, 10)
         cfg, plan = FloatConfig(8, 12, rounding=TOWARD_ZERO), MultiplierPlan.all_aai(c)
         x = sample(c, 0, 1)[0]
         assert inference.eval_mar(c, x, cfg, plan) == ScalarEvaluator(c, cfg, plan).mar(x)[0]
-        assert verdicts(CircuitEvaluator(c, cfg, plan)) == {(cfg, np.dtype(np.int32)): True}
+        assert verdicts(CircuitEvaluator(c, cfg, plan)) == \
+            {(cfg, np.dtype(np.float64)): len(_compile(c).levels)}
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 8])
+    def test_the_tree_batch_tests_first_eight_levels_run_unchecked(self, seed):
+        # only the 3 products of level 8 and the root sum go below 2**-126:
+        # the least-term pass counts there, the MAR pass nowhere
+        c, cfg, plan = tree_batch(seed)
+        ev = CircuitEvaluator(c, cfg, plan)
+        assert len(ev._comp.levels) == 10 and verdicts(ev) == {}
+        row = np.full((1, c.n_vars), -1)
+        assert counted_levels(ev, row, None) == [False] * 10
+        assert counted_levels(ev, row, None, inference._LEAST) == [False] * 8 + [True] * 2
+        assert ev._free(ev._format) == 8
+        # every weight is at most one; at seeds 1, 4 and 8 a level-3 sum's
+        # upper bound rounds above one, but its partners are nonzero weights
+        ar = ev._format.ops(1)
+        top = ev._ascend(ar, row, inference._MAR)
+        assert (ev._format.w <= ar.one).all()
+        lev = ev._comp.levels[3]
+        assert (top[lev.s0:lev.s1] > ar.one).any() == (seed != 0)
+        rows = sample(c, seed, 12)
+        rows[::3, ::2] = -1
+        picks = np.zeros((len(ev._comp.sum_index), len(rows)), dtype=np.int64)
+        assert plain(passes(ev, rows, picks, 8)) == plain(passes(ev, rows, picks))
+        base = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
+        assert base._free(base._format) == 10
+
+    def test_a_circuit_that_saturates_midway_is_checked_from_there(self):
+        # at (5, 3) the least-term pass of det(8) underflows at level 6 of 15
+        c, cfg = generate_random_det_pc(1, 8), FloatConfig(5, 3)
+        rows = sample(c, 1, 24)
+        hidden = rows.copy()
+        hidden[::2, 1::2] = -1
+        for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
+            ev = assert_matches_scalar(c, cfg, plan, rows, hidden)
+            assert verdicts(ev) == {(cfg, np.dtype(np.float64)): 6}
+            row = np.full((1, c.n_vars), -1)
+            assert counted_levels(ev, row, None, inference._LEAST).index(True) == 6
+            under = ev.mar(rows)[1] + ev.map_query(hidden)[1]
+            assert under.any()
+            picks = np.stack([m.trace._column for m in ev.map_query(hidden)[0]], axis=1)
+            assert plain(passes(ev, hidden, picks, 6)) == plain(passes(ev, hidden, picks))
 
     @pytest.mark.parametrize("cfg", [FloatConfig(3, 3), FloatConfig(3, 4, bias=8),
                                      FloatConfig(8, 10)], ids=str)
@@ -1082,40 +1253,43 @@ class TestRangeCertificate:
         rows[0] = 0
         for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
             ev = assert_matches_scalar(c, cfg, plan, rows, rows)
-            assert verdicts(ev) == {(cfg, ev._format.kind): False}
+            (free,) = verdicts(ev).values()
+            assert free < len(ev._comp.levels)
             assert (ev.mar(rows)[1] + ev.mar(rows)[2]).sum() > 0
 
     @pytest.mark.parametrize("cfg", [FloatConfig(11, 40), FloatConfig(11, 41), FLOAT64], ids=str)
-    @pytest.mark.parametrize("uid, weights", [(12, (1 + 2.0 ** -40,)),
-                                              (10, (0.2, 0.3, 0.1, 0.4 + 2.0 ** -40))],
+    @pytest.mark.parametrize("uid, weights, free", [(12, (1 + 2.0 ** -40,), 0),
+                                                    (10, (0.2, 0.3, 0.1, 0.4 + 2.0 ** -40), 1)],
                              ids=["weight", "unobserved-sum"])
-    def test_a_word_above_one_is_refused_under_aai(self, cfg, uid, weights):
+    def test_a_word_above_one_is_refused_under_aai(self, cfg, uid, weights, free):
         # weights may sum to one within 1e-12, so a weight or an unobserved
         # sum can be an ulp above one; an AAI product of it and a zero is
         # zero, but max(a + b - one, -1) would give a value, so only plans
-        # without AAI sites are certified
+        # without AAI sites run that level unchecked: the first level, whose
+        # sum 12 weighs by the weight, or the products of the second, whose
+        # AAI folds take sum 10
         c = with_weights(ternary_inputs(), uid, weights)
         rows = enumerate_states(c)
         hidden = np.vstack([rows, [[3, -1, 0], [3, -1, 1], [-1, -1, -1]]])
         aai = assert_matches_scalar(c, cfg, MultiplierPlan.all_aai(c), rows, hidden)
-        assert verdicts(aai) == {(cfg, aai._format.kind): False}
+        assert verdicts(aai) == {(cfg, aai._format.kind): free}
         unchecked, checked = (aai._ascend(aai._format.ops(len(hidden), flag), hidden,
                                           inference._MAR)
                               for flag in (False, True))
         assert (unchecked != checked).any()
         exact = assert_matches_scalar(c, cfg, MultiplierPlan.all_exact(c), rows, hidden)
-        assert verdicts(exact) == {(cfg, exact._format.kind): True}
+        assert verdicts(exact) == {(cfg, exact._format.kind): 3}
 
     def test_a_float64_circuit_with_a_subnormal_weight_is_refused(self):
         c = chain_of_tiny_sums(2, 2.0 ** -1023)
         rows = np.array([[0, 1], [1, 1], [0, 0], [-1, 1]])
         for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
             ev = assert_matches_scalar(c, FLOAT64, plan, rows[:3], rows)
-            assert verdicts(ev)[FLOAT64, np.dtype(np.float64)] is False
-            assert verdicts(ev)[FLOAT64, np.dtype(object)] is False  # 2**-2046 underflows
+            assert verdicts(ev)[FLOAT64, np.dtype(np.float64)] == 0
+            assert verdicts(ev)[FLOAT64, np.dtype(object)] == 1  # 2**-2046 underflows
         ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan(dict(MultiplierPlan.all_exact(c).modes)))
         ev.mar(np.array([[1, 1]]))  # stays in IEEE doubles: no rerun, no Python-int verdict
-        assert verdicts(ev) == {(FLOAT64, np.dtype(np.float64)): False}
+        assert verdicts(ev) == {(FLOAT64, np.dtype(np.float64)): 0}
 
     def test_built_once_per_plan_layout_config_and_kind_on_the_first_pass(self, monkeypatch):
         built = []
@@ -1123,22 +1297,22 @@ class TestRangeCertificate:
         monkeypatch.setattr(CircuitEvaluator, "_certify", lambda ev, fmt:
                             built.append((fmt.cfg, fmt.kind)) or certify(ev, fmt))
         c = generate_random_det_pc(0, 4)
-        plan, cfg = MultiplierPlan.all_aai(c), FloatConfig(8, 10)
+        plan, cfg, n = MultiplierPlan.all_aai(c), FloatConfig(8, 10), len(_compile(c).levels)
         a, b = CircuitEvaluator(c, cfg, plan), CircuitEvaluator(c, cfg, plan)
         assert built == [] and verdicts(a) == {}
         rows = sample(c, 0, 4)
         maps, _, _ = a.map_query(rows)
         a.mar(rows), b.mar(rows[0]), b.restricted_value([m.trace for m in maps], rows)
-        assert built == [(cfg, np.dtype(np.int32))]
-        assert dict(plan._verdicts) == {inference._format(c, cfg): True}  # keyed by the record
+        assert built == [(cfg, np.dtype(np.float64))]
+        assert dict(plan._verdicts) == {inference._format(c, cfg): n}  # keyed by the record
         CircuitEvaluator(c, FloatConfig(11, 40), plan).mar(rows)
         CircuitEvaluator(c, cfg, MultiplierPlan(dict(plan.modes))).mar(rows)
-        assert built == [(cfg, np.dtype(np.int32)), (FloatConfig(11, 40), np.dtype(np.int64)),
-                         (cfg, np.dtype(np.int32))]
+        assert built == [(cfg, np.dtype(np.float64)), (FloatConfig(11, 40), np.dtype(np.int64)),
+                         (cfg, np.dtype(np.float64))]
         d = generate_random_det_pc(1, 4)  # another layout
         CircuitEvaluator(d, cfg, MultiplierPlan.all_aai(d)).mar(sample(d, 0, 1))
-        assert len(built) == 4 and verdicts(a) == {(cfg, np.dtype(np.int32)): True,
-                                                   (FloatConfig(11, 40), np.dtype(np.int64)): True}
+        assert len(built) == 4 and verdicts(a) == {(cfg, np.dtype(np.float64)): n,
+                                                   (FloatConfig(11, 40), np.dtype(np.int64)): n}
 
 
 class TestRestrictedValue:
