@@ -5,8 +5,12 @@ weights, each mantissa's log shortfall weighted by the probability mass of the
 induced trees through that edge.  It is the expected gap between log2 p and
 the all-AAI root word read as its Mitchell log e + f.  Against the brute-force
 divergence over the full state space, which reads the root as the value it
-encodes, it is an upper bound: KL = Delta_det - E_p[delta(f_root)].
-Non-deterministic circuits get a sampled surrogate.
+encodes from weights quantized to the format, a deterministic circuit where
+nothing saturates has KL = Delta_det + Q - R: Q sums, over the sum edges,
+mass * (log2 w - log2 q_w) for each weight w and its quantized q_w, and
+R = E_p[delta(f_root)] >= 0, so KL <= Delta_det + Q.  Q is zero where the
+weights are exact in the format.  Non-deterministic circuits get a sampled
+surrogate.
 A separate Monte-Carlo estimator bounds how often approximate scores flip a
 MAP comparison.
 """
@@ -91,9 +95,13 @@ def delta_det(c: Circuit, cfg: FloatConfig) -> AnalysisReport:
     pass through.  An AAI product adds words as integers, so the root word's
     Mitchell log e + f is the sum of the weights' Mitchell logs, and log2 p
     minus it is the sum of the mantissa shortfalls delta(f_w) of the weights
-    in that tree.  Delta_det is exactly the expectation of that gap.  Against
-    the divergence, which reads the root as the value 2^e (1 + f) it encodes,
-    it is an upper bound: KL = Delta_det - E_p[delta(f_root)] <= Delta_det.
+    in that tree.  Delta_det is exactly the expectation of that gap.  The
+    divergence reads the root as the value 2^e (1 + f) it encodes, and p
+    multiplies the weights w, not their quantized q_w; where nothing
+    saturates, KL = Delta_det + Q - R, with Q the sum over sum edges of
+    mass * (log2 w - log2 q_w) and R = E_p[delta(f_root)] >= 0, so
+    KL <= Delta_det + Q.  Where every weight is exact in the format, Q = 0
+    and Delta_det bounds KL from above.
     """
     rep = validate(c)
     note = "; ".join([f"not {p}" for p in ("smooth", "decomposable") if not getattr(rep, p)]

@@ -17,21 +17,20 @@ edges in `children` order, padded with the word for one and with
 zero-weight edges; padding never saturates.  Values are words of a kind
 that the format alone decides (`_word_kind`):
 
-- IEEE doubles (kind float64), wherever the format fits them
-  (`_fits_doubles`: 1 <= M <= 25, bias <= 511, e_max <= 510), as the int64
-  bit patterns of the values with zero as 0 (`_PatternWords`).  The AAI
-  product is still an integer add less the pattern of 1.0 and MAP still
-  compares integers; the exact product is one IEEE multiply, exact as
-  2(M+1) <= 53, and the add one IEEE add, whose rounding to 53 bits then to
-  M+1 rounds as once as 53 >= 2(M+1) + 1, each then rounded by a mask on
-  the pattern.  M = 0 stays on the format's words, as its ties go up on the
-  implicit leading bit, which a pattern does not hold;
-- IEEE doubles for FLOAT64 too, held as float64 values (`_IEEEWords`), so
-  its exact ops are one IEEE op each.  A product at or below 2**-1022,
-  where IEEE subnormals part from this format (a weight below 2**-1022
-  times a positive child is one), counts in `under`, and its chunk reruns,
-  the same pass, on FLOAT64's Python-int words: the one way a pass leaves
-  IEEE doubles;
+- IEEE doubles (kind float64), as the int64 bit patterns of the values
+  with zero as 0 (`_PatternWords`), for FLOAT64 and wherever the format
+  fits them (`_fits_doubles`: 1 <= M <= 25, bias <= 511, e_max <= 510).
+  The AAI product is still an integer add less the pattern of 1.0 and MAP
+  still compares integers; the exact product is one IEEE multiply, exact
+  as 2(M+1) <= 53, and the add one IEEE add, whose rounding to 53 bits then
+  to M+1 rounds as once as 53 >= 2(M+1) + 1, each then rounded by a mask on
+  the pattern (FLOAT64's IEEE ops round as the format does, and its
+  patterns are its words).  M = 0 stays on the format's words, as its ties
+  go up on the implicit leading bit, which a pattern does not hold.  On
+  FLOAT64 a product at or below 2**-1022, where IEEE subnormals part from
+  this format (a weight below 2**-1022 times a positive child is one),
+  counts in `under`, and its chunk reruns, the same pass, on FLOAT64's
+  Python-int words: the one way a pass leaves IEEE doubles;
 - the format's own bit patterns (biased exponent, then mantissa) with zero
   as -1, out of band, so the smallest value (pattern 0) stays apart and
   word order is value order (`_IntWords`): in int64 up to M = 40
@@ -77,7 +76,7 @@ once per (compiled layout, config, word kind), in one record (`_Format`,
 built by `_format` and held weakly by the layout, so that it goes with the
 circuit): the slot weights as words with the counts of those that
 saturated, the MAR and MAP input tables, the word ops of a chunk
-(`_PatternWords`, `_IEEEWords` or `_IntWords`, which carry the record), and
+(`_PatternWords` or `_IntWords`, which carry the record), and
 the values of root words.  The evaluator reads no bit field: it hands rows
 to the word ops of its record, and the FLOAT64 rerun is the same pass on the
 ops of the (FLOAT64, Python int) record.  The rounding step of the word ops
@@ -271,14 +270,14 @@ class _Words:
             return np.maximum(r, self.zero, out=r)
         return self._saturate(r, (a == self.zero) | (b == self.zero))
 
-    def _saturate(self, r, zero=None):
-        """Count and saturate out-of-range words; zero marks the results of
-        a zero operand, which are zero without a flag.  Unchecked, only
-        those become zero."""
+    def _saturate(self, r, zero=None, lo=None):
+        """Count and saturate out-of-range words, those below lo (`lo` by
+        default) and above `top`; zero marks the results of a zero operand,
+        which are zero without a flag.  Unchecked, only those become zero."""
         if not self.checked:
             return r if zero is None else np.where(zero, self.zero, r)
         if zero is not None:
-            under = (r < self.lo) & ~zero
+            under = (r < (self.lo if lo is None else lo)) & ~zero
             if under.any():
                 self.under += under.sum(axis=0)
             r = np.where(zero | under, self.zero, r)
@@ -352,7 +351,6 @@ class _IntWords(_Words):
         return r | ((r << d) != s)
 
 
-_TINY = 2.0 ** -1022
 _INT64, _FLOAT64, _OBJECT = map(np.dtype, (np.int64, np.float64, object))
 _ONE = 1023 << 52  # the bit pattern of 1.0
 
@@ -369,27 +367,35 @@ def _fits_doubles(cfg: FloatConfig) -> bool:
 
 class _PatternWords(_Words):
     """cfg's values as the int64 bit patterns of the IEEE doubles they are,
-    with zero as 0, for the formats that fit (`_fits_doubles`).  Patterns of
-    non-negative doubles compare as the values do, and the AAI product is
-    their integer add less the pattern of 1.0, as on the format's words.
-    The exact product is one IEEE multiply and the add one IEEE add (zero
-    operands give zero), each then rounded once to M fraction bits by a
-    mask on the pattern, where a carry lands in the exponent field.  The
-    range is the patterns of 2**-bias (`lo`) and of the largest value."""
+    with zero as 0, for FLOAT64 and the formats that fit (`_fits_doubles`).
+    Patterns of non-negative doubles compare as the values do, and the AAI
+    product is their integer add less the pattern of 1.0, as on the format's
+    words.  The exact product is one IEEE multiply and the add one IEEE add
+    (zero operands give zero), each then rounded once to M fraction bits by
+    a mask on the pattern, where a carry lands in the exponent field; at
+    s = 52 - M = 0, FLOAT64, the IEEE op's own rounding is the format's.
+    The range is the least pattern that is both a value and a normal double
+    (`lo`: 2**-bias, or 2**-1022 for FLOAT64, whose least value 2**-1023 is
+    an IEEE subnormal) and the pattern of the largest value.  Below
+    2**-1022 IEEE rounds a product on the subnormal grid, where a tie can
+    round up to 2**-1022 itself, so there the exact product also counts at
+    `lo`; formats with bias <= 511 never get there."""
 
     dtype, one, zero = _INT64, _ONE, 0
 
     def __init__(self, cfg: FloatConfig, n_rows: int, checked: bool = True):
         super().__init__(n_rows, checked)
         self.cfg, self.s = cfg, 52 - cfg.man_bits
-        self.lo = (1023 - cfg.bias) << 52
-        self.top = (cfg.max_word << self.s) + self.lo
+        offset = (1023 - cfg.bias) << 52  # the pattern of 2**-bias, word 0
+        self.lo = max(offset, 1 << 52)
+        self.tiny = self.lo + (offset < self.lo)  # the exact product's floor
+        self.top = (cfg.max_word << self.s) + offset
         self.keep = -1 << self.s
-        self.half = (1 << (self.s - 1)) - 1 if cfg.rounding == NEAREST_EVEN else None
+        self.half = (1 << (self.s - 1)) - 1 if cfg.rounding == NEAREST_EVEN and self.s else None
 
     def exact(self, a, b):
         r = self._round((a.view(np.float64) * b.view(np.float64)).view(np.int64))
-        return self._saturate(r, (a == 0) | (b == 0)) if self.checked else r
+        return self._saturate(r, (a == 0) | (b == 0), self.tiny) if self.checked else r
 
     def add(self, a, b):
         r = self._round((a.view(np.float64) + b.view(np.float64)).view(np.int64))
@@ -398,7 +404,9 @@ class _PatternWords(_Words):
     def _round(self, r):
         """r, a new array, rounded to M fraction bits in place: to nearest
         with ties to the even kept bit (add just under half an ulp, plus the
-        kept parity bit), or toward zero."""
+        kept parity bit), or toward zero.  At s = 0 the IEEE op rounded it."""
+        if not self.s:
+            return r
         if self.half is not None:
             r += (r >> self.s) & 1
             r += self.half
@@ -406,53 +414,13 @@ class _PatternWords(_Words):
         return r
 
 
-class _IEEEWords:
-    """FLOAT64 on IEEE doubles, held as float64 values, so that its exact
-    product and add are one IEEE op each: the same values and ops as the bit
-    patterns while every value stays normal.  Sums of normal values stay
-    normal, and the values of a circuit whose weights sum to one stay far
-    below overflow.  Checked, a product of nonzero operands at or below
-    2**-1022 (the AAI one: below it) leaves IEEE doubles: it adds one to its
-    column of `under` and gives 0.0, and `over` stays zero, so here a count
-    means that the column left them.  Unchecked, for a level the range
-    certificate covers, the products skip that test, and the AAI product is
-    max(a + b - one, 0) on the bit patterns: zero's pattern is 0, and with
-    the other operand at most 1.0 its sum is at most 0."""
-
-    dtype, one, zero = np.dtype(np.float64), 1.0, 0.0
-
-    def __init__(self, n_rows: int, checked: bool = True):
-        self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
-        self.checked = checked
-
-    def aai(self, a, b):
-        r = a.view(np.int64) + b.view(np.int64) - _ONE
-        if not self.checked:
-            return np.maximum(r, 0, out=r).view(np.float64)
-        zero = (a == 0) | (b == 0)
-        return self._count(np.where(zero, 0.0, r.view(np.float64)), (r < 1 << 52) & ~zero)
-
-    def exact(self, a, b):
-        r = a * b
-        return self._count(r, (r <= _TINY) & (a > 0) & (b > 0)) if self.checked else r
-
-    def _count(self, r, leaves):
-        """Count the products that leave IEEE doubles, and make them 0.0."""
-        if leaves.any():
-            self.under += leaves.sum(axis=0)
-            r = np.where(leaves, 0.0, r)
-        return r
-
-    add = staticmethod(np.add)
-
-
 def _word_kind(cfg: FloatConfig) -> np.dtype:
-    """The words cfg's ops run on, by format alone: float64 for IEEE doubles,
-    FLOAT64's as float64 values (`_IEEEWords`) and those of the formats that
-    fit them as their int64 bit patterns (`_PatternWords`); else int64 for
-    the format's own words (`_IntWords`) where a sum of two, of E+M+2 bits,
-    fits in 63 and the product's low partial product, of M+1+k bits, in 62
-    (M <= 40); and Python ints for the rest."""
+    """The words cfg's ops run on, by format alone: float64 for the bit
+    patterns of IEEE doubles, held in int64 (`_PatternWords`), for FLOAT64
+    and the formats that fit them; else int64 for the format's own words
+    (`_IntWords`) where a sum of two, of E+M+2 bits, fits in 63 and the
+    product's low partial product, of M+1+k bits, in 62 (M <= 40); and
+    Python ints for the rest."""
     if cfg == FLOAT64 or _fits_doubles(cfg):
         return _FLOAT64
     m, e = cfg.man_bits, cfg.exp_bits
@@ -572,9 +540,13 @@ class _Format:
     once per (layout, config, word kind) by `_format`: the slot weights as
     words, one column wide, with the counts of those that saturated; the
     word ops of a chunk; the MAR and MAP input tables; and the values of
-    root words.  On IEEE doubles a value's bit pattern is its word shifted
-    up by s = 52 - M, plus that of 2**-bias (FLOAT64's are its own words);
-    FLOAT64's weights are the doubles themselves, a subnormal one included,
+    root words.  Words come in three representations, by kind: the bit
+    patterns of IEEE doubles in int64 (float64), FLOAT64's included, the
+    format's own words in int64, and those words as Python ints (object).
+    On IEEE doubles a value's bit pattern is its word shifted up by
+    s = 52 - M, plus that of 2**-bias (FLOAT64's are its own words, s = 0);
+    FLOAT64's weights are the doubles' own patterns, a subnormal one
+    included, as its least value 2**-1023, word 0, is the pattern of +0.0,
     and only there (`leaves`) may a count mean that a product left IEEE
     doubles.  The words need a word for one in range, so a negative bias is
     refused here."""
@@ -587,8 +559,8 @@ class _Format:
         self.leaves = kind == _FLOAT64 and cfg == FLOAT64
         self.s, self.lo = 52 - cfg.man_bits, (1023 - cfg.bias) << 52
         w, self.under, self.over = encode_words(comp.weights, cfg)
-        if self.leaves:
-            w = comp.weights
+        if self.leaves:  # the doubles' own patterns: 2**-1023 is word 0, +0.0's
+            w = comp.weights.view(np.int64)
         elif kind == _FLOAT64:
             w = np.where(w < 0, 0, (w << self.s) + self.lo)
         else:
@@ -599,18 +571,17 @@ class _Format:
     def ops(self, n_rows: int, checked: bool = True):
         """The word ops over n_rows columns, checking each result's range
         unless told not to; they carry this record as `fmt`."""
-        if self.kind != _FLOAT64:
-            ar = _IntWords(self.cfg, self.kind, n_rows, checked)
+        if self.kind == _FLOAT64:
+            ar = _PatternWords(self.cfg, n_rows, checked)
         else:
-            ar = _IEEEWords(n_rows, checked) if self.leaves else \
-                _PatternWords(self.cfg, n_rows, checked)
+            ar = _IntWords(self.cfg, self.kind, n_rows, checked)
         ar.fmt = self
         return ar
 
     def values(self, roots: np.ndarray) -> list[CustomFloat]:
         """Root words as values; IEEE doubles read through their patterns."""
         if self.kind == _FLOAT64:
-            roots = np.where(roots == 0, -1, (roots.view(np.int64) - self.lo) >> self.s)
+            roots = np.where(roots == 0, -1, (roots - self.lo) >> self.s)
         m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
         zero = CustomFloat.zero(m)
         return [zero if w < 0 else CustomFloat(False, (w >> m) - bias, w & mm, m)
@@ -654,8 +625,10 @@ class CircuitEvaluator:
     plan's per-level modes (cached on the plan), so that building one does
     no per-unit or per-level work.  Weights are quantized once, per
     cfg.rounding; under toward-zero this keeps the one-sided
-    underestimation end to end.  The word kind follows from cfg alone; a
-    FLOAT64 chunk whose values leave IEEE doubles reruns on Python ints.
+    underestimation end to end.  The word kind follows from cfg alone: IEEE
+    double patterns in int64 (FLOAT64 and the formats that fit them), the
+    format's own words in int64, or those words as Python ints; a FLOAT64
+    chunk whose values leave IEEE doubles reruns on Python ints.
     Passes skip the range checks on the leading levels that the range
     certificate covers.
 

@@ -211,11 +211,12 @@ def root_readout_delta_oracle(circuit, man_bits: int, e_min: int, e_max: int,
 
     An all-AAI root word encodes 2^e (1 + f) while its Mitchell log is
     e + f, so reading it as a value adds delta(f) = log2(1 + f) - f on top
-    of the per-weight shortfalls.  On a deterministic circuit this is the
-    gap between the closed form and the divergence:
-    KL = delta_det - E_p[delta(f_root)].  States are enumerated in full and
-    weighted by the double-precision probability; zero-probability states
-    are skipped, as the divergence skips them.
+    of the per-weight shortfalls.  On a deterministic circuit where nothing
+    saturates, this R and the weights' quantisation term Q (the sum over
+    sum edges of mass * (log2 w - log2 q_w)) are the gap between the closed
+    form and the divergence: KL = delta_det + Q - R.  States are enumerated
+    in full and weighted by the double-precision probability;
+    zero-probability states are skipped, as the divergence skips them.
     """
     total = 0.0
     for x in itertools.product(*(range(v.cardinality) for v in circuit.variables)):

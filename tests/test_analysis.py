@@ -21,7 +21,7 @@ from aaipc.circuit import (
     parse_circuit,
     validate,
 )
-from aaipc.floats import FloatConfig, mitchell_delta
+from aaipc.floats import TOWARD_ZERO, FloatConfig, encode, log2_value, mitchell_delta
 from aaipc.inference import AAI, CircuitEvaluator, MultiplierPlan
 from aaipc.analysis import (
     MAP_FAILURE_CHUNK,
@@ -47,8 +47,11 @@ CFG = FloatConfig(11, 40)
 def assert_kl_identity(c: Circuit) -> None:
     # Delta_det sums the weights' Mitchell shortfalls, i.e. the gap between
     # log2 p and the root word's Mitchell log e + f.  KL reads the root as the
-    # value 2^e (1 + f) it encodes, so on a deterministic circuit
-    # KL = Delta_det - E_p[delta(f_root)], and Delta_det bounds KL from above.
+    # value 2^e (1 + f) it encodes, from the weights quantized to the format,
+    # so on a deterministic circuit where nothing saturates
+    # KL = Delta_det + Q - E_p[delta(f_root)] (TestKlAtLowPrecision).  At
+    # M = 40 the weights' term Q is about 1e-12, inside the tolerance, and the
+    # read-out term outweighs it on these circuits, so Delta_det bounds KL.
     rep = delta_det(c, CFG)
     kl = kl_bruteforce(c, CFG)
     readout = root_readout_delta_oracle(c, CFG.man_bits, CFG.e_min, CFG.e_max)
@@ -116,6 +119,46 @@ class TestDeltaDet:
         assert "18:0" in doc["contributions"]
         assert doc["delta_det"] == pytest.approx(
             sum(doc["contributions"].values()), abs=1e-12)
+
+
+def weight_quantisation_term(c: Circuit, cfg: FloatConfig) -> float:
+    """Q: over the sum edges, mass * (log2 w - log2 q_w), with q_w the
+    weight w encoded at cfg."""
+    masses = edge_masses(c)
+    return sum(masses[u.id, i] * (math.log2(w) - log2_value(encode(w, cfg).value))
+               for u in c.sum_units() for i, w in enumerate(u.weights))
+
+
+class TestKlAtLowPrecision:
+    """Where the weights are not exact in the format, a deterministic
+    circuit where nothing saturates has KL = Delta_det + Q - R, with Q the
+    weights' quantisation term and R = E_p[delta(f_root)], so
+    KL <= Delta_det + Q; Delta_det alone bounds nothing."""
+
+    @staticmethod
+    def terms(c: Circuit, cfg: FloatConfig) -> tuple[float, float, float, float]:
+        """KL, Delta_det, Q and R of c at cfg."""
+        r = root_readout_delta_oracle(c, cfg.man_bits, cfg.e_min, cfg.e_max,
+                                      toward_zero=cfg.rounding == TOWARD_ZERO)
+        return (kl_bruteforce(c, cfg), delta_det(c, cfg).delta_det,
+                weight_quantisation_term(c, cfg), r)
+
+    @pytest.mark.parametrize("rounding", ["nearest-even", TOWARD_ZERO])
+    @pytest.mark.parametrize("man_bits", [1, 2, 3, 5])
+    def test_kl_is_delta_det_plus_q_minus_r(self, man_bits, rounding):
+        cfg = FloatConfig(8, man_bits, rounding=rounding)
+        for seed in range(3):
+            kl, delta, q, r = self.terms(generate_random_det_pc(seed, 5), cfg)
+            assert kl == pytest.approx(delta + q - r, abs=1e-12)
+            assert r >= 0 and kl <= delta + q + 1e-12
+
+    def test_kl_can_exceed_delta_det(self):
+        # toward zero every quantized weight is at most its weight, so Q >= 0;
+        # here KL 1.736 against Delta_det 0.367, Q 1.414 and R 0.046
+        cfg = FloatConfig(8, 1, rounding=TOWARD_ZERO)
+        kl, delta, q, r = self.terms(generate_random_det_pc(0, 5), cfg)
+        assert kl > delta + 1 and q > 1
+        assert kl == pytest.approx(delta + q - r, abs=1e-12)
 
 
 class TestDeltaNondetMc:

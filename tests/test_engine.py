@@ -44,7 +44,6 @@ from aaipc.inference import (
     EXACT,
     CircuitEvaluator,
     MultiplierPlan,
-    _IEEEWords,
     _IntWords,
     _PatternWords,
     _widths,
@@ -246,11 +245,11 @@ def of_kind(words: np.ndarray, cfg, kind) -> list[int]:
     return words.ravel().tolist()
 
 
-def assert_ops_match_scalar(cfg, kind, pairs):
+def assert_ops_match_scalar(cfg, kind, pairs, checked=True):
     """Each word op on the pairs gives the scalar op's value and counts."""
     a, b = (as_kind(col, cfg, kind) for col in zip(*pairs))
     for op, scalar in (("aai", aai_mul), ("exact", exact_mul), ("add", exact_add)):
-        ar = word_ops(cfg, kind)
+        ar = word_ops(cfg, kind, checked=checked)
         got = of_kind(getattr(ar, op)(a, b), cfg, kind)
         want = [scalar(value_of(x, cfg), value_of(y, cfg), cfg) for x, y in pairs]
         assert [value_of(w, cfg) for w in got] == [r.value for r in want], op
@@ -319,6 +318,21 @@ class TestPatternWords:
         pairs = data.draw(st.lists(word_pairs(cfg), min_size=1, max_size=40))
         assert_ops_match_scalar(cfg, PATTERNS, pairs)
 
+    @pytest.mark.parametrize("checked", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_float64_near_tie_pairs_match_the_scalar_ops(self, checked, data):
+        # FLOAT64's patterns are its words and its IEEE ops round as it does;
+        # biased exponents 513 to 1533 (2**-510 up to 2**511) keep every
+        # result in [2**-1021, 2**1022], among the normal doubles.  Unchecked,
+        # an AAI operand that meets zero is at most one
+        assert inference._word_kind(FLOAT64) == np.float64
+        one = FLOAT64.bias << FLOAT64.man_bits
+        pair = word_pairs(FLOAT64, (513, 1533)).filter(
+            lambda p: checked or min(p) >= 0 or max(p) <= one)
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=40))
+        assert_ops_match_scalar(FLOAT64, PATTERNS, pairs, checked)
+
 
 #: formats whose words fold bits into a sticky bit: on int64, (11, 40)
 #: splits the product at k = 20 and (6, 31) at k = 2; both add with g = 3
@@ -331,17 +345,19 @@ SPLIT_WORDS = [
 
 
 @st.composite
-def word_pairs(draw, cfg):
+def word_pairs(draw, cfg, exponents=None):
     """Two words, often a few binades apart, with mantissas that are random,
-    sparse or nearly all ones, so that ties and sticky bits both show."""
+    sparse or nearly all ones, so that ties and sticky bits both show; their
+    biased exponents lie in `exponents` (every one by default)."""
+    low, high = exponents or (0, cfg.max_biased)
     m = cfg.man_bits
     bit = st.one_of(st.integers(0, m - 1), st.sampled_from([0, 1, m - 2, m - 1]))
     sparse = st.sets(bit, max_size=3).map(lambda s: sum(1 << i for i in s))
     mantissas = st.one_of(st.integers(0, cfg.man_scale - 1), sparse,
                           sparse.map(lambda x: cfg.man_scale - 1 - x))
-    ea = draw(st.integers(0, cfg.max_biased))
-    eb = draw(st.one_of(st.integers(0, cfg.max_biased), st.integers(ea - m - 3, ea + m + 3)))
-    words = [(e << m) | draw(mantissas) for e in (ea, min(max(eb, 0), cfg.max_biased))]
+    ea = draw(st.integers(low, high))
+    eb = draw(st.one_of(st.integers(low, high), st.integers(ea - m - 3, ea + m + 3)))
+    words = [(e << m) | draw(mantissas) for e in (ea, min(max(eb, low), high))]
     if draw(st.integers(0, 15)) == 0:
         words[draw(st.integers(0, 1))] = -1
     return tuple(words)
@@ -386,10 +402,12 @@ class TestSplitWords:
 
 
 #: the word kinds the range certificate leans on: IEEE double patterns,
-#: int64 with M <= 13 and in its split forms past M = 29, and Python ints
+#: FLOAT64's included, int64 with M <= 13 and in its split forms past
+#: M = 29, and Python ints
 MONOTONE_WORDS = [
     (FloatConfig(8, 10), PATTERNS), (FloatConfig(3, 2), PATTERNS),
     (FloatConfig(8, 12, rounding=TOWARD_ZERO), PATTERNS), (FloatConfig(8, 25), PATTERNS),
+    (FLOAT64, PATTERNS),
     (FloatConfig(8, 10), np.int64), (FloatConfig(4, 3, rounding=TOWARD_ZERO), np.int64),
     (FloatConfig(6, 30), np.int64), (FloatConfig(11, 40), np.int64),
     (FloatConfig(11, 40, rounding=TOWARD_ZERO), np.int64),
@@ -397,15 +415,31 @@ MONOTONE_WORDS = [
 ]
 
 
+def value_words(cfg) -> tuple[int, int]:
+    """The least and largest words of cfg that the monotone tests draw: every
+    word, but on FLOAT64 the normal doubles below 2**511, as its least value,
+    word 0, is the pattern of +0.0, the words below 2**-1022 are IEEE
+    subnormals, and a product of two values from 2**512 up can overflow."""
+    if cfg == FLOAT64:
+        return 1 << 52, (1534 << 52) - 1
+    return 0, cfg.max_word
+
+
+def words_between(lo: int, top: int):
+    """Zero (-1) or a word in [lo, top]."""
+    return st.integers(lo - 1, top).map(lambda w: w if w >= lo else -1)
+
+
 @st.composite
 def growing_pairs(draw, cfg, zero_lower=False):
     """A pair of words (zero or any value) and the same pair with one
     operand grown, often by a little; with zero_lower, the other operand
     is zero."""
-    word = st.integers(-1, cfg.max_word)
+    lo, top = value_words(cfg)
+    word = words_between(lo, top)
     a, b = draw(word), -1 if zero_lower else draw(word)
-    step = draw(st.one_of(st.integers(0, 3), st.integers(0, cfg.max_word)))
-    grown = min(a + step, cfg.max_word)
+    step = draw(st.one_of(st.integers(0, 3), st.integers(0, top)))
+    grown = a + step if a + step < 0 else min(max(a + step, lo), top)
     return ((a, b), (grown, b)) if draw(st.booleans()) else ((b, a), (b, grown))
 
 
@@ -435,9 +469,9 @@ class TestMonotoneWordOps:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_unchecked_ops_match_where_nothing_saturates(self, cfg, kind, data):
-        one = cfg.bias << cfg.man_bits
-        other = st.just(-1) if data.draw(st.booleans()) else st.integers(-1, one)
-        pair = st.tuples(st.integers(-1, one), other, st.booleans()).map(
+        one, lo = cfg.bias << cfg.man_bits, value_words(cfg)[0]
+        other = st.just(-1) if data.draw(st.booleans()) else words_between(lo, one)
+        pair = st.tuples(words_between(lo, one), other, st.booleans()).map(
             lambda t: t[:2] if t[2] else t[1::-1])
         pairs = data.draw(st.lists(pair, min_size=1, max_size=40))
         for op in ("aai", "exact", "add"):
@@ -449,13 +483,6 @@ class TestMonotoneWordOps:
                     continue
                 got = getattr(word_ops(cfg, kind, checked=False), op)(a_, b_)
                 assert got.tolist() == want.tolist(), (op, a, b)
-
-    def test_unchecked_ieee_ops_match_on_normal_values(self):
-        x = np.array([0.0, 2.0 ** -500, 0.3, 0.75, 1.0])
-        a, b = np.meshgrid(x, x)
-        for op in ("aai", "exact", "add"):
-            want = getattr(_IEEEWords(1), op)(a, b)
-            assert getattr(_IEEEWords(1, checked=False), op)(a, b).tolist() == want.tolist()
 
 
 #: the add's zero-operand select on int64, lossless and in its split form,
@@ -583,7 +610,7 @@ def leaves_ieee(ev: CircuitEvaluator, rows: np.ndarray) -> list:
     """Per row, whether a checked MAR pass on IEEE doubles leaves them: on
     these words only such a product counts in `under`."""
     ar = ev._format.ops(len(rows))
-    assert isinstance(ar, _IEEEWords)
+    assert isinstance(ar, _PatternWords) and ar.fmt.leaves
     ev._pass(ar, rows, inference._MAR, None)
     assert not ar.over.any()
     return (ar.under > 0).tolist()
@@ -718,14 +745,16 @@ def tiny_edge_traces(rows: np.ndarray) -> list[dict[int, int]]:
 
 
 class TestLeavingIEEEDoubles:
-    """A checked product that leaves IEEE doubles counts in `under`, as a
-    saturating op does on the integer words, and its chunk reruns on
+    """FLOAT64 runs on its IEEE double patterns, which are its words: a
+    checked product that leaves the normal doubles counts in `under`, as a
+    saturating op does on the format's words, and its chunk reruns on
     Python-int words."""
 
     def test_checked_products_count_the_cells_that_leave(self):
-        # exact: nonzero operands whose product is at or below 2**-1022 (no
-        # IEEE product of these values rounds across it); AAI: nonzero
-        # operands whose words add to less than the word of 2**-1022
+        # on the values' patterns, exact: nonzero operands whose product is at
+        # or below 2**-1022 (no IEEE product of these values rounds across
+        # it); AAI: nonzero operands whose patterns add to less than the
+        # pattern of 2**-1022
         x = np.array([0.0, 2.0 ** -1074, 2.0 ** -1023, 2.0 ** -1022, 1.5 * 2.0 ** -512,
                       2.0 ** -511, 0.75, 1.0])
         a, b = np.meshgrid(x, x)
@@ -738,8 +767,10 @@ class TestLeavingIEEEDoubles:
         for op, rule in leaves.items():
             want = np.array([[p > 0 and q > 0 and rule(p, q) for p, q in zip(ra, rb)]
                              for ra, rb in zip(a.tolist(), b.tolist())])
-            checked, unchecked = _IEEEWords(len(x)), _IEEEWords(len(x), checked=False)
-            got, raw = getattr(checked, op)(a, b), getattr(unchecked, op)(a, b)
+            checked, unchecked = (_PatternWords(FLOAT64, len(x), checked=flag)
+                                  for flag in (True, False))
+            got, raw = (getattr(ar, op)(a.view(np.int64), b.view(np.int64)).view(np.float64)
+                        for ar in (checked, unchecked))
             assert want.any() and not want.all()
             assert checked.under.tolist() == want.sum(axis=0).tolist(), op
             assert not checked.over.any() and not unchecked.under.any()
@@ -783,6 +814,46 @@ class TestLeavingIEEEDoubles:
         assert ints.w.ravel().tolist() == encode_words(_compile(c).weights, FLOAT64)[0].tolist()
         assert got == ScalarEvaluator(c, FLOAT64, plan).mar(TINY_CHAIN_ROWS[2])
         assert plan._verdicts[ints] == 1  # checked from the product, which leaves the range
+
+
+def value_tables(monkeypatch) -> list:
+    """The value tables that `_inputs` makes from here on, those of every
+    pass and input table, as they are made."""
+    tables, inputs = [], inference._inputs
+    monkeypatch.setattr(inference, "_inputs",
+                        lambda *args: tables.append(inputs(*args)) or tables[-1])
+    return tables
+
+
+#: the word kinds a pass may hold: IEEE double patterns and the format's
+#: own words in int64, and the format's words as Python ints
+INTEGER_WORDS = {np.dtype(np.int64), np.dtype(object)}
+
+
+class TestIntegerWords:
+    """Every pass runs on integer words: no format's weight words or value
+    tables, FLOAT64's and its rerun's included, hold float64 values."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=str)
+    def test_weight_words_and_value_tables_are_integers(self, cfg, monkeypatch):
+        c = generate_random_tree_pc(1, 5, 2, 3)
+        rows = sample(c, 1, 8)
+        tables = value_tables(monkeypatch)
+        ev = CircuitEvaluator(c, cfg, MultiplierPlan.all_exact(c))
+        ev.mar(rows)
+        ev.map_query(np.where(rows % 2 == 0, rows, -1))
+        assert inference._format(c, cfg).w.dtype in INTEGER_WORDS
+        assert len(tables) >= 2 and {t.dtype for t in tables} <= INTEGER_WORDS
+
+    def test_the_float64_rerun_record_holds_python_ints(self, monkeypatch):
+        c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
+        tables = value_tables(monkeypatch)
+        ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
+        ev.mar(TINY_CHAIN_ROWS)
+        ev.map_query(TINY_CHAIN_ROWS)
+        assert ev._format.w.dtype == np.int64
+        assert inference._format(c, FLOAT64, np.dtype(object)).w.dtype == object
+        assert {t.dtype for t in tables} == INTEGER_WORDS  # the rerun's too
 
 
 def ternary_inputs() -> Circuit:
