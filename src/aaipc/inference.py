@@ -76,21 +76,38 @@ once per (compiled layout, config, word kind), in one record (`_Format`,
 built by `_format` and held weakly by the layout, so that it goes with the
 circuit): the slot weights as words with the counts of those that
 saturated, the MAR and MAP input tables, the word ops of a chunk
-(`_PatternWords` or `_IntWords`, which carry the record), and
-the values of root words.  The evaluator reads no bit field: it hands rows
-to the word ops of its record, and the FLOAT64 rerun is the same pass on the
-ops of the (FLOAT64, Python int) record.  The rounding step of the word ops
+(`_PatternWords` or `_IntWords`, which carry the record), the values of
+root words and the buffer of its value tables.  The evaluator reads no bit
+field: it hands rows to the word ops of its record, and the FLOAT64 rerun is
+the same pass on the ops of the (FLOAT64, Python int) record.  The rounding step of the word ops
 is `floats._round_words` on the format's words, which `floats.encode_words`
 shares, and a mask on IEEE double patterns.  The uniform
 plans and each plan's per-level modes are kept per layout too.  MAP's
 backtrack is the layout's `descend`, which `circuit.sample` shares; the
 observed variables of an assignment keep their evidence values.
+
+Value tables.  Each record holds one buffer of a chunk's table, CHUNK_CELLS
+cells (a quarter of that for Python ints), and every pass on the record
+builds its table there (`_Format.table`), so that no pass allocates one.  A
+table is valid until the record's next pass: what outlives the pass, the
+root words and the certificate's upper bounds, is copied out first.  Each
+thread has a buffer of its own, kept as long as the layout lives, so the
+memory retained is one chunk table (up to 4 MB of touched pages) per record
+per thread that ran a pass on it; a Python-int buffer also keeps the ints of
+its last pass alive.  Each level writes its products and sums into its own
+rows of the table, through the `out` of the word ops, and MAP copies each
+better term in.  `compare_queries` does only the work its
+metrics read: the tested plan's MAP pass runs on every row, as its counts
+are reported, and the baseline's only on rows with an unobserved variable,
+since a complete row's assignment is its evidence and counts as a hit; both
+descend those rows alone, and neither makes values of its root words.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -252,39 +269,46 @@ def _widths(man_bits: int, dtype: np.dtype) -> tuple[int, int]:
 class _Words:
     """What the word ops on integer words share: the AAI product, one
     integer add less the word for one, and the range check of a result.
-    Checked, a result below the least value's word `lo` underflows and one
-    above the largest, `top`, overflows; each adds one to its column of
-    `under` or `over`.  Unchecked, for a level the range certificate covers,
-    no op looks at the range, and the AAI product is max(a + b - one, zero):
-    a zero operand, with the other at most one, gives at most the zero word."""
+    Every op writes its result into `out`, which may be either operand, and
+    returns it.  Checked, a result below
+    the least value's word `lo` underflows and one above the largest, `top`,
+    overflows; each adds one to its column of `under` or `over`.  Unchecked,
+    for a level the range certificate covers, no op looks at the range, and
+    the AAI product is max(a + b - one, zero): a zero operand, with the
+    other at most one, gives at most the zero word."""
 
     def __init__(self, n_rows: int, checked: bool):
         self.checked = checked
         self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
 
-    def aai(self, a, b):
+    def aai(self, a, b, out):
         """Words add as integers and the duplicated bias goes."""
-        r = a + b
+        zero = (a == self.zero) | (b == self.zero) if self.checked else None
+        r = np.add(a, b, out=out)
         r -= self.one
         if not self.checked:
             return np.maximum(r, self.zero, out=r)
-        return self._saturate(r, (a == self.zero) | (b == self.zero))
+        return self._saturate(r, zero)
 
     def _saturate(self, r, zero=None, lo=None):
-        """Count and saturate out-of-range words, those below lo (`lo` by
-        default) and above `top`; zero marks the results of a zero operand,
-        which are zero without a flag.  Unchecked, only those become zero."""
+        """Count and saturate r's out-of-range words in place, those below
+        lo (`lo` by default) and above `top`; zero marks the results of a
+        zero operand, which are zero without a flag.  Unchecked, only those
+        become zero."""
         if not self.checked:
-            return r if zero is None else np.where(zero, self.zero, r)
+            if zero is not None:
+                np.copyto(r, self.zero, where=zero)
+            return r
         if zero is not None:
             under = (r < (self.lo if lo is None else lo)) & ~zero
             if under.any():
                 self.under += under.sum(axis=0)
-            r = np.where(zero | under, self.zero, r)
+                zero |= under
+            np.copyto(r, self.zero, where=zero)
         over = r > self.top
         if over.any():
             self.over += over.sum(axis=0)
-            r = np.where(over, self.top, r)
+            np.copyto(r, self.top, where=over)
         return r
 
 
@@ -310,26 +334,30 @@ class _IntWords(_Words):
         self.bias, self.one, self.zero, self.lo = cfg.bias, cfg.bias << cfg.man_bits, -1, 0
         self.k, self.g = _widths(cfg.man_bits, dtype)
 
-    def exact(self, a, b):
+    def exact(self, a, b, out):
         """Significand product over 2**k, rounded once."""
         m = self.m
         wide = self._product((a & self.mm) | self.scale, (b & self.mm) | self.scale)
         r = _round_words((a >> m) + (b >> m) - self.bias, wide, m + 1 - self.k, self.cfg)
-        return self._saturate(r, (a < 0) | (b < 0))
+        zero = (a < 0) | (b < 0)
+        np.copyto(out, r)
+        return self._saturate(out, zero)
 
-    def add(self, a, b):
+    def add(self, a, b, out):
         """Significand sum aligned to g guard bits, rounded once; an operand
         M+2 or more binades below the other cannot change it.  Where every
         lower operand is zero, the sums are the other operands: earlier ops'
         words, in range, which round to themselves and count nothing."""
         m, g = self.m, self.g
-        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b, out=out)
         if lo.max(initial=-1) < 0:
             return hi
         d = np.minimum((hi >> m) - (lo >> m), m + 2)
         wide = (((hi & self.mm) | self.scale) << g) + self._align((lo & self.mm) | self.scale, d)
         r = _round_words(hi >> m, wide, g + 1, self.cfg)
-        return self._saturate(np.where((d > m + 1) | (lo < 0), hi, r))
+        np.copyto(hi, r, where=(d <= m + 1) & (lo >= 0))
+        return self._saturate(hi)
 
     def _product(self, sa, sb):
         """sa * sb over 2**k: with k > 0, the k low bits of the low partial
@@ -393,18 +421,22 @@ class _PatternWords(_Words):
         self.keep = -1 << self.s
         self.half = (1 << (self.s - 1)) - 1 if cfg.rounding == NEAREST_EVEN and self.s else None
 
-    def exact(self, a, b):
-        r = self._round((a.view(np.float64) * b.view(np.float64)).view(np.int64))
-        return self._saturate(r, (a == 0) | (b == 0), self.tiny) if self.checked else r
+    def exact(self, a, b, out):
+        zero = (a == 0) | (b == 0) if self.checked else None
+        r = self._round(np.multiply(a.view(np.float64), b.view(np.float64),
+                                    out=out.view(np.float64)))
+        return self._saturate(r, zero, self.tiny) if self.checked else r
 
-    def add(self, a, b):
-        r = self._round((a.view(np.float64) + b.view(np.float64)).view(np.int64))
+    def add(self, a, b, out):
+        r = self._round(np.add(a.view(np.float64), b.view(np.float64), out=out.view(np.float64)))
         return self._saturate(r) if self.checked else r
 
     def _round(self, r):
-        """r, a new array, rounded to M fraction bits in place: to nearest
-        with ties to the even kept bit (add just under half an ulp, plus the
-        kept parity bit), or toward zero.  At s = 0 the IEEE op rounded it."""
+        """The patterns of r, doubles, rounded to M fraction bits in place:
+        to nearest with ties to the even kept bit (add just under half an
+        ulp, plus the kept parity bit), or toward zero.  At s = 0 the IEEE
+        op rounded them."""
+        r = r.view(np.int64)
         if not self.s:
             return r
         if self.half is not None:
@@ -476,15 +508,18 @@ def _within_one(ar, top: np.ndarray, lev, steps, edges) -> bool:
     return not (np.where(w == ar.zero, kids, w) > ar.one).any()
 
 
-def _mul(ar, a, val: np.ndarray, rows: np.ndarray, how):
-    """a times val's rows `rows`, multiplied as `how` says; a mixed step
+def _mul(ar, a, val: np.ndarray, rows: np.ndarray, how, out=None):
+    """a times val's rows `rows`, multiplied as `how` says, into out (which
+    may be a), or where out is None into the rows as gathered; a mixed step
     gathers each part's rows straight from val."""
     if how is True or how is False:
         b = val.take(rows, axis=0)
-        return ar.aai(a, b) if how else ar.exact(a, b)
-    out = np.empty((len(rows), val.shape[1]), dtype=ar.dtype)
+        return (ar.aai if how else ar.exact)(a, b, b if out is None else out)
+    if out is None:
+        out = np.empty((len(rows), val.shape[1]), dtype=ar.dtype)
     for idx, op in zip(how, (ar.aai, ar.exact)):
-        out[idx] = op(a[idx], val.take(rows[idx], axis=0))
+        b = val.take(rows[idx], axis=0)
+        out[idx] = op(a[idx], b, b)
     return out
 
 
@@ -492,10 +527,11 @@ _MAR, _MAP, _PICK, _LEAST = range(4)
 
 
 def _inputs(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
-    """A new value table, one column per entry of obs's last axis, with the
-    words for one, zero and the indicators where their variables take the
-    values obs (-1 unobserved: at one); every pass's table starts here."""
-    val = np.empty((comp.n_table, obs.shape[-1]), dtype=ar.dtype)
+    """The value table of ar's record (`_Format.table`), one column per
+    entry of obs's last axis, with the words for one, zero and the
+    indicators where their variables take the values obs (-1 unobserved: at
+    one); every pass's table starts here."""
+    val = ar.fmt.table(obs.shape[-1])
     val[comp.one_row], val[comp.zero_row] = ar.one, ar.zero
     val[:len(comp.ind_var)] = np.where((obs < 0) | (obs == comp.ind_val[:, np.newaxis]),
                                        ar.one, ar.zero)
@@ -503,31 +539,35 @@ def _inputs(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
 
 
 def _sums(ar, val: np.ndarray, lev, edges, mode: int, choices=None):
-    """One level's sums over val's columns: each weight of ar's record times
-    its child in the level's modes, then for MAR the terms added in
-    `children` order, for MAP the largest term (strict >, so ties keep the
-    lowest), its index written to choices, for _PICK the term choices names,
-    and for _LEAST the least nonzero term (zero where every term is).
-    Returns the words."""
+    """One level's sums over val's columns, written to their rows s0:s1:
+    each weight of ar's record times its child in the level's modes, then
+    for MAR the terms added in `children` order, for MAP the largest term
+    (strict >, so ties keep the lowest), its index written to choices, for
+    _PICK the term choices names, and for _LEAST the least nonzero term
+    (zero where every term is).  Returns those rows."""
     k_s, n_s = lev.sch.shape
+    out = val[lev.s0:lev.s1]
     terms = _mul(ar, ar.fmt.w[lev.sslot:lev.sslot + lev.sch.size], val, lev.sch.ravel(),
                  edges).reshape(k_s, n_s, val.shape[1])
     if mode == _PICK:
-        return np.take_along_axis(terms, choices[np.newaxis], axis=0)[0]
-    if mode == _LEAST:  # zero terms take the largest, nonzero where any term is
-        return np.where(terms > ar.zero, terms, terms.max(axis=0)).min(axis=0)
-    acc = terms[0]
-    if mode == _MAR:  # where each sum has one nonzero term, as on a
+        out[...] = np.take_along_axis(terms, choices[np.newaxis], axis=0)[0]
+    elif mode == _LEAST:  # zero terms take the largest, nonzero where any term is
+        np.where(terms > ar.zero, terms, terms.max(axis=0)).min(axis=0, out=out)
+    elif mode == _MAR:  # where each sum has one nonzero term, as on a
         # deterministic circuit's complete rows, every add returns it unrounded
+        acc = terms[0]
         for k in range(1, k_s):
-            acc = ar.add(acc, terms[k])
+            acc = ar.add(acc, terms[k], out)
+        if k_s == 1:
+            out[...] = acc
     else:
+        out[...] = terms[0]
         choices[...] = 0
         for k in range(1, k_s):
-            better = terms[k] > acc
-            acc = np.where(better, terms[k], acc)
+            better = terms[k] > out
+            np.copyto(out, terms[k], where=better)
             np.copyto(choices, k, where=better)
-    return acc
+    return out
 
 
 #: a first level's sums per state: sum i's word (and MAP choice) where its
@@ -539,9 +579,11 @@ class _Format:
     """What a pass needs from one word format on one compiled layout, built
     once per (layout, config, word kind) by `_format`: the slot weights as
     words, one column wide, with the counts of those that saturated; the
-    word ops of a chunk; the MAR and MAP input tables; and the values of
-    root words.  Words come in three representations, by kind: the bit
-    patterns of IEEE doubles in int64 (float64), FLOAT64's included, the
+    word ops of a chunk; the value table of a chunk, a view of one buffer
+    that every pass on the record reuses (per thread); the MAR and MAP
+    input tables; and the values of root words.  Words come in three
+    representations, by kind: the bit patterns of IEEE doubles in int64
+    (float64), FLOAT64's included, the
     format's own words in int64, and those words as Python ints (object).
     On IEEE doubles a value's bit pattern is its word shifted up by
     s = 52 - M, plus that of 2**-bias (FLOAT64's are its own words, s = 0);
@@ -555,8 +597,10 @@ class _Format:
         if cfg.bias < 0:
             raise ValueError("the word for one needs a non-negative bias")
         comp = _compile(c)
-        self.cfg, self.kind = cfg, kind
+        self.cfg, self.kind, self.n_table = cfg, kind, comp.n_table
+        self.dtype = _INT64 if kind == _FLOAT64 else kind
         self.leaves = kind == _FLOAT64 and cfg == FLOAT64
+        self._local = threading.local()  # its `buffer`: one chunk's value table
         self.s, self.lo = 52 - cfg.man_bits, (1023 - cfg.bias) << 52
         w, self.under, self.over = encode_words(comp.weights, cfg)
         if self.leaves:  # the doubles' own patterns: 2**-1023 is word 0, +0.0's
@@ -577,6 +621,25 @@ class _Format:
             ar = _IntWords(self.cfg, self.kind, n_rows, checked)
         ar.fmt = self
         return ar
+
+    def chunk(self) -> int:
+        """The rows of a chunk: as many as CHUNK_CELLS table cells hold, a
+        quarter of that for Python ints, and at least one."""
+        cells = CHUNK_CELLS // 4 if self.kind == _OBJECT else CHUNK_CELLS
+        return max(1, cells // self.n_table)
+
+    def table(self, n: int) -> np.ndarray:
+        """A value table of n columns, contiguous: a view of this record's
+        buffer, which holds the table of one chunk and is made on first use
+        in each thread, so it is valid until the thread's next pass on the
+        record.  A wider table, as a FLOAT64 chunk's rerun on Python ints
+        asks for, is a new array."""
+        buffer = getattr(self._local, "buffer", None)
+        if buffer is None:
+            buffer = self._local.buffer = np.empty(self.n_table * self.chunk(), dtype=self.dtype)
+        if self.n_table * n > buffer.size:
+            return np.empty((self.n_table, n), dtype=self.dtype)
+        return buffer[:self.n_table * n].reshape(self.n_table, n)
 
     def values(self, roots: np.ndarray) -> list[CustomFloat]:
         """Root words as values; IEEE doubles read through their patterns."""
@@ -604,7 +667,7 @@ class _Format:
         words = _sums(ops, _inputs(comp, ops, np.arange(-1, width - 1)), lev, True, mode, choices)
         if ops.under.any() or ops.over.any():
             return None
-        return _Table(words.ravel(), choices.ravel() if mode == _MAP else None,
+        return _Table(words.flatten(), choices.ravel() if mode == _MAP else None,
                       np.arange(lev.s1 - lev.s0)[:, np.newaxis] * width + 1)
 
 
@@ -621,11 +684,12 @@ def _format(c: Circuit, cfg: FloatConfig, kind: Optional[np.dtype] = None) -> _F
 class CircuitEvaluator:
     """Reusable evaluation state for one (circuit, config, plan) triple: a
     handle over the compiled circuit, cfg's record on it (`_Format`: the
-    weight words, input tables and word ops, kept with the layout) and the
-    plan's per-level modes (cached on the plan), so that building one does
-    no per-unit or per-level work.  Weights are quantized once, per
-    cfg.rounding; under toward-zero this keeps the one-sided
-    underestimation end to end.  The word kind follows from cfg alone: IEEE
+    weight words, input tables, word ops and the buffer every pass builds
+    its value table in, kept with the layout) and the plan's per-level
+    modes (cached on the plan), so that building one does no per-unit or
+    per-level work, and a pass allocates no value table.  Weights are
+    quantized once, per cfg.rounding; under toward-zero this keeps the
+    one-sided underestimation end to end.  The word kind follows from cfg alone: IEEE
     double patterns in int64 (FLOAT64 and the formats that fit them), the
     format's own words in int64, or those words as Python ints; a FLOAT64
     chunk whose values leave IEEE doubles reruns on Python ints.
@@ -636,6 +700,7 @@ class CircuitEvaluator:
     {variable: value} mapping) or a 2-D batch of rows, and then return one
     result per row.  A -1 in a row leaves its variable unobserved, with its
     indicators at one.  Batches run in chunks of CHUNK_CELLS table cells.
+    Results are copies, which later passes leave as they are.
     """
 
     def __init__(self, c: Circuit, cfg: FloatConfig, plan: MultiplierPlan):
@@ -652,35 +717,37 @@ class CircuitEvaluator:
               free: int = 0):
         """Evaluate a chunk of rows on ar's words, its first `free` levels
         unchecked; MAP fills `choices`, the chunk's columns of the choice
-        table, and a picked pass reads them.  Returns the root values, the
-        per-row saturation counts and, for MAP, the assignments."""
-        comp = self._comp
-        roots = self._ascend(ar, rows, mode, choices, free)[comp.root]
-        return (ar.fmt.values(roots), ar.under, ar.over,
-                comp.descend(choices, len(rows)) if mode == _MAP else None)
+        table, and a picked pass reads them.  Returns the root words, copied
+        out of the record's value table, and the per-row saturation counts."""
+        roots = self._ascend(ar, rows, mode, choices, free)[self._comp.root]
+        return roots.copy(), ar.under, ar.over
 
     def _ascend(self, ar, rows: np.ndarray, mode: int, choices=None, free: int = 0,
                 counted: Optional[list] = None):
-        """The value table of rows' columns, filled children first, one
-        level at a time, the first level's sums of a MAR or MAP pass from
-        the input table where ar's record has one.  The first `free` levels
-        run unchecked, the rest as ar says; `counted`, where given, gets
-        per level whether any op so far has counted.  MAP writes each
-        level's choices to rows q0:q1 of `choices`, and a picked pass reads
-        them there."""
+        """The value table of rows' columns, in the buffer of ar's record
+        (valid until its next pass), filled children first, one level at a
+        time, each level into its own rows; the first level's sums of a MAR
+        or MAP pass come from the input table where ar's record has one.
+        The first `free` levels run unchecked, the rest as ar says;
+        `counted`, where given, gets per level whether any op so far has
+        counted.  MAP writes each level's choices to rows q0:q1 of
+        `choices`, and a picked pass reads them there."""
         comp, table, checked = self._comp, ar.fmt.tables.get(mode), ar.checked
         val = _inputs(comp, ar, rows.T[comp.ind_var])
         for i, (lev, (steps, edges)) in enumerate(zip(comp.levels, self._modes)):
             ar.checked = checked and i >= free
             if lev.p1 > lev.p0:
+                out = val[lev.p0:lev.p1]
                 acc = val.take(lev.pch[0], axis=0)
                 for k, how in enumerate(steps, 1):
-                    acc = _mul(ar, acc, val, lev.pch[k], how)
-                val[lev.p0:lev.p1] = acc
+                    acc = _mul(ar, acc, val, lev.pch[k], how, out)
+                if not steps:
+                    out[...] = acc
             if lev.s1 > lev.s0:
                 picks = None if choices is None else choices[lev.q0:lev.q1]
                 if table is not None:  # the first level's sums, by state
-                    at = rows.T[comp.leaf_var] + table.base
+                    at = rows.T.take(comp.leaf_var, axis=0)  # about half the time of rows.T[...]
+                    at += table.base
                     # checked rows keep at in range; "clip" skips take's
                     # buffered copy of out
                     table.words.take(at, out=val[lev.s0:lev.s1], mode="clip")
@@ -688,7 +755,7 @@ class CircuitEvaluator:
                         picks[...] = table.choices.take(at)
                     table = None
                 else:
-                    val[lev.s0:lev.s1] = _sums(ar, val, lev, edges, mode, picks)
+                    _sums(ar, val, lev, edges, mode, picks)
             if counted is not None:
                 counted.append(bool(ar.under.any() or ar.over.any()))
         ar.checked = checked
@@ -716,7 +783,7 @@ class CircuitEvaluator:
         one (`_within_one`)."""
         row = np.full((1, self._comp.n_vars), -1, dtype=np.int64)
         ar, top_counted, least_counted = fmt.ops(1), [], []
-        top = self._ascend(ar, row, _MAR, counted=top_counted)
+        top = self._ascend(ar, row, _MAR, counted=top_counted).copy()  # the next pass reuses it
         self._ascend(fmt.ops(1), row, _LEAST, counted=least_counted)
         free = 0
         for lev, (steps, edges), *counted in zip(self._comp.levels, self._modes,
@@ -733,25 +800,38 @@ class CircuitEvaluator:
         count means that a product left IEEE doubles.  MAP fills one choice
         table per call (a row per sum in sum_index order, a column per row),
         a picked pass reads picks, and each chunk's pass gets its columns.
-        Returns the root values, the per-row saturation counts and, for MAP,
-        the choices and assignments."""
+        Returns each chunk's root words with the record they are words of
+        (`_values` reads them), the per-row saturation counts and the choice
+        table."""
         fmt = self._format
-        cells = CHUNK_CELLS // 4 if fmt.kind == _OBJECT else CHUNK_CELLS
-        step = max(1, cells // self._comp.n_table)
-        free = self._free(fmt)
+        step, free = fmt.chunk(), self._free(fmt)
         choices = picks if mode != _MAP else np.empty((len(self._comp.sum_index), len(rows)),
                                                       dtype=np.int64)
-        parts = []
+        roots, under, over = [], [], []
         for s in range(0, max(len(rows), 1), step):  # an empty batch makes one empty chunk
             args = rows[s:s + step], mode, None if choices is None else choices[:, s:s + step]
-            part = self._pass(fmt.ops(len(args[0])), *args, free)
-            if fmt.leaves and part[1].any():
+            ar = fmt.ops(len(args[0]))
+            words = self._pass(ar, *args, free)[0]
+            if fmt.leaves and ar.under.any():
                 ints = _format(self.circuit, FLOAT64, _OBJECT)
-                part = self._pass(ints.ops(len(args[0])), *args, self._free(ints))
-            parts.append(part)
-        values, under, over, assignment = zip(*parts)
-        return ([v for vs in values for v in vs], np.concatenate(under), np.concatenate(over),
-                choices, None if assignment[0] is None else np.vstack(assignment))
+                ar = ints.ops(len(args[0]))
+                words = self._pass(ar, *args, self._free(ints))[0]
+            roots.append((ar.fmt, words))
+            under.append(ar.under)
+            over.append(ar.over)
+        return roots, np.concatenate(under), np.concatenate(over), choices
+
+    @staticmethod
+    def _values(roots: list) -> list[CustomFloat]:
+        """The root values of `_evaluate`'s chunks, in row order."""
+        return [v for fmt, words in roots for v in fmt.values(words)]
+
+    def _descend(self, choices: np.ndarray) -> np.ndarray:
+        """The assignments a choice table selects, one row per column,
+        descended a chunk of columns at a time."""
+        n, step = choices.shape[1], self._format.chunk()
+        return np.vstack([self._comp.descend(choices[:, s:s + step], min(step, n - s))
+                          for s in range(0, max(n, 1), step)])
 
     def _batch(self, x) -> tuple[np.ndarray, bool]:
         """x as a 2-D batch of checked rows, and whether it was a single row."""
@@ -795,10 +875,10 @@ class CircuitEvaluator:
         return self._mar(*self._batch(x))
 
     def _mar(self, rows: np.ndarray, single: bool):
-        roots, under, over, _, _ = self._evaluate(rows, _MAR)
+        roots, under, over, _ = self._evaluate(rows, _MAR)
         wu, wo = self.weight_quant_underflows > 0, self.weight_quant_overflows > 0
         results = [MultResult(v, u > 0 or wu, o > 0 or wo)
-                   for v, u, o in zip(roots, under.tolist(), over.tolist())]
+                   for v, u, o in zip(self._values(roots), under.tolist(), over.tolist())]
         return self._per_row(single, results, under, over)
 
     def map_query(self, evidence):
@@ -807,12 +887,12 @@ class CircuitEvaluator:
         child index.  Observed variables keep their evidence values, also
         where the root is zero and the backtrack's choices are all ties."""
         rows, single = self._batch(evidence)
-        roots, under, over, trace, assignment = self._evaluate(rows, _MAP)
-        assignment = np.where(rows >= 0, rows, assignment)
+        roots, under, over, trace = self._evaluate(rows, _MAP)
+        assignment = np.where(rows >= 0, rows, self._descend(trace))
         index = self._comp.sum_index
         return self._per_row(single, [
             MapResult(assignment[r], log2_value(v), _Trace(index, trace[:, r]))
-            for r, v in enumerate(roots)], under, over)
+            for r, v in enumerate(self._values(roots))], under, over)
 
     def restricted_value(self, trace, evidence):
         """Re-evaluate with each sum taking only its traced edge (a sum the
@@ -825,7 +905,7 @@ class CircuitEvaluator:
         if isinstance(trace, Mapping) != single or not all(isinstance(t, Mapping) for t in traces):
             raise ValueError("one evidence row takes one trace, a {sum id: child position} "
                              "mapping, and a batch of rows a sequence of them, one per row")
-        roots = self._evaluate(rows, _PICK, self._picks(traces, len(rows)))[0]
+        roots = self._values(self._evaluate(rows, _PICK, self._picks(traces, len(rows)))[0])
         return roots[0] if single else roots
 
 
@@ -870,7 +950,10 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     Rows with every variable observed contribute a marginal log error term
     |log2 p64 - (log2 p_approx + correction)|; every row contributes a MAP
     query whose observed entries (values >= 0) form the evidence.  MAP
-    accuracy counts assignments identical to the baseline's.
+    accuracy counts assignments identical to the baseline's.  A complete
+    row's assignment is its evidence under both plans, a hit, so only the
+    tested plan's MAP pass, whose saturation counts are reported, runs on
+    it; assignments are read back only for rows with an unobserved variable.
     """
     if not (isinstance(correction, numbers.Real) and not isinstance(correction, bool)
             and math.isfinite(correction)):
@@ -879,7 +962,9 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     data = _check_rows(c, np.atleast_2d(_row_array(data)), unobserved=True)
     base = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
     test = CircuitEvaluator(c, cfg, plan)
-    complete = np.flatnonzero((data >= 0).all(axis=1))
+    observed = data >= 0
+    whole = observed.all(axis=1)
+    complete, hidden = np.flatnonzero(whole), np.flatnonzero(~whole)
     b_mar, _, _ = base.mar(data[complete])
     for row_idx, b in zip(complete.tolist(), b_mar):
         if b.value.is_zero:
@@ -890,11 +975,14 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     log_err_sum = 0.0
     for b, t in zip(b_mar, t_mar):
         log_err_sum += abs(log2_value(b.value) - (log2_value(t.value) + correction))
-    b_map = base._evaluate(data, _MAP)[4]
-    _, map_under, map_over, _, t_map = test._evaluate(data, _MAP)
+    # a complete row's assignment is its evidence, a hit; the test plan's
+    # MAP pass runs on every row for its counts, the baseline's on the rest
+    _, map_under, map_over, choices = test._evaluate(data, _MAP)
+    t_map = test._descend(choices[:, hidden])
+    b_map = base._descend(base._evaluate(data[hidden], _MAP)[3])
     # the assignments before the evidence goes in: observed variables agree
-    map_hits = int(((b_map == t_map) | (data >= 0)).all(axis=1).sum())
     n, n_mar = len(data), len(complete)
+    map_hits = n_mar + int(((b_map == t_map) | observed[hidden]).all(axis=1).sum())
     return QueryMetrics(
         mean_log_error=log_err_sum / n_mar if n_mar else 0.0,
         map_accuracy=map_hits / n if n else 0.0,

@@ -3,7 +3,13 @@
 
 import dataclasses
 import itertools
+import numbers
+import re
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
+from typing import Mapping, Optional
 
 import numpy as np
 import pytest
@@ -38,12 +44,15 @@ from aaipc.floats import (
     exact_add,
     exact_mul,
     from_bits,
+    log2_value,
 )
 from aaipc.inference import (
     AAI,
     EXACT,
     CircuitEvaluator,
+    EvaluationError,
     MultiplierPlan,
+    QueryMetrics,
     _IntWords,
     _PatternWords,
     _widths,
@@ -230,6 +239,13 @@ def word_ops(cfg, kind, n_rows=1, checked=True):
     return _IntWords(cfg, np.dtype(kind), n_rows, checked)
 
 
+def run_op(ar, op, a, b) -> np.ndarray:
+    """ar's word op on a and b, written into a new array, as a pass hands
+    each op its output rows."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    return getattr(ar, op)(a, b, out)
+
+
 def as_kind(words, cfg, kind, shape=(-1, 1)) -> np.ndarray:
     """The format's words (-1 for zero) as words of the kind, in shape."""
     a = np.array(words, dtype=object if kind is object else np.int64).reshape(shape)
@@ -250,7 +266,7 @@ def assert_ops_match_scalar(cfg, kind, pairs, checked=True):
     a, b = (as_kind(col, cfg, kind) for col in zip(*pairs))
     for op, scalar in (("aai", aai_mul), ("exact", exact_mul), ("add", exact_add)):
         ar = word_ops(cfg, kind, checked=checked)
-        got = of_kind(getattr(ar, op)(a, b), cfg, kind)
+        got = of_kind(run_op(ar, op, a, b), cfg, kind)
         want = [scalar(value_of(x, cfg), value_of(y, cfg), cfg) for x, y in pairs]
         assert [value_of(w, cfg) for w in got] == [r.value for r in want], op
         assert int(ar.under[0]) == sum(r.underflowed for r in want), op
@@ -289,15 +305,16 @@ class TestPatternWords:
         aai_ok = ((x >= 0) & (y >= 0)) | (np.maximum(x, y) <= one)
         for op, scalar in (("aai", aai_mul), ("exact", exact_mul), ("add", exact_add)):
             ints = word_ops(cfg, np.int64, len(x))
-            want = getattr(ints, op)(x[np.newaxis], y[np.newaxis]).ravel()
+            want = run_op(ints, op, x[np.newaxis], y[np.newaxis]).ravel()
             checked = word_ops(cfg, PATTERNS, len(x))
-            got = getattr(checked, op)(as_kind(x, cfg, PATTERNS, (1, -1)),
-                                       as_kind(y, cfg, PATTERNS, (1, -1)))
+            got = run_op(checked, op, as_kind(x, cfg, PATTERNS, (1, -1)),
+                         as_kind(y, cfg, PATTERNS, (1, -1)))
             assert of_kind(got, cfg, PATTERNS) == want.tolist(), op
             assert checked.under.tolist() == ints.under.tolist(), op
             assert checked.over.tolist() == ints.over.tolist(), op
-            unchecked = getattr(word_ops(cfg, PATTERNS, len(x), checked=False), op)(
-                as_kind(x, cfg, PATTERNS, (1, -1)), as_kind(y, cfg, PATTERNS, (1, -1)))
+            unchecked = run_op(word_ops(cfg, PATTERNS, len(x), checked=False), op,
+                               as_kind(x, cfg, PATTERNS, (1, -1)),
+                               as_kind(y, cfg, PATTERNS, (1, -1)))
             kept = (checked.under == 0) & (checked.over == 0) & (aai_ok if op == "aai" else True)
             assert kept.sum() > len(x) // 4, op
             assert (unchecked.ravel() == got.ravel())[kept].all(), op
@@ -460,10 +477,10 @@ class TestMonotoneWordOps:
                             for pairs in zip(*cases))
         for op in ("aai", "exact", "add"):
             ar = word_ops(cfg, kind)
-            before, after = getattr(ar, op)(a, b), getattr(ar, op)(a2, b2)
+            before, after = run_op(ar, op, a, b), run_op(ar, op, a2, b2)
             assert (after >= before).all(), op
         ar = word_ops(cfg, kind)
-        assert (ar.add(a, b) >= np.maximum(a, b)).all()
+        assert (run_op(ar, "add", a, b) >= np.maximum(a, b)).all()
 
     @pytest.mark.parametrize("cfg, kind", MONOTONE_WORDS, ids=str)
     @settings(max_examples=30, deadline=None)
@@ -478,10 +495,10 @@ class TestMonotoneWordOps:
             for a, b in pairs:
                 a_, b_ = (as_kind([x], cfg, kind) for x in (a, b))
                 checked = word_ops(cfg, kind)
-                want = getattr(checked, op)(a_, b_)
+                want = run_op(checked, op, a_, b_)
                 if checked.under.any() or checked.over.any():
                     continue
-                got = getattr(word_ops(cfg, kind, checked=False), op)(a_, b_)
+                got = run_op(word_ops(cfg, kind, checked=False), op, a_, b_)
                 assert got.tolist() == want.tolist(), (op, a, b)
 
 
@@ -521,7 +538,7 @@ class TestAddsWithAZeroOperand:
         def add(batch):
             a, b = (np.array(col, dtype=dtype).reshape(-1, 1) for col in zip(*batch))
             ar = _IntWords(cfg, np.dtype(dtype), 1, checked)
-            got = ar.add(a, b).ravel().tolist()
+            got = run_op(ar, "add", a, b).ravel().tolist()
             want = [exact_add(value_of(x, cfg), value_of(y, cfg), cfg) for x, y in batch]
             assert [value_of(w, cfg) for w in got] == [r.value for r in want]
             assert int(ar.under[0]) == sum(r.underflowed for r in want)
@@ -769,7 +786,7 @@ class TestLeavingIEEEDoubles:
                              for ra, rb in zip(a.tolist(), b.tolist())])
             checked, unchecked = (_PatternWords(FLOAT64, len(x), checked=flag)
                                   for flag in (True, False))
-            got, raw = (getattr(ar, op)(a.view(np.int64), b.view(np.int64)).view(np.float64)
+            got, raw = (run_op(ar, op, a.view(np.int64), b.view(np.int64)).view(np.float64)
                         for ar in (checked, unchecked))
             assert want.any() and not want.all()
             assert checked.under.tolist() == want.sum(axis=0).tolist(), op
@@ -1344,8 +1361,9 @@ class TestRangeCertificate:
         hidden = np.vstack([rows, [[3, -1, 0], [3, -1, 1], [-1, -1, -1]]])
         aai = assert_matches_scalar(c, cfg, MultiplierPlan.all_aai(c), rows, hidden)
         assert verdicts(aai) == {(cfg, aai._format.kind): free}
+        # each pass reuses the record's value table: copy the first one out
         unchecked, checked = (aai._ascend(aai._format.ops(len(hidden), flag), hidden,
-                                          inference._MAR)
+                                          inference._MAR).copy()
                               for flag in (False, True))
         assert (unchecked != checked).any()
         exact = assert_matches_scalar(c, cfg, MultiplierPlan.all_exact(c), rows, hidden)
@@ -1520,3 +1538,258 @@ class TestBatchInterface:
         results, _, _ = ev.map_query(rows)
         assert ev.restricted_value((r.trace for r in results), rows) == \
             ev.restricted_value([r.trace for r in results], rows)
+
+
+def compare_reference(c, data, cfg, plan, correction=0.0) -> QueryMetrics:
+    """`compare_queries` row by row: `mar` on each complete row and
+    `map_query` on every row, its whole assignment compared, with both
+    passes' counts."""
+    base = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
+    test = CircuitEvaluator(c, cfg, plan)
+    complete = [row for row in data if (row >= 0).all()]
+    for i, row in enumerate(data):
+        if (row >= 0).all() and base.mar(row)[0].value.is_zero:
+            raise EvaluationError(f"baseline probability is zero for instance {i}")
+    err, hits = 0.0, 0
+    under, over = test.weight_quant_underflows, test.weight_quant_overflows
+    for row in complete:
+        b, (t, u, o) = base.mar(row)[0], test.mar(row)
+        err += abs(log2_value(b.value) - (log2_value(t.value) + correction))
+        under, over = under + u, over + o
+    for row in data:
+        want = base.map_query(evidence_of(row))[0]
+        got, u, o = test.map_query(evidence_of(row))
+        hits += got.assignment.tolist() == want.assignment.tolist()
+        under, over = under + u, over + o
+    n, n_mar = len(data), len(complete)
+    return QueryMetrics(err / n_mar if n_mar else 0.0, hits / n if n else 0.0,
+                        under, over, n, n_mar)
+
+
+#: IEEE double patterns, toward zero too, int64 words and Python ints
+COMPARE_CONFIGS = [FloatConfig(8, 10), FloatConfig(8, 12, rounding=TOWARD_ZERO),
+                   FloatConfig(11, 40), FloatConfig(11, 52, rounding=TOWARD_ZERO)]
+
+
+def batch_of(kind: str, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """rows as a batch of one kind: all complete, all with an unobserved
+    variable, the two mixed, or the first row alone."""
+    hidden = rows.copy()
+    hidden[np.arange(len(rows)), rng.integers(0, rows.shape[1], len(rows))] = -1
+    hidden[rng.random(rows.shape) < 0.3] = -1
+    return {"complete": rows, "open": hidden, "one": hidden[:1],
+            "mixed": np.where((np.arange(len(rows)) % 2 == 0)[:, None], rows, hidden)}[kind]
+
+
+class TestCompareQueries:
+    """compare_queries descends only the rows whose assignments it compares
+    and runs the baseline's MAP pass only on rows with an unobserved
+    variable; its metrics are those of the per-row queries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases(COMPARE_CONFIGS), st.sampled_from(["complete", "open", "mixed", "one"]),
+           st.booleans())
+    def test_metrics_match_the_per_row_queries(self, case, kind, chunked):
+        c, cfg, plan, rows, _ = case
+        data = batch_of(kind, rows, np.random.default_rng(len(rows)))
+        want = compare_reference(c, data, cfg, plan, 0.25)
+        if chunked:  # two rows a chunk, one for Python ints
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(inference, "CHUNK_CELLS", 2 * _compile(c).n_table)
+                got = inference.compare_queries(c, data, cfg, plan, 0.25)
+        else:
+            got = inference.compare_queries(c, data, cfg, plan, 0.25)
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["complete", "open", "mixed", "one"])
+    @pytest.mark.parametrize("aai", [False, True])
+    def test_the_float64_rerun_with_a_subnormal_weight(self, kind, aai, monkeypatch):
+        # 2**-1023 is FLOAT64's least value, an IEEE subnormal: rows that
+        # take it leave IEEE doubles and rerun on Python ints, in the
+        # baseline's passes and the tested plan's; two of them underflow
+        # to zero, so a complete row takes one at most
+        c = chain_of_tiny_sums(3, 2.0 ** -1023)
+        plan = MultiplierPlan.all_aai(c) if aai else MultiplierPlan.all_exact(c)
+        rows = np.array([[1, 1, 1], [0, 1, 1], [1, 0, 1], [1, 1, 0]] * 2)
+        data = batch_of(kind, rows, np.random.default_rng(1))
+        want = compare_reference(c, data, FLOAT64, plan)
+        assert inference.compare_queries(c, data, FLOAT64, plan) == want
+        monkeypatch.setattr(inference, "CHUNK_CELLS", 3 * _compile(c).n_table)
+        assert inference.compare_queries(c, data, FLOAT64, plan) == want
+        ints = inference._format(c, FLOAT64, np.dtype(object))
+        assert ints in plan._verdicts  # the rerun ran
+
+    def test_map_passes_build_no_values_and_descend_only_open_rows(self, monkeypatch):
+        # the benchmark's batch shape: 24 complete rows and 8 open ones
+        c, cfg, plan = tree_batch(2)
+        data = sample(c, 2, 32)
+        data[3::4, 1::2] = -1
+        passes, descended, built = [], [], []
+        evaluate, descend, values = (CircuitEvaluator._evaluate, _compile(c).descend,
+                                     inference._Format.values)
+        monkeypatch.setattr(CircuitEvaluator, "_evaluate", lambda ev, rows, mode, *args: passes
+                            .append((ev.cfg, mode, len(rows))) or evaluate(ev, rows, mode, *args))
+        monkeypatch.setattr(_compile(c), "descend",
+                            lambda ch, n: descended.append(n) or descend(ch, n))
+        monkeypatch.setattr(inference._Format, "values",
+                            lambda fmt, words: built.append(len(words)) or values(fmt, words))
+        got = inference.compare_queries(c, data, cfg, plan)
+        mar, map_ = inference._MAR, inference._MAP
+        assert passes == [(FLOAT64, mar, 24), (cfg, mar, 24), (cfg, map_, 32), (FLOAT64, map_, 8)]
+        assert descended == [8, 8] and built == [24, 24]  # the MAR halves' roots
+        assert got == compare_reference(c, data, cfg, plan)
+
+
+def reused_passes(c, cfg, plan, width: int, seed: int) -> list:
+    """MAR, MAP and picked passes over `width` sampled rows, a third of
+    them with every other variable unobserved, as plain lists."""
+    rows = sample(c, seed, width)
+    rows[::3, ::2] = -1
+    ev = CircuitEvaluator(c, cfg, plan)
+    whole = rows[(rows >= 0).all(axis=1)]
+    mar, under, over = ev.mar(whole)
+    maps, map_under, map_over = ev.map_query(rows)
+    values = ev.restricted_value([m.trace for m in maps], rows)
+    return [mar, under.tolist(), over.tolist(), map_under.tolist(), map_over.tolist(), values,
+            [(m.assignment.tolist(), m.log2_value, dict(m.trace)) for m in maps]]
+
+
+def plain_verdicts(plan: MultiplierPlan) -> dict:
+    return {(fmt.cfg, fmt.kind): n for fmt, n in plan._verdicts.items()}
+
+
+class TestValueTableReuse:
+    """Each word-format record keeps one value table, which every pass on
+    it reuses: a result is copied out before the next pass, so no pass
+    sees another's words."""
+
+    def test_interleaved_passes_match_fresh_records(self, monkeypatch):
+        monkeypatch.setattr(inference, "CHUNK_CELLS", 1 << 12)
+        makers = {"tree": lambda: generate_random_tree_pc(5, 8, 2, 3),
+                  "det": lambda: generate_random_det_pc(2, 6)}
+        circuits = {name: make() for name, make in makers.items()}
+        configs = [FloatConfig(8, 10), FloatConfig(11, 40)]
+
+        def plan_of(c, share):
+            rng = np.random.default_rng(int(share * 4))
+            return MultiplierPlan({s: AAI if rng.random() < share else EXACT
+                                   for s in enumerate_sites(c)})
+
+        plans = {(name, share): plan_of(c, share) for name, c in circuits.items()
+                 for share in (0.0, 0.5, 1.0)}
+        chunk = {name: max(1, (1 << 12) // _compile(c).n_table) for name, c in circuits.items()}
+        widths = {"chunk+1": lambda n: n + 1, "2 chunks+1": lambda n: 2 * n + 1}
+        # the second plan of a circuit decides its certificate, on the
+        # record that earlier passes used, between them
+        steps = [("tree", 0, 1.0, 32), ("det", 1, 0.0, 1), ("tree", 0, 1.0, "chunk+1"),
+                 ("tree", 0, 0.5, 1), ("det", 0, 1.0, "chunk+1"), ("tree", 1, 1.0, 32),
+                 ("det", 1, 0.0, "2 chunks+1"), ("tree", 0, 0.0, "chunk+1"),
+                 ("det", 0, 1.0, 32), ("tree", 0, 1.0, "2 chunks+1"), ("tree", 0, 1.0, 1)]
+        steps = [(name, i, share, widths[w](chunk[name]) if w in widths else w)
+                 for name, i, share, w in steps]
+        got = [reused_passes(circuits[name], configs[i], plans[name, share], width, k)
+               for k, (name, i, share, width) in enumerate(steps)]
+        for k, (name, i, share, width) in enumerate(steps):
+            c = makers[name]()  # another layout, so fresh records
+            assert got[k] == reused_passes(c, configs[i], plan_of(c, share), width, k), k
+        for (name, share), plan in plans.items():
+            c = makers[name]()
+            fresh = plan_of(c, share)
+            for cfg, _ in plain_verdicts(plan):
+                CircuitEvaluator(c, cfg, fresh).mar(sample(c, 0, 1))
+            assert plain_verdicts(plan) == plain_verdicts(fresh)
+
+    def test_retained_memory_is_one_chunk_table_per_record(self):
+        c, cfg = generate_random_tree_pc(7, 12, 3, 3), FloatConfig(8, 10)
+        plan = MultiplierPlan.all_aai(c)
+        rows = sample(c, 7, 150)
+        rows[::3, ::2] = -1
+        comp = _compile(c)
+        tracemalloc.start()
+        try:
+            inference.compare_queries(c, rows[:1], cfg, plan)  # builds the records
+            records = list(inference._FORMATS[comp].values())
+            first = tracemalloc.get_traced_memory()[0]
+            for n in range(1, 151):
+                inference.compare_queries(c, rows[:n], cfg, plan)
+            grown = tracemalloc.get_traced_memory()[0] - first
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 2  # the baseline's and the tested config's
+        tables = [fmt._local.buffer for fmt in records]
+        for fmt, table in zip(records, tables):
+            assert table.size == comp.n_table * fmt.chunk() <= inference.CHUNK_CELLS
+        assert first <= sum(t.nbytes for t in tables) + (256 << 10)
+        assert grown <= 64 << 10
+
+    def test_threads_keep_their_own_tables(self):
+        c = generate_random_tree_pc(3, 10, 2, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        batches = [sample(c, seed, 40) for seed in range(4)]
+        want = [ev.mar(rows)[0] for rows in batches]
+        got: dict[int, list] = {i: [] for i in range(len(batches))}
+
+        def work(i):
+            for _ in range(25):
+                got[i].append(ev.mar(batches[i])[0])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(got[i]) == 25 and all(r == want[i] for r in got[i]) for i in got)
+
+
+def first_trace_error(ev: CircuitEvaluator, traces) -> Optional[str]:
+    """The message of the first wrong item, item by item in trace order (a
+    name that is no integer sum id, then a pick that is no integer), else of
+    the first pick out of range, sum by sum."""
+    index, arity = ev._comp.sum_index, ev._comp.sum_arity
+    for t in traces:
+        for uid, k in t.items():
+            if not (isinstance(uid, numbers.Integral) and not isinstance(uid, bool)
+                    and uid in index):
+                return f"trace names {uid!r}, which is not a sum of the circuit"
+            if not (isinstance(k, numbers.Integral) and not isinstance(k, bool)):
+                return f"trace picks {k!r} for sum {uid}, not an integer"
+    for uid, i in index.items():
+        for t in traces:
+            if not 0 <= t.get(uid, 0) < arity[i]:
+                return f"trace picks edge {t.get(uid, 0)} of sum {uid}, which has {arity[i]}"
+    return None
+
+
+class TestDictTraces:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.tuples(
+        st.integers(0, 7), st.sampled_from(["name", "pick"]),
+        st.sampled_from([True, False, 1.0, 0.5, "1", 99999, -1, np.int64(1), np.float64(0.0),
+                         np.uint8(0), None]))))
+    def test_the_first_wrong_items_error_is_raised(self, seed, wrongs):
+        # each wrong item goes into a trace, as a name (picking itself) or
+        # a pick; restricted_value reports the first wrong item's error
+        c = generate_random_tree_pc(seed % 7, 5, 2, 3)
+        ev = CircuitEvaluator(c, FloatConfig(8, 10), MultiplierPlan.all_aai(c))
+        rows = sample(c, seed, 8)
+        traces = [dict(m.trace) for m in ev.map_query(rows)[0]]
+        sums = list(traces[0])
+        for j, (row, where, item) in enumerate(wrongs):
+            uid = sums[j % len(sums)]
+            if where == "name":  # and its pick, wrong too where it is no integer
+                traces[row][item] = item
+            else:
+                traces[row][uid] = item
+        want = first_trace_error(ev, traces)
+        if want is None:
+            plain_ints = [{int(uid): int(k) for uid, k in t.items()} for t in traces]
+            assert ev.restricted_value(traces, rows) == ev.restricted_value(plain_ints, rows)
+        else:
+            with pytest.raises(ValueError, match=re.escape(want)):
+                ev.restricted_value(traces, rows)
