@@ -22,7 +22,7 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -205,8 +205,24 @@ class Circuit:
 #: (padded with the row of one), sums at rows s0:s1 add the rows in sch's
 #: columns (padded with the row of zero), both in `children` order; child k
 #: of unit i has slot pslot + k * n_p + i or sslot + k * n_s + i, and sum i
-#: has sum_index position q0 + i (its sums are positions q0:q1)
-_Level = namedtuple("_Level", "p0 p1 pch pslot s0 s1 sch sslot q0 q1")
+#: has sum_index position q0 + i (its sums are positions q0:q1).  pspan and
+#: sspan are the slices of table rows that pch and sch, read row by row,
+#: fill in that order, or None where they fill none (`_kids`)
+_Level = namedtuple("_Level", "p0 p1 pch pslot pspan s0 s1 sch sslot sspan q0 q1")
+
+
+def _kids(val: np.ndarray, ch: np.ndarray, span: Optional[slice],
+          k: Optional[int] = None) -> np.ndarray:
+    """The rows of val that ch names, read row by row (child k of every
+    unit, then child k + 1), or those of its row k alone: a view of the rows
+    `span` where ch fills them in that order, else a gather.  A view shares
+    the children's rows, so nothing may be written into it."""
+    if k is None:
+        return val[span] if span is not None else val.take(ch.ravel(), axis=0)
+    if span is None:
+        return val.take(ch[k], axis=0)
+    n = ch.shape[1]
+    return val[span.start + k * n:span.start + (k + 1) * n]
 
 
 class _Compiled:
@@ -220,6 +236,18 @@ class _Compiled:
     level by level in sum_index, the row order of the choice tables
     `descend` takes; each level's sums sit at positions q0:q1 there, in the
     order of their table rows s0:s1.
+
+    Rows are child-major.  Top down, each level's products and sums are
+    sorted by where they first appear as children of the levels above, the
+    nearest first, and there by (parent block, child position, parent
+    position), products' block before sums' (`_order`).  Where a block's
+    slots hold units of one kind from the level below, each unit once and
+    no slot padded, those units fill consecutive rows in slot order, so a
+    pass reads the block's children as one slice of the table
+    (`_Level.pspan`, `sspan`) rather than gathering them.  In the generated
+    trees over a power of two of variables every level above the first
+    reads its children so, and in the generated decision trees every sum
+    level above the first.
 
     The first level's sums are those whose children are all indicators:
     categorical inputs, as in generated circuits.  leaf_var gives, per such
@@ -243,14 +271,12 @@ class _Compiled:
         self.zero_row = self.one_row + 1
         self.levels: list[_Level] = []
         self.slot_sites: list[Edge] = []
-        self.slot_index: list[int] = []
+        self.slot_index: list[np.ndarray] = []
         self.weights: list[np.ndarray] = []
         self.n_slots = 0
         sums: list[SumUnit] = []
-        for units in by_level[1:]:
-            prod = [u for u in units if isinstance(u, ProductUnit)]
-            summ = [u for u in units if isinstance(u, SumUnit)]
-            p0, s0, free = free, free + len(prod), free + len(units)
+        for prod, summ in self._order(by_level, c.units):
+            p0, s0, free = free, free + len(prod), free + len(prod) + len(summ)
             row.update((u.id, p0 + i) for i, u in enumerate(prod + summ))
             self.levels.append(_Level(p0, s0, *self._group(prod, row, self.one_row),
                                       s0, free, *self._group(summ, row, self.zero_row),
@@ -258,53 +284,82 @@ class _Compiled:
             sums += summ
         self.root, self.n_table, self.n_vars = row[c.root], self.zero_row + 1, c.n_vars
         self.row = row
-        self.slot_index = np.array(self.slot_index, dtype=np.int64)
+        self.slot_index = np.concatenate([np.zeros(0, dtype=np.int64)] + self.slot_index)
         self.weights = np.concatenate([np.zeros(0)] + self.weights)
         self.sites = sorted(self.slot_sites)
         self.sum_index = {u.id: i for i, u in enumerate(sums)}
         self.sum_arity = np.array([len(u.children) for u in sums], dtype=np.int64)
-        first = by_level[1] if len(by_level) > 1 else []
-        tested = [{c.units[k].var for k in u.children} for u in first if isinstance(u, SumUnit)]
+        first = sums[:self.levels[0].q1] if self.levels else []
+        tested = [{c.units[k].var for k in u.children} for u in first]
         self.leaf_var = np.array([v.pop() if len(v) == 1 else -1 for v in tested],
                                  dtype=np.int64)
 
+    @staticmethod
+    def _order(by_level: list[list[Unit]], units: dict[int, Unit]) -> list[tuple[list, list]]:
+        """Each level's products and sums above the indicators, bottom level
+        first, in row order.  Top down, a unit's rank is where it first
+        appears among the children of the nearest level above that has it,
+        by (block, child position, parent position), products' block first:
+        h * len(units) plus its position there, for that level's height h.
+        Only the root, alone on the top level, has none."""
+        rank: dict[int, int] = {}
+        blocks = []
+        for h in range(len(by_level) - 1, 0, -1):
+            level = [units[i] for i in sorted((u.id for u in by_level[h]), key=rank.get)]
+            prod = [u for u in level if isinstance(u, ProductUnit)]
+            summ = [u for u in level if isinstance(u, SumUnit)]
+            kids = dict.fromkeys(itertools.chain.from_iterable(itertools.chain(
+                itertools.zip_longest(*(u.children for u in prod)),
+                itertools.zip_longest(*(u.children for u in summ)))))
+            kids.pop(None, None)  # zip_longest's padding
+            rank.update(zip(kids, itertools.count(h * len(units))))
+            blocks.append((prod, summ))
+        return blocks[::-1]
+
     def _group(self, units: list, row: dict[int, int], pad: int):
         """One level's products or sums: their children's rows in `children`
-        order, one column per unit, and the first of their slots.  Edge
-        (u, k) multiplies child k in; a product's fold starts at child 0, so
-        its slots for child 0 are padding."""
-        kids = [u.children for u in units]
-        ch = np.full((max(map(len, kids), default=1), len(units)), pad, dtype=np.int64)
-        w = np.zeros(ch.shape)
+        order, one column per unit, the first of their slots, and the slice
+        of rows that the children fill in that order, read row by row, or
+        None.  Edge (u, k) multiplies child k in; a product's fold starts at
+        child 0, so its slots for child 0 are padding."""
+        n, skip = len(units), int(bool(units) and isinstance(units[0], ProductUnit))
+        ch = np.array(list(itertools.zip_longest(
+            *([row[k] for k in u.children] for u in units), fillvalue=pad)) or [()],
+            dtype=np.int64)
+        w = np.zeros(ch.shape) if skip else np.array(list(itertools.zip_longest(
+            *(u.weights for u in units), fillvalue=0.0)) or [()], dtype=np.float64)
         first = self.n_slots
-        for i, (u, ks) in enumerate(zip(units, kids)):
-            n, skip = len(ks), int(isinstance(u, ProductUnit))
-            ch[:n, i] = [row[k] for k in ks]
-            w[:n, i] = getattr(u, "weights", 0.0)
-            self.slot_sites += [(u.id, k) for k in range(skip, n)]
-            self.slot_index += [first + k * len(units) + i for k in range(skip, n)]
+        self.slot_sites += [(u.id, k) for u in units for k in range(skip, len(u.children))]
+        real = ch != pad
+        real[:skip] = False
+        i, k = np.nonzero(real.T)  # unit by unit, as slot_sites lists them
+        self.slot_index.append(first + k * n + i)
         self.weights.append(w.ravel())
         self.n_slots += ch.size
-        return ch, first
+        flat = ch.ravel()
+        span = (slice(int(flat[0]), int(flat[0]) + flat.size)
+                if flat.size and (np.diff(flat) == 1).all() else None)
+        return ch, first, span
 
     def ascend(self, val: np.ndarray, sum_: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Fill val, a float64 table whose indicator rows are set, children
-        first, one level at a time, and return it: products multiply their
-        children in `children` order, and a sum is sum_ of its weighted
-        children, shaped (child, sum, column).  Padding multiplies by 1.0
-        and weighs the zero row by 0.0."""
+        first, one level at a time, each level into its own rows, and return
+        it: products multiply their children in `children` order, and a sum
+        is sum_ of its weighted children, shaped (child, sum, column).
+        Padding multiplies by 1.0 and weighs the zero row by 0.0."""
         val[self.one_row], val[self.zero_row] = 1.0, 0.0
         for lev in self.levels:
             if lev.p1 > lev.p0:
-                acc = val[lev.pch[0]]
-                for kids in lev.pch[1:]:
-                    acc *= val[kids]
-                val[lev.p0:lev.p1] = acc
-            if lev.s1 > lev.s0:
-                w = self.weights[lev.sslot:lev.sslot + lev.sch.size].reshape(lev.sch.shape)
-                terms = val[lev.sch]
-                terms *= w[..., np.newaxis]
-                val[lev.s0:lev.s1] = sum_(terms)
+                kid = functools.partial(_kids, val, lev.pch, lev.pspan)
+                out = np.multiply(kid(0), kid(1), out=val[lev.p0:lev.p1])
+                for k in range(2, len(lev.pch)):
+                    out *= kid(k)
+            if lev.s1 > lev.s0:  # weighted in place where gathered
+                w = self.weights[lev.sslot:lev.sslot + lev.sch.size]
+                kids = _kids(val, lev.sch, lev.sspan)
+                terms = np.multiply(kids, w[:, np.newaxis],
+                                    out=kids if lev.sspan is None else None)
+                val[lev.s0:lev.s1] = sum_(terms.reshape(*lev.sch.shape, val.shape[1]))
         return val
 
     def descend(self, choices: np.ndarray, n: int) -> np.ndarray:

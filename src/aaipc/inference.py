@@ -12,10 +12,13 @@ plan at the IEEE double layout.
 Queries run on a compiled, levelized form of the circuit (`circuit._Compiled`,
 kept on it): a unit's level is one more than its highest child's, and
 each level is a few array operations on a value table with one row per unit
-and one column per query row.  Products fold their children and sums their
-edges in `children` order, padded with the word for one and with
-zero-weight edges; padding never saturates.  Values are words of a kind
-that the format alone decides (`_word_kind`):
+and one column per query row.  Rows are child-major: where a level's
+products' or sums' children fill consecutive rows, the level reads them as
+a view of the table, else by a gather (`circuit._kids`): a sum level's at
+once, a product level's a fold step at a time.  Products fold their
+children and sums their edges in `children` order, padded with the word for
+one and with zero-weight edges; padding never saturates.  Values are words
+of a kind that the format alone decides (`_word_kind`):
 
 - IEEE doubles (kind float64), as the int64 bit patterns of the values
   with zero as 0 (`_PatternWords`), for FLOAT64 and wherever the format
@@ -95,8 +98,12 @@ thread has a buffer of its own, kept as long as the layout lives, so the
 memory retained is one chunk table (up to 4 MB of touched pages) per record
 per thread that ran a pass on it; a Python-int buffer also keeps the ints of
 its last pass alive.  Each level writes its products and sums into its own
-rows of the table, through the `out` of the word ops, and MAP copies each
-better term in.  `compare_queries` does only the work its
+rows of the table, through the `out` of the word ops, and never into the
+rows it reads: a sum's weighted terms go into its gathered children or,
+where those are a view of the table, a new array.  MAP steps branch-free,
+np.maximum for the value and, for the choice, the running maximum of k
+times the mask of terms k that beat all before them (`_largest`).
+`compare_queries` does only the work its
 metrics read: the tested plan's MAP pass runs on every row, as its counts
 are reported, and the baseline's only on rows with an unobserved variable,
 since a complete row's assignment is its evidence and counts as a hit; both
@@ -117,7 +124,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .circuit import (CHUNK_CELLS, Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile,
-                      _Compiled, _is_integer, _row_array)
+                      _Compiled, _is_integer, _kids, _row_array)
 from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig, MultResult,  # noqa: F401
                      _round_words, aai_mul, encode, encode_words, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
@@ -434,14 +441,16 @@ class _PatternWords(_Words):
     def _round(self, r):
         """The patterns of r, doubles, rounded to M fraction bits in place:
         to nearest with ties to the even kept bit (add just under half an
-        ulp, plus the kept parity bit), or toward zero.  At s = 0 the IEEE
-        op rounded them."""
+        ulp, plus the kept parity bit, summed in one temporary), or toward
+        zero.  At s = 0 the IEEE op rounded them."""
         r = r.view(np.int64)
         if not self.s:
             return r
         if self.half is not None:
-            r += (r >> self.s) & 1
-            r += self.half
+            up = np.right_shift(r, self.s)
+            up &= 1
+            up += self.half
+            r += up
         r &= self.keep
         return r
 
@@ -508,18 +517,14 @@ def _within_one(ar, top: np.ndarray, lev, steps, edges) -> bool:
     return not (np.where(w == ar.zero, kids, w) > ar.one).any()
 
 
-def _mul(ar, a, val: np.ndarray, rows: np.ndarray, how, out=None):
-    """a times val's rows `rows`, multiplied as `how` says, into out (which
-    may be a), or where out is None into the rows as gathered; a mixed step
-    gathers each part's rows straight from val."""
+def _mul(ar, a, b, how, out):
+    """a times b, multiplied as `how` says, into out (which may be a or b);
+    a mixed step multiplies each part's rows of b as gathered."""
     if how is True or how is False:
-        b = val.take(rows, axis=0)
-        return (ar.aai if how else ar.exact)(a, b, b if out is None else out)
-    if out is None:
-        out = np.empty((len(rows), val.shape[1]), dtype=ar.dtype)
+        return (ar.aai if how else ar.exact)(a, b, out)
     for idx, op in zip(how, (ar.aai, ar.exact)):
-        b = val.take(rows[idx], axis=0)
-        out[idx] = op(a[idx], b, b)
+        part = b.take(idx, axis=0)
+        out[idx] = op(a.take(idx, axis=0), part, part)
     return out
 
 
@@ -540,15 +545,18 @@ def _inputs(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
 
 def _sums(ar, val: np.ndarray, lev, edges, mode: int, choices=None):
     """One level's sums over val's columns, written to their rows s0:s1:
-    each weight of ar's record times its child in the level's modes, then
-    for MAR the terms added in `children` order, for MAP the largest term
-    (strict >, so ties keep the lowest), its index written to choices, for
-    _PICK the term choices names, and for _LEAST the least nonzero term
-    (zero where every term is).  Returns those rows."""
+    each weight of ar's record times its child in the level's modes, into
+    the gathered children or, where they are a view of val (`_kids`), a new
+    array, then for MAR the terms added in `children` order, for MAP the
+    largest term and its index in choices (`_largest`), for _PICK the term
+    choices names, and for _LEAST the least nonzero term (zero where every
+    term is).  Returns those rows."""
     k_s, n_s = lev.sch.shape
     out = val[lev.s0:lev.s1]
-    terms = _mul(ar, ar.fmt.w[lev.sslot:lev.sslot + lev.sch.size], val, lev.sch.ravel(),
-                 edges).reshape(k_s, n_s, val.shape[1])
+    kids = _kids(val, lev.sch, lev.sspan)
+    terms = _mul(ar, ar.fmt.w[lev.sslot:lev.sslot + lev.sch.size], kids, edges,
+                 kids if lev.sspan is None else np.empty_like(kids)
+                 ).reshape(k_s, n_s, val.shape[1])
     if mode == _PICK:
         out[...] = np.take_along_axis(terms, choices[np.newaxis], axis=0)[0]
     elif mode == _LEAST:  # zero terms take the largest, nonzero where any term is
@@ -561,13 +569,25 @@ def _sums(ar, val: np.ndarray, lev, edges, mode: int, choices=None):
         if k_s == 1:
             out[...] = acc
     else:
-        out[...] = terms[0]
-        choices[...] = 0
-        for k in range(1, k_s):
-            better = terms[k] > out
-            np.copyto(out, terms[k], where=better)
-            np.copyto(choices, k, where=better)
+        _largest(terms, out, choices)
     return out
+
+
+def _largest(terms: np.ndarray, out: np.ndarray, choices: np.ndarray) -> None:
+    """The largest of terms along its first axis into out and its index
+    into choices, the lowest on ties, branch-free: where term k beats all
+    before it, k is above every index chosen so far, so the choice is the
+    running maximum of k times that mask."""
+    acc = terms[0]
+    for k in range(1, len(terms)):
+        better = np.greater(terms[k], acc)
+        acc = np.maximum(acc, terms[k], out=out)
+        if k == 1:
+            choices[...] = better
+        else:
+            np.maximum(choices, k * better, out=choices)
+    if len(terms) == 1:
+        out[...], choices[...] = acc, 0
 
 
 #: a first level's sums per state: sum i's word (and MAP choice) where its
@@ -736,13 +756,10 @@ class CircuitEvaluator:
         val = _inputs(comp, ar, rows.T[comp.ind_var])
         for i, (lev, (steps, edges)) in enumerate(zip(comp.levels, self._modes)):
             ar.checked = checked and i >= free
-            if lev.p1 > lev.p0:
-                out = val[lev.p0:lev.p1]
-                acc = val.take(lev.pch[0], axis=0)
+            if lev.p1 > lev.p0:  # products have two children or more
+                out, acc = val[lev.p0:lev.p1], _kids(val, lev.pch, lev.pspan, 0)
                 for k, how in enumerate(steps, 1):
-                    acc = _mul(ar, acc, val, lev.pch[k], how, out)
-                if not steps:
-                    out[...] = acc
+                    acc = _mul(ar, acc, _kids(val, lev.pch, lev.pspan, k), how, out)
             if lev.s1 > lev.s0:
                 picks = None if choices is None else choices[lev.q0:lev.q1]
                 if table is not None:  # the first level's sums, by state

@@ -243,6 +243,20 @@ def _magnitude(v) -> tuple[int, int, int]:
     return (0, 0, 0) if v.is_zero else (1, v.exponent, v.mantissa)
 
 
+def largest_terms(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The MAP step as a masked loop, the reference for the engine's
+    branch-free one: the largest of terms along the first axis and its
+    index, each term copied in where it beats the running maximum (strict
+    >, so ties keep the lowest)."""
+    out = terms[0].copy()
+    choices = np.zeros(out.shape, dtype=np.int64)
+    for k in range(1, len(terms)):
+        better = terms[k] > out
+        np.copyto(out, terms[k], where=better)
+        np.copyto(choices, k, where=better)
+    return out, choices
+
+
 class ScalarEvaluator:
     """One unit and one row at a time through the scalar float ops.
 
@@ -285,7 +299,22 @@ class ScalarEvaluator:
     def _pass(self, steps: Iterable[tuple[int, tuple]], row: Sequence[Optional[int]],
               reduce: Callable) -> tuple:
         """Evaluate steps children first and return the root value with the
-        counts of saturating operations.  An indicator is one when its
+        counts of saturating operations (`_walk`)."""
+        val, under, over = self._walk(steps, row, reduce)
+        return val[self.circuit.root], under, over
+
+    def unit_values(self, row: Sequence[Optional[int]], largest: bool = False) -> dict:
+        """Every unit's value on one row (None where unobserved), {unit id:
+        CustomFloat}, from a MAR pass or, where largest, a MAP pass."""
+        if largest:
+            return self._walk(self._steps.items(), row, lambda _uid, terms: (
+                max(terms, key=_magnitude), 0, 0))[0]
+        return self._walk(self._steps.items(), row, self._add_terms)[0]
+
+    def _walk(self, steps: Iterable[tuple[int, tuple]], row: Sequence[Optional[int]],
+              reduce: Callable) -> tuple:
+        """Evaluate steps children first and return every unit's value with
+        the counts of saturating operations.  An indicator is one when its
         variable's entry in row is None (unobserved) or equals its value;
         each sum's weighted child terms go to reduce(uid, terms), which
         returns the sum's value and the saturations it caused."""
@@ -316,7 +345,7 @@ class ScalarEvaluator:
                 obs = row[a]
                 acc = one if obs is None or obs == b else zero
             val[uid] = acc
-        return val[self.circuit.root], under, over
+        return val, under, over
 
     def mar(self, x):
         from aaipc.floats import MultResult

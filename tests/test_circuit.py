@@ -32,9 +32,10 @@ from aaipc.circuit import (
 )
 
 from conftest import three_var_doc
-from oracles import (brute_force_probability, determinism_oracle, edge_masses_oracle,
-                     eval_double_oracle, induced_trees, min_positive_value_oracle,
-                     sample_oracle, syntactic_determinism_oracle, tree_mass_oracle)
+from oracles import (_fold, _product, _weighted_sum, brute_force_probability, determinism_oracle,
+                     edge_masses_oracle, eval_double_oracle, induced_trees,
+                     min_positive_value_oracle, sample_oracle, syntactic_determinism_oracle,
+                     tree_mass_oracle)
 
 
 def toy_sum_over_indicators(weights=(0.25, 0.75)):
@@ -808,6 +809,27 @@ class TestAscendMatchesTheFold:
         assert eval_double(c, [[0], [1]]).tolist() == [0.0, 1.0]
         assert edge_masses(c) == {} and min_positive_value(c) == 1.0
         assert_float64_analytics_match_the_fold(c, enumerate_states(c))
+
+    @pytest.mark.parametrize("make", [lambda: generate_random_tree_pc(1, 8, 2, 3),
+                                      lambda: generate_random_tree_pc(1, 7, 2, 3),
+                                      lambda: generate_random_det_pc(1, 6),
+                                      sums_out_of_id_order],
+                             ids=["tree(8, 2, 3)", "tree(7, 2, 3)", "det(6)",
+                                  "sums-out-of-id-order"])
+    def test_every_row_holds_its_units_value(self, make):
+        # levels that read their children as a view of the table write only
+        # their own rows: an in-place product there would change a child's
+        c = make()
+        comp, rows = _compile(c), enumerate_states(c)
+        assert any(lev.pspan is not None or lev.sspan is not None for lev in comp.levels)
+        val = np.empty((comp.n_table, len(rows)))
+        val[:len(comp.ind_var)] = rows.T[comp.ind_var] == comp.ind_val[:, np.newaxis]
+        comp.ascend(val, circuit._add_in_order)
+        want = _fold(c, lambda u: (rows[:, u.var] == u.value).astype(np.float64),
+                     _product, _weighted_sum)
+        for uid, r in comp.row.items():
+            assert list(map(float.hex, val[r].tolist())) == \
+                list(map(float.hex, want[uid].tolist())), uid
 
     @pytest.mark.parametrize("make", [lambda: generate_random_det_pc(0, 3),
                                       lambda: Circuit([Variable(0, 2)],

@@ -36,6 +36,7 @@ from aaipc.floats import (
     TOWARD_ZERO,
     FloatConfig,
     CustomFloat,
+    _round_words,
     aai_mul,
     decode,
     decode_fraction,
@@ -60,7 +61,8 @@ from aaipc.inference import (
     enumerate_sites,
 )
 
-from oracles import ScalarEvaluator, determinism_oracle, reference_eval, sample_oracle
+from oracles import (ScalarEvaluator, determinism_oracle, largest_terms, reference_eval,
+                     sample_oracle)
 
 #: one config per word kind and rounding, and two that saturate: (3, 3)
 #: underflows below 2**-3, and bias 8 puts every value from 2**-1 up into
@@ -1016,7 +1018,8 @@ class TestInputTables:
         hidden = np.vstack([hidden, np.full((1, 3), -1)])
         ev = assert_matches_scalar(c, cfg, plan, rows, hidden)
         assert ev._format.kind == kind
-        assert _compile(c).leaf_var.tolist() == [0, 0, 1, 1, 2]
+        comp = _compile(c)  # sums 8..12, looked up by id
+        assert [comp.leaf_var[comp.sum_index[uid]] for uid in range(8, 13)] == [0, 0, 1, 1, 2]
         for mode in (inference._MAR, inference._MAP):
             table = table_of(ev, mode)
             assert table is not None and len(table.words) == 5 * 5
@@ -1114,8 +1117,185 @@ class TestInputTables:
         hidden = np.vstack([rows, np.full((1, 3), -1)])
         ev = assert_matches_scalar(c, FloatConfig(8, 10), MultiplierPlan.all_exact(c),
                                    rows, hidden)
-        assert table_of(ev, inference._MAP).choices.reshape(5, 5).tolist() == \
+        choices, index = table_of(ev, inference._MAP).choices.reshape(5, 5), ev._comp.sum_index
+        assert [choices[index[uid]].tolist() for uid in range(8, 13)] == \
             [[0, 0, 1, 2, 0], [0, 1, 2, 0, 0], [0, 0, 1, 2, 0], [0, 2, 1, 0, 0], [0, 0, 0, 0, 0]]
+
+
+def shared_product() -> Circuit:
+    """A DAG: product 10 feeds sums 12 and 13, which both mix products 10
+    and 11 over variables 0 and 1, and products 16 and 17 fold a sum of
+    level 3 with one of level 1, so neither level's children fill
+    consecutive rows."""
+    units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 1, 0),
+             IndicatorUnit(3, 1, 1), IndicatorUnit(4, 2, 0), IndicatorUnit(5, 2, 1),
+             SumUnit(6, (0, 1), (0.3, 0.7)), SumUnit(7, (2, 3), (0.6, 0.4)),
+             SumUnit(8, (0, 1), (0.8, 0.2)), SumUnit(9, (2, 3), (0.1, 0.9)),
+             ProductUnit(10, (6, 7)), ProductUnit(11, (8, 9)),
+             SumUnit(12, (10, 11), (0.25, 0.75)), SumUnit(13, (10, 11), (0.5, 0.5)),
+             SumUnit(14, (4, 5), (0.4, 0.6)), SumUnit(15, (4, 5), (0.9, 0.1)),
+             ProductUnit(16, (12, 14)), ProductUnit(17, (13, 15)),
+             SumUnit(18, (16, 17), (0.35, 0.65))]
+    return Circuit([Variable(i, 2) for i in range(3)], units, 18)
+
+
+def listed_against_id_order(c: Circuit) -> Circuit:
+    """The same circuit with its ids reversed and its units listed parents
+    first, so that ids run against the levels and `c.order`."""
+    top = max(c.units)
+
+    def renamed(u):
+        if isinstance(u, IndicatorUnit):
+            return IndicatorUnit(top - u.id, u.var, u.value)
+        kids = tuple(top - k for k in u.children)
+        if isinstance(u, ProductUnit):
+            return ProductUnit(top - u.id, kids)
+        return SumUnit(top - u.id, kids, u.weights)
+
+    return Circuit(c.variables, [renamed(c.units[uid]) for uid in reversed(c.order)],
+                   top - c.root)
+
+
+def uneven_tree() -> Circuit:
+    """tree(7, 2, 3), its products shuffled and its ids reversed: products
+    whose children sit on two levels read them by a gather, the rest as
+    slices."""
+    c = generate_random_tree_pc(3, 7, 2, 3)
+    return listed_against_id_order(with_shuffled_products(c, np.random.default_rng(3)))
+
+
+#: one config per word kind: IEEE double patterns, int64 words, Python ints
+#: and FLOAT64's patterns
+KIND_CONFIGS = [FloatConfig(8, 10), FloatConfig(11, 40),
+                FloatConfig(11, 41, rounding=TOWARD_ZERO), FLOAT64]
+
+
+def half_aai(c: Circuit, seed: int = 0) -> MultiplierPlan:
+    rng = np.random.default_rng(seed)
+    return MultiplierPlan({s: AAI if rng.random() < 0.5 else EXACT for s in enumerate_sites(c)})
+
+
+def spans(c: Circuit) -> list[tuple[bool, bool]]:
+    """Per level above the first, whether its products and its sums (where
+    it has any) read their children as a slice, after checking that the
+    slice holds the rows their index arrays name."""
+    out = []
+    for lev in _compile(c).levels[1:]:
+        for ch, span in ((lev.pch, lev.pspan), (lev.sch, lev.sspan)):
+            if span is not None:
+                assert ch.ravel().tolist() == list(range(span.start, span.stop))
+        out.append((lev.pspan is not None if lev.p1 > lev.p0 else None,
+                    lev.sspan is not None if lev.s1 > lev.s0 else None))
+    return out
+
+
+class TestChildMajorLayout:
+    """Rows sorted by where units first appear as children of the level
+    above: where a level's children then fill consecutive rows, passes read
+    them as a view of the table, and elsewhere by one gather."""
+
+    @pytest.mark.parametrize("args", [(32, 4, 3), (16, 3, 3), (8, 1, 3), (4, 2, 2)], ids=str)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_every_tree_level_above_the_first_reads_a_slice(self, seed, args):
+        for products, sums in spans(generate_random_tree_pc(seed, *args)):
+            assert products in (None, True) and sums in (None, True)
+
+    @pytest.mark.parametrize("n_vars", [2, 5, 10])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_det_sum_level_above_the_first_reads_a_slice(self, seed, n_vars):
+        got = [sums for _, sums in spans(generate_random_det_pc(seed, n_vars))]
+        assert got.count(True) == n_vars - 1 and set(got) == {None, True}
+
+    @pytest.mark.parametrize("cfg", KIND_CONFIGS, ids=str)
+    @pytest.mark.parametrize("make, layout", [
+        (shared_product, [(True, None), (None, False), (False, None), (None, True)]),
+        (uneven_tree, None)], ids=["shared-product", "uneven-tree"])
+    def test_gathered_levels_match_the_scalar_reference(self, make, layout, cfg):
+        c = make()
+        got = spans(c)
+        if layout is not None:
+            assert got == layout
+        else:
+            assert {False, True} <= {x for pair in got for x in pair}
+        plan, rows = half_aai(c), enumerate_states(c)
+        hidden = rows.copy()
+        hidden[np.random.default_rng(1).random(rows.shape) < 0.4] = -1
+        hidden = np.vstack([hidden, np.full((1, c.n_vars), -1)])
+        ev = assert_matches_scalar(c, cfg, plan, rows, hidden)
+        ref = ScalarEvaluator(c, cfg, plan)
+        traces = [r.trace for r in ev.map_query(hidden)[0]]
+        assert ev.restricted_value(traces, hidden) == \
+            [ref.restricted_value(t, evidence_of(row)) for t, row in zip(traces, hidden)]
+
+    @pytest.mark.parametrize("cfg", KIND_CONFIGS, ids=str)
+    @pytest.mark.parametrize("make", [lambda: generate_random_tree_pc(0, 8, 2, 3),
+                                      lambda: generate_random_det_pc(0, 5),
+                                      shared_product, uneven_tree],
+                             ids=["tree(8, 2, 3)", "det(5)", "shared-product", "uneven-tree"])
+    def test_every_row_holds_its_units_value_after_a_pass(self, make, cfg):
+        # a pass that wrote into a child level it read as a view would leave
+        # a wrong word in that level's rows
+        c = make()
+        plan = half_aai(c)
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        rows = sample(c, 0, 6)
+        rows[::2, ::2] = -1
+        comp, free = ev._comp, ev._free(ev._format)
+        for mode in (inference._MAR, inference._MAP):
+            ar = ev._format.ops(len(rows))
+            choices = np.zeros((len(comp.sum_index), len(rows)), dtype=np.int64)
+            table = ev._ascend(ar, rows, mode, choices, free)
+            assert not (ar.under.any() or ar.over.any())
+            want = [ref.unit_values([None if v < 0 else v for v in row.tolist()],
+                                    largest=mode == inference._MAP) for row in rows]
+            for uid, r in comp.row.items():
+                assert ev._format.values(table[r]) == [w[uid] for w in want], uid
+
+
+class TestLargestTerm:
+    """MAP's branch-free step against the masked loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k_s=st.integers(1, 5), n_s=st.integers(1, 4), cols=st.integers(0, 5),
+           kind=st.sampled_from([np.int64, object]), data=st.data())
+    def test_values_and_choices_match_the_masked_loop(self, k_s, n_s, cols, kind, data):
+        size = k_s * n_s * cols
+        words = data.draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+        if kind is object:  # past int64, ties intact
+            words = [w << 64 for w in words]
+        terms = np.array(words, dtype=kind).reshape(k_s, n_s, cols)
+        before = terms.copy()
+        out = np.empty(terms.shape[1:], dtype=terms.dtype)
+        choices = np.full(terms.shape[1:], -7, dtype=np.int64)
+        inference._largest(terms, out, choices)
+        want, want_choices = largest_terms(terms)
+        assert out.tolist() == want.tolist()
+        assert choices.tolist() == want_choices.tolist()
+        assert terms.tolist() == before.tolist()
+
+
+class TestPatternRounding:
+    """`_PatternWords._round` rounds a double's pattern to M fraction bits
+    as `floats._round_words` rounds its 53-bit significand."""
+
+    @pytest.mark.parametrize("rounding", ["nearest-even", TOWARD_ZERO])
+    @pytest.mark.parametrize("man_bits", [1, 10, 25])
+    def test_mask_rounds_as_round_words(self, man_bits, rounding):
+        cfg = FloatConfig(8, man_bits, rounding=rounding)
+        s = 52 - man_bits
+        rng = np.random.default_rng(man_bits)
+        patterns = rng.integers(1 << 52, 2045 << 52, size=4096)
+        # the dropped bits at and around half an ulp, and all ones (a carry)
+        low = np.array([(1 << (s - 1)) - 1, 1 << (s - 1), (1 << (s - 1)) + 1, (1 << s) - 1])
+        patterns[:2048] = patterns[:2048] & (-1 << s) | low[np.arange(2048) % 4]
+        got = _PatternWords(cfg, 1)._round(patterns.copy())
+        # _round_words reads a 53-bit significand as one binade up, so e is
+        # the biased exponent less one
+        words = _round_words((patterns >> 52) - 1024 + cfg.bias,
+                             patterns & ((1 << 52) - 1) | (1 << 52), s, cfg)
+        assert got.tolist() == ((words << s) + ((1023 - cfg.bias) << 52)).tolist()
+        assert (got != patterns).any()
+
 
 
 class TestZeroWordCollision:
