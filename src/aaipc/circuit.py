@@ -362,8 +362,8 @@ class _Compiled:
                 val[lev.s0:lev.s1] = sum_(terms.reshape(*lev.sch.shape, val.shape[1]))
         return val
 
-    def descend(self, choices: np.ndarray, n: int) -> np.ndarray:
-        """The assignments that n rows of child choices select, one row of
+    def descend(self, choices: np.ndarray) -> np.ndarray:
+        """The assignments that rows of child choices select, one row of
         `choices` per sum in sum_index order and one column per row: top
         down, one level at a time, a selected sum selects its chosen child
         (its level's choices are rows q0:q1) and a selected product all its
@@ -372,6 +372,7 @@ class _Compiled:
         cells are found by a scan of the flat table, which NumPy does several
         times faster than a 2-D `nonzero`, and split into (unit, row) by one
         divmod."""
+        n = choices.shape[1]
         sel = np.zeros((self.n_table, n), dtype=bool)
         flat, picks = sel.ravel(), choices.ravel()
         sel[self.root] = True
@@ -600,8 +601,10 @@ def enumerate_states(c: Circuit) -> np.ndarray:
 
 def _is_integer(value: Any) -> bool:
     """Whether value is an int or a numpy integer: a float would be
-    truncated and a bool read as 0 or 1."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    truncated and a bool read as 0 or 1.  A plain int is answered before the
+    two abstract-base-class checks, which cost far more."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _integer(name: str, value: Any) -> int:
@@ -835,7 +838,7 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
     choices = np.zeros(draws.shape, dtype=np.int64)
     for column in cum.T:  # the choice is how many cumulative weights are at or below the draw
         choices += column[:, np.newaxis] <= draws
-    out = comp.descend(choices, n)
+    out = comp.descend(choices)
     unassigned = np.flatnonzero((out < 0).any(axis=0)).tolist()
     if unassigned:
         raise ValueError(f"samples left variables {unassigned} unassigned; "

@@ -79,42 +79,40 @@ once per (compiled layout, config, word kind), in one record (`_Format`,
 built by `_format` and held weakly by the layout, so that it goes with the
 circuit): the slot weights as words with the counts of those that
 saturated, the MAR and MAP input tables, the word ops of a chunk
-(`_PatternWords` or `_IntWords`, which carry the record), the values of
-root words and the buffer of its value tables.  The evaluator reads no bit
-field: it hands rows to the word ops of its record, and the FLOAT64 rerun is
-the same pass on the ops of the (FLOAT64, Python int) record.  The rounding step of the word ops
-is `floats._round_words` on the format's words, which `floats.encode_words`
-shares, and a mask on IEEE double patterns.  The uniform
-plans and each plan's per-level modes are kept per layout too.  MAP's
-backtrack is the layout's `descend`, which `circuit.sample` shares; the
-observed variables of an assignment keep their evidence values.
+(`_PatternWords` or `_IntWords`, which carry the record), and the reading
+of its words as the format's own words and as values.  The evaluator reads
+no bit field: it hands rows to the word ops of its record, and the FLOAT64
+rerun is the same pass on the ops of the (FLOAT64, Python int) record.  The
+rounding step of the word ops is `floats._round_words` on the format's
+words, which `floats.encode_words` shares, and a mask on IEEE double
+patterns.  The uniform plans and each plan's per-level modes are kept per
+layout too.  MAP's backtrack is the layout's `descend`, which
+`circuit.sample` shares; the observed variables of an assignment keep their
+evidence values.
 
-Value tables.  Each record holds one buffer of a chunk's table, CHUNK_CELLS
-cells (a quarter of that for Python ints), and every pass on the record
-builds its table there (`_Format.table`), so that no pass allocates one.  A
-table is valid until the record's next pass: what outlives the pass, the
-root words and the certificate's upper bounds, is copied out first.  Each
-thread has a buffer of its own, kept as long as the layout lives, so the
-memory retained is one chunk table (up to 4 MB of touched pages) per record
-per thread that ran a pass on it; a Python-int buffer also keeps the ints of
-its last pass alive.  Each level writes its products and sums into its own
-rows of the table, through the `out` of the word ops, and never into the
-rows it reads: a sum's weighted terms go into its gathered children or,
-where those are a view of the table, a new array.  MAP steps branch-free,
-np.maximum for the value and, for the choice, the running maximum of k
-times the mask of terms k that beat all before them (`_largest`).
-`compare_queries` does only the work its
-metrics read: the tested plan's MAP pass runs on every row, as its counts
-are reported, and the baseline's only on rows with an unobserved variable,
-since a complete row's assignment is its evidence and counts as a hit; both
-descend those rows alone, and neither makes values of its root words.
+Value tables.  Each pass allocates its own table, one row per unit and one
+column per row of its chunk (CHUNK_CELLS cells, a quarter of that for
+Python ints), so no table is shared and none outlives the query.  A pass
+hands its root words back as the format's own words in int64, -1 for zero
+(`_Format.format_words`), whatever words it ran on: `_evaluate` returns
+them as one array, and a FLOAT64 chunk's rerun on Python ints shows nowhere
+past it.  Each level writes its products and sums into its own rows of the
+table, through the `out` of the word ops, and never into the rows it reads:
+a sum's weighted terms go into its gathered children or, where those are a
+view of the table, a new array.  MAP steps branch-free, np.maximum for the
+value and, for the choice, the running maximum of k times the mask of terms
+k that beat all before them (`_largest`).  `compare_queries` does only the
+work its metrics read: the tested plan's MAP pass runs on every row, as its
+counts are reported, and the baseline's only on rows with an unobserved
+variable, since a complete row's assignment is its evidence and counts as a
+hit; both descend those rows alone, and neither makes values of its root
+words.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -532,11 +530,11 @@ _MAR, _MAP, _PICK, _LEAST = range(4)
 
 
 def _inputs(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
-    """The value table of ar's record (`_Format.table`), one column per
-    entry of obs's last axis, with the words for one, zero and the
-    indicators where their variables take the values obs (-1 unobserved: at
-    one); every pass's table starts here."""
-    val = ar.fmt.table(obs.shape[-1])
+    """A new value table of ar's words, one column per entry of obs's last
+    axis, with the words for one, zero and the indicators where their
+    variables take the values obs (-1 unobserved: at one); every pass's
+    table starts here."""
+    val = np.empty((comp.n_table, obs.shape[-1]), dtype=ar.dtype)
     val[comp.one_row], val[comp.zero_row] = ar.one, ar.zero
     val[:len(comp.ind_var)] = np.where((obs < 0) | (obs == comp.ind_val[:, np.newaxis]),
                                        ar.one, ar.zero)
@@ -599,14 +597,13 @@ class _Format:
     """What a pass needs from one word format on one compiled layout, built
     once per (layout, config, word kind) by `_format`: the slot weights as
     words, one column wide, with the counts of those that saturated; the
-    word ops of a chunk; the value table of a chunk, a view of one buffer
-    that every pass on the record reuses (per thread); the MAR and MAP
-    input tables; and the values of root words.  Words come in three
-    representations, by kind: the bit patterns of IEEE doubles in int64
-    (float64), FLOAT64's included, the
-    format's own words in int64, and those words as Python ints (object).
-    On IEEE doubles a value's bit pattern is its word shifted up by
-    s = 52 - M, plus that of 2**-bias (FLOAT64's are its own words, s = 0);
+    word ops of a chunk; the MAR and MAP input tables; and the reading of
+    root words as the format's own words and as values.  Words come in
+    three representations, by kind: the bit patterns of IEEE doubles in
+    int64 (float64), FLOAT64's included, the format's own words in int64,
+    and those words as Python ints (object).  On IEEE doubles a value's bit
+    pattern is its word shifted up by s = 52 - M, plus `offset`, that of
+    2**-bias (FLOAT64's are its own words, s = 0);
     FLOAT64's weights are the doubles' own patterns, a subnormal one
     included, as its least value 2**-1023, word 0, is the pattern of +0.0,
     and only there (`leaves`) may a count mean that a product left IEEE
@@ -618,15 +615,13 @@ class _Format:
             raise ValueError("the word for one needs a non-negative bias")
         comp = _compile(c)
         self.cfg, self.kind, self.n_table = cfg, kind, comp.n_table
-        self.dtype = _INT64 if kind == _FLOAT64 else kind
         self.leaves = kind == _FLOAT64 and cfg == FLOAT64
-        self._local = threading.local()  # its `buffer`: one chunk's value table
-        self.s, self.lo = 52 - cfg.man_bits, (1023 - cfg.bias) << 52
+        self.s, self.offset = 52 - cfg.man_bits, (1023 - cfg.bias) << 52
         w, self.under, self.over = encode_words(comp.weights, cfg)
         if self.leaves:  # the doubles' own patterns: 2**-1023 is word 0, +0.0's
             w = comp.weights.view(np.int64)
         elif kind == _FLOAT64:
-            w = np.where(w < 0, 0, (w << self.s) + self.lo)
+            w = np.where(w < 0, 0, (w << self.s) + self.offset)
         else:
             w = w.astype(kind)
         self.w = w[:, np.newaxis]
@@ -648,27 +643,20 @@ class _Format:
         cells = CHUNK_CELLS // 4 if self.kind == _OBJECT else CHUNK_CELLS
         return max(1, cells // self.n_table)
 
-    def table(self, n: int) -> np.ndarray:
-        """A value table of n columns, contiguous: a view of this record's
-        buffer, which holds the table of one chunk and is made on first use
-        in each thread, so it is valid until the thread's next pass on the
-        record.  A wider table, as a FLOAT64 chunk's rerun on Python ints
-        asks for, is a new array."""
-        buffer = getattr(self._local, "buffer", None)
-        if buffer is None:
-            buffer = self._local.buffer = np.empty(self.n_table * self.chunk(), dtype=self.dtype)
-        if self.n_table * n > buffer.size:
-            return np.empty((self.n_table, n), dtype=self.dtype)
-        return buffer[:self.n_table * n].reshape(self.n_table, n)
-
-    def values(self, roots: np.ndarray) -> list[CustomFloat]:
-        """Root words as values; IEEE doubles read through their patterns."""
+    def format_words(self, words: np.ndarray) -> np.ndarray:
+        """This record's words as the format's own words in int64, -1 for
+        zero: IEEE double patterns read back through their offset, Python
+        ints cast (every format's words fit, as E + M <= 63)."""
         if self.kind == _FLOAT64:
-            roots = np.where(roots == 0, -1, (roots - self.lo) >> self.s)
+            return np.where(words == 0, -1, (words - self.offset) >> self.s)
+        return words.astype(np.int64)
+
+    def values(self, words: np.ndarray) -> list[CustomFloat]:
+        """The format's words (`format_words`) as values."""
         m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
         zero = CustomFloat.zero(m)
         return [zero if w < 0 else CustomFloat(False, (w >> m) - bias, w & mm, m)
-                for w in roots.tolist()]
+                for w in words.tolist()]
 
     def _table(self, c: Circuit, comp: _Compiled, mode: int) -> Optional[_Table]:
         """The input table of a MAR or MAP pass: the first level's sums, as
@@ -704,11 +692,10 @@ def _format(c: Circuit, cfg: FloatConfig, kind: Optional[np.dtype] = None) -> _F
 class CircuitEvaluator:
     """Reusable evaluation state for one (circuit, config, plan) triple: a
     handle over the compiled circuit, cfg's record on it (`_Format`: the
-    weight words, input tables, word ops and the buffer every pass builds
-    its value table in, kept with the layout) and the plan's per-level
-    modes (cached on the plan), so that building one does no per-unit or
-    per-level work, and a pass allocates no value table.  Weights are
-    quantized once, per cfg.rounding; under toward-zero this keeps the
+    weight words, input tables and word ops, kept with the layout) and the
+    plan's per-level modes (cached on the plan), so that building one does
+    no per-unit or per-level work; each pass allocates its own value table.
+    Weights are quantized once, per cfg.rounding; under toward-zero this keeps the
     one-sided underestimation end to end.  The word kind follows from cfg alone: IEEE
     double patterns in int64 (FLOAT64 and the formats that fit them), the
     format's own words in int64, or those words as Python ints; a FLOAT64
@@ -737,16 +724,16 @@ class CircuitEvaluator:
               free: int = 0):
         """Evaluate a chunk of rows on ar's words, its first `free` levels
         unchecked; MAP fills `choices`, the chunk's columns of the choice
-        table, and a picked pass reads them.  Returns the root words, copied
-        out of the record's value table, and the per-row saturation counts."""
+        table, and a picked pass reads them.  Returns the root words as the
+        format's own words (`_Format.format_words`) and the per-row
+        saturation counts."""
         roots = self._ascend(ar, rows, mode, choices, free)[self._comp.root]
-        return roots.copy(), ar.under, ar.over
+        return ar.fmt.format_words(roots), ar.under, ar.over
 
     def _ascend(self, ar, rows: np.ndarray, mode: int, choices=None, free: int = 0,
                 counted: Optional[list] = None):
-        """The value table of rows' columns, in the buffer of ar's record
-        (valid until its next pass), filled children first, one level at a
-        time, each level into its own rows; the first level's sums of a MAR
+        """A new value table of rows' columns, filled children first, one
+        level at a time, each level into its own rows; the first level's sums of a MAR
         or MAP pass come from the input table where ar's record has one.
         The first `free` levels run unchecked, the rest as ar says;
         `counted`, where given, gets per level whether any op so far has
@@ -800,7 +787,7 @@ class CircuitEvaluator:
         one (`_within_one`)."""
         row = np.full((1, self._comp.n_vars), -1, dtype=np.int64)
         ar, top_counted, least_counted = fmt.ops(1), [], []
-        top = self._ascend(ar, row, _MAR, counted=top_counted).copy()  # the next pass reuses it
+        top = self._ascend(ar, row, _MAR, counted=top_counted)
         self._ascend(fmt.ops(1), row, _LEAST, counted=least_counted)
         free = 0
         for lev, (steps, edges), *counted in zip(self._comp.levels, self._modes,
@@ -817,9 +804,9 @@ class CircuitEvaluator:
         count means that a product left IEEE doubles.  MAP fills one choice
         table per call (a row per sum in sum_index order, a column per row),
         a picked pass reads picks, and each chunk's pass gets its columns.
-        Returns each chunk's root words with the record they are words of
-        (`_values` reads them), the per-row saturation counts and the choice
-        table."""
+        Returns the root words, one int64 array of the format's own words
+        (-1 for zero) in row order whichever record each chunk ran on, the
+        per-row saturation counts and the choice table."""
         fmt = self._format
         step, free = fmt.chunk(), self._free(fmt)
         choices = picks if mode != _MAP else np.empty((len(self._comp.sum_index), len(rows)),
@@ -833,22 +820,17 @@ class CircuitEvaluator:
                 ints = _format(self.circuit, FLOAT64, _OBJECT)
                 ar = ints.ops(len(args[0]))
                 words = self._pass(ar, *args, self._free(ints))[0]
-            roots.append((ar.fmt, words))
+            roots.append(words)
             under.append(ar.under)
             over.append(ar.over)
-        return roots, np.concatenate(under), np.concatenate(over), choices
-
-    @staticmethod
-    def _values(roots: list) -> list[CustomFloat]:
-        """The root values of `_evaluate`'s chunks, in row order."""
-        return [v for fmt, words in roots for v in fmt.values(words)]
+        return np.concatenate(roots), np.concatenate(under), np.concatenate(over), choices
 
     def _descend(self, choices: np.ndarray) -> np.ndarray:
         """The assignments a choice table selects, one row per column,
         descended a chunk of columns at a time."""
-        n, step = choices.shape[1], self._format.chunk()
-        return np.vstack([self._comp.descend(choices[:, s:s + step], min(step, n - s))
-                          for s in range(0, max(n, 1), step)])
+        step = self._format.chunk()
+        return np.vstack([self._comp.descend(choices[:, s:s + step])
+                          for s in range(0, max(choices.shape[1], 1), step)])
 
     def _batch(self, x) -> tuple[np.ndarray, bool]:
         """x as a 2-D batch of checked rows, and whether it was a single row."""
@@ -895,7 +877,7 @@ class CircuitEvaluator:
         roots, under, over, _ = self._evaluate(rows, _MAR)
         wu, wo = self.weight_quant_underflows > 0, self.weight_quant_overflows > 0
         results = [MultResult(v, u > 0 or wu, o > 0 or wo)
-                   for v, u, o in zip(self._values(roots), under.tolist(), over.tolist())]
+                   for v, u, o in zip(self._format.values(roots), under.tolist(), over.tolist())]
         return self._per_row(single, results, under, over)
 
     def map_query(self, evidence):
@@ -909,7 +891,7 @@ class CircuitEvaluator:
         index = self._comp.sum_index
         return self._per_row(single, [
             MapResult(assignment[r], log2_value(v), _Trace(index, trace[:, r]))
-            for r, v in enumerate(self._values(roots))], under, over)
+            for r, v in enumerate(self._format.values(roots))], under, over)
 
     def restricted_value(self, trace, evidence):
         """Re-evaluate with each sum taking only its traced edge (a sum the
@@ -922,7 +904,7 @@ class CircuitEvaluator:
         if isinstance(trace, Mapping) != single or not all(isinstance(t, Mapping) for t in traces):
             raise ValueError("one evidence row takes one trace, a {sum id: child position} "
                              "mapping, and a batch of rows a sequence of them, one per row")
-        roots = self._values(self._evaluate(rows, _PICK, self._picks(traces, len(rows)))[0])
+        roots = self._format.values(self._evaluate(rows, _PICK, self._picks(traces, len(rows)))[0])
         return roots[0] if single else roots
 
 

@@ -1,7 +1,9 @@
 """Unit tests for circuit parsing, validation, generation and analytics."""
 
+import enum
 import json
 import math
+import numbers
 import re
 import tracemalloc
 
@@ -19,6 +21,7 @@ from aaipc.circuit import (
     ProductUnit,
     Variable,
     _compile,
+    _is_integer,
     circuit_to_json,
     edge_masses,
     enumerate_states,
@@ -838,6 +841,19 @@ class TestAscendMatchesTheFold:
     def test_empty_batch(self, make):
         c = make()
         assert_float64_analytics_match_the_fold(c, np.zeros((0, c.n_vars), dtype=np.int64))
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+@pytest.mark.parametrize("value", [
+    0, 7, -3, 2**70, True, False, np.int64(5), np.int32(-1), np.uint8(0), np.uint64(2**64 - 1),
+    np.bool_(True), np.bool_(False), 1.0, 2.5, np.float64(2.0), "1", None, Colour.RED], ids=repr)
+def test_is_integer_matches_the_abstract_base_class_form(value):
+    # the plain-int fast path answers as the two isinstance checks do
+    assert _is_integer(value) == (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 class TestSample:

@@ -1249,7 +1249,8 @@ class TestChildMajorLayout:
             want = [ref.unit_values([None if v < 0 else v for v in row.tolist()],
                                     largest=mode == inference._MAP) for row in rows]
             for uid, r in comp.row.items():
-                assert ev._format.values(table[r]) == [w[uid] for w in want], uid
+                words = ev._format.format_words(table[r])
+                assert ev._format.values(words) == [w[uid] for w in want], uid
 
 
 class TestLargestTerm:
@@ -1541,9 +1542,8 @@ class TestRangeCertificate:
         hidden = np.vstack([rows, [[3, -1, 0], [3, -1, 1], [-1, -1, -1]]])
         aai = assert_matches_scalar(c, cfg, MultiplierPlan.all_aai(c), rows, hidden)
         assert verdicts(aai) == {(cfg, aai._format.kind): free}
-        # each pass reuses the record's value table: copy the first one out
         unchecked, checked = (aai._ascend(aai._format.ops(len(hidden), flag), hidden,
-                                          inference._MAR).copy()
+                                          inference._MAR)
                               for flag in (False, True))
         assert (unchecked != checked).any()
         exact = assert_matches_scalar(c, cfg, MultiplierPlan.all_exact(c), rows, hidden)
@@ -1810,7 +1810,7 @@ class TestCompareQueries:
         monkeypatch.setattr(CircuitEvaluator, "_evaluate", lambda ev, rows, mode, *args: passes
                             .append((ev.cfg, mode, len(rows))) or evaluate(ev, rows, mode, *args))
         monkeypatch.setattr(_compile(c), "descend",
-                            lambda ch, n: descended.append(n) or descend(ch, n))
+                            lambda ch: descended.append(ch.shape[1]) or descend(ch))
         monkeypatch.setattr(inference._Format, "values",
                             lambda fmt, words: built.append(len(words)) or values(fmt, words))
         got = inference.compare_queries(c, data, cfg, plan)
@@ -1839,9 +1839,10 @@ def plain_verdicts(plan: MultiplierPlan) -> dict:
 
 
 class TestValueTableReuse:
-    """Each word-format record keeps one value table, which every pass on
-    it reuses: a result is copied out before the next pass, so no pass
-    sees another's words."""
+    """Every pass allocates its own value table: passes interleaved over
+    records, plans and widths give what fresh records give, a table stays
+    as it is through later passes on its record, and no table outlives the
+    query that made it."""
 
     def test_interleaved_passes_match_fresh_records(self, monkeypatch):
         monkeypatch.setattr(inference, "CHUNK_CELLS", 1 << 12)
@@ -1879,7 +1880,18 @@ class TestValueTableReuse:
                 CircuitEvaluator(c, cfg, fresh).mar(sample(c, 0, 1))
             assert plain_verdicts(plan) == plain_verdicts(fresh)
 
-    def test_retained_memory_is_one_chunk_table_per_record(self):
+    @pytest.mark.parametrize("cfg", KIND_CONFIGS, ids=str)
+    def test_a_table_is_unchanged_by_the_next_pass_on_its_record(self, cfg):
+        c = generate_random_tree_pc(3, 8, 2, 3)
+        ev = CircuitEvaluator(c, cfg, half_aai(c))
+        rows, other = sample(c, 3, 8), sample(c, 4, 8)
+        first = ev._ascend(ev._format.ops(len(rows)), rows, inference._MAR)
+        kept = first.copy()
+        second = ev._ascend(ev._format.ops(len(other)), other, inference._MAR)
+        assert (second != kept).any()
+        assert (first == kept).all()
+
+    def test_passes_retain_no_value_table(self):
         c, cfg = generate_random_tree_pc(7, 12, 3, 3), FloatConfig(8, 10)
         plan = MultiplierPlan.all_aai(c)
         rows = sample(c, 7, 150)
@@ -1896,10 +1908,7 @@ class TestValueTableReuse:
         finally:
             tracemalloc.stop()
         assert len(records) == 2  # the baseline's and the tested config's
-        tables = [fmt._local.buffer for fmt in records]
-        for fmt, table in zip(records, tables):
-            assert table.size == comp.n_table * fmt.chunk() <= inference.CHUNK_CELLS
-        assert first <= sum(t.nbytes for t in tables) + (256 << 10)
+        assert first <= 256 << 10
         assert grown <= 64 << 10
 
     def test_threads_keep_their_own_tables(self):
@@ -1925,6 +1934,54 @@ class TestValueTableReuse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(len(got[i]) == 25 and all(r == want[i] for r in got[i]) for i in got)
+
+
+def format_word(v: CustomFloat, cfg: FloatConfig) -> int:
+    """The format's word of a value, -1 for zero."""
+    return -1 if v.is_zero else ((v.exponent + cfg.bias) << cfg.man_bits) | v.mantissa
+
+
+class TestRootWords:
+    """`_evaluate` returns the roots as one int64 array of the format's own
+    words, -1 for zero, whatever words its passes ran on."""
+
+    @pytest.mark.parametrize("python_ints", [False, True], ids=["own-kind", "python-ints"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=str)
+    def test_roots_are_the_scalar_references_words(self, cfg, python_ints, monkeypatch):
+        if python_ints:
+            monkeypatch.setattr(inference, "_word_kind", lambda cfg: np.dtype(object))
+        c = generate_random_tree_pc(2, 5, 2, 3)
+        plan = half_aai(c)
+        rows = sample(c, 2, 6)
+        hidden = rows.copy()
+        hidden[::2, ::2] = -1
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        assert ev._format.kind == (np.dtype(object) if python_ints else _word_kind(cfg))
+        mar = ev._evaluate(rows, inference._MAR)[0]
+        map_, _, _, choices = ev._evaluate(hidden, inference._MAP)
+        picked = ev._evaluate(hidden, inference._PICK, choices)[0]
+        assert mar.dtype == map_.dtype == picked.dtype == np.int64
+        assert mar.tolist() == [format_word(ref.mar(x)[0].value, cfg) for x in rows]
+        opened = [[None if v < 0 else v for v in row.tolist()] for row in hidden]
+        assert map_.tolist() == [format_word(ref.unit_values(row, largest=True)[c.root], cfg)
+                                 for row in opened]
+        traces = [{uid: int(choices[i, r]) for uid, i in ev._comp.sum_index.items()}
+                  for r in range(len(hidden))]
+        assert picked.tolist() == [format_word(ref.restricted_value(t, evidence_of(row)), cfg)
+                                   for t, row in zip(traces, hidden)]
+
+    @pytest.mark.parametrize("aai", [False, True])
+    def test_float64_chunks_that_rerun_on_python_ints(self, aai, monkeypatch):
+        c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
+        plan = MultiplierPlan.all_aai(c) if aai else MultiplierPlan.all_exact(c)
+        ref = ScalarEvaluator(c, FLOAT64, plan)
+        monkeypatch.setattr(inference, "CHUNK_CELLS", 2 * _compile(c).n_table)
+        roots, under, _, _ = CircuitEvaluator(c, FLOAT64, plan)._evaluate(TINY_CHAIN_ROWS,
+                                                                          inference._MAR)
+        assert roots.dtype == np.int64
+        assert roots.tolist() == [format_word(ref.mar(x)[0].value, FLOAT64)
+                                  for x in TINY_CHAIN_ROWS]
+        assert under.tolist() == [ref.mar(x)[1] for x in TINY_CHAIN_ROWS]
 
 
 def first_trace_error(ev: CircuitEvaluator, traces) -> Optional[str]:
