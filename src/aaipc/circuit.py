@@ -29,9 +29,9 @@ import numpy as np
 #: joint state spaces at or below this size are checked exhaustively
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
 
-#: (table row, input row) cells of one chunk's value table in a pass up the
-#: compiled layout: `eval_double` here, the MAR and MAP passes of `inference`
-#: (a quarter as many on Python-int words)
+#: (table row, input row) cells of one chunk's table in a pass over the
+#: compiled layout: `eval_double` and `descend` here, the MAR and MAP passes
+#: of `inference` (a quarter as many on Python-int words)
 CHUNK_CELLS = 1 << 19
 
 #: the exhaustive determinism check holds one bit per (table row of the
@@ -368,25 +368,28 @@ class _Compiled:
         down, one level at a time, a selected sum selects its chosen child
         (its level's choices are rows q0:q1) and a selected product all its
         children.  A variable no selected indicator tests is -1; one that two
-        test takes the value of the one listed later in ind_var.  Selected
+        test takes the value of the one listed later in ind_var.  Columns go
+        down in chunks of CHUNK_CELLS cells of the selection table.  Selected
         cells are found by a scan of the flat table, which NumPy does several
         times faster than a 2-D `nonzero`, and split into (unit, row) by one
         divmod."""
-        n = choices.shape[1]
-        sel = np.zeros((self.n_table, n), dtype=bool)
-        flat, picks = sel.ravel(), choices.ravel()
-        sel[self.root] = True
-        for lev in reversed(self.levels):
-            if lev.s1 > lev.s0:
-                q = flat[lev.s0 * n:lev.s1 * n].nonzero()[0]
-                i, b = np.divmod(q, n)
-                sel[lev.sch[picks[lev.q0 * n:][q], i], b] = True
-            if lev.p1 > lev.p0:
-                i, b = np.divmod(flat[lev.p0 * n:lev.p1 * n].nonzero()[0], n)
-                sel[lev.pch[:, i], b] = True
-        i, b = np.divmod(flat[:len(self.ind_var) * n].nonzero()[0], n)
-        assignment = np.full((n, self.n_vars), -1, dtype=np.int64)
-        assignment[b, self.ind_var[i]] = self.ind_val[i]
+        n_rows = choices.shape[1]
+        assignment = np.full((n_rows, self.n_vars), -1, dtype=np.int64)
+        step = max(1, CHUNK_CELLS // self.n_table)
+        for s in range(0, n_rows, step):
+            n = min(step, n_rows - s)
+            sel = np.zeros((self.n_table, n), dtype=bool)
+            flat, picks = sel.ravel(), choices[:, s:s + n]
+            sel[self.root] = True
+            for lev in reversed(self.levels):
+                if lev.s1 > lev.s0:
+                    i, b = np.divmod(flat[lev.s0 * n:lev.s1 * n].nonzero()[0], n)
+                    sel[lev.sch[picks[lev.q0:][i, b], i], b] = True
+                if lev.p1 > lev.p0:
+                    i, b = np.divmod(flat[lev.p0 * n:lev.p1 * n].nonzero()[0], n)
+                    sel[lev.pch[:, i], b] = True
+            i, b = np.divmod(flat[:len(self.ind_var) * n].nonzero()[0], n)
+            assignment[s + b, self.ind_var[i]] = self.ind_val[i]
         return assignment
 
 

@@ -37,76 +37,39 @@ of a kind that the format alone decides (`_word_kind`):
 - the format's own bit patterns (biased exponent, then mantissa) with zero
   as -1, out of band, so the smallest value (pattern 0) stays apart and
   word order is value order (`_IntWords`): in int64 up to M = 40
-  (E + M <= 61), where past M = 29 the exact product and add keep the bits
-  that decide the rounding and fold the rest into a sticky bit (the
-  analysis config (11, 40) runs there);
+  (E + M <= 61), where past M = 30 the exact product folds its low bits
+  into a sticky bit, as the add does past its 3 guard bits (the analysis
+  config (11, 40) runs there);
 - the same patterns as Python ints in object arrays for wider formats.
 
-Input tables.  Where every first-level sum (one whose children are all
-indicators) tests one variable (`_Compiled.leaf_var`), as the categorical
-inputs of generated circuits do, each of their words, and MAP's choice, depends
-on that variable's value alone.  The pass then reads that level's sums from a
-per-state table in one gather, `table.take(offset + x[var] + 1)`, in place
-of multiplying weights by indicators and adding.  A MAR and a MAP table are
-built with each word format's record (below) by the level code the pass runs
-(`_sums`), on one column per state: unobserved, then each value up to the
-largest cardinality.  The plan does not enter, as a weight times one or zero
-is the same word under either multiplier.  Where that build
-counts in `under` or `over` there is no table and the level runs as above,
-and so does every `restricted_value` pass, so results and counts are the
-same either way.
+Input tables.  Where every first-level sum tests one variable, as the
+categorical inputs of generated circuits do, a MAR or MAP pass reads that
+level from a per-state table in one gather (`_Format._table`); where the
+build counts, that level runs as the others do, and so does every
+`restricted_value` pass.
 
 Range certificate.  Once per (plan, word format record), on its first pass,
-the evaluator decides up to which level no op of any pass on any row can
-leave the format's range, from two checked passes over one row with every
-variable unobserved (`CircuitEvaluator._certify`).  The ops are monotone and
-an add is at least its larger operand, so the MAR pass bounds every word
-from above, and a pass whose sums keep their least nonzero term (`_sums`'
-_LEAST) bounds every nonzero word from below, up to the first level where
-either counts in `under` or `over` (on IEEE doubles: where a product leaves
-them); above an underflow the least-term pass bounds nothing.  The verdict
-is the number of leading levels before that one and before the first level
-with an AAI product whose operand can meet the zero word and may exceed
-one.  Those levels run unchecked: no op counts or clamps, the exact product
-only maps zero operands to zero, and an AAI product is one integer add,
-max(a + b - one, zero).  They count no saturation, as checked ones would
-not, and every level from there runs checked, so results and counts are the
-same either way.  The verdict is kept with the plan's per-level modes, keyed
-by the record.
+the evaluator decides how many leading levels no op of any pass on any row
+can take out of range (`CircuitEvaluator._certify`).  Those levels run
+unchecked, with the same results and counts.
 
 Word formats.  Everything a pass needs from its number format is worked out
-once per (compiled layout, config, word kind), in one record (`_Format`,
-built by `_format` and held weakly by the layout, so that it goes with the
-circuit): the slot weights as words with the counts of those that
-saturated, the MAR and MAP input tables, the word ops of a chunk
-(`_PatternWords` or `_IntWords`, which carry the record), and the reading
-of its words as the format's own words and as values.  The evaluator reads
-no bit field: it hands rows to the word ops of its record, and the FLOAT64
-rerun is the same pass on the ops of the (FLOAT64, Python int) record.  The
-rounding step of the word ops is `floats._round_words` on the format's
-words, which `floats.encode_words` shares, and a mask on IEEE double
-patterns.  The uniform plans and each plan's per-level modes are kept per
-layout too.  MAP's backtrack is the layout's `descend`, which
-`circuit.sample` shares; the observed variables of an assignment keep their
-evidence values.
+once per (compiled layout, config, word kind), in one record (`_Format`),
+held weakly by the layout.  The evaluator reads no bit field: it hands rows
+to the word ops of its record, and the FLOAT64 rerun is the same pass on the
+ops of the (FLOAT64, Python int) record.  The uniform plans and each plan's
+per-level modes are kept per layout too.  MAP's backtrack is the layout's
+`descend`, which `circuit.sample` shares and which chunks its own columns;
+the observed variables of an assignment keep their evidence values.
 
-Value tables.  Each pass allocates its own table, one row per unit and one
-column per row of its chunk (CHUNK_CELLS cells, a quarter of that for
-Python ints), so no table is shared and none outlives the query.  A pass
-hands its root words back as the format's own words in int64, -1 for zero
-(`_Format.format_words`), whatever words it ran on: `_evaluate` returns
-them as one array, and a FLOAT64 chunk's rerun on Python ints shows nowhere
-past it.  Each level writes its products and sums into its own rows of the
-table, through the `out` of the word ops, and never into the rows it reads:
-a sum's weighted terms go into its gathered children or, where those are a
-view of the table, a new array.  MAP steps branch-free, np.maximum for the
-value and, for the choice, the running maximum of k times the mask of terms
-k that beat all before them (`_largest`).  `compare_queries` does only the
-work its metrics read: the tested plan's MAP pass runs on every row, as its
-counts are reported, and the baseline's only on rows with an unobserved
-variable, since a complete row's assignment is its evidence and counts as a
-hit; both descend those rows alone, and neither makes values of its root
-words.
+Value tables.  Each pass allocates its own table (`_inputs`) for a chunk of
+rows (`_evaluate`), so no table is shared and none outlives the query.  Each
+level writes its products and sums into its own rows of the table, through
+the `out` of the word ops, and never into the rows it reads.  MAP steps
+branch-free (`_largest`).  `compare_queries` does only the work its metrics
+read: the baseline's MAP pass runs only on rows with an unobserved
+variable, both plans descend those rows alone, and neither makes values of
+its root words.
 """
 
 from __future__ import annotations
@@ -140,6 +103,15 @@ def enumerate_sites(c: Circuit) -> list[Edge]:
     return list(_compile(c).sites)
 
 
+def _edge(site) -> Edge:
+    """site as an edge, or a ValueError where it is not a pair of integers:
+    a bool or a float equal to an integer would name the same site."""
+    pair = tuple(site) if isinstance(site, (tuple, list)) else ()
+    if len(pair) != 2 or not all(map(_is_integer, pair)):
+        raise ValueError(f"site {site!r} is not a pair of integers (unit id, child position)")
+    return pair
+
+
 @dataclass(frozen=True)
 class MultiplierPlan:
     """One mode for each multiplication site, keyed by its `circuit.Edge`; a
@@ -156,6 +128,7 @@ class MultiplierPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", MappingProxyType(dict(self.modes)))
         for site, mode in self.modes.items():
+            _edge(site)
             if mode not in (EXACT, AAI):  # _modes reads anything but AAI as exact
                 raise ValueError(f"site {site}: mode {mode!r} is neither {EXACT!r} nor {AAI!r}")
 
@@ -179,7 +152,7 @@ class MultiplierPlan:
     def from_aai_weight_sites(cls, c: Circuit,
                               aai_edges: Sequence[Edge]) -> "MultiplierPlan":
         """AAI on the listed sum edges, exact everywhere else."""
-        chosen = {(uid, i) for uid, i in aai_edges}
+        chosen = {_edge(e) for e in aai_edges}
         missing = chosen.difference(c.weight_edges())
         if missing:
             raise ValueError(f"edges are not sum edges of this circuit: {sorted(missing)}")
@@ -260,30 +233,19 @@ class EvaluationError(ValueError):
     """Raised when a metric is undefined, e.g. the baseline underflows."""
 
 
-def _widths(man_bits: int, dtype: np.dtype) -> tuple[int, int]:
-    """(k, g) for M-bit significands in int64 words (63 value bits) or
-    Python ints: the exact product drops the k low bits of its low partial
-    product into a sticky bit, k = max(0, 2M+3 - 63), and the add aligns
-    with g guard bits, M+2 where the aligned sum's 2M+5 bits fit (lossless),
-    else 3 and a sticky bit."""
-    if dtype == object:
-        return 0, man_bits + 2
-    return max(0, 2 * man_bits - 60), man_bits + 2 if 2 * man_bits + 5 <= 63 else 3
-
-
 class _Words:
     """What the word ops on integer words share: the AAI product, one
     integer add less the word for one, and the range check of a result.
     Every op writes its result into `out`, which may be either operand, and
-    returns it.  Checked, a result below
+    returns it.  Ops start checked: a result below
     the least value's word `lo` underflows and one above the largest, `top`,
     overflows; each adds one to its column of `under` or `over`.  Unchecked,
     for a level the range certificate covers, no op looks at the range, and
     the AAI product is max(a + b - one, zero): a zero operand, with the
     other at most one, gives at most the zero word."""
 
-    def __init__(self, n_rows: int, checked: bool):
-        self.checked = checked
+    def __init__(self, n_rows: int):
+        self.checked = True
         self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
 
     def aai(self, a, b, out):
@@ -325,19 +287,20 @@ class _IntWords(_Words):
     returns the other operands.  Every shift but the add's alignment is by a
     constant.  Unchecked, the exact product only maps a zero operand to zero.
 
-    Where the word cannot hold the full significand product or aligned sum,
-    the rounding ops keep the bits that decide the rounding and fold the rest
-    into a sticky bit at bit 0, at least two places below the round bit: the
-    product's k low bits, and the add's lower operand past g guard bits
-    (`_widths`).  Where it can (k = 0, g = M+2: M <= 29 on int64), no bit is
-    folded."""
+    The rounding ops keep the bits that decide the rounding and fold the
+    rest into a sticky bit at bit 0, at least two places below the round
+    bit.  The add aligns the lower significand to 3 guard bits below the
+    higher one's last bit, for every format and word kind.  The product
+    drops the k low bits of its low partial product, k = 2M - 60 where the
+    full product of M+1-bit significands would not fit an int64 word (past
+    M = 30), else 0."""
 
-    def __init__(self, cfg: FloatConfig, dtype: np.dtype, n_rows: int, checked: bool = True):
-        super().__init__(n_rows, checked)
+    def __init__(self, cfg: FloatConfig, dtype: np.dtype, n_rows: int):
+        super().__init__(n_rows)
         self.cfg, self.dtype, self.m, self.top = cfg, dtype, cfg.man_bits, cfg.max_word
         self.mm, self.scale = cfg.man_scale - 1, cfg.man_scale
         self.bias, self.one, self.zero, self.lo = cfg.bias, cfg.bias << cfg.man_bits, -1, 0
-        self.k, self.g = _widths(cfg.man_bits, dtype)
+        self.k = max(0, 2 * cfg.man_bits - 60) if dtype == _INT64 else 0
 
     def exact(self, a, b, out):
         """Significand product over 2**k, rounded once."""
@@ -349,18 +312,21 @@ class _IntWords(_Words):
         return self._saturate(out, zero)
 
     def add(self, a, b, out):
-        """Significand sum aligned to g guard bits, rounded once; an operand
+        """Significand sum, the lower one d binades down past 3 guard bits
+        with the bits shifted out folded into bit 0, rounded once; an operand
         M+2 or more binades below the other cannot change it.  Where every
         lower operand is zero, the sums are the other operands: earlier ops'
         words, in range, which round to themselves and count nothing."""
-        m, g = self.m, self.g
+        m = self.m
         lo = np.minimum(a, b)
         hi = np.maximum(a, b, out=out)
         if lo.max(initial=-1) < 0:
             return hi
         d = np.minimum((hi >> m) - (lo >> m), m + 2)
-        wide = (((hi & self.mm) | self.scale) << g) + self._align((lo & self.mm) | self.scale, d)
-        r = _round_words(hi >> m, wide, g + 1, self.cfg)
+        s = ((lo & self.mm) | self.scale) << 3
+        low = s >> d
+        wide = (((hi & self.mm) | self.scale) << 3) + (low | ((low << d) != s))
+        r = _round_words(hi >> m, wide, 4, self.cfg)
         np.copyto(hi, r, where=(d <= m + 1) & (lo >= 0))
         return self._saturate(hi)
 
@@ -372,16 +338,6 @@ class _IntWords(_Words):
             return sa * sb
         low = sa * (sb & ((1 << k) - 1))
         return sa * (sb >> k) + (low >> k) | ((low & ((1 << k) - 1)) != 0)
-
-    def _align(self, s, d):
-        """s with g guard bits, d binades down: with g < M+2, the bits
-        shifted out fold into bit 0."""
-        g = self.g
-        if g == self.m + 2:
-            return s << (g - d)
-        s = s << g
-        r = s >> d
-        return r | ((r << d) != s)
 
 
 _INT64, _FLOAT64, _OBJECT = map(np.dtype, (np.int64, np.float64, object))
@@ -416,8 +372,8 @@ class _PatternWords(_Words):
 
     dtype, one, zero = _INT64, _ONE, 0
 
-    def __init__(self, cfg: FloatConfig, n_rows: int, checked: bool = True):
-        super().__init__(n_rows, checked)
+    def __init__(self, cfg: FloatConfig, n_rows: int):
+        super().__init__(n_rows)
         self.cfg, self.s = cfg, 52 - cfg.man_bits
         offset = (1023 - cfg.bias) << 52  # the pattern of 2**-bias, word 0
         self.lo = max(offset, 1 << 52)
@@ -462,8 +418,7 @@ def _word_kind(cfg: FloatConfig) -> np.dtype:
     Python ints for the rest."""
     if cfg == FLOAT64 or _fits_doubles(cfg):
         return _FLOAT64
-    m, e = cfg.man_bits, cfg.exp_bits
-    if e + m + 2 <= 63 and m + 1 + _widths(m, _INT64)[0] <= 62:
+    if cfg.exp_bits + cfg.man_bits <= 61 and cfg.man_bits <= 40:
         return _INT64
     return _OBJECT
 
@@ -607,8 +562,8 @@ class _Format:
     FLOAT64's weights are the doubles' own patterns, a subnormal one
     included, as its least value 2**-1023, word 0, is the pattern of +0.0,
     and only there (`leaves`) may a count mean that a product left IEEE
-    doubles.  The words need a word for one in range, so a negative bias is
-    refused here."""
+    doubles.  A negative bias is refused: the word for one, bias << M,
+    would be negative, at or below the zero word -1."""
 
     def __init__(self, c: Circuit, cfg: FloatConfig, kind: np.dtype):
         if cfg.bias < 0:
@@ -627,13 +582,13 @@ class _Format:
         self.w = w[:, np.newaxis]
         self.tables = {mode: self._table(c, comp, mode) for mode in (_MAR, _MAP)}
 
-    def ops(self, n_rows: int, checked: bool = True):
-        """The word ops over n_rows columns, checking each result's range
-        unless told not to; they carry this record as `fmt`."""
+    def ops(self, n_rows: int):
+        """The word ops over n_rows columns, checked; they carry this
+        record as `fmt`."""
         if self.kind == _FLOAT64:
-            ar = _PatternWords(self.cfg, n_rows, checked)
+            ar = _PatternWords(self.cfg, n_rows)
         else:
-            ar = _IntWords(self.cfg, self.kind, n_rows, checked)
+            ar = _IntWords(self.cfg, self.kind, n_rows)
         ar.fmt = self
         return ar
 
@@ -825,13 +780,6 @@ class CircuitEvaluator:
             over.append(ar.over)
         return np.concatenate(roots), np.concatenate(under), np.concatenate(over), choices
 
-    def _descend(self, choices: np.ndarray) -> np.ndarray:
-        """The assignments a choice table selects, one row per column,
-        descended a chunk of columns at a time."""
-        step = self._format.chunk()
-        return np.vstack([self._comp.descend(choices[:, s:s + step])
-                          for s in range(0, max(choices.shape[1], 1), step)])
-
     def _batch(self, x) -> tuple[np.ndarray, bool]:
         """x as a 2-D batch of checked rows, and whether it was a single row."""
         if isinstance(x, Mapping):
@@ -887,7 +835,7 @@ class CircuitEvaluator:
         where the root is zero and the backtrack's choices are all ties."""
         rows, single = self._batch(evidence)
         roots, under, over, trace = self._evaluate(rows, _MAP)
-        assignment = np.where(rows >= 0, rows, self._descend(trace))
+        assignment = np.where(rows >= 0, rows, self._comp.descend(trace))
         index = self._comp.sum_index
         return self._per_row(single, [
             MapResult(assignment[r], log2_value(v), _Trace(index, trace[:, r]))
@@ -977,8 +925,8 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     # a complete row's assignment is its evidence, a hit; the test plan's
     # MAP pass runs on every row for its counts, the baseline's on the rest
     _, map_under, map_over, choices = test._evaluate(data, _MAP)
-    t_map = test._descend(choices[:, hidden])
-    b_map = base._descend(base._evaluate(data[hidden], _MAP)[3])
+    t_map = test._comp.descend(choices[:, hidden])
+    b_map = base._comp.descend(base._evaluate(data[hidden], _MAP)[3])
     # the assignments before the evidence goes in: observed variables agree
     n, n_mar = len(data), len(complete)
     map_hits = n_mar + int(((b_map == t_map) | observed[hidden]).all(axis=1).sum())

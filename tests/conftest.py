@@ -1,5 +1,6 @@
 """Shared fixtures: a small hand-built deterministic circuit and helpers."""
 
+import contextlib
 import json
 import warnings
 
@@ -8,8 +9,9 @@ import pytest
 # Hypothesis writes the patch for a failing example with libcst, whose import
 # raises a DeprecationWarning from mypy_extensions; under filterwarnings =
 # ["error"] that ended the run with INTERNALERROR and hid the failure.  Import
-# it once here, with only that warning ignored.
-with warnings.catch_warnings():
+# it once here, with only that warning ignored.  Hypothesis does not require
+# libcst; without it no patch is written, and there is no warning to pre-empt.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aaipc import inference
+from aaipc import circuit, inference
 from aaipc.circuit import (
     Circuit,
     IndicatorUnit,
@@ -56,7 +56,6 @@ from aaipc.inference import (
     QueryMetrics,
     _IntWords,
     _PatternWords,
-    _widths,
     _word_kind,
     enumerate_sites,
 )
@@ -73,11 +72,11 @@ CONFIGS = [
     FloatConfig(4, 0),                          # int64, no rounding bits
     FloatConfig(3, 3),                          # IEEE double patterns, underflow
     FloatConfig(3, 4, bias=8),                  # IEEE double patterns, overflow
-    FloatConfig(10, 12, rounding=TOWARD_ZERO),  # int64, lossless (e_max 512)
+    FloatConfig(10, 12, rounding=TOWARD_ZERO),  # int64 (e_max 512)
     FloatConfig(6, 20),                         # IEEE double patterns
     FloatConfig(6, 26),                         # int64
-    FloatConfig(6, 29, rounding=TOWARD_ZERO),   # int64, the widest lossless add
-    FloatConfig(6, 30),                         # int64, the add takes a sticky bit
+    FloatConfig(6, 29, rounding=TOWARD_ZERO),   # int64
+    FloatConfig(6, 30),                         # int64, the widest unsplit product
     FloatConfig(11, 40),                        # int64, the product splits too
     FloatConfig(11, 41, rounding=TOWARD_ZERO),  # Python ints
     FLOAT64,                                    # IEEE doubles
@@ -197,6 +196,18 @@ class TestProductFoldOrder:
         results, _, _ = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c)).mar(states)
         assert [decode(r.value) for r in results] == eval_double(c, states).tolist()
 
+    @pytest.mark.parametrize("make", [lambda: generate_random_tree_pc(0, 32, 4, 3),
+                                      lambda: generate_random_det_pc(0, 10),
+                                      lambda: generate_random_det_pc(0, 9)],
+                             ids=["tree(32, 4, 3)", "det(10)", "det(9)"])
+    def test_float64_all_exact_mar_is_eval_double_on_benchmark_circuits(self, make):
+        # the benchmark's baseline check allows 1e-12; the two are bit-equal
+        c = make()
+        rows = sample(c, 0, 256)
+        results, _, _ = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c)).mar(rows)
+        got = np.array([decode(r.value) for r in results])
+        assert got.view(np.int64).tolist() == eval_double(c, rows).view(np.int64).tolist()
+
     def test_sites_follow_children_order(self):
         units = [IndicatorUnit(0, 0, 1), IndicatorUnit(1, 1, 1), IndicatorUnit(2, 2, 1),
                  ProductUnit(3, (2, 0, 1))]
@@ -235,10 +246,18 @@ PATTERNS = "patterns"
 
 
 def word_ops(cfg, kind, n_rows=1, checked=True):
-    """cfg's word ops on words of the kind: a dtype of `_IntWords` or PATTERNS."""
-    if kind == PATTERNS:
-        return _PatternWords(cfg, n_rows, checked)
-    return _IntWords(cfg, np.dtype(kind), n_rows, checked)
+    """cfg's word ops on words of the kind, a dtype of `_IntWords` or
+    PATTERNS, checked or not."""
+    ar = _PatternWords(cfg, n_rows) if kind == PATTERNS else _IntWords(cfg, np.dtype(kind), n_rows)
+    ar.checked = checked
+    return ar
+
+
+def format_ops(fmt, n_rows, checked):
+    """The word ops of a `_Format` record over n_rows columns, checked or not."""
+    ar = fmt.ops(n_rows)
+    ar.checked = checked
+    return ar
 
 
 def run_op(ar, op, a, b) -> np.ndarray:
@@ -293,7 +312,7 @@ PATTERN_FORMATS = [(3, 1), (3, 2), (4, 3), (3, 3, 5), (5, 4), (4, 6), (9, 1), (2
 class TestPatternWords:
     """The word ops on IEEE double patterns, checked and unchecked, with the
     counts of every word pair, against the scalar ops and the format's own
-    int64 words (lossless at these M: k = 0, g = M+2)."""
+    int64 words."""
 
     @pytest.mark.parametrize("rounding", ["nearest-even", TOWARD_ZERO])
     @pytest.mark.parametrize("fmt", PATTERN_FORMATS, ids=str)
@@ -353,8 +372,8 @@ class TestPatternWords:
         assert_ops_match_scalar(FLOAT64, PATTERNS, pairs, checked)
 
 
-#: formats whose words fold bits into a sticky bit: on int64, (11, 40)
-#: splits the product at k = 20 and (6, 31) at k = 2; both add with g = 3
+#: formats whose products fold bits into a sticky bit: on int64, (11, 40)
+#: splits the product at k = 20 and (6, 31) at k = 2
 SPLIT_WORDS = [
     (FloatConfig(11, 40), np.int64),
     (FloatConfig(11, 40, rounding=TOWARD_ZERO), np.int64),
@@ -383,12 +402,12 @@ def word_pairs(draw, cfg, exponents=None):
 
 
 class TestSplitWords:
-    @pytest.mark.parametrize("cfg, dtype, k, g", [
-        (FloatConfig(11, 40), np.int64, 20, 3), (FloatConfig(6, 31), np.int64, 2, 3),
-        (FloatConfig(6, 30), np.int64, 0, 3), (FloatConfig(6, 29), np.int64, 0, 31),
-        (FloatConfig(8, 10), np.int64, 0, 12), (FloatConfig(11, 40), object, 0, 42)], ids=str)
-    def test_widths(self, cfg, dtype, k, g):
-        assert _widths(cfg.man_bits, np.dtype(dtype)) == (k, g)
+    @pytest.mark.parametrize("cfg, dtype, k", [
+        (FloatConfig(11, 40), np.int64, 20), (FloatConfig(6, 31), np.int64, 2),
+        (FloatConfig(6, 30), np.int64, 0), (FloatConfig(6, 29), np.int64, 0),
+        (FloatConfig(8, 10), np.int64, 0), (FloatConfig(11, 40), object, 0)], ids=str)
+    def test_widths(self, cfg, dtype, k):
+        assert _IntWords(cfg, np.dtype(dtype), 1).k == k
 
     @pytest.mark.parametrize("cfg, dtype", SPLIT_WORDS, ids=str)
     @settings(max_examples=60, deadline=None)
@@ -421,8 +440,8 @@ class TestSplitWords:
 
 
 #: the word kinds the range certificate leans on: IEEE double patterns,
-#: FLOAT64's included, int64 with M <= 13 and in its split forms past
-#: M = 29, and Python ints
+#: FLOAT64's included, int64 with M <= 13, at M = 30 and with its product
+#: split at (11, 40), and Python ints
 MONOTONE_WORDS = [
     (FloatConfig(8, 10), PATTERNS), (FloatConfig(3, 2), PATTERNS),
     (FloatConfig(8, 12, rounding=TOWARD_ZERO), PATTERNS), (FloatConfig(8, 25), PATTERNS),
@@ -504,8 +523,8 @@ class TestMonotoneWordOps:
                 assert got.tolist() == want.tolist(), (op, a, b)
 
 
-#: the add's zero-operand select on int64, lossless and in its split form,
-#: and Python ints
+#: the add's zero-operand select on int64, with an unsplit and a split
+#: product, and Python ints
 SELECT_WORDS = [(FloatConfig(8, 10), np.int64), (FloatConfig(11, 40), np.int64),
                 (FloatConfig(11, 41, rounding=TOWARD_ZERO), object)]
 
@@ -539,7 +558,7 @@ class TestAddsWithAZeroOperand:
 
         def add(batch):
             a, b = (np.array(col, dtype=dtype).reshape(-1, 1) for col in zip(*batch))
-            ar = _IntWords(cfg, np.dtype(dtype), 1, checked)
+            ar = word_ops(cfg, dtype, checked=checked)
             got = run_op(ar, "add", a, b).ravel().tolist()
             want = [exact_add(value_of(x, cfg), value_of(y, cfg), cfg) for x, y in batch]
             assert [value_of(w, cfg) for w in got] == [r.value for r in want]
@@ -569,7 +588,7 @@ class TestAddsWithAZeroOperand:
         got = ev.mar(rows)
         assert got[0] == want[0] and (got[1] == want[1]).all() and (got[2] == want[2]).all()
         for checked in (True, False):
-            ev._pass(ev._format.ops(len(rows), checked), rows, inference._MAR, None)
+            ev._pass(format_ops(ev._format, len(rows), checked), rows, inference._MAR, None)
         with pytest.raises(AssertionError, match="rounded"):
             ev.mar(with_root_split_unobserved(c, rows))
 
@@ -786,7 +805,7 @@ class TestLeavingIEEEDoubles:
         for op, rule in leaves.items():
             want = np.array([[p > 0 and q > 0 and rule(p, q) for p, q in zip(ra, rb)]
                              for ra, rb in zip(a.tolist(), b.tolist())])
-            checked, unchecked = (_PatternWords(FLOAT64, len(x), checked=flag)
+            checked, unchecked = (word_ops(FLOAT64, PATTERNS, len(x), flag)
                                   for flag in (True, False))
             got, raw = (run_op(ar, op, a.view(np.int64), b.view(np.int64)).view(np.float64)
                         for ar in (checked, unchecked))
@@ -1542,7 +1561,7 @@ class TestRangeCertificate:
         hidden = np.vstack([rows, [[3, -1, 0], [3, -1, 1], [-1, -1, -1]]])
         aai = assert_matches_scalar(c, cfg, MultiplierPlan.all_aai(c), rows, hidden)
         assert verdicts(aai) == {(cfg, aai._format.kind): free}
-        unchecked, checked = (aai._ascend(aai._format.ops(len(hidden), flag), hidden,
+        unchecked, checked = (aai._ascend(format_ops(aai._format, len(hidden), flag), hidden,
                                           inference._MAR)
                               for flag in (False, True))
         assert (unchecked != checked).any()
@@ -1818,6 +1837,41 @@ class TestCompareQueries:
         assert passes == [(FLOAT64, mar, 24), (cfg, mar, 24), (cfg, map_, 32), (FLOAT64, map_, 8)]
         assert descended == [8, 8] and built == [24, 24]  # the MAR halves' roots
         assert got == compare_reference(c, data, cfg, plan)
+
+
+def descents(c, cfg, plan, data: np.ndarray) -> list:
+    """What every query that descends gives on data and on no rows, as plain
+    lists: MAP assignments, compare_queries' metrics and the assignments it
+    descends, and samples."""
+    ev, descend, descended = CircuitEvaluator(c, cfg, plan), _compile(c).descend, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_compile(c), "descend", lambda ch: descended.append(descend(ch)) or descended[-1])
+        metrics = [inference.compare_queries(c, d, cfg, plan) for d in (data, data[:0])]
+    maps = [[r.assignment.tolist() for r in ev.map_query(d)[0]] for d in (data, data[:0])]
+    return [maps, metrics, [a.tolist() for a in descended],
+            [sample(c, 3, n).tolist() for n in (len(data), 0)]]
+
+
+class TestChunkedDescent:
+    """Descent splits its columns by `circuit.CHUNK_CELLS` in one place,
+    `_Compiled.descend`: MAP, compare_queries and sample give on two or three
+    columns a chunk what they give on one chunk, on an empty batch too."""
+
+    @pytest.mark.parametrize("columns", [2, 3])
+    @pytest.mark.parametrize("which", ["tree", "det"])
+    def test_chunks_match_one_chunk(self, which, columns, monkeypatch):
+        if which == "tree":
+            c, cfg, plan = tree_batch(2)
+        else:
+            c, cfg = generate_random_det_pc(2, 8), FloatConfig(11, 40)
+            plan = MultiplierPlan.all_aai(c)
+        data = sample(c, 2, 16)
+        data[3::4, 1::2] = -1
+        data[1::4, ::3] = -1
+        whole = descents(c, cfg, plan, data)
+        assert len(whole[2][0]) > columns  # compare_queries descends more than a chunk
+        monkeypatch.setattr(circuit, "CHUNK_CELLS", columns * _compile(c).n_table)
+        assert descents(c, cfg, plan, data) == whole
 
 
 def reused_passes(c, cfg, plan, width: int, seed: int) -> list:

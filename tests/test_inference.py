@@ -105,6 +105,28 @@ class TestSitesAndPlans:
         assert plan.mode((18, 1)) == EXACT
         assert plan.mode((15, 1)) == EXACT
 
+    @pytest.mark.parametrize("site", [(4, True), (4.0, 1), (np.float64(4), 1), (4, 1.0)], ids=repr)
+    def test_a_site_that_is_not_a_pair_of_integers_is_rejected(self, site):
+        # each named edge (4, 1), which the plan then multiplied as listed
+        c = generate_random_det_pc(0, 3)
+        assert (4, 1) in c.weight_edges()
+        message = "is not a pair of integers"
+        with pytest.raises(ValueError, match=message):
+            MultiplierPlan.from_aai_weight_sites(c, [site])
+        with pytest.raises(ValueError, match=message):  # checked before membership
+            MultiplierPlan.from_aai_weight_sites(c, [(99, 0), site])
+        modes = dict(MultiplierPlan.all_exact(c).modes)
+        del modes[4, 1]
+        with pytest.raises(ValueError, match=message):
+            MultiplierPlan({**modes, site: AAI})
+
+    def test_numpy_integer_sites_are_accepted(self):
+        c = generate_random_det_pc(0, 3)
+        plan = MultiplierPlan.from_aai_weight_sites(c, [(np.int64(4), np.int32(1))])
+        assert plan.mode((4, 1)) == AAI
+        MultiplierPlan({(np.int64(u), np.int64(k)): m for (u, k), m in plan.modes.items()}
+                       ).check_covers(c)
+
 
 class TestBooleanRows:
     """Every entry point that takes rows refuses a bool in them, which the

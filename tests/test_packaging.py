@@ -47,3 +47,18 @@ def test_float_layer_imports_no_other_layer(module):
     # inference rounds its words in floats' array rounding step; the
     # dependency runs one way only
     assert not imports("aaipc.floats", module)
+
+
+def test_conftest_imports_without_libcst():
+    # the test extra names pytest and hypothesis, and hypothesis does not
+    # require libcst, with which it writes the patch for a failing example
+    import aaipc.circuit
+
+    src = str(Path(aaipc.circuit.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    code = f"import sys; sys.modules['libcst'] = None; sys.path.insert(0, {tests!r}); import conftest"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
