@@ -30,8 +30,8 @@ import numpy as np
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
 
 #: (table row, input row) cells of one chunk's table in a pass over the
-#: compiled layout: `eval_double` and `descend` here, the MAR and MAP passes
-#: of `inference` (a quarter as many on Python-int words)
+#: compiled layout (`_Compiled.chunk`): `eval_double` and `descend` here, the
+#: MAR and MAP passes of `inference`; and of one block of `sample`'s draws
 CHUNK_CELLS = 1 << 19
 
 #: the exhaustive determinism check holds one bit per (table row of the
@@ -362,6 +362,11 @@ class _Compiled:
                 val[lev.s0:lev.s1] = sum_(terms.reshape(*lev.sch.shape, val.shape[1]))
         return val
 
+    def chunk(self) -> int:
+        """The rows of a chunk: as many as CHUNK_CELLS table cells hold, and
+        at least one."""
+        return max(1, CHUNK_CELLS // self.n_table)
+
     def descend(self, choices: np.ndarray) -> np.ndarray:
         """The assignments that rows of child choices select, one row of
         `choices` per sum in sum_index order and one column per row: top
@@ -375,7 +380,7 @@ class _Compiled:
         divmod."""
         n_rows = choices.shape[1]
         assignment = np.full((n_rows, self.n_vars), -1, dtype=np.int64)
-        step = max(1, CHUNK_CELLS // self.n_table)
+        step = self.chunk()
         for s in range(0, n_rows, step):
             n = min(step, n_rows - s)
             sel = np.zeros((self.n_table, n), dtype=bool)
@@ -658,7 +663,7 @@ def eval_double(c: Circuit, x: np.ndarray) -> np.ndarray:
     in chunks of CHUNK_CELLS table cells."""
     x = _check_rows(c, np.atleast_2d(_row_array(x)))
     comp = _compile(c)
-    step = max(1, CHUNK_CELLS // comp.n_table)
+    step = comp.chunk()
     out = np.empty(len(x))
     for s in range(0, len(x), step):
         rows = x[s:s + step]
@@ -820,13 +825,15 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
     """Draw n complete assignments by ancestral descent.
 
     The uniforms come from one seeded stream, n per sum unit, the sums
-    taking theirs in reversed `c.order` (parents first): one
+    taking theirs in reversed `c.order` (parents first): the rows of one
     `random((n_sums, n))` block, which holds the numbers that one
-    `random(n)` call per sum would give.  So results are reproducible, a
-    sum's draws do not depend on which rows reach it, and each sample's path
-    is independent of the others.  A draw picks the first child whose
-    cumulative normalized weight exceeds it (the last child where rounding
-    leaves none); the choices then descend the compiled layout as MAP's do.
+    `random(n)` call per sum would give, drawn in blocks of CHUNK_CELLS
+    numbers, as consecutive calls continue the stream.  So results are
+    reproducible, a sum's draws do not depend on which rows reach it, and
+    each sample's path is independent of the others.  A draw picks the
+    first child whose cumulative normalized weight exceeds it (the last
+    child where rounding leaves none), into a choice table of the narrowest
+    unsigned type; the choices then descend the compiled layout as MAP's do.
     """
     seed, n = _integer("seed", seed), _integer("n", n)
     if n < 0:
@@ -836,11 +843,16 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
         raise ValueError(f"root scope does not cover variables {missing}; "
                          "samples would leave them unassigned")
     comp = _compile(c)
-    cum, draw_row = _draw_table(c, comp)
-    draws = np.random.default_rng(seed).random((len(draw_row), n))[draw_row]
-    choices = np.zeros(draws.shape, dtype=np.int64)
-    for column in cum.T:  # the choice is how many cumulative weights are at or below the draw
-        choices += column[:, np.newaxis] <= draws
+    cum, order = _draw_table(c, comp)
+    rng = np.random.default_rng(seed)
+    choices = np.empty((len(order), n), dtype=np.min_scalar_type(cum.shape[1]))
+    step = max(1, CHUNK_CELLS // max(n, 1))
+    for s in range(0, len(order), step):
+        sums = order[s:s + step]
+        draws, picks = rng.random((len(sums), n)), np.zeros((len(sums), n), dtype=choices.dtype)
+        for column in cum[sums].T:  # a choice counts the cumulative weights at or below its draw
+            picks += column[:, np.newaxis] <= draws
+        choices[sums] = picks
     out = comp.descend(choices)
     unassigned = np.flatnonzero((out < 0).any(axis=0)).tolist()
     if unassigned:
@@ -852,16 +864,14 @@ def sample(c: Circuit, seed: int, n: int) -> np.ndarray:
 def _draw_table(c: Circuit, comp: _Compiled) -> tuple[np.ndarray, np.ndarray]:
     """What `sample` compares its draws with, built on its first call and
     kept on the layout: one row per sum in sum_index order, its cumulative
-    normalized weights but the last, padded with +inf; and, per sum, the row
-    of the draw block it takes (sums draw in reversed `c.order`)."""
+    normalized weights but the last, padded with +inf; and the sums' rows
+    in the order they draw, reversed `c.order`."""
     if "draw_table" not in comp.__dict__:
         cum = np.full((len(comp.sum_index), comp.sum_arity.max(initial=1) - 1), np.inf)
-        draw_row = np.empty(len(comp.sum_index), dtype=np.int64)
         sums = [uid for uid in reversed(c.order) if uid in comp.sum_index]
-        for k, uid in enumerate(sums):
+        order = np.array([comp.sum_index[uid] for uid in sums], dtype=np.int64)
+        for uid, i in zip(sums, order.tolist()):
             w = np.asarray(c.units[uid].weights)
-            i = comp.sum_index[uid]
             cum[i, :len(w) - 1] = np.cumsum(w / np.sum(w))[:-1]
-            draw_row[i] = k
-        comp.draw_table = cum, draw_row
+        comp.draw_table = cum, order
     return comp.draw_table

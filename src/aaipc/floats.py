@@ -29,7 +29,14 @@ Real = Union[int, float, Fraction]
 
 @dataclass(frozen=True)
 class FloatConfig:
-    """Width, bias and rounding mode of an unsigned float format."""
+    """Width, bias and rounding mode of an unsigned float format.
+
+    The domain is E >= 2, 0 <= M <= 57 and E + M <= 63, so that a word, its
+    biased exponent field then its M-bit fraction, fits one int64.  M stops
+    at 57 because the batched add of `inference` aligns the lower
+    significand to 3 guard bits below the higher one's last bit: the sum of
+    two such significands has M + 5 bits and its rounding may carry into one
+    more, which must stay below bit 63."""
 
     exp_bits: int
     man_bits: int
@@ -46,8 +53,8 @@ class FloatConfig:
             object.__setattr__(self, name, int(value))
         if self.exp_bits < 2:
             raise ValueError(f"exp_bits must be >= 2, got {self.exp_bits}")
-        if self.man_bits < 0:
-            raise ValueError(f"man_bits must be >= 0, got {self.man_bits}")
+        if not 0 <= self.man_bits <= 57:
+            raise ValueError(f"man_bits must be in [0, 57], got {self.man_bits}")
         if self.exp_bits + self.man_bits > 63:
             # the widest supported pattern must fit one 64-bit word
             raise ValueError("exp_bits + man_bits must be <= 63")
@@ -207,7 +214,7 @@ def _round_words(e, wide, s: int, cfg: FloatConfig):
     M-bit fraction, of wide * 2**(e - M - s + 1) for a significand wide of
     M+s or M+s+1 bits (s >= 1), normalised to M+s+1 bits and rounded once to
     M+1, a carry landing in the exponent field.  Every shift is by a
-    constant, so it runs on int64 and Python-int arrays alike."""
+    constant."""
     m = cfg.man_bits
     carry = wide >> (m + s)
     wide = wide * (2 - carry)
@@ -262,7 +269,11 @@ def exact_add(a: CustomFloat, b: CustomFloat, cfg: FloatConfig) -> MultResult:
         return MultResult(b)
     if b.is_zero:
         return MultResult(a)
-    e_lo = min(a.exponent, b.exponent)
+    lo, hi = (a, b) if a.exponent <= b.exponent else (b, a)
+    if hi.exponent - lo.exponent > cfg.man_bits + 3:  # the lower operand is only a sticky bit
+        return _round(hi.exponent - cfg.man_bits - 3,
+                      (cfg.man_scale + hi.mantissa) << (cfg.man_bits + 3) | 1, cfg)
+    e_lo = lo.exponent
     wide = (((cfg.man_scale + a.mantissa) << (a.exponent - e_lo))
             + ((cfg.man_scale + b.mantissa) << (b.exponent - e_lo)))
     return _round(e_lo, wide, cfg)

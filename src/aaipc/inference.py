@@ -33,14 +33,11 @@ of a kind that the format alone decides (`_word_kind`):
   FLOAT64 a product at or below 2**-1022, where IEEE subnormals part from
   this format (a weight below 2**-1022 times a positive child is one),
   counts in `under`, and its chunk reruns, the same pass, on FLOAT64's
-  Python-int words: the one way a pass leaves IEEE doubles;
-- the format's own bit patterns (biased exponent, then mantissa) with zero
-  as -1, out of band, so the smallest value (pattern 0) stays apart and
-  word order is value order (`_IntWords`): in int64 up to M = 40
-  (E + M <= 61), where past M = 30 the exact product folds its low bits
-  into a sticky bit, as the add does past its 3 guard bits (the analysis
-  config (11, 40) runs there);
-- the same patterns as Python ints in object arrays for wider formats.
+  own words: the one way a pass leaves IEEE doubles;
+- for every other format, the format's own bit patterns (biased exponent,
+  then mantissa) in int64 with zero as -1, out of band, so the smallest
+  value (pattern 0) stays apart and word order is value order
+  (`_IntWords`); the analysis config (11, 40) runs there.
 
 Input tables.  Where every first-level sum tests one variable, as the
 categorical inputs of generated circuits do, a MAR or MAP pass reads that
@@ -57,7 +54,7 @@ Word formats.  Everything a pass needs from its number format is worked out
 once per (compiled layout, config, word kind), in one record (`_Format`),
 held weakly by the layout.  The evaluator reads no bit field: it hands rows
 to the word ops of its record, and the FLOAT64 rerun is the same pass on the
-ops of the (FLOAT64, Python int) record.  The uniform plans and each plan's
+ops of the (FLOAT64, int64) record.  The uniform plans and each plan's
 per-level modes are kept per layout too.  MAP's backtrack is the layout's
 `descend`, which `circuit.sample` shares and which chunks its own columns;
 the observed variables of an assignment keep their evidence values.
@@ -84,8 +81,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .circuit import (CHUNK_CELLS, Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile,
-                      _Compiled, _is_integer, _kids, _row_array)
+from .circuit import (Circuit, Edge, ProductUnit, SumUnit, _check_rows, _compile, _Compiled,
+                      _is_integer, _kids, _row_array)
 from .floats import (FLOAT64, NEAREST_EVEN, CustomFloat, FloatConfig, MultResult,  # noqa: F401
                      _round_words, aai_mul, encode, encode_words, exact_add, exact_mul,
                      log2_value)  # the scalar ops stay bound for callers that wrap them
@@ -233,8 +230,12 @@ class EvaluationError(ValueError):
     """Raised when a metric is undefined, e.g. the baseline underflows."""
 
 
+_INT64, _FLOAT64 = map(np.dtype, (np.int64, np.float64))
+_ONE = 1023 << 52  # the bit pattern of 1.0
+
+
 class _Words:
-    """What the word ops on integer words share: the AAI product, one
+    """What the word ops on int64 words share: the AAI product, one
     integer add less the word for one, and the range check of a result.
     Every op writes its result into `out`, which may be either operand, and
     returns it.  Ops start checked: a result below
@@ -244,72 +245,86 @@ class _Words:
     the AAI product is max(a + b - one, zero): a zero operand, with the
     other at most one, gives at most the zero word."""
 
+    dtype = _INT64
+
     def __init__(self, n_rows: int):
         self.checked = True
         self.under, self.over = np.zeros((2, n_rows), dtype=np.int64)
 
     def aai(self, a, b, out):
-        """Words add as integers and the duplicated bias goes."""
-        zero = (a == self.zero) | (b == self.zero) if self.checked else None
+        """Words add as integers and the duplicated bias goes.  Checked, an
+        overflow is found before the add (a - one > top - b, zero operands
+        masked), as a sum of two words can leave int64: at E + M = 63 on
+        the format's words, from 2**512 up on FLOAT64's IEEE patterns."""
+        if self.checked:
+            zero = (a == self.zero) | (b == self.zero)
+            over = (a - self.one > self.top - b) & ~zero
         r = np.add(a, b, out=out)
         r -= self.one
         if not self.checked:
             return np.maximum(r, self.zero, out=r)
-        return self._saturate(r, zero)
+        return self._saturate(r, zero, over=over)
 
-    def _saturate(self, r, zero=None, lo=None):
-        """Count and saturate r's out-of-range words in place, those below
-        lo (`lo` by default) and above `top`; zero marks the results of a
-        zero operand, which are zero without a flag.  Unchecked, only those
-        become zero."""
+    def _saturate(self, r, zero=None, lo=None, over=None):
+        """Count and saturate r's out-of-range words in place, those above
+        `top` (or those over marks, found before a word that may have left
+        int64 was built) and those below lo (`lo` by default); zero marks
+        the results of a zero operand, which are zero without a flag.
+        Unchecked, only those become zero."""
         if not self.checked:
             if zero is not None:
                 np.copyto(r, self.zero, where=zero)
             return r
+        over = r > self.top if over is None else over
+        if over.any():
+            self.over += over.sum(axis=0)
+            np.copyto(r, self.top, where=over)
         if zero is not None:
             under = (r < (self.lo if lo is None else lo)) & ~zero
             if under.any():
                 self.under += under.sum(axis=0)
                 zero |= under
             np.copyto(r, self.zero, where=zero)
-        over = r > self.top
-        if over.any():
-            self.over += over.sum(axis=0)
-            np.copyto(r, self.top, where=over)
         return r
 
 
 class _IntWords(_Words):
-    """The float ops on the format's own words, with -1 for zero, over int64
-    or Python int arrays.  The exact product and the add round in one step,
-    `floats._round_words`, where a carry out of the significand lands in the
-    exponent field; an add whose lower operands are all zero skips it and
-    returns the other operands.  Every shift but the add's alignment is by a
-    constant.  Unchecked, the exact product only maps a zero operand to zero.
+    """The float ops on the format's own words in int64, with -1 for zero.
+    The exact product and the add round in one step, `floats._round_words`,
+    to a fraction plus the binades it carries, and compare the exponent
+    field with max_biased before they build the word, which past E + M = 61
+    (a product's exponent sum) or at 63 (the word past the largest) would
+    not fit.  An add whose lower operands are all zero skips the rounding
+    and returns the other operands.  Every shift but the add's alignment
+    is by a constant.  Unchecked, the exact product only maps a zero
+    operand to zero, and the AAI product wraps modulo 2**64, so a result
+    the range certificate vouches for comes out exact.
 
     The rounding ops keep the bits that decide the rounding and fold the
     rest into a sticky bit at bit 0, at least two places below the round
     bit.  The add aligns the lower significand to 3 guard bits below the
-    higher one's last bit, for every format and word kind.  The product
-    drops the k low bits of its low partial product, k = 2M - 60 where the
-    full product of M+1-bit significands would not fit an int64 word (past
-    M = 30), else 0."""
+    higher one's last bit.  The product is four partial products of 29-bit
+    halves, which drop its k = max(0, 2M - 60) low bits."""
 
-    def __init__(self, cfg: FloatConfig, dtype: np.dtype, n_rows: int):
+    def __init__(self, cfg: FloatConfig, n_rows: int):
         super().__init__(n_rows)
-        self.cfg, self.dtype, self.m, self.top = cfg, dtype, cfg.man_bits, cfg.max_word
+        self.cfg, self.m, self.top, self.e_top = cfg, cfg.man_bits, cfg.max_word, cfg.max_biased
         self.mm, self.scale = cfg.man_scale - 1, cfg.man_scale
         self.bias, self.one, self.zero, self.lo = cfg.bias, cfg.bias << cfg.man_bits, -1, 0
-        self.k = max(0, 2 * cfg.man_bits - 60) if dtype == _INT64 else 0
+        self.k = max(0, 2 * cfg.man_bits - 60)
 
     def exact(self, a, b, out):
-        """Significand product over 2**k, rounded once."""
+        """Significand product over 2**k, rounded once; the exponent field
+        is a's less the bias, plus b's and the binades the rounding carries."""
         m = self.m
-        wide = self._product((a & self.mm) | self.scale, (b & self.mm) | self.scale)
-        r = _round_words((a >> m) + (b >> m) - self.bias, wide, m + 1 - self.k, self.cfg)
+        ea, eb = (a >> m) - self.bias, b >> m
+        f = _round_words(0, self._product((a & self.mm) | self.scale, (b & self.mm) | self.scale),
+                         m + 1 - self.k, self.cfg)
         zero = (a < 0) | (b < 0)
-        np.copyto(out, r)
-        return self._saturate(out, zero)
+        over = (ea > self.e_top - eb - (f >> m)) & ~zero if self.checked else None
+        np.left_shift(ea + eb, m, out=out)
+        out += f
+        return self._saturate(out, zero, over=over)
 
     def add(self, a, b, out):
         """Significand sum, the lower one d binades down past 3 guard bits
@@ -322,26 +337,25 @@ class _IntWords(_Words):
         hi = np.maximum(a, b, out=out)
         if lo.max(initial=-1) < 0:
             return hi
-        d = np.minimum((hi >> m) - (lo >> m), m + 2)
+        e = hi >> m
+        d = np.minimum(e - (lo >> m), m + 2)
         s = ((lo & self.mm) | self.scale) << 3
         low = s >> d
-        wide = (((hi & self.mm) | self.scale) << 3) + (low | ((low << d) != s))
-        r = _round_words(hi >> m, wide, 4, self.cfg)
-        np.copyto(hi, r, where=(d <= m + 1) & (lo >= 0))
-        return self._saturate(hi)
+        f = _round_words(0, (((hi & self.mm) | self.scale) << 3) + (low | ((low << d) != s)), 4,
+                         self.cfg)
+        rounded = (d <= m + 1) & (lo >= 0)
+        over = rounded & (e > self.e_top - (f >> m)) if self.checked else None
+        np.copyto(hi, (e << m) + f, where=rounded)
+        return self._saturate(hi, over=over)
 
     def _product(self, sa, sb):
-        """sa * sb over 2**k: with k > 0, the k low bits of the low partial
-        product fold into bit 0."""
-        k = self.k
-        if not k:
-            return sa * sb
-        low = sa * (sb & ((1 << k) - 1))
-        return sa * (sb >> k) + (low >> k) | ((low & ((1 << k) - 1)) != 0)
-
-
-_INT64, _FLOAT64, _OBJECT = map(np.dtype, (np.int64, np.float64, object))
-_ONE = 1023 << 52  # the bit pattern of 1.0
+        """sa * sb over 2**k, the k bits dropped folded into bit 0: the
+        product is hi * 2**58 + low, with low below 2**59."""
+        k, half = self.k, (1 << 29) - 1
+        mid = (sa >> 29) * (sb & half) + (sa & half) * (sb >> 29)
+        low = (sa & half) * (sb & half) + ((mid & half) << 29)
+        hi = (sa >> 29) * (sb >> 29) + (mid >> 29)
+        return (hi << (58 - k)) + (low >> k) | ((low & ((1 << k) - 1)) != 0)
 
 
 def _fits_doubles(cfg: FloatConfig) -> bool:
@@ -370,7 +384,7 @@ class _PatternWords(_Words):
     round up to 2**-1022 itself, so there the exact product also counts at
     `lo`; formats with bias <= 511 never get there."""
 
-    dtype, one, zero = _INT64, _ONE, 0
+    one, zero = _ONE, 0
 
     def __init__(self, cfg: FloatConfig, n_rows: int):
         super().__init__(n_rows)
@@ -410,17 +424,11 @@ class _PatternWords(_Words):
 
 
 def _word_kind(cfg: FloatConfig) -> np.dtype:
-    """The words cfg's ops run on, by format alone: float64 for the bit
-    patterns of IEEE doubles, held in int64 (`_PatternWords`), for FLOAT64
-    and the formats that fit them; else int64 for the format's own words
-    (`_IntWords`) where a sum of two, of E+M+2 bits, fits in 63 and the
-    product's low partial product, of M+1+k bits, in 62 (M <= 40); and
-    Python ints for the rest."""
-    if cfg == FLOAT64 or _fits_doubles(cfg):
-        return _FLOAT64
-    if cfg.exp_bits + cfg.man_bits <= 61 and cfg.man_bits <= 40:
-        return _INT64
-    return _OBJECT
+    """The words cfg's ops run on, by format alone, both held in int64:
+    float64 for the bit patterns of IEEE doubles (`_PatternWords`), for
+    FLOAT64 and the formats that fit them; else int64 for the format's own
+    words (`_IntWords`)."""
+    return _FLOAT64 if cfg == FLOAT64 or _fits_doubles(cfg) else _INT64
 
 
 def _evidence_row(c: Circuit, evidence: Mapping[int, int]) -> np.ndarray:
@@ -554,9 +562,9 @@ class _Format:
     words, one column wide, with the counts of those that saturated; the
     word ops of a chunk; the MAR and MAP input tables; and the reading of
     root words as the format's own words and as values.  Words come in
-    three representations, by kind: the bit patterns of IEEE doubles in
-    int64 (float64), FLOAT64's included, the format's own words in int64,
-    and those words as Python ints (object).  On IEEE doubles a value's bit
+    two representations, by kind, both in int64: the bit patterns of IEEE
+    doubles (float64), FLOAT64's included, and the format's own words
+    (int64).  On IEEE doubles a value's bit
     pattern is its word shifted up by s = 52 - M, plus `offset`, that of
     2**-bias (FLOAT64's are its own words, s = 0);
     FLOAT64's weights are the doubles' own patterns, a subnormal one
@@ -569,7 +577,7 @@ class _Format:
         if cfg.bias < 0:
             raise ValueError("the word for one needs a non-negative bias")
         comp = _compile(c)
-        self.cfg, self.kind, self.n_table = cfg, kind, comp.n_table
+        self.cfg, self.kind = cfg, kind
         self.leaves = kind == _FLOAT64 and cfg == FLOAT64
         self.s, self.offset = 52 - cfg.man_bits, (1023 - cfg.bias) << 52
         w, self.under, self.over = encode_words(comp.weights, cfg)
@@ -577,34 +585,22 @@ class _Format:
             w = comp.weights.view(np.int64)
         elif kind == _FLOAT64:
             w = np.where(w < 0, 0, (w << self.s) + self.offset)
-        else:
-            w = w.astype(kind)
         self.w = w[:, np.newaxis]
         self.tables = {mode: self._table(c, comp, mode) for mode in (_MAR, _MAP)}
 
     def ops(self, n_rows: int):
         """The word ops over n_rows columns, checked; they carry this
         record as `fmt`."""
-        if self.kind == _FLOAT64:
-            ar = _PatternWords(self.cfg, n_rows)
-        else:
-            ar = _IntWords(self.cfg, self.kind, n_rows)
+        ar = (_PatternWords if self.kind == _FLOAT64 else _IntWords)(self.cfg, n_rows)
         ar.fmt = self
         return ar
 
-    def chunk(self) -> int:
-        """The rows of a chunk: as many as CHUNK_CELLS table cells hold, a
-        quarter of that for Python ints, and at least one."""
-        cells = CHUNK_CELLS // 4 if self.kind == _OBJECT else CHUNK_CELLS
-        return max(1, cells // self.n_table)
-
     def format_words(self, words: np.ndarray) -> np.ndarray:
-        """This record's words as the format's own words in int64, -1 for
-        zero: IEEE double patterns read back through their offset, Python
-        ints cast (every format's words fit, as E + M <= 63)."""
+        """A copy of this record's words as the format's own words, -1 for
+        zero: IEEE double patterns read back through their offset."""
         if self.kind == _FLOAT64:
             return np.where(words == 0, -1, (words - self.offset) >> self.s)
-        return words.astype(np.int64)
+        return words.copy()
 
     def values(self, words: np.ndarray) -> list[CustomFloat]:
         """The format's words (`format_words`) as values."""
@@ -651,17 +647,18 @@ class CircuitEvaluator:
     plan's per-level modes (cached on the plan), so that building one does
     no per-unit or per-level work; each pass allocates its own value table.
     Weights are quantized once, per cfg.rounding; under toward-zero this keeps the
-    one-sided underestimation end to end.  The word kind follows from cfg alone: IEEE
-    double patterns in int64 (FLOAT64 and the formats that fit them), the
-    format's own words in int64, or those words as Python ints; a FLOAT64
-    chunk whose values leave IEEE doubles reruns on Python ints.
+    one-sided underestimation end to end.  The word kind follows from cfg
+    alone, both in int64: IEEE double patterns (FLOAT64 and the formats that
+    fit them) or the format's own words; a FLOAT64 chunk whose values leave
+    IEEE doubles reruns on FLOAT64's own words.
     Passes skip the range checks on the leading levels that the range
     certificate covers.
 
     `mar`, `map_query` and `restricted_value` take one row (a sequence, or a
     {variable: value} mapping) or a 2-D batch of rows, and then return one
     result per row.  A -1 in a row leaves its variable unobserved, with its
-    indicators at one.  Batches run in chunks of CHUNK_CELLS table cells.
+    indicators at one.  Batches run in chunks of `circuit.CHUNK_CELLS`
+    table cells.
     Results are copies, which later passes leave as they are.
     """
 
@@ -754,8 +751,8 @@ class CircuitEvaluator:
 
     def _evaluate(self, rows: np.ndarray, mode: int, picks: Optional[np.ndarray] = None):
         """Run the pass over checked rows chunk by chunk, the levels the
-        range certificate covers unchecked, rerunning on the Python-int
-        record a FLOAT64 chunk on IEEE doubles whose pass counted: there a
+        range certificate covers unchecked, rerunning on the (FLOAT64,
+        int64) record a FLOAT64 chunk on IEEE doubles whose pass counted: there a
         count means that a product left IEEE doubles.  MAP fills one choice
         table per call (a row per sum in sum_index order, a column per row),
         a picked pass reads picks, and each chunk's pass gets its columns.
@@ -763,7 +760,7 @@ class CircuitEvaluator:
         (-1 for zero) in row order whichever record each chunk ran on, the
         per-row saturation counts and the choice table."""
         fmt = self._format
-        step, free = fmt.chunk(), self._free(fmt)
+        step, free = self._comp.chunk(), self._free(fmt)
         choices = picks if mode != _MAP else np.empty((len(self._comp.sum_index), len(rows)),
                                                       dtype=np.int64)
         roots, under, over = [], [], []
@@ -772,7 +769,7 @@ class CircuitEvaluator:
             ar = fmt.ops(len(args[0]))
             words = self._pass(ar, *args, free)[0]
             if fmt.leaves and ar.under.any():
-                ints = _format(self.circuit, FLOAT64, _OBJECT)
+                ints = _format(self.circuit, FLOAT64, _INT64)
                 ar = ints.ops(len(args[0]))
                 words = self._pass(ar, *args, self._free(ints))[0]
             roots.append(words)

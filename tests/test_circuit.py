@@ -905,6 +905,28 @@ class TestSample:
         se = float(np.std(ll, ddof=1) / math.sqrt(len(ll)))
         assert abs(float(np.mean(ll)) - exact_mean_log) <= 3 * se
 
+    def test_memory_is_bounded_by_the_draw_block(self):
+        # the draws, their gathered copy and an int64 choice table, 3 x 8
+        # bytes per sum and row at once, peaked at 92.5 MB here
+        c = generate_random_tree_pc(0, 32, 4, 3)
+        sample(c, 0, 1)  # builds the layout and the draw table
+        tracemalloc.start()
+        try:
+            sample(c, 0, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+    @pytest.mark.parametrize("sums_per_block", [1, 7, 25])
+    def test_blocks_continue_one_stream(self, monkeypatch, sums_per_block):
+        c, n = generate_random_tree_pc(2, 8, 2, 3), 50
+        whole = sample(c, 3, n)
+        assert len(_compile(c).sum_index) > 2 * sums_per_block  # three blocks or more
+        monkeypatch.setattr(circuit, "CHUNK_CELLS", sums_per_block * n)
+        assert sample(c, 3, n).tolist() == whole.tolist()
+        assert sample(c, 3, 0).shape == (0, c.n_vars)
+
     def test_uncovered_variable_reported(self):
         units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1),
                  SumUnit(2, (0, 1), (0.5, 0.5))]

@@ -3,6 +3,7 @@
 
 import dataclasses
 import itertools
+import math
 import numbers
 import re
 import sys
@@ -13,7 +14,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aaipc import circuit, inference
@@ -78,7 +79,7 @@ CONFIGS = [
     FloatConfig(6, 29, rounding=TOWARD_ZERO),   # int64
     FloatConfig(6, 30),                         # int64, the widest unsplit product
     FloatConfig(11, 40),                        # int64, the product splits too
-    FloatConfig(11, 41, rounding=TOWARD_ZERO),  # Python ints
+    FloatConfig(11, 41, rounding=TOWARD_ZERO),  # int64, the product splits
     FLOAT64,                                    # IEEE doubles
 ]
 
@@ -126,6 +127,16 @@ def evidence_of(row) -> dict[int, int]:
     return {v: int(x) for v, x in enumerate(row) if x >= 0}
 
 
+def chunk_sizes(mp, cells: int) -> list[int]:
+    """With mp, set `circuit.CHUNK_CELLS` to cells and return the list that
+    then gets the rows of every chunk a pass runs on."""
+    sizes, run = [], CircuitEvaluator._pass
+    mp.setattr(circuit, "CHUNK_CELLS", cells)
+    mp.setattr(CircuitEvaluator, "_pass", lambda ev, ar, chunk, *args:
+               sizes.append(len(chunk)) or run(ev, ar, chunk, *args))
+    return sizes
+
+
 class TestAgainstScalarReference:
     @settings(max_examples=120, deadline=None)
     @given(cases())
@@ -159,21 +170,21 @@ class TestAgainstScalarReference:
             assert one.assignment.tolist() == got.assignment.tolist()
 
     @settings(max_examples=40, deadline=None)
-    @given(cases(), st.integers(1, 40))
-    def test_chunked_batches_match_one_chunk(self, case, cells):
+    @given(cases(), st.data())
+    def test_chunked_batches_match_one_chunk(self, case, data):
         # each chunk's pass fills or reads its columns of one choice table
         c, cfg, plan, rows, hidden = case
+        assume(len(rows) > 1)
         ev = CircuitEvaluator(c, cfg, plan)
         whole = ev.mar(rows), ev.map_query(hidden)
         traces = [r.trace for r in whole[1][0]]
         values = ev.restricted_value(traces, hidden)
-        chunk_cells = inference.CHUNK_CELLS
-        try:
-            inference.CHUNK_CELLS = cells * len(c.units)
+        per_chunk = data.draw(st.integers(1, len(rows) - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            sizes = chunk_sizes(mp, per_chunk * _compile(c).n_table)
             parts = ev.mar(rows), ev.map_query(hidden)
             chunked_values = ev.restricted_value(traces, hidden)
-        finally:
-            inference.CHUNK_CELLS = chunk_cells
+        assert len(sizes) == 3 * math.ceil(len(rows) / per_chunk) > 3
         assert whole[0][0] == parts[0][0]
         assert [(r.assignment.tolist(), dict(r.trace)) for r in whole[1][0]] == \
             [(r.assignment.tolist(), dict(r.trace)) for r in parts[1][0]]
@@ -246,9 +257,9 @@ PATTERNS = "patterns"
 
 
 def word_ops(cfg, kind, n_rows=1, checked=True):
-    """cfg's word ops on words of the kind, a dtype of `_IntWords` or
+    """cfg's word ops on words of the kind, int64 (`_IntWords`) or
     PATTERNS, checked or not."""
-    ar = _PatternWords(cfg, n_rows) if kind == PATTERNS else _IntWords(cfg, np.dtype(kind), n_rows)
+    ar = _PatternWords(cfg, n_rows) if kind == PATTERNS else _IntWords(cfg, n_rows)
     ar.checked = checked
     return ar
 
@@ -269,7 +280,7 @@ def run_op(ar, op, a, b) -> np.ndarray:
 
 def as_kind(words, cfg, kind, shape=(-1, 1)) -> np.ndarray:
     """The format's words (-1 for zero) as words of the kind, in shape."""
-    a = np.array(words, dtype=object if kind is object else np.int64).reshape(shape)
+    a = np.array(words, dtype=np.int64).reshape(shape)
     if kind == PATTERNS:  # a double's pattern is its word << (52 - M), plus 2**-bias's
         return np.where(a < 0, 0, (a << (52 - cfg.man_bits)) + ((1023 - cfg.bias) << 52))
     return a
@@ -294,14 +305,32 @@ def assert_ops_match_scalar(cfg, kind, pairs, checked=True):
         assert int(ar.over[0]) == sum(r.overflowed for r in want), op
 
 
+def assert_unchecked_ops_match_scalar(cfg, pairs) -> int:
+    """Where the scalar op counts nothing, and an AAI product's operands
+    are both nonzero or the other at most one, each unchecked op on the
+    pairs' int64 words gives the scalar op's value.  Returns how many
+    results it compared."""
+    a, b = (as_kind(col, cfg, np.int64) for col in zip(*pairs))
+    one, compared = cfg.bias << cfg.man_bits, 0
+    for op, scalar in (("aai", aai_mul), ("exact", exact_mul), ("add", exact_add)):
+        got = run_op(word_ops(cfg, np.int64, checked=False), op, a, b).ravel().tolist()
+        for (x, y), w in zip(pairs, got):
+            want = scalar(value_of(x, cfg), value_of(y, cfg), cfg)
+            if want.underflowed or want.overflowed or (
+                    op == "aai" and min(x, y) < 0 and max(x, y) > one):
+                continue
+            assert value_of(w, cfg) == want.value, (op, x, y)
+            compared += 1
+    return compared
+
+
 class TestWordOps:
     @pytest.mark.parametrize("cfg", [
         FloatConfig(3, 3), FloatConfig(3, 3, rounding=TOWARD_ZERO), FloatConfig(3, 0),
         FloatConfig(2, 4, rounding=TOWARD_ZERO), FloatConfig(3, 2, bias=5)], ids=str)
-    @pytest.mark.parametrize("kind", [np.int64, object])
-    def test_every_word_pair_matches_the_scalar_ops(self, cfg, kind):
+    def test_every_word_pair_matches_the_scalar_ops(self, cfg):
         words = range(-1, cfg.max_word + 1)
-        assert_ops_match_scalar(cfg, kind, [(x, y) for y in words for x in words])
+        assert_ops_match_scalar(cfg, np.int64, [(x, y) for y in words for x in words])
 
 
 #: the formats the IEEE double patterns are checked on pair by pair; the
@@ -371,15 +400,31 @@ class TestPatternWords:
         pairs = data.draw(st.lists(pair, min_size=1, max_size=40))
         assert_ops_match_scalar(FLOAT64, PATTERNS, pairs, checked)
 
+    def test_float64_aai_past_2_to_the_63_overflows(self):
+        # two patterns from 2**512 up sum past 2**63: the checked AAI product
+        # saturates them as the scalar op does, not wrapped into an underflow
+        e, top = FLOAT64.bias << 52, FLOAT64.max_word
+        pairs = [(e + (600 << 52), e + (600 << 52)), (top, top), (top, e + (1 << 52)),
+                 (e + (512 << 52), e + (511 << 52)), (e - (600 << 52), e - (600 << 52)),
+                 (-1, top), (top, e)]
+        a, b = (as_kind(col, FLOAT64, PATTERNS) for col in zip(*pairs))
+        ar = word_ops(FLOAT64, PATTERNS)
+        got = of_kind(run_op(ar, "aai", a, b), FLOAT64, PATTERNS)
+        want = [aai_mul(value_of(x, FLOAT64), value_of(y, FLOAT64), FLOAT64) for x, y in pairs]
+        assert [value_of(w, FLOAT64) for w in got] == [r.value for r in want]
+        assert int(ar.over[0]) == sum(r.overflowed for r in want) == 3
+        assert int(ar.under[0]) == sum(r.underflowed for r in want) == 1
 
-#: formats whose products fold bits into a sticky bit: on int64, (11, 40)
-#: splits the product at k = 20 and (6, 31) at k = 2
-SPLIT_WORDS = [
-    (FloatConfig(11, 40), np.int64),
-    (FloatConfig(11, 40, rounding=TOWARD_ZERO), np.int64),
-    (FloatConfig(6, 31), np.int64),
-    (FloatConfig(6, 31, rounding=TOWARD_ZERO), np.int64),
-]
+
+#: formats whose products drop k > 0 low bits into a sticky bit, (11, 40)
+#: at k = 20 and (6, 31) at k = 2, and the widest formats, where exponent
+#: sums (past E + M = 61), the word past the largest and AAI sums (at 63)
+#: leave int64; (11, 52) nearest-even is FLOAT64, whose int64 record's ops
+#: these are.  Each in both roundings
+SPLIT_WORDS = [FloatConfig(*widths, rounding=rounding)
+               for widths in [(11, 40), (6, 31), (63, 0), (62, 1), (61, 2), (30, 32), (6, 57),
+                              (2, 57), (11, 52)]
+               for rounding in ("nearest-even", TOWARD_ZERO)]
 
 
 @st.composite
@@ -389,8 +434,9 @@ def word_pairs(draw, cfg, exponents=None):
     biased exponents lie in `exponents` (every one by default)."""
     low, high = exponents or (0, cfg.max_biased)
     m = cfg.man_bits
-    bit = st.one_of(st.integers(0, m - 1), st.sampled_from([0, 1, m - 2, m - 1]))
-    sparse = st.sets(bit, max_size=3).map(lambda s: sum(1 << i for i in s))
+    edges = sorted({i for i in (0, 1, m - 2, m - 1) if 0 <= i < m})
+    bit = st.one_of(st.integers(0, m - 1), st.sampled_from(edges)) if m else st.nothing()
+    sparse = st.sets(bit, max_size=3 if m else 0).map(lambda s: sum(1 << i for i in s))
     mantissas = st.one_of(st.integers(0, cfg.man_scale - 1), sparse,
                           sparse.map(lambda x: cfg.man_scale - 1 - x))
     ea = draw(st.integers(low, high))
@@ -401,47 +447,102 @@ def word_pairs(draw, cfg, exponents=None):
     return tuple(words)
 
 
-class TestSplitWords:
-    @pytest.mark.parametrize("cfg, dtype, k", [
-        (FloatConfig(11, 40), np.int64, 20), (FloatConfig(6, 31), np.int64, 2),
-        (FloatConfig(6, 30), np.int64, 0), (FloatConfig(6, 29), np.int64, 0),
-        (FloatConfig(8, 10), np.int64, 0), (FloatConfig(11, 40), object, 0)], ids=str)
-    def test_widths(self, cfg, dtype, k):
-        assert _IntWords(cfg, np.dtype(dtype), 1).k == k
-
-    @pytest.mark.parametrize("cfg, dtype", SPLIT_WORDS, ids=str)
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_word_pairs_match_the_scalar_ops(self, cfg, dtype, data):
-        pairs = data.draw(st.lists(word_pairs(cfg), min_size=1, max_size=40))
-        assert_ops_match_scalar(cfg, dtype, pairs)
-
-    @pytest.mark.parametrize("cfg, dtype", SPLIT_WORDS, ids=str)
-    def test_boundary_pairs_match_the_scalar_ops(self, cfg, dtype):
-        m, top, ones = cfg.man_bits, cfg.max_word, cfg.man_scale - 1
-        e = max(cfg.bias, m + 2)  # a binade with M+2 below it
-        pairs = [
-            (top, top),                                # overflow, every op
-            (0, 0), (1, 0),                            # exact and aai underflow
-            (top, (e << m) | 1),                       # rounding carries past e_max
-            ((e << m) | ones, (e << m) | 1),           # 2 - 2**-2M: the product rounds to 2
-            ((e << m) | ones, (e << m) | ones),        # the add's normalising carry
-            ((e << m) | ones, ((e - m - 1) << m) | ones),  # sum rounds up into the exponent
+def boundary_pairs(cfg) -> list[tuple[int, int]]:
+    """Word pairs at the edges of cfg's ops, both orders: results that
+    overflow (AAI sums past 2**63 at E + M = 63, top-binade adds that carry
+    past max_biased, exponent sums far above the top) or underflow (far
+    below zero), that land on the range's ends, that round into the next
+    binade, operands about half an ulp apart, and zero operands."""
+    m, top, ones, eb = cfg.man_bits, cfg.max_word, cfg.man_scale - 1, cfg.max_biased
+    one = cfg.bias << m
+    e = min(max(cfg.bias, m + 2), eb)  # a binade with M+2 below it, where the format has one
+    pairs = [
+        (top, top),                                # overflow, every op
+        (0, 0), (1, 0),                            # exact and aai underflow
+        (top, (e << m) | 1),                       # rounding carries past e_max
+        (top, top - 1), (top - ones, top - ones),  # top-binade adds carry past max_biased
+        (top, one), (top, one + ones + 1),         # the top, and one binade past it
+        (0, one), (0, one - 1),                    # the least value, and just below it
+        ((e << m) | ones, (e << m) | ones),        # the add's normalising carry
+        (-1, -1), (-1, 0), (-1, one), (-1, top), (0, -1), (top, -1),  # zero operands
+    ]
+    if m:
+        pairs += [
+            ((e << m) | ones, (e << m) | 1),       # 2 - 2**-2M: the product rounds to 2
             # a product's round bit M-1 set, the bits down to the k dropped
             # ones clear: bit 0, now sticky, breaks the tie
             ((e << m) | 1, (e << m) | (1 << (m - 1)) | 1),
         ]
-        for hi_man in (0, 1, ones, 1 << (m - 1)):
-            for lo_man in (0, 1, ones, 1 << (m - 1)):
-                for d in (m, m + 1, m + 2):            # half an ulp and less below
+    for hi_man in {0, 1, ones, (1 << m) >> 1}:
+        for lo_man in {0, 1, ones, (1 << m) >> 1}:
+            for d in (m, m + 1, m + 2, m + 3):     # half an ulp and less below
+                if e >= d:
                     pairs.append(((e << m) | hi_man, ((e - d) << m) | lo_man))
-        assert_ops_match_scalar(cfg, dtype, pairs)
-        assert_ops_match_scalar(cfg, dtype, [(b, a) for a, b in pairs])
+                    pairs.append((((e - d) << m) | hi_man, (e << m) | lo_man))
+    pairs = [p for p in pairs if max(p) <= top]
+    return pairs + [(b, a) for a, b in pairs]
+
+
+class TestSplitWords:
+    """The word ops on int64 against the scalar ops, checked and unchecked,
+    where products drop bits into a sticky bit and at the widest formats."""
+
+    @pytest.mark.parametrize("cfg, k", [
+        (FloatConfig(11, 40), 20), (FloatConfig(6, 31), 2), (FloatConfig(6, 30), 0),
+        (FloatConfig(6, 29), 0), (FloatConfig(8, 10), 0), (FloatConfig(30, 32), 4),
+        (FLOAT64, 44), (FloatConfig(6, 57), 54), (FloatConfig(2, 57), 54)], ids=str)
+    def test_widths(self, cfg, k):
+        assert _IntWords(cfg, 1).k == k
+
+    @pytest.mark.parametrize("cfg", SPLIT_WORDS, ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_word_pairs_match_the_scalar_ops(self, cfg, data):
+        pairs = data.draw(st.lists(word_pairs(cfg), min_size=1, max_size=40))
+        assert_ops_match_scalar(cfg, np.int64, pairs)
+        assert_unchecked_ops_match_scalar(cfg, pairs)
+
+    @pytest.mark.parametrize("cfg", SPLIT_WORDS, ids=str)
+    def test_boundary_pairs_match_the_scalar_ops(self, cfg):
+        pairs = boundary_pairs(cfg)
+        assert_ops_match_scalar(cfg, np.int64, pairs)
+        assert assert_unchecked_ops_match_scalar(cfg, pairs) > len(pairs)
+
+    def test_the_float64_rerun_record_runs_these_ops(self):
+        c = chain_of_tiny_sums(2, 0.25)
+        ar = inference._format(c, FLOAT64, np.dtype(np.int64)).ops(3)
+        assert type(ar) is _IntWords and ar.cfg == FLOAT64 and ar.dtype == np.int64
+        pairs = boundary_pairs(FLOAT64)[:3]
+        a, b = (as_kind(col, FLOAT64, np.int64, (1, -1)) for col in zip(*pairs))
+        want = word_ops(FLOAT64, np.int64, 3)
+        assert run_op(ar, "exact", a, b).tolist() == run_op(want, "exact", a, b).tolist()
+        assert ar.over.tolist() == want.over.tolist() == [1, 0, 0]
+        assert ar.under.tolist() == want.under.tolist() == [0, 1, 1]
+
+
+class TestInt64Everywhere:
+    """Every format's words fit int64: the IEEE double patterns or the
+    format's own words, which every format of the domain (E >= 2, M <= 57,
+    E + M <= 63) runs on; M = 58 is refused."""
+
+    def test_every_format_at_the_default_bias_runs_on_int64(self):
+        for exp_bits in range(2, 64):
+            for man_bits in range(min(57, 63 - exp_bits) + 1):
+                cfg = FloatConfig(exp_bits, man_bits)
+                kind = _word_kind(cfg)
+                ops = (_PatternWords if kind == np.float64 else _IntWords)(cfg, 1)
+                assert kind in (np.float64, np.int64) and ops.dtype == np.int64, cfg
+                if kind == np.int64:  # the range's ends and one
+                    words = [-1, 0, cfg.bias << man_bits, cfg.max_word]
+                    assert_ops_match_scalar(cfg, np.int64, list(itertools.product(words, words)))
+        for exp_bits in range(2, 6):
+            with pytest.raises(ValueError, match="man_bits"):
+                FloatConfig(exp_bits, 58)
 
 
 #: the word kinds the range certificate leans on: IEEE double patterns,
-#: FLOAT64's included, int64 with M <= 13, at M = 30 and with its product
-#: split at (11, 40), and Python ints
+#: FLOAT64's included, and int64 with M <= 13, at M = 30 and with its
+#: product split at (11, 40) and (11, 41)
 MONOTONE_WORDS = [
     (FloatConfig(8, 10), PATTERNS), (FloatConfig(3, 2), PATTERNS),
     (FloatConfig(8, 12, rounding=TOWARD_ZERO), PATTERNS), (FloatConfig(8, 25), PATTERNS),
@@ -449,7 +550,7 @@ MONOTONE_WORDS = [
     (FloatConfig(8, 10), np.int64), (FloatConfig(4, 3, rounding=TOWARD_ZERO), np.int64),
     (FloatConfig(6, 30), np.int64), (FloatConfig(11, 40), np.int64),
     (FloatConfig(11, 40, rounding=TOWARD_ZERO), np.int64),
-    (FloatConfig(11, 41), object), (FloatConfig(4, 3), object),
+    (FloatConfig(11, 41), np.int64), (FloatConfig(4, 3), np.int64),
 ]
 
 
@@ -523,10 +624,10 @@ class TestMonotoneWordOps:
                 assert got.tolist() == want.tolist(), (op, a, b)
 
 
-#: the add's zero-operand select on int64, with an unsplit and a split
-#: product, and Python ints
+#: the add's zero-operand select on int64, with an unsplit and two split
+#: products
 SELECT_WORDS = [(FloatConfig(8, 10), np.int64), (FloatConfig(11, 40), np.int64),
-                (FloatConfig(11, 41, rounding=TOWARD_ZERO), object)]
+                (FloatConfig(11, 41, rounding=TOWARD_ZERO), np.int64)]
 
 
 def no_rounding(*args):
@@ -614,34 +715,36 @@ class TestAddsWithAZeroOperand:
             assert under[:32].any() and over[-1] > 0
 
 
-class TestInt64AgainstPythonInts:
+class TestWideFormatsAgainstScalarReference:
+    @pytest.mark.parametrize("cfg", [FloatConfig(11, 41),
+                                     FloatConfig(11, 52, rounding=TOWARD_ZERO)], ids=str)
     @pytest.mark.parametrize("which", ["det(9)", "tree(16, 3, 3)"])
-    def test_mar_map_and_restricted_value_agree(self, which, monkeypatch):
+    def test_mar_map_and_restricted_value_agree(self, which, cfg):
         if which == "det(9)":
-            c, cfg = generate_random_det_pc(0, 9), FloatConfig(11, 40)
+            c = generate_random_det_pc(0, 9)
             rows = enumerate_states(c)
         else:
-            c, cfg = generate_random_tree_pc(0, 16, 3, 3), FloatConfig(11, 40, rounding=TOWARD_ZERO)
+            c = generate_random_tree_pc(0, 16, 3, 3)
             rows = sample(c, 0, 128)
         hidden = rows.copy()
         hidden[:, ::2] = -1
         rng = np.random.default_rng(0)
         plan = MultiplierPlan({s: AAI if rng.random() < 0.5 else EXACT
                                for s in enumerate_sites(c)})
-
-        def run():
-            ev = CircuitEvaluator(c, cfg, plan)
-            mar, mp = ev.mar(rows), ev.map_query(hidden)
-            values = ev.restricted_value([r.trace for r in mp[0]], hidden)
-            return (ev._format.kind, mar[0], mar[1].tolist(), mar[2].tolist(),
-                    [(r.assignment.tolist(), r.log2_value, dict(r.trace)) for r in mp[0]],
-                    mp[1].tolist(), mp[2].tolist(), values)
-
-        words = run()
-        monkeypatch.setattr(inference, "_word_kind", lambda cfg: np.dtype(object))
-        python_ints = run()
-        assert words[0] == np.int64 and python_ints[0] == object
-        assert words[1:] == python_ints[1:]
+        ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
+        assert ev._format.kind == np.int64
+        results, under, over = ev.mar(rows)
+        assert [(r, u, o) for r, u, o in zip(results, under, over)] == [ref.mar(x) for x in rows]
+        maps, under, over = ev.map_query(hidden)
+        evidence = [evidence_of(row) for row in hidden]
+        # the reference's MAP once per distinct evidence: det(9) has 32
+        want = {str(e): ref.map_query(e) for e in evidence}
+        assert [(m.assignment.tolist(), m.log2_value, dict(m.trace), u, o)
+                for m, u, o in zip(maps, under, over)] == \
+            [(m.assignment.tolist(), m.log2_value, m.trace, u, o)
+             for m, u, o in (want[str(e)] for e in evidence)]
+        assert ev.restricted_value([m.trace for m in maps], hidden) == \
+            [ref.restricted_value(m.trace, e) for m, e in zip(maps, evidence)]
 
 
 def leaves_ieee(ev: CircuitEvaluator, rows: np.ndarray) -> list:
@@ -671,11 +774,11 @@ class TestWordKinds:
         (FloatConfig(8, 10), np.float64), (FloatConfig(8, 13), np.float64),
         (FloatConfig(8, 25), np.float64), (FloatConfig(30, 10), np.int64),
         (FloatConfig(6, 29), np.int64), (FloatConfig(6, 30), np.int64),
-        (FloatConfig(11, 40), np.int64), (FloatConfig(11, 41), object),
-        (FloatConfig(11, 52, rounding=TOWARD_ZERO), object), (FloatConfig(30, 32), object),
+        (FloatConfig(11, 40), np.int64), (FloatConfig(11, 41), np.int64),
+        (FloatConfig(11, 52, rounding=TOWARD_ZERO), np.int64), (FloatConfig(30, 32), np.int64),
         (FLOAT64, np.float64),
     ])
-    def test_narrowest_words_that_hold_every_intermediate(self, cfg, kind):
+    def test_ieee_double_patterns_or_the_formats_own_words(self, cfg, kind):
         assert _word_kind(cfg) == kind
 
     #: at each edge of the IEEE double patterns: M = 0 and 26, bias 512 and
@@ -786,7 +889,7 @@ class TestLeavingIEEEDoubles:
     """FLOAT64 runs on its IEEE double patterns, which are its words: a
     checked product that leaves the normal doubles counts in `under`, as a
     saturating op does on the format's words, and its chunk reruns on
-    Python-int words."""
+    FLOAT64's own words in int64."""
 
     def test_checked_products_count_the_cells_that_leave(self):
         # on the values' patterns, exact: nonzero operands whose product is at
@@ -816,7 +919,7 @@ class TestLeavingIEEEDoubles:
             assert got.tolist() == np.where(want, 0.0, raw).tolist()
 
     @pytest.mark.parametrize("aai", [False, True])
-    def test_only_the_chunks_that_leave_rerun_on_python_ints(self, aai, monkeypatch):
+    def test_only_the_chunks_that_leave_rerun_on_float64_words(self, aai, monkeypatch):
         c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
         plan = MultiplierPlan.all_aai(c) if aai else MultiplierPlan.all_exact(c)
         rows = TINY_CHAIN_ROWS
@@ -825,12 +928,12 @@ class TestLeavingIEEEDoubles:
         kinds, run = [], CircuitEvaluator._pass
 
         def spy(ev, ar, *args):
-            kinds.append("ints" if ar.dtype == object else "ieee")
+            kinds.append("ints" if isinstance(ar, _IntWords) else "ieee")
             return run(ev, ar, *args)
 
         monkeypatch.setattr(CircuitEvaluator, "_pass", spy)
-        monkeypatch.setattr(inference, "CHUNK_CELLS", 2 * _compile(c).n_table)
-        per_query = ["ieee", "ieee", "ints", "ieee", "ieee", "ints"]
+        monkeypatch.setattr(circuit, "CHUNK_CELLS", 2 * _compile(c).n_table)
+        per_query = ["ieee", "ieee", "ints", "ieee", "ieee", "ints"]  # four chunks
         ev = assert_matches_scalar(c, FLOAT64, plan, rows, rows)
         assert kinds == per_query * 2
         kinds.clear()
@@ -839,7 +942,7 @@ class TestLeavingIEEEDoubles:
             [ScalarEvaluator(c, FLOAT64, plan).restricted_value(t, {}) for t in traces]
         assert kinds == per_query
 
-    def test_the_rerun_is_the_same_pass_on_the_python_int_record(self, monkeypatch):
+    def test_the_rerun_is_the_same_pass_on_the_int64_record(self, monkeypatch):
         c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
         plan = MultiplierPlan.all_exact(c)
         ev = CircuitEvaluator(c, FLOAT64, plan)
@@ -847,8 +950,8 @@ class TestLeavingIEEEDoubles:
         monkeypatch.setattr(CircuitEvaluator, "_pass",
                             lambda ev, ar, *args: records.append(ar.fmt) or run(ev, ar, *args))
         got = ev.mar(TINY_CHAIN_ROWS[2])
-        ints = inference._format(c, FLOAT64, np.dtype(object))
-        assert records == [ev._format, ints] and ints.kind == object and ints.cfg == FLOAT64
+        ints = inference._format(c, FLOAT64, np.dtype(np.int64))
+        assert records == [ev._format, ints] and ints.kind == np.int64 and ints.cfg == FLOAT64
         assert ints.w.ravel().tolist() == encode_words(_compile(c).weights, FLOAT64)[0].tolist()
         assert got == ScalarEvaluator(c, FLOAT64, plan).mar(TINY_CHAIN_ROWS[2])
         assert plan._verdicts[ints] == 1  # checked from the product, which leaves the range
@@ -863,14 +966,15 @@ def value_tables(monkeypatch) -> list:
     return tables
 
 
-#: the word kinds a pass may hold: IEEE double patterns and the format's
-#: own words in int64, and the format's words as Python ints
-INTEGER_WORDS = {np.dtype(np.int64), np.dtype(object)}
+#: the words a pass may hold: IEEE double patterns and the format's own
+#: words, both in int64
+INTEGER_WORDS = {np.dtype(np.int64)}
 
 
 class TestIntegerWords:
-    """Every pass runs on integer words: no format's weight words or value
-    tables, FLOAT64's and its rerun's included, hold float64 values."""
+    """Every pass runs on int64 words: no format's weight words or value
+    tables, FLOAT64's and its rerun's included, hold float64 values or
+    Python ints."""
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=str)
     def test_weight_words_and_value_tables_are_integers(self, cfg, monkeypatch):
@@ -883,14 +987,15 @@ class TestIntegerWords:
         assert inference._format(c, cfg).w.dtype in INTEGER_WORDS
         assert len(tables) >= 2 and {t.dtype for t in tables} <= INTEGER_WORDS
 
-    def test_the_float64_rerun_record_holds_python_ints(self, monkeypatch):
+    def test_the_float64_rerun_record_holds_float64_words(self, monkeypatch):
         c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
         tables = value_tables(monkeypatch)
         ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan.all_exact(c))
         ev.mar(TINY_CHAIN_ROWS)
         ev.map_query(TINY_CHAIN_ROWS)
         assert ev._format.w.dtype == np.int64
-        assert inference._format(c, FLOAT64, np.dtype(object)).w.dtype == object
+        ints = inference._format(c, FLOAT64, np.dtype(np.int64))
+        assert ints.w.ravel().tolist() == encode_words(_compile(c).weights, FLOAT64)[0].tolist()
         assert {t.dtype for t in tables} == INTEGER_WORDS  # the rerun's too
 
 
@@ -1024,7 +1129,7 @@ class TestMapResult:
 class TestInputTables:
     @pytest.mark.parametrize("cfg, kind", [
         (FloatConfig(8, 10), np.float64), (FloatConfig(11, 40), np.int64),
-        (FloatConfig(11, 41, rounding=TOWARD_ZERO), object), (FLOAT64, np.float64)], ids=str)
+        (FloatConfig(11, 41, rounding=TOWARD_ZERO), np.int64), (FLOAT64, np.float64)], ids=str)
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_tables_match_the_scalar_reference(self, cfg, kind, share):
         c = ternary_inputs()
@@ -1099,7 +1204,7 @@ class TestInputTables:
         rows = np.array([[0, 1], [1, 1], [0, 0], [-1, 0]])
         assert_matches_scalar(c, FLOAT64, MultiplierPlan.all_exact(c), rows[:3], rows)
         assert leaves_ieee(ev, rows) == [True, False, True, True]
-        assert table_of(ev, inference._MAR, np.dtype(object)) is not None
+        assert table_of(ev, inference._MAR, np.dtype(np.int64)) is not None
 
     @pytest.mark.parametrize("cfg", [FloatConfig(8, 10), FLOAT64], ids=str)
     def test_any_negative_value_reads_as_unobserved(self, cfg):
@@ -1183,8 +1288,8 @@ def uneven_tree() -> Circuit:
     return listed_against_id_order(with_shuffled_products(c, np.random.default_rng(3)))
 
 
-#: one config per word kind: IEEE double patterns, int64 words, Python ints
-#: and FLOAT64's patterns
+#: one config per word kind, IEEE double patterns and int64 words, with a
+#: product that splits at (11, 40) and (11, 41), and FLOAT64's patterns
 KIND_CONFIGS = [FloatConfig(8, 10), FloatConfig(11, 40),
                 FloatConfig(11, 41, rounding=TOWARD_ZERO), FLOAT64]
 
@@ -1277,13 +1382,13 @@ class TestLargestTerm:
 
     @settings(max_examples=150, deadline=None)
     @given(k_s=st.integers(1, 5), n_s=st.integers(1, 4), cols=st.integers(0, 5),
-           kind=st.sampled_from([np.int64, object]), data=st.data())
-    def test_values_and_choices_match_the_masked_loop(self, k_s, n_s, cols, kind, data):
+           wide=st.booleans(), data=st.data())
+    def test_values_and_choices_match_the_masked_loop(self, k_s, n_s, cols, wide, data):
         size = k_s * n_s * cols
         words = data.draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
-        if kind is object:  # past int64, ties intact
-            words = [w << 64 for w in words]
-        terms = np.array(words, dtype=kind).reshape(k_s, n_s, cols)
+        if wide:  # the widest formats' words, ties intact
+            words = [w << 61 for w in words]
+        terms = np.array(words, dtype=np.int64).reshape(k_s, n_s, cols)
         before = terms.copy()
         out = np.empty(terms.shape[1:], dtype=terms.dtype)
         choices = np.full(terms.shape[1:], -7, dtype=np.int64)
@@ -1574,9 +1679,9 @@ class TestRangeCertificate:
         for plan in (MultiplierPlan.all_exact(c), MultiplierPlan.all_aai(c)):
             ev = assert_matches_scalar(c, FLOAT64, plan, rows[:3], rows)
             assert verdicts(ev)[FLOAT64, np.dtype(np.float64)] == 0
-            assert verdicts(ev)[FLOAT64, np.dtype(object)] == 1  # 2**-2046 underflows
+            assert verdicts(ev)[FLOAT64, np.dtype(np.int64)] == 1  # 2**-2046 underflows
         ev = CircuitEvaluator(c, FLOAT64, MultiplierPlan(dict(MultiplierPlan.all_exact(c).modes)))
-        ev.mar(np.array([[1, 1]]))  # stays in IEEE doubles: no rerun, no Python-int verdict
+        ev.mar(np.array([[1, 1]]))  # stays in IEEE doubles: no rerun, no int64 verdict
         assert verdicts(ev) == {(FLOAT64, np.dtype(np.float64)): 0}
 
     def test_built_once_per_plan_layout_config_and_kind_on_the_first_pass(self, monkeypatch):
@@ -1619,7 +1724,7 @@ class TestRestrictedValue:
             [ref.restricted_value(t, evidence_of(row)) for t, row in zip(traces, hidden)]
 
     @pytest.mark.parametrize("aai", [False, True])
-    def test_float64_traces_through_tiny_edges_rerun_on_python_ints(self, aai):
+    def test_float64_traces_through_tiny_edges_rerun_on_float64_words(self, aai):
         # every trace on every row of -1, 0 and 1: two tiny edges taken
         # where their indicators are one leave IEEE doubles
         c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
@@ -1631,7 +1736,7 @@ class TestRestrictedValue:
         traces = tiny_edge_traces(np.tile(picks, (len(states), 1)))
         assert ev.restricted_value(traces, rows) == \
             [ref.restricted_value(t, evidence_of(row)) for t, row in zip(traces, rows)]
-        assert (FLOAT64, np.dtype(object)) in verdicts(ev)  # decided on the rerun
+        assert (FLOAT64, np.dtype(np.int64)) in verdicts(ev)  # decided on the rerun
 
 
 class TestBatchInterface:
@@ -1765,7 +1870,7 @@ def compare_reference(c, data, cfg, plan, correction=0.0) -> QueryMetrics:
                         under, over, n, n_mar)
 
 
-#: IEEE double patterns, toward zero too, int64 words and Python ints
+#: IEEE double patterns, toward zero too, and int64 words, up to (11, 52)
 COMPARE_CONFIGS = [FloatConfig(8, 10), FloatConfig(8, 12, rounding=TOWARD_ZERO),
                    FloatConfig(11, 40), FloatConfig(11, 52, rounding=TOWARD_ZERO)]
 
@@ -1792,10 +1897,12 @@ class TestCompareQueries:
         c, cfg, plan, rows, _ = case
         data = batch_of(kind, rows, np.random.default_rng(len(rows)))
         want = compare_reference(c, data, cfg, plan, 0.25)
-        if chunked:  # two rows a chunk, one for Python ints
+        if chunked:  # two rows a chunk
+            assume(len(data) > 2)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(inference, "CHUNK_CELLS", 2 * _compile(c).n_table)
+                sizes = chunk_sizes(mp, 2 * _compile(c).n_table)
                 got = inference.compare_queries(c, data, cfg, plan, 0.25)
+            assert max(sizes) == 2 and len(sizes) > 4  # the MAP pass over every row split
         else:
             got = inference.compare_queries(c, data, cfg, plan, 0.25)
         assert got == want
@@ -1804,7 +1911,7 @@ class TestCompareQueries:
     @pytest.mark.parametrize("aai", [False, True])
     def test_the_float64_rerun_with_a_subnormal_weight(self, kind, aai, monkeypatch):
         # 2**-1023 is FLOAT64's least value, an IEEE subnormal: rows that
-        # take it leave IEEE doubles and rerun on Python ints, in the
+        # take it leave IEEE doubles and rerun on FLOAT64's own words, in the
         # baseline's passes and the tested plan's; two of them underflow
         # to zero, so a complete row takes one at most
         c = chain_of_tiny_sums(3, 2.0 ** -1023)
@@ -1813,9 +1920,11 @@ class TestCompareQueries:
         data = batch_of(kind, rows, np.random.default_rng(1))
         want = compare_reference(c, data, FLOAT64, plan)
         assert inference.compare_queries(c, data, FLOAT64, plan) == want
-        monkeypatch.setattr(inference, "CHUNK_CELLS", 3 * _compile(c).n_table)
+        sizes = chunk_sizes(monkeypatch, 3 * _compile(c).n_table)
         assert inference.compare_queries(c, data, FLOAT64, plan) == want
-        ints = inference._format(c, FLOAT64, np.dtype(object))
+        # a batch of one row is one chunk; the others split
+        assert max(sizes) <= 3 and (len(data) == 1 or max(sizes) < len(data))
+        ints = inference._format(c, FLOAT64, np.dtype(np.int64))
         assert ints in plan._verdicts  # the rerun ran
 
     def test_map_passes_build_no_values_and_descend_only_open_rows(self, monkeypatch):
@@ -1899,7 +2008,7 @@ class TestValueTableReuse:
     query that made it."""
 
     def test_interleaved_passes_match_fresh_records(self, monkeypatch):
-        monkeypatch.setattr(inference, "CHUNK_CELLS", 1 << 12)
+        sizes = chunk_sizes(monkeypatch, 1 << 12)
         makers = {"tree": lambda: generate_random_tree_pc(5, 8, 2, 3),
                   "det": lambda: generate_random_det_pc(2, 6)}
         circuits = {name: make() for name, make in makers.items()}
@@ -1924,6 +2033,7 @@ class TestValueTableReuse:
                  for name, i, share, w in steps]
         got = [reused_passes(circuits[name], configs[i], plans[name, share], width, k)
                for k, (name, i, share, width) in enumerate(steps)]
+        assert max(sizes) == max(chunk.values()) < max(width for *_, width in steps)
         for k, (name, i, share, width) in enumerate(steps):
             c = makers[name]()  # another layout, so fresh records
             assert got[k] == reused_passes(c, configs[i], plan_of(c, share), width, k), k
@@ -1999,18 +2109,16 @@ class TestRootWords:
     """`_evaluate` returns the roots as one int64 array of the format's own
     words, -1 for zero, whatever words its passes ran on."""
 
-    @pytest.mark.parametrize("python_ints", [False, True], ids=["own-kind", "python-ints"])
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=str)
-    def test_roots_are_the_scalar_references_words(self, cfg, python_ints, monkeypatch):
-        if python_ints:
-            monkeypatch.setattr(inference, "_word_kind", lambda cfg: np.dtype(object))
+    @pytest.mark.parametrize("cfg", CONFIGS + [FloatConfig(11, 41),
+                                               FloatConfig(11, 52, rounding=TOWARD_ZERO)], ids=str)
+    def test_roots_are_the_scalar_references_words(self, cfg):
         c = generate_random_tree_pc(2, 5, 2, 3)
         plan = half_aai(c)
         rows = sample(c, 2, 6)
         hidden = rows.copy()
         hidden[::2, ::2] = -1
         ev, ref = CircuitEvaluator(c, cfg, plan), ScalarEvaluator(c, cfg, plan)
-        assert ev._format.kind == (np.dtype(object) if python_ints else _word_kind(cfg))
+        assert ev._format.kind == _word_kind(cfg)
         mar = ev._evaluate(rows, inference._MAR)[0]
         map_, _, _, choices = ev._evaluate(hidden, inference._MAP)
         picked = ev._evaluate(hidden, inference._PICK, choices)[0]
@@ -2025,13 +2133,14 @@ class TestRootWords:
                                    for t, row in zip(traces, hidden)]
 
     @pytest.mark.parametrize("aai", [False, True])
-    def test_float64_chunks_that_rerun_on_python_ints(self, aai, monkeypatch):
+    def test_float64_chunks_that_rerun_on_float64_words(self, aai, monkeypatch):
         c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
         plan = MultiplierPlan.all_aai(c) if aai else MultiplierPlan.all_exact(c)
         ref = ScalarEvaluator(c, FLOAT64, plan)
-        monkeypatch.setattr(inference, "CHUNK_CELLS", 2 * _compile(c).n_table)
+        sizes = chunk_sizes(monkeypatch, 2 * _compile(c).n_table)
         roots, under, _, _ = CircuitEvaluator(c, FLOAT64, plan)._evaluate(TINY_CHAIN_ROWS,
                                                                           inference._MAR)
+        assert sizes == [2] * 6  # four chunks, two of them rerun
         assert roots.dtype == np.int64
         assert roots.tolist() == [format_word(ref.mar(x)[0].value, FLOAT64)
                                   for x in TINY_CHAIN_ROWS]

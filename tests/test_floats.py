@@ -1,6 +1,7 @@
 """Unit tests for the unsigned custom float emulation."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from aaipc.floats import (
     TOWARD_ZERO,
     CustomFloat,
     FloatConfig,
+    MultResult,
     aai_mul,
     aai_mul_bits,
     decode,
@@ -62,6 +64,14 @@ class TestConfig:
             FloatConfig(exp_bits=2, man_bits=-1)
         with pytest.raises(ValueError):
             FloatConfig(exp_bits=11, man_bits=52, rounding="up")
+
+    def test_man_bits_stop_at_57(self):
+        # the batched add's 3 guard bits take M + 5 bits and a rounding carry
+        for exp_bits in range(2, 6):
+            with pytest.raises(ValueError, match="man_bits must be in"):
+                FloatConfig(exp_bits, 58)
+        assert FloatConfig(6, 57).max_word == (1 << 63) - 1
+        assert FloatConfig(11, 52) == FLOAT64
 
     @pytest.mark.parametrize("args, kwargs, name", [
         ((8, 10.5), {}, "man_bits"), ((8, 10.0), {}, "man_bits"), ((8, True), {}, "man_bits"),
@@ -208,6 +218,34 @@ class TestExactAdd:
                 expected = exact_add_oracle(decode_fraction(a), decode_fraction(b),
                                             9, cfg.e_min, cfg.e_max, toward_zero=tz)
                 assert decode_fraction(exact_add(a, b, cfg).value) == expected
+
+    @pytest.mark.parametrize("rounding", [NEAREST_EVEN, TOWARD_ZERO])
+    @pytest.mark.parametrize("widths", [(36, 10), (62, 1), (63, 0)], ids=str)
+    def test_operands_far_apart_give_the_larger(self, widths, rounding):
+        # the lower operand was shifted up by the whole exponent gap: 0.71 s
+        # and 410 MB at (30, 32), a MemoryError at (36, 10)
+        cfg = FloatConfig(*widths, rounding=rounding)
+        top, least = cfg.max_value(), cfg.min_positive()
+        start = time.perf_counter()
+        for a, b in ((top, least), (least, top)):
+            assert exact_add(a, b, cfg) == MultResult(top)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("rounding", [NEAREST_EVEN, TOWARD_ZERO])
+    def test_gaps_around_the_sticky_cut(self, rounding):
+        # up to M + 3 binades apart the operands align; past it the lower
+        # one is a sticky bit
+        cfg = FloatConfig(6, 9, rounding=rounding)
+        tz, m = rounding == TOWARD_ZERO, cfg.man_bits
+        for gap in range(m, m + 7):
+            for hi_man in (0, 1, cfg.man_scale - 1):
+                for lo_man in (0, 1, cfg.man_scale - 1):
+                    a = CustomFloat(False, 8, hi_man, m)
+                    b = CustomFloat(False, 8 - gap, lo_man, m)
+                    expected = exact_add_oracle(decode_fraction(a), decode_fraction(b),
+                                                m, cfg.e_min, cfg.e_max, toward_zero=tz)
+                    for x, y in ((a, b), (b, a)):
+                        assert decode_fraction(exact_add(x, y, cfg).value) == expected
 
     def test_result_never_below_larger_operand(self):
         rng = np.random.default_rng(17)
@@ -434,7 +472,7 @@ class TestZeroWordCollision:
 ENCODE_CONFIGS = [FloatConfig(8, 10), FloatConfig(8, 12, rounding=TOWARD_ZERO),
                   FloatConfig(11, 40), FloatConfig(11, 52), FloatConfig(5, 10),
                   FloatConfig(8, 20), FloatConfig(4, 0), FloatConfig(4, 0, rounding=TOWARD_ZERO),
-                  FloatConfig(2, 61), FloatConfig(3, 4, bias=9)]
+                  FloatConfig(2, 57), FloatConfig(3, 4, bias=9)]
 
 
 def scalar_words(xs, cfg):
