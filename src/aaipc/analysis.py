@@ -26,9 +26,10 @@ import numpy as np
 
 from .circuit import (Circuit, Edge, _integer, edge_masses, enumerate_states, eval_double,
                       sample, validate)
+# encode and log2_value stay bound for callers that wrap them
 from .floats import (FloatConfig, decode, encode, encode_words,  # noqa: F401
-                     log2_value, mitchell_delta)  # encode stays bound for callers that wrap it
-from .inference import CircuitEvaluator, MultiplierPlan, induced_tree_edges
+                     log2_value, mitchell_delta)
+from .inference import _MAR, CircuitEvaluator, MultiplierPlan, induced_tree_edges
 
 
 @dataclass(frozen=True)
@@ -154,21 +155,24 @@ def kl_bruteforce(c: Circuit, cfg: FloatConfig) -> float:
     """Exhaustive sum of p64(x) * (log2 p64(x) - log2 p_aai(x)).
 
     Enumerates the full joint state space (bounded), evaluating the
-    approximate side with an all-AAI plan at cfg.  Each log2 p_aai term
-    inherits the absolute error of log2_value, about ulp(M + 1), so a
-    divergence that is exactly zero can come out at that scale.
+    approximate side with one all-AAI MAR pass at cfg over the positive
+    states and reading its root words as log2 (`inference._Format.log2`),
+    computed as log2_value is.  Each log2 p_aai term therefore carries
+    log2_value's absolute error, about ulp(M + 1), so a divergence that is
+    exactly zero can come out at that scale.  The terms are added in state
+    order.
     """
     states = enumerate_states(c)
     p64 = eval_double(c, states)
     ev = CircuitEvaluator(c, cfg, MultiplierPlan.all_aai(c))
     positive = p64 > 0.0
-    approxes, _, _ = ev.mar(states[positive])
+    roots = ev._evaluate(states[positive], _MAR)[0]
     total = 0.0
-    for x, p, approx in zip(states[positive], p64[positive], approxes):
-        if approx.value.is_zero:
+    for x, p, q in zip(states[positive], p64[positive].tolist(), ev._format.log2(roots)):
+        if q == -math.inf:
             raise ValueError(f"approximate probability is zero at state {x.tolist()} "
                              "while the reference is positive: infinite divergence")
-        total += float(p) * (math.log2(float(p)) - log2_value(approx.value))
+        total += p * (math.log2(p) - q)
     return total
 
 

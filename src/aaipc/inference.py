@@ -63,10 +63,13 @@ Value tables.  Each pass allocates its own table (`_inputs`) for a chunk of
 rows (`_evaluate`), so no table is shared and none outlives the query.  Each
 level writes its products and sums into its own rows of the table, through
 the `out` of the word ops, and never into the rows it reads.  MAP steps
-branch-free (`_largest`).  `compare_queries` does only the work its metrics
-read: the baseline's MAP pass runs only on rows with an unobserved
-variable, both plans descend those rows alone, and neither makes values of
-its root words.
+branch-free (`_largest`).  Queries end in root words, read once: as log2
+(`_Format.log2`) by `map_query`, `compare_queries` and
+`analysis.kl_bruteforce`, and as values only for the public per-row results
+of `mar` and `restricted_value`.  `compare_queries` does only the work its
+metrics read: both plans' MAR halves are passes whose root words it reads as
+log2, the baseline's MAP pass runs only on rows with an unobserved
+variable, and both plans' choices on those rows go down in one descent.
 """
 
 from __future__ import annotations
@@ -560,13 +563,15 @@ class _Format:
     """What a pass needs from one word format on one compiled layout, built
     once per (layout, config, word kind) by `_format`: the slot weights as
     words, one column wide, with the counts of those that saturated; the
-    word ops of a chunk; the MAR and MAP input tables; and the reading of
-    root words as the format's own words and as values.  Words come in
-    two representations, by kind, both in int64: the bit patterns of IEEE
-    doubles (float64), FLOAT64's included, and the format's own words
-    (int64).  On IEEE doubles a value's bit
-    pattern is its word shifted up by s = 52 - M, plus `offset`, that of
-    2**-bias (FLOAT64's are its own words, s = 0);
+    word ops of a chunk; the MAR and MAP input tables; and three ways to
+    read root words: as the format's own words (`format_words`), as log2
+    of their values (`log2`), the queries' readout, and as `CustomFloat`
+    values (`values`), only for the public results of `mar` and
+    `restricted_value`.  Words come in two representations, by kind, both
+    in int64: the bit patterns of IEEE doubles (float64), FLOAT64's
+    included, and the format's own words (int64).  On IEEE doubles a
+    value's bit pattern is its word shifted up by s = 52 - M, plus
+    `offset`, that of 2**-bias (FLOAT64's are its own words, s = 0);
     FLOAT64's weights are the doubles' own patterns, a subnormal one
     included, as its least value 2**-1023, word 0, is the pattern of +0.0,
     and only there (`leaves`) may a count mean that a product left IEEE
@@ -607,6 +612,14 @@ class _Format:
         m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
         zero = CustomFloat.zero(m)
         return [zero if w < 0 else CustomFloat(False, (w >> m) - bias, w & mm, m)
+                for w in words.tolist()]
+
+    def log2(self, words: np.ndarray) -> list[float]:
+        """The format's words (`format_words`) as log2 of their values, -inf
+        for the zero word, each as `floats.log2_value` computes it: log2 of
+        the (M+1)-bit significand plus the exponent less M."""
+        m, bias, mm = self.cfg.man_bits, self.cfg.bias, self.cfg.man_scale - 1
+        return [-math.inf if w < 0 else math.log2((1 << m) + (w & mm)) + ((w >> m) - bias - m)
                 for w in words.tolist()]
 
     def _table(self, c: Circuit, comp: _Compiled, mode: int) -> Optional[_Table]:
@@ -835,8 +848,8 @@ class CircuitEvaluator:
         assignment = np.where(rows >= 0, rows, self._comp.descend(trace))
         index = self._comp.sum_index
         return self._per_row(single, [
-            MapResult(assignment[r], log2_value(v), _Trace(index, trace[:, r]))
-            for r, v in enumerate(self._format.values(roots))], under, over)
+            MapResult(assignment[r], v, _Trace(index, trace[:, r]))
+            for r, v in enumerate(self._format.log2(roots))], under, over)
 
     def restricted_value(self, trace, evidence):
         """Re-evaluate with each sum taking only its traced edge (a sum the
@@ -894,10 +907,14 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     Rows with every variable observed contribute a marginal log error term
     |log2 p64 - (log2 p_approx + correction)|; every row contributes a MAP
     query whose observed entries (values >= 0) form the evidence.  MAP
-    accuracy counts assignments identical to the baseline's.  A complete
-    row's assignment is its evidence under both plans, a hit, so only the
-    tested plan's MAP pass, whose saturation counts are reported, runs on
-    it; assignments are read back only for rows with an unobserved variable.
+    accuracy counts assignments identical to the baseline's.  Rows are
+    checked once, here.  Both plans' MAR halves end in root words, read as
+    log2 (`_Format.log2`) with no value built; a zero baseline word raises
+    an EvaluationError naming the row's index in data.  A complete row's
+    assignment is its evidence under both plans, a hit, so only the tested
+    plan's MAP pass, whose saturation counts are reported, runs on it;
+    assignments are read back only for rows with an unobserved variable,
+    both plans' in one descent.
     """
     if not (isinstance(correction, numbers.Real) and not isinstance(correction, bool)
             and math.isfinite(correction)):
@@ -909,21 +926,20 @@ def compare_queries(c: Circuit, data: np.ndarray, cfg: FloatConfig,
     observed = data >= 0
     whole = observed.all(axis=1)
     complete, hidden = np.flatnonzero(whole), np.flatnonzero(~whole)
-    b_mar, _, _ = base.mar(data[complete])
-    for row_idx, b in zip(complete.tolist(), b_mar):
-        if b.value.is_zero:
-            raise EvaluationError(
-                f"baseline probability is zero for instance {row_idx}; "
-                "log error is undefined")
-    t_mar, mar_under, mar_over = test.mar(data[complete])
+    b_roots = base._evaluate(data[complete], _MAR)[0]
+    if (b_roots < 0).any():
+        raise EvaluationError(f"baseline probability is zero for instance "
+                              f"{complete[np.argmax(b_roots < 0)]}; log error is undefined")
+    t_roots, mar_under, mar_over, _ = test._evaluate(data[complete], _MAR)
     log_err_sum = 0.0
-    for b, t in zip(b_mar, t_mar):
-        log_err_sum += abs(log2_value(b.value) - (log2_value(t.value) + correction))
+    for b, t in zip(base._format.log2(b_roots), test._format.log2(t_roots)):
+        log_err_sum += abs(b - (t + correction))
     # a complete row's assignment is its evidence, a hit; the test plan's
-    # MAP pass runs on every row for its counts, the baseline's on the rest
+    # MAP pass runs on every row for its counts, the baseline's on the rest,
+    # and both descend those rows together
     _, map_under, map_over, choices = test._evaluate(data, _MAP)
-    t_map = test._comp.descend(choices[:, hidden])
-    b_map = base._comp.descend(base._evaluate(data[hidden], _MAP)[3])
+    both = np.concatenate((choices[:, hidden], base._evaluate(data[hidden], _MAP)[3]), axis=1)
+    t_map, b_map = np.split(test._comp.descend(both), 2)
     # the assignments before the evidence goes in: observed variables agree
     n, n_mar = len(data), len(complete)
     map_hits = n_mar + int(((b_map == t_map) | observed[hidden]).all(axis=1).sum())

@@ -274,6 +274,17 @@ class TestKlBruteforce:
         with pytest.raises(ValueError, match="infinite divergence"):
             kl_bruteforce(c, tiny)
 
+    def test_infinite_divergence_names_the_first_zero_state(self):
+        # at (3, 4), bias 3, 0.0625 = 2**-4 underflows: states [0, 1] and
+        # [1, 1] are zero under AAI and positive in the reference
+        units = [IndicatorUnit(0, 0, 0), IndicatorUnit(1, 0, 1), IndicatorUnit(2, 1, 0),
+                 IndicatorUnit(3, 1, 1), SumUnit(4, (0, 1), (0.5, 0.5)),
+                 SumUnit(5, (2, 3), (0.9375, 0.0625)), ProductUnit(6, (4, 5))]
+        c = Circuit([Variable(0, 2), Variable(1, 2)], units, 6)
+        with pytest.raises(ValueError, match=r"zero at state \[0, 1\] while the reference "
+                                             r"is positive: infinite divergence"):
+            kl_bruteforce(c, FloatConfig(3, 4))
+
 
 class TestMapFailureProb:
     def test_reference_value_at_zero_gap(self):

@@ -34,6 +34,7 @@ from aaipc.circuit import (
 )
 from aaipc.floats import (
     FLOAT64,
+    NEAREST_EVEN,
     TOWARD_ZERO,
     FloatConfig,
     CustomFloat,
@@ -1932,20 +1933,27 @@ class TestCompareQueries:
         c, cfg, plan = tree_batch(2)
         data = sample(c, 2, 32)
         data[3::4, 1::2] = -1
-        passes, descended, built = [], [], []
-        evaluate, descend, values = (CircuitEvaluator._evaluate, _compile(c).descend,
-                                     inference._Format.values)
+        want = compare_reference(c, data, cfg, plan)
+        passes, descended, built, checked = [], [], [], []
+        evaluate, descend, values, check = (CircuitEvaluator._evaluate, _compile(c).descend,
+                                            inference._Format.values, inference._check_rows)
         monkeypatch.setattr(CircuitEvaluator, "_evaluate", lambda ev, rows, mode, *args: passes
                             .append((ev.cfg, mode, len(rows))) or evaluate(ev, rows, mode, *args))
         monkeypatch.setattr(_compile(c), "descend",
                             lambda ch: descended.append(ch.shape[1]) or descend(ch))
         monkeypatch.setattr(inference._Format, "values",
                             lambda fmt, words: built.append(len(words)) or values(fmt, words))
+        monkeypatch.setattr(inference, "_check_rows", lambda circ, rows, **kw: checked
+                            .append(len(rows)) or check(circ, rows, **kw))
+        monkeypatch.setattr(CircuitEvaluator, "mar",
+                            lambda ev, x: pytest.fail("compare_queries called CircuitEvaluator.mar"))
         got = inference.compare_queries(c, data, cfg, plan)
         mar, map_ = inference._MAR, inference._MAP
         assert passes == [(FLOAT64, mar, 24), (cfg, mar, 24), (cfg, map_, 32), (FLOAT64, map_, 8)]
-        assert descended == [8, 8] and built == [24, 24]  # the MAR halves' roots
-        assert got == compare_reference(c, data, cfg, plan)
+        # both plans' open rows in one descent; the MAR roots read as log2
+        assert descended == [16] and built == []
+        assert checked == [32]  # every row checked once
+        assert got == want
 
 
 def descents(c, cfg, plan, data: np.ndarray) -> list:
@@ -2103,6 +2111,46 @@ class TestValueTableReuse:
 def format_word(v: CustomFloat, cfg: FloatConfig) -> int:
     """The format's word of a value, -1 for zero."""
     return -1 if v.is_zero else ((v.exponent + cfg.bias) << cfg.man_bits) | v.mantissa
+
+
+def assert_log2_matches(cfg: FloatConfig, words: list[int]) -> None:
+    """`_Format.log2` of the format's words gives `floats.log2_value` of
+    their values as `float.hex`, from the record of the format's own words
+    and, where cfg runs on IEEE doubles, from its patterns read back through
+    `format_words`."""
+    c, words = lone_indicator(), np.array(words, dtype=np.int64)
+    want = [log2_value(value_of(w, cfg)).hex() for w in words.tolist()]
+    ints = inference._format(c, cfg, np.dtype(np.int64))
+    assert ints.log2(np.array([-1])) == [-math.inf]
+    assert [v.hex() for v in ints.log2(words)] == want
+    if _word_kind(cfg) == np.float64:
+        fmt = inference._format(c, cfg)
+        # FLOAT64's word 0, 2**-1023, has the pattern of +0.0, its zero
+        kept = (words != 0) | (cfg != FLOAT64)
+        patterns = as_kind(words[kept], cfg, PATTERNS, -1)
+        assert [v.hex() for v in fmt.log2(fmt.format_words(patterns))] == \
+            np.array(want)[kept].tolist()
+
+
+class TestLog2Readout:
+    """`_Format.log2`, the queries' readout of root words, is
+    `floats.log2_value` bit for bit, -inf for the zero word -1."""
+
+    @pytest.mark.parametrize("rounding", [NEAREST_EVEN, TOWARD_ZERO])
+    @pytest.mark.parametrize("e, m", [(2, 0), (3, 2), (4, 3), (5, 10), (4, 12)])
+    def test_every_word_of_small_formats(self, e, m, rounding):
+        # at M = 10 and 12 every significand comes in, so a vectorised
+        # readout is checked where np.log2 and math.log2 part (with NumPy
+        # 2.4.6 on x86-64, on the significand 1621 at M = 10, by an ulp)
+        cfg = FloatConfig(e, m, rounding=rounding)
+        assert_log2_matches(cfg, [-1, *range(cfg.max_word + 1)])
+
+    @pytest.mark.parametrize("cfg", [FloatConfig(11, 40), FloatConfig(8, 52, rounding=TOWARD_ZERO),
+                                     FloatConfig(6, 57), FLOAT64], ids=str)
+    def test_random_words_and_both_range_ends(self, cfg):
+        rng = np.random.default_rng(cfg.man_bits)
+        words = rng.integers(0, cfg.max_word, 2000, endpoint=True).tolist()
+        assert_log2_matches(cfg, [-1, 0, 1, cfg.max_word - 1, cfg.max_word, *words])
 
 
 class TestRootWords:

@@ -434,6 +434,14 @@ class TestCompareQueries:
             compare_queries(three_var_circuit, data, FloatConfig(8, 8),
                             MultiplierPlan.all_aai(three_var_circuit))
 
+    def test_zero_baseline_names_its_row_in_data(self, three_var_circuit):
+        # an open row, a positive complete row, an off-support complete row:
+        # the third row of data, the second complete one
+        data = np.array([[-1, 0, 0], [0, 0, 0], [0, 0, 1]])
+        with pytest.raises(EvaluationError, match="instance 2;"):
+            compare_queries(three_var_circuit, data, FloatConfig(8, 8),
+                            MultiplierPlan.all_aai(three_var_circuit))
+
     def test_out_of_range_value_rejected_before_evaluation(self):
         c = generate_random_det_pc(0, 3)
         with pytest.raises(ValueError, match=r"row 0, column 2") as info:
