@@ -60,9 +60,8 @@ class AnalysisReport:
             "delta_dc": self.delta_dc,
             "dc_std_error": self.dc_std_error,
             "note": self.note,
-            "contributions": {f"{uid}:{idx}": c.contribution
-                              for (uid, idx), c in
-                              ((c.edge, c) for c in self.contributions)},
+            "contributions": {f"{c.edge[0]}:{c.edge[1]}": c.contribution
+                              for c in self.contributions},
         }
         return json.dumps(doc, indent=1)
 
@@ -77,11 +76,9 @@ class FailureEstimate:
 
 def _edge_deltas(c: Circuit, cfg: FloatConfig) -> dict[Edge, float]:
     """Mitchell shortfall of each sum edge's weight quantized to cfg."""
-    sums = c.sum_units()
-    edges = [(u.id, i) for u in sums for i in range(len(u.children))]
-    words = encode_words([w for u in sums for w in u.weights], cfg)[0]
+    words = encode_words([w for u in c.sum_units() for w in u.weights], cfg)[0]
     fractions = np.where(words < 0, 0, words & (cfg.man_scale - 1)) / cfg.man_scale
-    return {e: mitchell_delta(f) for e, f in zip(edges, fractions.tolist())}
+    return {e: mitchell_delta(f) for e, f in zip(c.weight_edges(), fractions.tolist())}
 
 
 def delta_det(c: Circuit, cfg: FloatConfig) -> AnalysisReport:

@@ -3,7 +3,9 @@ per-multiplication choice of exact or approximate hardware.
 
 Every multiplication site in a circuit is named by the edge that brings its
 operand in (`circuit.Edge`: one per sum edge, one per product child after the
-first) and assigned a mode by a MultiplierPlan.  Additions always use the
+first) and assigned a mode by a MultiplierPlan; per level, each fold step and
+the sum edges multiply by one shape, the (AAI, exact) pair of their index
+arrays (`_split`), whatever the mix.  Additions always use the
 exact adder, which returns the other operands unrounded where every lower
 operand is zero: on a deterministic circuit a complete row's adds all do, as
 each sum keeps at most one nonzero term.  The 64-bit baseline is an all-exact
@@ -52,12 +54,15 @@ unchecked, with the same results and counts.
 
 Word formats.  Everything a pass needs from its number format is worked out
 once per (compiled layout, config, word kind), in one record (`_Format`),
-held weakly by the layout.  The evaluator reads no bit field: it hands rows
-to the word ops of its record, and the FLOAT64 rerun is the same pass on the
-ops of the (FLOAT64, int64) record.  The uniform plans and each plan's
-per-level modes are kept per layout too.  MAP's backtrack is the layout's
-`descend`, which `circuit.sample` shares and which chunks its own columns;
-the observed variables of an assignment keep their evidence values.
+held weakly by the layout.  The evaluator reads no bit field: a pass
+(`CircuitEvaluator._ascend`) takes the record, builds its chunk's word ops
+from it and reads its weights and input table, and the FLOAT64 rerun is the
+same pass on the (FLOAT64, int64) record.  The ops hold no record, and a
+pass sets their range check level by level from the certificate alone.
+The uniform plans and each plan's per-level modes are kept per layout too.
+MAP's backtrack is the layout's `descend`, which `circuit.sample` shares and
+which chunks its own columns; the observed variables of an assignment keep
+their evidence values.
 
 Value tables.  Each pass allocates its own table (`_inputs`) for a chunk of
 rows (`_evaluate`), so no table is shared and none outlives the query.  Each
@@ -171,7 +176,8 @@ class MultiplierPlan:
 
     def _modes(self, c: Circuit) -> list:
         """Per level of the compiled circuit, how each product fold step and
-        how the sum edges multiply (`_split` of the AAI flags per slot)."""
+        how the sum edges multiply: `_split` of the AAI flags per slot, an
+        (AAI, exact) pair of index arrays, padding slots exact."""
         comp = _compile(c)
         if comp not in self._levels:
             self.check_covers(c)
@@ -385,7 +391,11 @@ class _PatternWords(_Words):
     an IEEE subnormal) and the pattern of the largest value.  Below
     2**-1022 IEEE rounds a product on the subnormal grid, where a tie can
     round up to 2**-1022 itself, so there the exact product also counts at
-    `lo`; formats with bias <= 511 never get there."""
+    `lo`; formats with bias <= 511 never get there.  At the top of FLOAT64's
+    range nothing is counted: an exact product or add at or above 2**1024
+    comes back as the inf pattern, which reads as the word for 2**1024, with
+    no count in `over` (and NumPy warns of the overflow).  No circuit gets
+    there, as its values stay near one or below."""
 
     one, zero = _ONE, 0
 
@@ -451,42 +461,35 @@ def _evidence_row(c: Circuit, evidence: Mapping[int, int]) -> np.ndarray:
 
 
 def _split(mask: np.ndarray):
-    """How one fold step or level of edges multiplies: True (all AAI),
-    False (all exact), or the (AAI, exact) index arrays of a mixed one."""
-    if mask.all() or not mask.any():
-        return bool(mask.all())
+    """How one fold step or level of edges multiplies, whatever its mix:
+    the pair (AAI positions, exact positions) of sorted int64 index arrays."""
     return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
-def _aai_part(how, n: int):
-    """The positions, of n, that a `_split` result multiplies approximately."""
-    if how is True or how is False:
-        return slice(n if how else 0)
-    return how[0]
-
-
-def _within_one(ar, top: np.ndarray, lev, steps, edges) -> bool:
+def _within_one(ar, w: np.ndarray, top: np.ndarray, lev, steps, edges) -> bool:
     """Whether every AAI product of the level whose operand can meet the
-    zero word has that operand at most one, by the upper bounds top, so that
-    the unchecked form max(a + b - one, zero) gives zero there.  A sum
-    edge's child can be zero, so its nonzero weight must be at most one,
-    and a zero weight meets its child; a fold step's operands can both be
-    zero, so every child folded so far must be."""
-    for k, how in enumerate(steps, 1):
-        if (top[lev.pch[:k + 1, _aai_part(how, lev.pch.shape[1])]] > ar.one).any():
+    zero word has that operand at most one, by the upper bounds top and the
+    record's slot weights w, so that the unchecked form max(a + b - one,
+    zero) gives zero there.  A sum edge's child can be zero, so its nonzero
+    weight must be at most one, and a zero weight meets its child; a fold
+    step's operands can both be zero, so every child folded so far must be."""
+    for k, (aai, _) in enumerate(steps, 1):
+        if (top[lev.pch[:k + 1, aai]] > ar.one).any():
             return False
-    at = _aai_part(edges, lev.sch.size)
-    w = ar.fmt.w[lev.sslot:lev.sslot + lev.sch.size][at]
-    kids = top[lev.sch.ravel()[at]]
+    aai = edges[0]
+    w = w[lev.sslot:lev.sslot + lev.sch.size][aai]
+    kids = top[lev.sch.ravel()[aai]]
     return not (np.where(w == ar.zero, kids, w) > ar.one).any()
 
 
 def _mul(ar, a, b, how, out):
-    """a times b, multiplied as `how` says, into out (which may be a or b);
-    a mixed step multiplies each part's rows of b as gathered."""
-    if how is True or how is False:
-        return (ar.aai if how else ar.exact)(a, b, out)
-    for idx, op in zip(how, (ar.aai, ar.exact)):
+    """a times b into out (which may be a or b), the positions of each part
+    of how, (AAI, exact), multiplied as it says: all rows at once where one
+    part holds every position, else each part's rows of b as gathered."""
+    aai, exact = how
+    if not (aai.size and exact.size):
+        return (ar.exact if exact.size else ar.aai)(a, b, out)
+    for idx, op in ((aai, ar.aai), (exact, ar.exact)):
         part = b.take(idx, axis=0)
         out[idx] = op(a.take(idx, axis=0), part, part)
     return out
@@ -507,18 +510,18 @@ def _inputs(comp: _Compiled, ar, obs: np.ndarray) -> np.ndarray:
     return val
 
 
-def _sums(ar, val: np.ndarray, lev, edges, mode: int, choices=None):
+def _sums(ar, w: np.ndarray, val: np.ndarray, lev, edges, mode: int, choices=None):
     """One level's sums over val's columns, written to their rows s0:s1:
-    each weight of ar's record times its child in the level's modes, into
-    the gathered children or, where they are a view of val (`_kids`), a new
-    array, then for MAR the terms added in `children` order, for MAP the
-    largest term and its index in choices (`_largest`), for _PICK the term
-    choices names, and for _LEAST the least nonzero term (zero where every
-    term is).  Returns those rows."""
+    each of the record's slot weights w times its child as the level's
+    edges say (`_split`), into the gathered children or, where they are a
+    view of val (`_kids`), a new array, then for MAR the terms added in
+    `children` order, for MAP the largest term and its index in choices
+    (`_largest`), for _PICK the term choices names, and for _LEAST the
+    least nonzero term (zero where every term is).  Returns those rows."""
     k_s, n_s = lev.sch.shape
     out = val[lev.s0:lev.s1]
     kids = _kids(val, lev.sch, lev.sspan)
-    terms = _mul(ar, ar.fmt.w[lev.sslot:lev.sslot + lev.sch.size], kids, edges,
+    terms = _mul(ar, w[lev.sslot:lev.sslot + lev.sch.size], kids, edges,
                  kids if lev.sspan is None else np.empty_like(kids)
                  ).reshape(k_s, n_s, val.shape[1])
     if mode == _PICK:
@@ -594,11 +597,9 @@ class _Format:
         self.tables = {mode: self._table(c, comp, mode) for mode in (_MAR, _MAP)}
 
     def ops(self, n_rows: int):
-        """The word ops over n_rows columns, checked; they carry this
-        record as `fmt`."""
-        ar = (_PatternWords if self.kind == _FLOAT64 else _IntWords)(self.cfg, n_rows)
-        ar.fmt = self
-        return ar
+        """New word ops of this record's kind over n_rows columns, checked,
+        with their counts at zero; a pass builds its own (`_ascend`)."""
+        return (_PatternWords if self.kind == _FLOAT64 else _IntWords)(self.cfg, n_rows)
 
     def format_words(self, words: np.ndarray) -> np.ndarray:
         """A copy of this record's words as the format's own words, -1 for
@@ -636,7 +637,8 @@ class _Format:
         width = 1 + max(v.cardinality for v in c.variables)
         ops = self.ops(width)
         choices = np.empty((lev.s1 - lev.s0, width), dtype=np.int64)  # MAP fills it
-        words = _sums(ops, _inputs(comp, ops, np.arange(-1, width - 1)), lev, True, mode, choices)
+        words = _sums(ops, self.w, _inputs(comp, ops, np.arange(-1, width - 1)), lev,
+                      _split(np.ones(lev.sch.size, dtype=bool)), mode, choices)
         if ops.under.any() or ops.over.any():
             return None
         return _Table(words.flatten(), choices.ravel() if mode == _MAP else None,
@@ -663,7 +665,7 @@ class CircuitEvaluator:
     one-sided underestimation end to end.  The word kind follows from cfg
     alone, both in int64: IEEE double patterns (FLOAT64 and the formats that
     fit them) or the format's own words; a FLOAT64 chunk whose values leave
-    IEEE doubles reruns on FLOAT64's own words.
+    IEEE doubles reruns on FLOAT64's own words, on their record.
     Passes skip the range checks on the leading levels that the range
     certificate covers.
 
@@ -685,29 +687,22 @@ class CircuitEvaluator:
         self.weight_quant_underflows = self._format.under
         self.weight_quant_overflows = self._format.over
 
-    def _pass(self, ar, rows: np.ndarray, mode: int, choices: Optional[np.ndarray],
-              free: int = 0):
-        """Evaluate a chunk of rows on ar's words, its first `free` levels
-        unchecked; MAP fills `choices`, the chunk's columns of the choice
-        table, and a picked pass reads them.  Returns the root words as the
-        format's own words (`_Format.format_words`) and the per-row
-        saturation counts."""
-        roots = self._ascend(ar, rows, mode, choices, free)[self._comp.root]
-        return ar.fmt.format_words(roots), ar.under, ar.over
-
-    def _ascend(self, ar, rows: np.ndarray, mode: int, choices=None, free: int = 0,
+    def _ascend(self, fmt: _Format, rows: np.ndarray, mode: int, choices=None, free: int = 0,
                 counted: Optional[list] = None):
-        """A new value table of rows' columns, filled children first, one
-        level at a time, each level into its own rows; the first level's sums of a MAR
-        or MAP pass come from the input table where ar's record has one.
-        The first `free` levels run unchecked, the rest as ar says;
-        `counted`, where given, gets per level whether any op so far has
-        counted.  MAP writes each level's choices to rows q0:q1 of
-        `choices`, and a picked pass reads them there."""
-        comp, table, checked = self._comp, ar.fmt.tables.get(mode), ar.checked
+        """One pass over a chunk of rows on the words of the record fmt: a
+        new value table of rows' columns, filled children first, one level
+        at a time, each level into its own rows, by word ops that it builds
+        (`_Format.ops`) and fmt's weights; the first level's sums of a MAR
+        or MAP pass come from fmt's input table where it has one.  The first
+        `free` levels run unchecked and the rest checked; `counted`, where
+        given, gets per level whether any op so far has counted.  MAP writes
+        each level's choices to rows q0:q1 of `choices`, and a picked pass
+        reads them there.  Returns the table and the ops, whose `under` and
+        `over` hold the per-row saturation counts."""
+        comp, table, ar = self._comp, fmt.tables.get(mode), fmt.ops(len(rows))
         val = _inputs(comp, ar, rows.T[comp.ind_var])
         for i, (lev, (steps, edges)) in enumerate(zip(comp.levels, self._modes)):
-            ar.checked = checked and i >= free
+            ar.checked = i >= free
             if lev.p1 > lev.p0:  # products have two children or more
                 out, acc = val[lev.p0:lev.p1], _kids(val, lev.pch, lev.pspan, 0)
                 for k, how in enumerate(steps, 1):
@@ -724,11 +719,10 @@ class CircuitEvaluator:
                         picks[...] = table.choices.take(at)
                     table = None
                 else:
-                    _sums(ar, val, lev, edges, mode, picks)
+                    _sums(ar, fmt.w, val, lev, edges, mode, picks)
             if counted is not None:
                 counted.append(bool(ar.under.any() or ar.over.any()))
-        ar.checked = checked
-        return val
+        return val, ar
 
     def _free(self, fmt: _Format) -> int:
         """How many leading levels passes on fmt's words run unchecked:
@@ -751,44 +745,43 @@ class CircuitEvaluator:
         an AAI product whose operand can meet the zero word and may exceed
         one (`_within_one`)."""
         row = np.full((1, self._comp.n_vars), -1, dtype=np.int64)
-        ar, top_counted, least_counted = fmt.ops(1), [], []
-        top = self._ascend(ar, row, _MAR, counted=top_counted)
-        self._ascend(fmt.ops(1), row, _LEAST, counted=least_counted)
+        top_counted, least_counted = [], []
+        top, ar = self._ascend(fmt, row, _MAR, counted=top_counted)
+        self._ascend(fmt, row, _LEAST, counted=least_counted)
         free = 0
         for lev, (steps, edges), *counted in zip(self._comp.levels, self._modes,
                                                  top_counted, least_counted):
-            if any(counted) or not _within_one(ar, top, lev, steps, edges):
+            if any(counted) or not _within_one(ar, fmt.w, top, lev, steps, edges):
                 break
             free += 1
         return free
 
     def _evaluate(self, rows: np.ndarray, mode: int, picks: Optional[np.ndarray] = None):
-        """Run the pass over checked rows chunk by chunk, the levels the
-        range certificate covers unchecked, rerunning on the (FLOAT64,
-        int64) record a FLOAT64 chunk on IEEE doubles whose pass counted: there a
-        count means that a product left IEEE doubles.  MAP fills one choice
-        table per call (a row per sum in sum_index order, a column per row),
-        a picked pass reads picks, and each chunk's pass gets its columns.
-        Returns the root words, one int64 array of the format's own words
-        (-1 for zero) in row order whichever record each chunk ran on, the
-        per-row saturation counts and the choice table."""
-        fmt = self._format
+        """Run the pass (`_ascend`) over checked rows chunk by chunk, the
+        levels the range certificate covers unchecked, rerunning on the
+        (FLOAT64, int64) record a FLOAT64 chunk on IEEE doubles whose pass
+        counted: there a count means that a product left IEEE doubles.  MAP
+        fills one choice table per call (a row per sum in sum_index order, a
+        column per row), a picked pass reads picks, and each chunk's pass
+        gets its columns.  Each chunk's root words are read through the
+        record that ran it (`_Format.format_words`).  Returns the root
+        words, one int64 array of the format's own words (-1 for zero) in
+        row order, the per-row saturation counts and the choice table."""
+        fmt, root = self._format, self._comp.root
         step, free = self._comp.chunk(), self._free(fmt)
         choices = picks if mode != _MAP else np.empty((len(self._comp.sum_index), len(rows)),
                                                       dtype=np.int64)
-        roots, under, over = [], [], []
+        chunks = []
         for s in range(0, max(len(rows), 1), step):  # an empty batch makes one empty chunk
             args = rows[s:s + step], mode, None if choices is None else choices[:, s:s + step]
-            ar = fmt.ops(len(args[0]))
-            words = self._pass(ar, *args, free)[0]
+            run = fmt
+            val, ar = self._ascend(run, *args, free)
             if fmt.leaves and ar.under.any():
-                ints = _format(self.circuit, FLOAT64, _INT64)
-                ar = ints.ops(len(args[0]))
-                words = self._pass(ar, *args, self._free(ints))[0]
-            roots.append(words)
-            under.append(ar.under)
-            over.append(ar.over)
-        return np.concatenate(roots), np.concatenate(under), np.concatenate(over), choices
+                run = _format(self.circuit, FLOAT64, _INT64)
+                val, ar = self._ascend(run, *args, self._free(run))
+            chunks.append((run.format_words(val[root]), ar.under, ar.over))
+        roots, under, over = map(np.concatenate, zip(*chunks))
+        return roots, under, over, choices
 
     def _batch(self, x) -> tuple[np.ndarray, bool]:
         """x as a 2-D batch of checked rows, and whether it was a single row."""

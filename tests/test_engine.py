@@ -128,13 +128,26 @@ def evidence_of(row) -> dict[int, int]:
     return {v: int(x) for v, x in enumerate(row) if x >= 0}
 
 
+def query_passes(mp, note):
+    """With mp, make every query pass (`CircuitEvaluator._ascend` on a chunk,
+    not the range certificate's, which takes `counted`) first call
+    note(fmt, chunk), fmt the record it runs on."""
+    run = CircuitEvaluator._ascend
+
+    def spy(ev, fmt, chunk, *args, **kwargs):
+        if "counted" not in kwargs:
+            note(fmt, chunk)
+        return run(ev, fmt, chunk, *args, **kwargs)
+
+    mp.setattr(CircuitEvaluator, "_ascend", spy)
+
+
 def chunk_sizes(mp, cells: int) -> list[int]:
     """With mp, set `circuit.CHUNK_CELLS` to cells and return the list that
     then gets the rows of every chunk a pass runs on."""
-    sizes, run = [], CircuitEvaluator._pass
+    sizes = []
     mp.setattr(circuit, "CHUNK_CELLS", cells)
-    mp.setattr(CircuitEvaluator, "_pass", lambda ev, ar, chunk, *args:
-               sizes.append(len(chunk)) or run(ev, ar, chunk, *args))
+    query_passes(mp, lambda fmt, chunk: sizes.append(len(chunk)))
     return sizes
 
 
@@ -261,13 +274,6 @@ def word_ops(cfg, kind, n_rows=1, checked=True):
     """cfg's word ops on words of the kind, int64 (`_IntWords`) or
     PATTERNS, checked or not."""
     ar = _PatternWords(cfg, n_rows) if kind == PATTERNS else _IntWords(cfg, n_rows)
-    ar.checked = checked
-    return ar
-
-
-def format_ops(fmt, n_rows, checked):
-    """The word ops of a `_Format` record over n_rows columns, checked or not."""
-    ar = fmt.ops(n_rows)
     ar.checked = checked
     return ar
 
@@ -689,8 +695,8 @@ class TestAddsWithAZeroOperand:
         assert [inference.eval_mar(c, x, cfg, plan) for x in rows] == want[0]
         got = ev.mar(rows)
         assert got[0] == want[0] and (got[1] == want[1]).all() and (got[2] == want[2]).all()
-        for checked in (True, False):
-            ev._pass(format_ops(ev._format, len(rows), checked), rows, inference._MAR, None)
+        for free in (0, len(ev._comp.levels)):  # checked, then unchecked
+            ev._ascend(ev._format, rows, inference._MAR, free=free)
         with pytest.raises(AssertionError, match="rounded"):
             ev.mar(with_root_split_unobserved(c, rows))
 
@@ -751,10 +757,9 @@ class TestWideFormatsAgainstScalarReference:
 def leaves_ieee(ev: CircuitEvaluator, rows: np.ndarray) -> list:
     """Per row, whether a checked MAR pass on IEEE doubles leaves them: on
     these words only such a product counts in `under`."""
-    ar = ev._format.ops(len(rows))
-    assert isinstance(ar, _PatternWords) and ar.fmt.leaves
-    ev._pass(ar, rows, inference._MAR, None)
-    assert not ar.over.any()
+    assert ev._format.leaves
+    ar = ev._ascend(ev._format, rows, inference._MAR)[1]
+    assert isinstance(ar, _PatternWords) and not ar.over.any()
     return (ar.under > 0).tolist()
 
 
@@ -926,13 +931,9 @@ class TestLeavingIEEEDoubles:
         rows = TINY_CHAIN_ROWS
         assert leaves_ieee(CircuitEvaluator(c, FLOAT64, plan), rows) == \
             [False, False, True, False, False, False, True, False]
-        kinds, run = [], CircuitEvaluator._pass
-
-        def spy(ev, ar, *args):
-            kinds.append("ints" if isinstance(ar, _IntWords) else "ieee")
-            return run(ev, ar, *args)
-
-        monkeypatch.setattr(CircuitEvaluator, "_pass", spy)
+        kinds = []
+        query_passes(monkeypatch, lambda fmt, chunk:
+                     kinds.append("ints" if fmt.kind == np.int64 else "ieee"))
         monkeypatch.setattr(circuit, "CHUNK_CELLS", 2 * _compile(c).n_table)
         per_query = ["ieee", "ieee", "ints", "ieee", "ieee", "ints"]  # four chunks
         ev = assert_matches_scalar(c, FLOAT64, plan, rows, rows)
@@ -947,9 +948,8 @@ class TestLeavingIEEEDoubles:
         c = chain_of_tiny_sums(4, 1.5 * 2.0 ** -512)
         plan = MultiplierPlan.all_exact(c)
         ev = CircuitEvaluator(c, FLOAT64, plan)
-        records, run = [], CircuitEvaluator._pass
-        monkeypatch.setattr(CircuitEvaluator, "_pass",
-                            lambda ev, ar, *args: records.append(ar.fmt) or run(ev, ar, *args))
+        records = []
+        query_passes(monkeypatch, lambda fmt, chunk: records.append(fmt))
         got = ev.mar(TINY_CHAIN_ROWS[2])
         ints = inference._format(c, FLOAT64, np.dtype(np.int64))
         assert records == [ev._format, ints] and ints.kind == np.int64 and ints.cfg == FLOAT64
@@ -1367,9 +1367,8 @@ class TestChildMajorLayout:
         rows[::2, ::2] = -1
         comp, free = ev._comp, ev._free(ev._format)
         for mode in (inference._MAR, inference._MAP):
-            ar = ev._format.ops(len(rows))
             choices = np.zeros((len(comp.sum_index), len(rows)), dtype=np.int64)
-            table = ev._ascend(ar, rows, mode, choices, free)
+            table, ar = ev._ascend(ev._format, rows, mode, choices, free)
             assert not (ar.under.any() or ar.over.any())
             want = [ref.unit_values([None if v < 0 else v for v in row.tolist()],
                                     largest=mode == inference._MAP) for row in rows]
@@ -1487,6 +1486,46 @@ class TestCaches:
             plan.modes[next(iter(modes))] = AAI
 
 
+def assert_index_pair(how, aai: list[bool]) -> None:
+    """how is the pair (AAI positions, exact positions) of int64 index
+    arrays that aai, one flag per position, gives: disjoint, sorted and
+    together every position."""
+    assert isinstance(how, tuple) and len(how) == 2
+    assert all(isinstance(idx, np.ndarray) and idx.dtype == np.int64 for idx in how)
+    assert [idx.tolist() for idx in how] == [[i for i, f in enumerate(aai) if f == want]
+                                             for want in (True, False)]
+
+
+class TestModeShape:
+    """Every fold step and every level's sum edges multiply by one shape,
+    whatever their mix: the (AAI, exact) pair of index arrays (`_split`)."""
+
+    @pytest.mark.parametrize("make", [lambda: generate_random_tree_pc(0, 8, 2, 2),
+                                      lambda: generate_random_det_pc(0, 5), ternary_inputs],
+                             ids=["tree(8, 2, 2)", "det(5)", "ternary-inputs"])
+    @pytest.mark.parametrize("plan_of", [MultiplierPlan.all_exact, MultiplierPlan.all_aai,
+                                         half_aai], ids=["all-exact", "all-aai", "half-aai"])
+    def test_every_step_and_level_is_an_index_pair(self, make, plan_of):
+        # position j of fold step k is child k of the level's product j;
+        # position k * n_s + i of a level's edges is edge k of its sum i;
+        # padding past a unit's children, which only ternary_inputs has, is
+        # exact
+        c = make()
+        plan, comp = plan_of(c), _compile(c)
+        unit_at = {r: c.units[uid] for uid, r in comp.row.items()}
+
+        def aai(row: int, k: int) -> bool:
+            u = unit_at[row]
+            return k < len(u.children) and plan.modes[u.id, k] == AAI
+
+        for lev, (steps, edges) in zip(comp.levels, plan._modes(c)):
+            (k_p, n_p), (k_s, n_s) = lev.pch.shape, lev.sch.shape
+            assert len(steps) == k_p - 1
+            for k, how in enumerate(steps, 1):
+                assert_index_pair(how, [aai(lev.p0 + j, k) for j in range(n_p)])
+            assert_index_pair(edges, [aai(lev.s0 + i, k) for k in range(k_s) for i in range(n_s)])
+
+
 #: CONFIGS and two tiny formats, whose passes mostly saturate
 CERTIFICATE_CONFIGS = CONFIGS + [FloatConfig(3, 2), FloatConfig(4, 3, rounding=TOWARD_ZERO)]
 
@@ -1496,8 +1535,12 @@ def passes(ev: CircuitEvaluator, rows, picks, free: int = 0):
     first `free` levels unchecked (none by default), each with its choice
     table: none, the one MAP fills, and picks."""
     tables = [None, np.zeros((len(ev._comp.sum_index), len(rows)), dtype=np.int64), picks]
-    return [ev._pass(ev._format.ops(len(rows)), rows, mode, choices, free) + (choices,)
-            for mode, choices in zip((inference._MAR, inference._MAP, inference._PICK), tables)]
+    results = []
+    for mode, choices in zip((inference._MAR, inference._MAP, inference._PICK), tables):
+        table, ar = ev._ascend(ev._format, rows, mode, choices, free)
+        results.append((ev._format.format_words(table[ev._comp.root]), ar.under, ar.over,
+                        choices))
+    return results
 
 
 def counted_levels(ev: CircuitEvaluator, rows, picks, mode=inference._MAR) -> list:
@@ -1505,7 +1548,7 @@ def counted_levels(ev: CircuitEvaluator, rows, picks, mode=inference._MAR) -> li
     choices = {inference._MAP: np.zeros((len(ev._comp.sum_index), len(rows)), dtype=np.int64),
                inference._PICK: picks}.get(mode)
     counted = []
-    ev._ascend(ev._format.ops(len(rows)), rows, mode, choices, counted=counted)
+    ev._ascend(ev._format, rows, mode, choices, counted=counted)
     return counted
 
 
@@ -1608,8 +1651,7 @@ class TestRangeCertificate:
         assert ev._free(ev._format) == 8
         # every weight is at most one; at seeds 1, 4 and 8 a level-3 sum's
         # upper bound rounds above one, but its partners are nonzero weights
-        ar = ev._format.ops(1)
-        top = ev._ascend(ar, row, inference._MAR)
+        top, ar = ev._ascend(ev._format, row, inference._MAR)
         assert (ev._format.w <= ar.one).all()
         lev = ev._comp.levels[3]
         assert (top[lev.s0:lev.s1] > ar.one).any() == (seed != 0)
@@ -1667,9 +1709,8 @@ class TestRangeCertificate:
         hidden = np.vstack([rows, [[3, -1, 0], [3, -1, 1], [-1, -1, -1]]])
         aai = assert_matches_scalar(c, cfg, MultiplierPlan.all_aai(c), rows, hidden)
         assert verdicts(aai) == {(cfg, aai._format.kind): free}
-        unchecked, checked = (aai._ascend(format_ops(aai._format, len(hidden), flag), hidden,
-                                          inference._MAR)
-                              for flag in (False, True))
+        unchecked, checked = (aai._ascend(aai._format, hidden, inference._MAR, free=free)[0]
+                              for free in (len(aai._comp.levels), 0))
         assert (unchecked != checked).any()
         exact = assert_matches_scalar(c, cfg, MultiplierPlan.all_exact(c), rows, hidden)
         assert verdicts(exact) == {(cfg, exact._format.kind): 3}
@@ -2057,9 +2098,9 @@ class TestValueTableReuse:
         c = generate_random_tree_pc(3, 8, 2, 3)
         ev = CircuitEvaluator(c, cfg, half_aai(c))
         rows, other = sample(c, 3, 8), sample(c, 4, 8)
-        first = ev._ascend(ev._format.ops(len(rows)), rows, inference._MAR)
+        first = ev._ascend(ev._format, rows, inference._MAR)[0]
         kept = first.copy()
-        second = ev._ascend(ev._format.ops(len(other)), other, inference._MAR)
+        second = ev._ascend(ev._format, other, inference._MAR)[0]
         assert (second != kept).any()
         assert (first == kept).all()
 

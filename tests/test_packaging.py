@@ -1,5 +1,6 @@
 """Package metadata in pyproject.toml agrees with the code."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SOURCES = sorted((PYPROJECT.parent / "src" / "aaipc").glob("*.py"))
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
@@ -62,3 +64,36 @@ def test_conftest_imports_without_libcst():
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def loaded(tree: ast.AST) -> set[str]:
+    """Every name that tree reads as a name."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_module_level_import_is_read(path):
+    # an import kept bound for callers that wrap its names, as the traced
+    # benchmark wraps the scalar float ops, says so with `# noqa: F401`
+    text = path.read_text()
+    tree, lines = ast.parse(text), text.splitlines()
+    bound = [alias.asname or alias.name.partition(".")[0]
+             for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+             and getattr(stmt, "module", None) != "__future__"
+             and not any("# noqa: F401" in line for line in lines[stmt.lineno - 1:stmt.end_lineno])
+             for alias in stmt.names]
+    assert sorted(set(bound) - loaded(tree)) == []
+
+
+def test_every_private_module_level_name_is_read():
+    # a private function, class or constant that no module reads is dead
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    defined = set()
+    for stmt in (stmt for tree in trees for stmt in tree.body):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - set().union(*map(loaded, trees))) == []
